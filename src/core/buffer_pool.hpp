@@ -7,10 +7,9 @@
 /// \file buffer_pool.hpp
 /// Size-classed recycling of wire buffers.
 ///
-/// The zero-copy replay path (docs/performance.md, "Zero-copy replay and
-/// lock-free delivery") gathers every outgoing coalesced frame straight into
-/// one wire buffer and parks every inbound raw frame until the next replay
-/// reuses its slots. Allocating those buffers fresh per (stage, neighbor)
+/// The zero-copy replay path (docs/performance.md, "Zero-copy replay")
+/// gathers every outgoing coalesced frame straight into one wire buffer and
+/// parks every inbound raw frame until the next replay reuses its slots. Allocating those buffers fresh per (stage, neighbor)
 /// per iteration puts the allocator on the hot path of exactly the loop the
 /// plan layer exists to strip bare; the pool recycles them instead.
 ///

@@ -4,7 +4,6 @@
 #include <exception>
 #include <thread>
 
-#include "core/env.hpp"
 #include "core/error.hpp"
 #include "fault/fault_injector.hpp"
 
@@ -24,20 +23,9 @@ long long ms_since(std::chrono::steady_clock::time_point t) {
 
 int Comm::size() const noexcept { return cluster_->size(); }
 
-Comm::Comm(Cluster& cluster, int rank)
-    : cluster_(&cluster),
-      rank_(rank),
-      seq_out_(static_cast<std::size_t>(cluster.size()), 0) {}
-
 void Comm::send(int dest, int tag, std::vector<std::byte> data) {
   require(dest >= 0 && dest < cluster_->size(), "Comm::send: destination out of range");
-  Message msg{rank_, tag, std::move(data)};
-  // Stamped unconditionally (one increment); only the lock-free mailbox's
-  // ticket gate reads it. Stamp and publication are separated by no
-  // blocking call, so a gap in a mailbox's ticket sequence is always
-  // transient: the stamping sender is mid-post and about to publish.
-  msg.ticket = seq_out_[static_cast<std::size_t>(dest)]++;
-  cluster_->post(dest, std::move(msg));
+  cluster_->post(dest, Message{rank_, tag, std::move(data)});
 }
 
 Message Comm::recv(int source, int tag) {
@@ -114,10 +102,7 @@ std::vector<std::vector<std::byte>> Comm::allgather(std::vector<std::byte> mine,
   return all;
 }
 
-Cluster::Cluster(int num_ranks)
-    : num_ranks_(num_ranks),
-      lockfree_enabled_(core::env_flag("STFW_LOCKFREE_MAILBOX", true)),
-      ring_capacity_(std::max<std::uint64_t>(core::env_u64("STFW_MAILBOX_RING", 256), 1)) {
+Cluster::Cluster(int num_ranks) : num_ranks_(num_ranks) {
   require(num_ranks >= 1, "Cluster: need at least one rank");
   mailboxes_.reserve(static_cast<std::size_t>(num_ranks));
   for (int i = 0; i < num_ranks; ++i) mailboxes_.push_back(std::make_unique<Mailbox>());
@@ -132,26 +117,16 @@ void Cluster::set_fault_injector(std::shared_ptr<fault::FaultInjector> injector)
 }
 
 void Cluster::run(const std::function<void(Comm&)>& fn) {
-  // Lock-free delivery is decided once per run, quiescently, before any
-  // rank thread exists: an injector needs the locked queue's semantics
-  // (reorder-to-front, the monitor's delayed pump, pristine duplicates), so
-  // its presence forces the locked path for the whole run.
-  lockfree_run_ = lockfree_enabled_ && injector_ == nullptr;
+  // Decided once per run, quiescently, before any rank thread exists.
+  watchdog_run_ = watchdog_window_.count() > 0;
+  wakeups_.store(0, std::memory_order_relaxed);
   for (int r = 0; r < num_ranks_; ++r) {
     const auto& mb = mailboxes_[static_cast<std::size_t>(r)];
     // No rank threads are alive here, but the previous run's monitor could
     // in principle have raced this check before TSA made the lock mandatory.
     MutexLock lock(mb->mu);
-    // Surface anything a previous run left in the lock-free channels so the
-    // emptiness precondition below judges the whole mailbox, then (re)arm
-    // the per-run lock-free state. Rings are rebuilt only when the capacity
-    // knob changed; ticket gates restart with the fresh Comm counters.
-    drain_lockfree_raw(*mb);
-    if (lockfree_run_ && (!mb->ring || mb->ring->capacity() != ring_capacity_))
-      mb->ring = std::make_unique<MpscRing<Message>>(ring_capacity_);
-    mb->next_ticket.assign(static_cast<std::size_t>(num_ranks_), 0);
-    mb->held.assign(static_cast<std::size_t>(num_ranks_), {});
-    mb->consumer_waiting.store(false, std::memory_order_relaxed);
+    // A receiver unwound by a stfw-verify abort never cleared its record.
+    mb->waiter.kind = Waiter::Kind::kNone;
     if (!membership_.alive(r)) {
       // A rank that died last run may have collected late retransmits after
       // its mailbox was discarded; they belong to the finished run.
@@ -175,7 +150,7 @@ void Cluster::run(const std::function<void(Comm&)>& fn) {
   last_progress_ = progress_.load();
   last_progress_time_ = verify::verify_now();
 
-  const bool need_monitor = watchdog_window_.count() > 0 || injector_ != nullptr;
+  const bool need_monitor = watchdog_run_ || injector_ != nullptr;
   STFW_VERIFY_HOOK(region_begin(num_ranks_ + (need_monitor ? 1 : 0)));
   if (need_monitor) {
     monitor_stop_.store(false);
@@ -226,13 +201,10 @@ void Cluster::run(const std::function<void(Comm&)>& fn) {
       std::any_of(errors.begin(), errors.end(), [](const std::exception_ptr& e) { return !!e; });
   if (!had_error) return;
 
-  // Discard messages stranded by the abort so the cluster stays reusable
-  // (lock-free channels included — a producer may have published right up
-  // to the moment its rank unwound).
+  // Discard messages stranded by the abort so the cluster stays reusable.
   for (const auto& mb : mailboxes_) {
     MutexLock lock(mb->mu);
     STFW_VERIFY_WRITE(&mb->queue, "Cluster::run stranded-mailbox clear");
-    drain_lockfree_raw(*mb);
     mb->queue.clear();
   }
   aborted_.store(false);
@@ -302,10 +274,6 @@ void Cluster::rank_died(int me) {
     Mailbox& mb = *mailboxes_[static_cast<std::size_t>(me)];
     MutexLock lock(mb.mu);
     STFW_VERIFY_WRITE(&mb.queue, "Cluster::rank_died mailbox clear");
-    // The dying rank is its own mailbox's single consumer, so draining the
-    // ring from here is safe; crashes only occur on injected (locked-mode)
-    // runs today, but the sweep keeps this path mode-agnostic.
-    drain_lockfree_raw(mb);
     mb.queue.clear();
   }
   {
@@ -317,7 +285,7 @@ void Cluster::rank_died(int me) {
   // Wake every blocked thread so it re-evaluates against the new membership
   // (the resilient exchange polls the epoch at each wakeup). A death is
   // progress, not silence — it must not trip the deadlock watchdog.
-  progress_.fetch_add(1, std::memory_order_relaxed);
+  note_progress();
   for (const auto& mb : mailboxes_) {
     MutexLock lock(mb->mu);
     mb->cv.notify_all();
@@ -325,6 +293,7 @@ void Cluster::rank_died(int me) {
 }
 
 void Cluster::set_block_state(int me, BlockInfo::Kind kind, int source, int tag) {
+  if (!watchdog_run_) return;
   MutexLock lock(block_mu_);
   STFW_VERIFY_WRITE(block_state_.data(), "Cluster::set_block_state");
   BlockInfo& b = block_state_[static_cast<std::size_t>(me)];
@@ -386,103 +355,28 @@ void Cluster::post_raw(int dest, Message msg, bool to_front) {
   Mailbox& mb = *mailboxes_[static_cast<std::size_t>(dest)];
 #if STFW_VERIFY_ENABLED
   // Send edge: a scheduler branch point, and the id ties the matching recv's
-  // happens-before join back to this exact enqueue. Fired before the ring
-  // publication too, so the race detector sees the same send->recv
-  // happens-before edge on both delivery channels.
+  // happens-before join back to this exact enqueue.
   if (verify::Hooks* h = verify::hooks())
     msg.verify_id = h->mailbox_send(msg.source, dest, msg.tag);
 #endif
-  if (lockfree_run_) {
-    STFW_ASSERT(!to_front, "Cluster::post_raw: reorder on the lock-free path");
-    if (!mb.ring->try_push(std::move(msg))) {
-      // Ring full: locked overflow channel. Arrival order across the two
-      // channels is irrelevant — the consumer's ticket gate restores
-      // per-source order during harvest.
-      MutexLock lock(mb.mu);
-      STFW_VERIFY_WRITE(&mb.overflow, "Cluster::post_raw overflow enqueue");
-      mb.overflow.push_back(std::move(msg));
-    }
-    progress_.fetch_add(1, std::memory_order_relaxed);
-    // Dekker handshake with the consumer's harvest-then-wait step: the
-    // publication store and this load are both seq_cst, so either this
-    // producer sees the flag (and wakes the consumer under its mutex — the
-    // lock serializes against the consumer's flag-set/harvest critical
-    // section, so the notify cannot land in the gap before cv.wait), or
-    // the consumer's post-flag harvest sees the publication.
-    if (mb.consumer_waiting.load(std::memory_order_seq_cst)) {
-      MutexLock lock(mb.mu);
-      mb.cv.notify_all();
-    }
-    return;
-  }
+  bool wake = false;
   {
     MutexLock lock(mb.mu);
+    wake = mb.waiter.completed_by(msg);
+    if (wake) mb.waiter.kind = Waiter::Kind::kNone;  // later posts need not wake
     STFW_VERIFY_WRITE(&mb.queue, "Cluster::post_raw enqueue");
     if (to_front)
       mb.queue.push_front(std::move(msg));
     else
       mb.queue.push_back(std::move(msg));
   }
-  progress_.fetch_add(1, std::memory_order_relaxed);
-  mb.cv.notify_all();
-}
-
-// --- lock-free delivery: consumer-side harvest ------------------------------
-
-void Cluster::gate_deliver(Mailbox& mb, Message msg) {
-  STFW_ASSERT(msg.source >= 0 && msg.source < num_ranks_,
-              "Cluster::gate_deliver: message without a valid source");
-  const auto src = static_cast<std::size_t>(msg.source);
-  if (msg.ticket != mb.next_ticket[src]) {
-    // Out of order (it beat an earlier message still mid-publication or
-    // parked in the other channel); park until the gap closes. A stamped
-    // ticket is always published — Comm::send never blocks between stamping
-    // and posting — so the gap closes on a later harvest at the latest.
-    mb.held[src].push_back(std::move(msg));
-    return;
-  }
-  STFW_VERIFY_WRITE(&mb.queue, "Cluster::gate_deliver release");
-  ++mb.next_ticket[src];
-  mb.queue.push_back(std::move(msg));
-  auto& held = mb.held[src];
-  bool released = true;
-  while (released && !held.empty()) {
-    released = false;
-    for (auto it = held.begin(); it != held.end(); ++it) {
-      if (it->ticket == mb.next_ticket[src]) {
-        ++mb.next_ticket[src];
-        mb.queue.push_back(std::move(*it));
-        held.erase(it);
-        released = true;
-        break;
-      }
-    }
-  }
-}
-
-void Cluster::harvest(Mailbox& mb) {
-  if (!lockfree_run_ || mb.ring == nullptr) return;
-  Message m;
-  while (mb.ring->try_pop(m)) gate_deliver(mb, std::move(m));
-  while (!mb.overflow.empty()) {
-    Message o = std::move(mb.overflow.front());
-    mb.overflow.pop_front();
-    gate_deliver(mb, std::move(o));
-  }
-}
-
-void Cluster::drain_lockfree_raw(Mailbox& mb) {
-  if (mb.ring != nullptr) {
-    Message m;
-    while (mb.ring->try_pop(m)) mb.queue.push_back(std::move(m));
-  }
-  while (!mb.overflow.empty()) {
-    mb.queue.push_back(std::move(mb.overflow.front()));
-    mb.overflow.pop_front();
-  }
-  for (auto& from_src : mb.held) {
-    for (Message& m : from_src) mb.queue.push_back(std::move(m));
-    from_src.clear();
+  note_progress();
+  if (wake) {
+    // The owner is the only thread that waits on mb.cv, so notify_one is
+    // enough. It is already asleep: it recorded the wait and released mu
+    // inside one cv wait, and this post saw the record under mu.
+    wakeups_.fetch_add(1, std::memory_order_relaxed);
+    mb.cv.notify_one();
   }
 }
 
@@ -506,13 +400,45 @@ bool matches(const Message& m, int source, int tag) {
 
 }  // namespace
 
+// Each primitive scans the queue, checks teardown and its deadline, then
+// records in mb.waiter what would complete it and sleeps. The record is
+// written under the same hold of mu as the scan, so no post falls between
+// "nothing matched" and "asleep". After any wakeup the record is cleared
+// and the queue rescanned: a completing post, a spurious wakeup and the
+// teardown/membership broadcasts (notify_all) all take the same path.
+
+bool Cluster::Waiter::completed_by(const Message& m) {
+  switch (kind) {
+    case Kind::kNone:
+      return false;
+    case Kind::kAny:
+      return true;
+    case Kind::kRecv:
+      return matches(m, source, tag);
+    case Kind::kEach:
+      break;
+  }
+  if (m.tag != tag) return false;
+  const auto it = std::lower_bound(missing.begin(), missing.end(), m.source);
+  if (it == missing.end() || *it != m.source) return false;
+  missing.erase(it);
+  return missing.empty();
+}
+
+void Cluster::sleep_on(Mailbox& mb, MutexLock& lock, Deadline deadline) {
+  if (deadline.is_never())
+    mb.cv.wait(lock);
+  else
+    mb.cv.wait_until(lock, deadline.at);
+  mb.waiter.kind = Waiter::Kind::kNone;
+}
+
 Message Cluster::blocking_recv(int me, int source, int tag, Deadline deadline) {
   Mailbox& mb = *mailboxes_[static_cast<std::size_t>(me)];
   const auto entered = verify::verify_now();
   bool registered = false;
   MutexLock lock(mb.mu);
   for (;;) {
-    harvest(mb);
     STFW_VERIFY_READ(&mb.queue, "Cluster::blocking_recv scan");
     auto it = std::find_if(mb.queue.begin(), mb.queue.end(),
                            [&](const Message& m) { return matches(m, source, tag); });
@@ -522,7 +448,7 @@ Message Cluster::blocking_recv(int me, int source, int tag, Deadline deadline) {
       mb.queue.erase(it);
       STFW_VERIFY_HOOK(mailbox_recv(me, out.source, out.tag, out.verify_id));
       if (registered) set_block_state(me, BlockInfo::Kind::kRunning);
-      progress_.fetch_add(1, std::memory_order_relaxed);
+      note_progress();
       return out;
     }
     throw_if_torn_down(me, "recv");
@@ -535,23 +461,10 @@ Message Cluster::blocking_recv(int me, int source, int tag, Deadline deadline) {
       set_block_state(me, BlockInfo::Kind::kRecv, source, tag);
       registered = true;
     }
-    if (lockfree_run_) {
-      // Advertise, then take one last look (see post_raw's Dekker comment):
-      // a producer that published before seeing the flag is caught by this
-      // harvest; one that saw it notifies under mu.
-      mb.consumer_waiting.store(true, std::memory_order_seq_cst);
-      const std::size_t before = mb.queue.size();
-      harvest(mb);
-      if (mb.queue.size() != before) {
-        mb.consumer_waiting.store(false, std::memory_order_relaxed);
-        continue;
-      }
-    }
-    if (deadline.is_never())
-      mb.cv.wait(lock);
-    else
-      mb.cv.wait_until(lock, deadline.at);
-    if (lockfree_run_) mb.consumer_waiting.store(false, std::memory_order_relaxed);
+    mb.waiter.kind = Waiter::Kind::kRecv;
+    mb.waiter.source = source;
+    mb.waiter.tag = tag;
+    sleep_on(mb, lock, deadline);
   }
 }
 
@@ -571,7 +484,6 @@ std::vector<Message> Cluster::recv_from_each(int me, std::span<const int> source
   bool registered = false;
   MutexLock lock(mb.mu);
   for (;;) {
-    harvest(mb);
     STFW_VERIFY_READ(&mb.queue, "Cluster::recv_from_each scan");
     auto it = mb.queue.begin();
     while (it != mb.queue.end() && remaining > 0) {
@@ -596,7 +508,7 @@ std::vector<Message> Cluster::recv_from_each(int me, std::span<const int> source
       have[idx] = true;
       --remaining;
       it = mb.queue.erase(it);
-      progress_.fetch_add(1, std::memory_order_relaxed);
+      note_progress();
     }
     if (remaining == 0) {
       if (registered) set_block_state(me, BlockInfo::Kind::kRunning);
@@ -635,20 +547,14 @@ std::vector<Message> Cluster::recv_from_each(int me, std::span<const int> source
       set_block_state(me, BlockInfo::Kind::kRecv, kAnySource, tag);
       registered = true;
     }
-    if (lockfree_run_) {
-      mb.consumer_waiting.store(true, std::memory_order_seq_cst);
-      const std::size_t before = mb.queue.size();
-      harvest(mb);
-      if (mb.queue.size() != before) {
-        mb.consumer_waiting.store(false, std::memory_order_relaxed);
-        continue;
-      }
-    }
-    if (deadline.is_never())
-      mb.cv.wait(lock);
-    else
-      mb.cv.wait_until(lock, deadline.at);
-    if (lockfree_run_) mb.consumer_waiting.store(false, std::memory_order_relaxed);
+    // The scan above took every queued match, so the sources still missing
+    // are exactly those with no matching message queued.
+    mb.waiter.kind = Waiter::Kind::kEach;
+    mb.waiter.tag = tag;
+    mb.waiter.missing.clear();
+    for (std::size_t i = 0; i < want.size(); ++i)
+      if (!have[i]) mb.waiter.missing.push_back(want[i]);
+    sleep_on(mb, lock, deadline);
   }
 }
 
@@ -657,7 +563,6 @@ std::vector<Message> Cluster::drain(int me, int tag) {
   std::vector<Message> out;
   {
     MutexLock lock(mb.mu);
-    harvest(mb);
     STFW_VERIFY_WRITE(&mb.queue, "Cluster::drain sweep");
     auto it = mb.queue.begin();
     while (it != mb.queue.end()) {
@@ -678,7 +583,6 @@ std::vector<Message> Cluster::drain(int me, int tag) {
 bool Cluster::probe(int me, int source, int tag) {
   Mailbox& mb = *mailboxes_[static_cast<std::size_t>(me)];
   MutexLock lock(mb.mu);
-  harvest(mb);
   STFW_VERIFY_READ(&mb.queue, "Cluster::probe scan");
   return std::any_of(mb.queue.begin(), mb.queue.end(),
                      [&](const Message& m) { return matches(m, source, tag); });
@@ -689,7 +593,6 @@ bool Cluster::wait_message(int me, Deadline deadline) {
   bool registered = false;
   MutexLock lock(mb.mu);
   for (;;) {
-    harvest(mb);
     STFW_VERIFY_READ(&mb.queue, "Cluster::wait_message poll");
     if (!mb.queue.empty()) {
       if (registered) set_block_state(me, BlockInfo::Kind::kRunning);
@@ -704,20 +607,8 @@ bool Cluster::wait_message(int me, Deadline deadline) {
       set_block_state(me, BlockInfo::Kind::kWait, kAnySource, 0);
       registered = true;
     }
-    if (lockfree_run_) {
-      mb.consumer_waiting.store(true, std::memory_order_seq_cst);
-      const std::size_t before = mb.queue.size();
-      harvest(mb);
-      if (mb.queue.size() != before) {
-        mb.consumer_waiting.store(false, std::memory_order_relaxed);
-        continue;
-      }
-    }
-    if (deadline.is_never())
-      mb.cv.wait(lock);
-    else
-      mb.cv.wait_until(lock, deadline.at);
-    if (lockfree_run_) mb.consumer_waiting.store(false, std::memory_order_relaxed);
+    mb.waiter.kind = Waiter::Kind::kAny;
+    sleep_on(mb, lock, deadline);
   }
 }
 
@@ -731,7 +622,7 @@ void Cluster::maybe_release_barrier() {
   barrier_count_ = 0;
   STFW_VERIFY_WRITE(&barrier_generation_, "Cluster::barrier_wait release");
   ++barrier_generation_;
-  progress_.fetch_add(1, std::memory_order_relaxed);
+  note_progress();
   barrier_cv_.notify_all();
 }
 
@@ -817,8 +708,7 @@ void Cluster::monitor_loop() {
     }
     for (DelayedMessage& d : due) post_raw(d.dest, std::move(d.msg));
 
-    if (watchdog_window_.count() > 0 && !deadlocked_.load() && !aborted_.load())
-      check_deadlock(now);
+    if (watchdog_run_ && !deadlocked_.load() && !aborted_.load()) check_deadlock(now);
 
 #if STFW_VERIFY_ENABLED
     if (verify::Hooks* h = verify::hooks()) {

@@ -14,7 +14,6 @@
 #include "core/sync.hpp"
 #include "core/verify_hooks.hpp"
 #include "membership.hpp"
-#include "mpsc_ring.hpp"
 
 /// \file comm.hpp
 /// In-process message-passing runtime.
@@ -32,6 +31,14 @@
 ///
 /// This is deliberately a small, honest subset of MPI — enough to run
 /// Algorithm 1 exactly as each MPI rank would run it.
+///
+/// Mailbox wait protocol (docs/performance.md): a mailbox is one locked
+/// deque, and its owner rank is the only thread that ever waits on it. A
+/// blocking receive records under the mailbox mutex what it waits for —
+/// any message, one (source, tag), or one tag-matched frame from each of a
+/// set of sources — and a post notifies only when its message completes
+/// that wait. A stage of recv_from_each therefore costs its rank one
+/// wakeup, not one per arriving frame.
 ///
 /// Resilience plumbing (docs/fault_model.md):
 ///
@@ -57,11 +64,6 @@ struct Message {
   int source = -1;
   int tag = 0;
   std::vector<std::byte> data;
-  /// Per-(source, dest) send sequence number, stamped by Comm::send. The
-  /// lock-free mailbox delivers ring and overflow arrivals through a
-  /// per-source ticket gate keyed on this, restoring the point-to-point
-  /// ordering guarantee no matter which channel a message raced through.
-  std::uint64_t ticket = 0;
 #if STFW_VERIFY_ENABLED
   std::uint64_t verify_id = 0;  // stfw-verify message identity (send edge id)
 #endif
@@ -161,14 +163,10 @@ public:
 
 private:
   friend class Cluster;
-  Comm(Cluster& cluster, int rank);
+  Comm(Cluster& cluster, int rank) : cluster_(&cluster), rank_(rank) {}
 
   Cluster* cluster_;
   int rank_;
-  /// Next ticket per destination (Message::ticket). A Comm lives on exactly
-  /// one rank thread, so plain counters suffice; they start at zero every
-  /// run because the Comm itself is constructed fresh inside run().
-  std::vector<std::uint64_t> seq_out_;
 };
 
 /// A fixed-size set of ranks executing a common function on private threads.
@@ -214,20 +212,12 @@ public:
   /// the caller who died.
   [[nodiscard]] const Membership& membership() const noexcept { return membership_; }
 
-  /// Enable/disable the lock-free MPSC mailbox fast path (default: the
-  /// STFW_LOCKFREE_MAILBOX flag, on when unset). Even when enabled it is
-  /// only used on runs without a fault injector — injected reorder/delay/
-  /// duplicate need the locked queue's semantics. Must not be called during
-  /// run().
-  void set_lockfree_mailbox(bool enabled) { lockfree_enabled_ = enabled; }
-  /// Ring capacity per mailbox for the lock-free path (default: the
-  /// STFW_MAILBOX_RING variable, 256 when unset; 0 is clamped to 1). Tiny
-  /// capacities are valid — overflow falls back to the locked channel — and
-  /// are how the tests force channel interleaving. Must not be called
-  /// during run().
-  void set_mailbox_ring_capacity(std::size_t slots) { ring_capacity_ = slots; }
-  /// Whether the current/last run() used the lock-free delivery path.
-  [[nodiscard]] bool lockfree_active() const noexcept { return lockfree_run_; }
+  /// Test-support counter: posts during the current or last run() that
+  /// woke a blocked receiver because they completed its wait. Wakeups for
+  /// abort, rank death, membership change and the watchdog are not counted.
+  [[nodiscard]] std::uint64_t mailbox_wakeups() const noexcept {
+    return wakeups_.load(std::memory_order_relaxed);
+  }
 
   /// Test-support observability: called on the sender's thread for every
   /// post *before* the fault injector rules on it, so the tap sees dropped
@@ -244,23 +234,27 @@ public:
 private:
   friend class Comm;
 
+  /// What a mailbox's owner thread is blocked on. Only the owner waits on
+  /// its mailbox, so one record per mailbox suffices.
+  struct Waiter {
+    enum class Kind : std::uint8_t { kNone, kAny, kRecv, kEach };
+    Kind kind = Kind::kNone;
+    int source = kAnySource;  // kRecv
+    int tag = 0;              // kRecv, kEach
+    /// kEach: ascending sources with no matching message queued yet.
+    std::vector<int> missing;
+
+    /// Notes that `m` was just queued; true iff it completes the wait. For
+    /// kEach the first matching message from a missing source clears that
+    /// source, so a second same-tag message from it never counts.
+    bool completed_by(const Message& m);
+  };
+
   struct Mailbox {
     core::Mutex mu;
     core::CondVar cv;
     std::deque<Message> queue STFW_GUARDED_BY(mu);
-
-    // Lock-free fast path (fault-free runs only; see lockfree_run_). The
-    // ring and the waiting flag are touched without mu — the ring carries
-    // its own synchronization and the flag is the Dekker handshake of the
-    // sleep protocol. Everything else stays under mu: the overflow channel
-    // (ring-full fallback), and the per-source ticket gate the consumer
-    // runs while harvesting (next_ticket/held), which restores per-source
-    // FIFO regardless of which channel a message raced through.
-    std::unique_ptr<MpscRing<Message>> ring;
-    std::atomic<bool> consumer_waiting{false};
-    std::deque<Message> overflow STFW_GUARDED_BY(mu);
-    std::vector<std::uint64_t> next_ticket STFW_GUARDED_BY(mu);
-    std::vector<std::vector<Message>> held STFW_GUARDED_BY(mu);
+    Waiter waiter STFW_GUARDED_BY(mu);
   };
 
   /// What a rank's thread is doing, as seen by the watchdog.
@@ -290,6 +284,12 @@ private:
   void abort_all();
   void flush_delayed();
 
+  /// Sleeps until a post completes the wait the caller just recorded in
+  /// mb.waiter, a teardown/membership broadcast, or the deadline; then
+  /// clears the record. The caller rescans the queue either way.
+  static void sleep_on(Mailbox& mb, core::MutexLock& lock, Deadline deadline)
+      STFW_REQUIRES(mb.mu);
+
   /// Absorbs a survivable crash on rank `me`'s own unwind path: marks it
   /// dead, discards its mailbox, releases any barrier now satisfied by the
   /// survivors alone, and wakes every blocked thread to re-evaluate.
@@ -299,19 +299,10 @@ private:
   /// arrival and on every death.
   void maybe_release_barrier() STFW_REQUIRES(barrier_mu_);
 
-  /// Consumer-side: move every published ring/overflow message through the
-  /// per-source ticket gate into mb.queue. Only the mailbox owner (or the
-  /// main thread while no rank threads run) may call it — it pops the
-  /// single-consumer ring. No-op unless this run is lock-free.
-  void harvest(Mailbox& mb) STFW_REQUIRES(mb.mu);
-  /// Ticket gate: release `msg` into mb.queue if it is the next expected
-  /// ticket from its source (plus any held successors), else park it.
-  void gate_deliver(Mailbox& mb, Message msg) STFW_REQUIRES(mb.mu);
-  /// Dump ring + overflow + held into mb.queue with no ordering gate; for
-  /// run-boundary sweeps (emptiness checks, dead-rank/stranded clears)
-  /// where only "is anything left" matters.
-  void drain_lockfree_raw(Mailbox& mb) STFW_REQUIRES(mb.mu);
-
+  /// Watchdog bookkeeping; both are no-ops on runs without a watchdog.
+  void note_progress() noexcept {
+    if (watchdog_run_) progress_.fetch_add(1, std::memory_order_relaxed);
+  }
   void set_block_state(int me, BlockInfo::Kind kind, int source = 0, int tag = 0)
       STFW_EXCLUDES(block_mu_);
   /// Checks deadlock/abort flags from inside a blocking primitive; throws
@@ -330,13 +321,7 @@ private:
   std::vector<std::unique_ptr<Mailbox>> mailboxes_;
   Membership membership_;
 
-  // Lock-free mailbox mode. lockfree_run_ is decided quiescently at the top
-  // of every run() (enabled && no injector) before any rank thread exists,
-  // and never changes mid-run — rank threads read it data-race-free via the
-  // thread-creation happens-before edge.
-  bool lockfree_enabled_;
-  std::size_t ring_capacity_;
-  bool lockfree_run_ = false;
+  std::atomic<std::uint64_t> wakeups_{0};
 
   // Reusable two-phase barrier.
   core::Mutex barrier_mu_;
@@ -351,8 +336,13 @@ private:
   core::Mutex delayed_mu_;
   std::vector<DelayedMessage> delayed_ STFW_GUARDED_BY(delayed_mu_);
 
-  // Watchdog state.
+  // Watchdog state. watchdog_run_ is decided quiescently at the top of every
+  // run(), before any rank thread exists, and never changes mid-run — rank
+  // threads read it data-race-free via the thread-creation happens-before
+  // edge. Unarmed runs skip block_state_ and progress_ entirely: only
+  // check_deadlock reads them.
   std::chrono::milliseconds watchdog_window_{0};
+  bool watchdog_run_ = false;
   core::Mutex block_mu_;
   std::vector<BlockInfo> block_state_ STFW_GUARDED_BY(block_mu_);
   std::atomic<std::uint64_t> progress_{0};  // deliveries + barrier completions

@@ -29,7 +29,7 @@ namespace stfw::runtime {
 /// payload buffer — no copy is made. Views stay valid until the next
 /// exchange on the same plan begins, the plan is destroyed, or (self-sends)
 /// the caller's payload buffer goes away, whichever comes first. See
-/// docs/performance.md, "Zero-copy replay and lock-free delivery".
+/// docs/performance.md, "Zero-copy replay".
 struct InboundView {
   core::Rank source = -1;
   std::span<const std::byte> bytes;

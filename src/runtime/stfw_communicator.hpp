@@ -1,5 +1,6 @@
 #pragma once
 
+#include <array>
 #include <chrono>
 #include <cstdint>
 #include <functional>
@@ -397,6 +398,11 @@ private:
   std::shared_ptr<const core::RepairedPlan> repaired_plan_;
   std::uint64_t repaired_sig_key_ = 0;
   std::uint32_t repaired_epoch_ = 0;
+  // Resilient frames of the next exchange that reached this rank before its
+  // previous exchange_resilient finished draining: a faster peer had already
+  // started the next call. [0] data tag, [1] ack tag. Thread-confined like
+  // stats_; the next exchange_resilient handles them before anything else.
+  std::array<std::vector<runtime::Message>, 2> carried_frames_;
   mutable core::Mutex plan_cache_mu_;
   std::vector<PlanCacheEntry> plan_cache_ STFW_GUARDED_BY(plan_cache_mu_);
   std::size_t plan_cache_capacity_ STFW_GUARDED_BY(plan_cache_mu_);

@@ -343,36 +343,50 @@ std::vector<std::vector<InboundMessage>> fault_free_baseline(const core::Vpt& vp
 }
 
 TEST(ResilientExchange, CleanTransportMatchesPlainExchange) {
+  // Back to back in one run: a rank that leaves an exchange's epilogue first
+  // posts the next exchange's frames while slower peers still drain the
+  // previous one. Those frames must survive that drain — on a clean
+  // transport nothing may ever be retransmitted.
+  constexpr std::size_t kExchanges = 50;
   const auto vpt = core::Vpt({4, 4});
   const auto baseline = fault_free_baseline(vpt);
   const Rank K = vpt.size();
-  std::vector<ResilientExchangeResult> results(static_cast<std::size_t>(K));
-  std::vector<LocalExchangeStats> stats(static_cast<std::size_t>(K));
+  const auto ranks = static_cast<std::size_t>(K);
+  std::vector<std::vector<ResilientExchangeResult>> results(
+      ranks, std::vector<ResilientExchangeResult>(kExchanges));
+  std::vector<std::vector<LocalExchangeStats>> stats(
+      ranks, std::vector<LocalExchangeStats>(kExchanges));
   Cluster cluster(K);
   cluster.run([&](Comm& comm) {
     StfwCommunicator stfw(comm, vpt);
     const auto me = static_cast<std::size_t>(comm.rank());
     ResilienceOptions opt;
     opt.retransmit_timeout = 500ms;  // scheduling hiccups must not retransmit
-    results[me] = stfw.exchange_resilient(all_to_all_sends(K, comm.rank()), opt);
-    stats[me] = stfw.last_stats();
+    for (std::size_t x = 0; x < kExchanges; ++x) {
+      results[me][x] = stfw.exchange_resilient(all_to_all_sends(K, comm.rank()), opt);
+      stats[me][x] = stfw.last_stats();
+    }
   });
-  for (Rank r = 0; r < K; ++r) {
-    auto& res = results[static_cast<std::size_t>(r)];
-    const auto& st = stats[static_cast<std::size_t>(r)];
-    EXPECT_TRUE(res.fully_recovered);
-    EXPECT_TRUE(res.failure.empty()) << res.failure.to_string();
-    sort_by_source(res.delivered);
-    EXPECT_EQ(res.delivered, baseline[static_cast<std::size_t>(r)]) << "rank " << r;
-    // T_2(4,4): every rank emits exactly (4-1)+(4-1) stage frames (empty ones
-    // included) and each one is acked exactly once.
-    EXPECT_EQ(st.messages_sent, 6);
-    EXPECT_EQ(st.acks_received, 6);
-    EXPECT_EQ(st.acks_sent, 6);
-    EXPECT_EQ(st.retransmits, 0);
-    EXPECT_EQ(st.duplicate_frames_discarded, 0);
-    EXPECT_EQ(st.corrupt_frames_discarded, 0);
-    EXPECT_EQ(st.direct_fallback_submessages, 0);
+  for (std::size_t r = 0; r < ranks; ++r) {
+    for (std::size_t x = 0; x < kExchanges; ++x) {
+      SCOPED_TRACE("rank " + std::to_string(r) + " exchange " + std::to_string(x));
+      auto& res = results[r][x];
+      const auto& st = stats[r][x];
+      EXPECT_TRUE(res.fully_recovered);
+      EXPECT_TRUE(res.failure.empty()) << res.failure.to_string();
+      sort_by_source(res.delivered);
+      EXPECT_EQ(res.delivered, baseline[r]);
+      // T_2(4,4): every rank emits exactly (4-1)+(4-1) stage frames (empty
+      // ones included) and each one is acked exactly once.
+      EXPECT_EQ(st.messages_sent, 6);
+      EXPECT_EQ(st.acks_received, 6);
+      EXPECT_EQ(st.acks_sent, 6);
+      EXPECT_EQ(st.retransmits, 0);
+      EXPECT_EQ(st.timeouts, 0);
+      EXPECT_EQ(st.duplicate_frames_discarded, 0);
+      EXPECT_EQ(st.corrupt_frames_discarded, 0);
+      EXPECT_EQ(st.direct_fallback_submessages, 0);
+    }
   }
 }
 
@@ -499,6 +513,40 @@ TEST(ResilientExchange, RepeatedExchangesUnderFaultsStayIsolated) {
           << "round " << round << " rank " << comm.rank();
     }
   });
+  cluster.set_fault_injector(nullptr);
+}
+
+TEST(ResilientExchange, InjectorOnAndOffAcrossRunsOfOneClusterDeliverEverything) {
+  // Alternate fault-injected and fault-free runs on one Cluster: reordered,
+  // duplicated and delayed traffic of a faulted run must leave nothing
+  // behind for the next run, and every run must deliver everything.
+  const core::Vpt vpt({2, 2});
+  Cluster cluster(vpt.size());
+  auto injector = std::make_shared<FaultInjector>([] {
+    FaultConfig cfg;
+    cfg.seed = 99;
+    cfg.duplicate_prob = 0.2;
+    cfg.reorder_prob = 0.2;
+    cfg.delay_prob = 0.1;
+    return cfg;
+  }());
+  for (int round = 0; round < 6; ++round) {
+    cluster.set_fault_injector(round % 2 == 1 ? injector : nullptr);
+    cluster.run([&](Comm& comm) {
+      StfwCommunicator stfw(comm, vpt);
+      const auto me = static_cast<Rank>(comm.rank());
+      std::vector<OutboundMessage> sends;
+      sends.push_back({(me + 1) % vpt.size(),
+                       std::vector<std::byte>(16, static_cast<std::byte>(round + me))});
+      const ResilientExchangeResult result = stfw.exchange_resilient(sends);
+      EXPECT_TRUE(result.fully_recovered);
+      ASSERT_EQ(result.delivered.size(), 1u);
+      const auto from = (me + vpt.size() - 1) % vpt.size();
+      EXPECT_EQ(result.delivered[0].source, from);
+      EXPECT_EQ(result.delivered[0].bytes,
+                std::vector<std::byte>(16, static_cast<std::byte>(round + from)));
+    });
+  }
   cluster.set_fault_injector(nullptr);
 }
 

@@ -3,13 +3,22 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstring>
+#include <memory>
 #include <numeric>
+#include <thread>
+#include <vector>
 
 #include "core/error.hpp"
+#include "core/vpt.hpp"
+#include "fault/fault_injector.hpp"
+#include "runtime/stfw_communicator.hpp"
 
 namespace stfw::runtime {
 namespace {
+
+using namespace std::chrono_literals;
 
 std::vector<std::byte> payload(int v) {
   std::vector<std::byte> b(sizeof(int));
@@ -297,6 +306,161 @@ TEST(Runtime, SingleRankClusterWorks) {
     const auto all = comm.allgather(payload(7));
     ASSERT_EQ(all.size(), 1u);
   });
+}
+
+// --- Mailbox wait protocol ---------------------------------------------------
+// A post wakes a blocked receiver only when its message completes the wait
+// the receiver recorded; Cluster::mailbox_wakeups() counts those posts. A lost
+// wakeup would surface as a TimeoutError at the generous deadlines below, a
+// premature one as an extra counted wakeup. Senders sleep briefly first so
+// the receiver is most likely asleep when their frames arrive.
+
+constexpr int kGoTag = 99;
+
+TEST(Runtime, WakeupRepeatedSourceCountsOnceAndItsLaterFramesStayQueued) {
+  Cluster cluster(4);
+  cluster.run([](Comm& comm) {
+    if (comm.rank() == 0) {
+      const std::vector<int> sources{1, 2, 3};
+      const auto got = comm.recv_from_each(sources, 5, Deadline::in(10s));
+      ASSERT_EQ(got.size(), 3u);
+      EXPECT_EQ(value_of(got[0]), 10);
+      EXPECT_EQ(value_of(got[1]), 20);
+      EXPECT_EQ(value_of(got[2]), 30);
+      // Rank 1's later frames belong to later waits, still in send order.
+      EXPECT_EQ(value_of(comm.recv(1, 5)), 11);
+      EXPECT_EQ(value_of(comm.recv(1, 5)), 12);
+    } else if (comm.rank() == 1) {
+      std::this_thread::sleep_for(20ms);
+      for (const int v : {10, 11, 12}) comm.send(0, 5, payload(v));
+      comm.send(2, kGoTag, {});
+      comm.send(3, kGoTag, {});
+    } else {
+      comm.recv(1, kGoTag);
+      comm.send(0, 5, payload(comm.rank() * 10));
+    }
+  });
+  // Rank 0 wakes once, for the last of its three sources; ranks 2 and 3 at
+  // most once each, for their go signal.
+  EXPECT_LE(cluster.mailbox_wakeups(), 3u);
+}
+
+TEST(Runtime, WakeupIgnoresLaterTagsAndSourcesNotAwaited) {
+  Cluster cluster(4);
+  cluster.run([](Comm& comm) {
+    switch (comm.rank()) {
+      case 0: {
+        const std::vector<int> sources{1, 2};
+        const auto got = comm.recv_from_each(sources, 5, Deadline::in(10s));
+        ASSERT_EQ(got.size(), 2u);
+        EXPECT_EQ(value_of(got[0]), 1);
+        EXPECT_EQ(value_of(got[1]), 2);
+        // Neither stray frame was taken by the wait.
+        EXPECT_EQ(value_of(comm.recv(1, 6)), 16);
+        EXPECT_EQ(value_of(comm.recv(3, 5)), 35);
+        break;
+      }
+      case 1:
+        std::this_thread::sleep_for(20ms);
+        comm.send(0, 6, payload(16));  // an awaited source, but a later tag
+        comm.send(3, kGoTag, {});
+        comm.recv(3, kGoTag);
+        comm.send(0, 5, payload(1));
+        comm.send(2, kGoTag, {});
+        break;
+      case 2:
+        comm.recv(1, kGoTag);
+        comm.send(0, 5, payload(2));
+        break;
+      default:
+        comm.recv(1, kGoTag);
+        comm.send(0, 5, payload(35));  // the awaited tag, but not an awaited source
+        comm.send(1, kGoTag, {});
+        break;
+    }
+  });
+  // Rank 0 wakes once, for rank 2's frame; ranks 1, 2 and 3 at most once each.
+  EXPECT_LE(cluster.mailbox_wakeups(), 4u);
+}
+
+TEST(Runtime, WakeupSurvivesInjectedReorderToFront) {
+  Cluster cluster(4);
+  fault::FaultConfig cfg;
+  cfg.reorder_prob = 1.0;  // every post jumps ahead of queued traffic
+  cluster.set_fault_injector(std::make_shared<fault::FaultInjector>(cfg));
+  cluster.run([](Comm& comm) {
+    if (comm.rank() == 0) {
+      const std::vector<int> sources{1, 2, 3};
+      const auto got = comm.recv_from_each(sources, 5, Deadline::in(10s));
+      ASSERT_EQ(got.size(), 3u);
+      EXPECT_EQ(value_of(got[0]), 1);
+      EXPECT_EQ(value_of(got[1]), 2);
+      EXPECT_EQ(value_of(got[2]), 3);
+      EXPECT_EQ(value_of(comm.recv(kAnySource, 6, Deadline::in(10s))), 7);
+    } else {
+      std::this_thread::sleep_for(20ms);
+      comm.send(0, 5, payload(comm.rank()));
+      if (comm.rank() == 3) comm.send(0, 6, payload(7));
+    }
+  });
+  cluster.set_fault_injector(nullptr);
+}
+
+TEST(Runtime, WakeupReportsADeadAwaitedSourceAsTimeout) {
+  Cluster cluster(3);
+  try {
+    cluster.run([](Comm& comm) {
+      if (comm.rank() == 0) {
+        const std::vector<int> sources{1, 2};
+        (void)comm.recv_from_each(sources, 5, Deadline::in(10s));
+      } else if (comm.rank() == 1) {
+        comm.send(0, 5, payload(1));
+      } else {
+        std::this_thread::sleep_for(20ms);
+        throw fault::RankCrashedError("rank 2 crashed before sending");
+      }
+    });
+    FAIL() << "the wait outlived its dead source";
+  } catch (const core::TimeoutError& e) {
+    EXPECT_EQ(e.op(), "recv_from_each");
+    EXPECT_EQ(e.peer(), 2);
+    EXPECT_LT(e.waited_ms(), 5000) << "woken by the death, not by the deadline";
+  }
+}
+
+TEST(Runtime, WakeupWaitMessageWakesOnAnyTag) {
+  Cluster cluster(2);
+  cluster.run([](Comm& comm) {
+    if (comm.rank() == 0) {
+      const auto t0 = std::chrono::steady_clock::now();
+      EXPECT_TRUE(comm.wait_message(Deadline::in(10s)));
+      EXPECT_LT(std::chrono::steady_clock::now() - t0, 5s) << "slept out the deadline";
+      EXPECT_EQ(value_of(comm.recv(1, 12345)), 42);
+    } else {
+      std::this_thread::sleep_for(20ms);
+      comm.send(0, 12345, payload(42));
+    }
+  });
+  EXPECT_LE(cluster.mailbox_wakeups(), 1u);
+}
+
+TEST(Runtime, WakeupsStayWithinOnePerRankPerStageOverBlExchanges) {
+  constexpr int kRanks = 32;
+  constexpr int kExchanges = 4;
+  const core::Vpt vpt = core::Vpt::direct(kRanks);
+  Cluster cluster(kRanks);
+  cluster.run([&](Comm& comm) {
+    StfwCommunicator stfw(comm, vpt);
+    stfw.set_validation(false);  // its collective check would add receives
+    const auto me = static_cast<core::Rank>(comm.rank());
+    for (int x = 0; x < kExchanges; ++x) {
+      std::vector<OutboundMessage> sends;
+      for (const int step : {1, 5, 11}) sends.push_back({(me + step + x) % kRanks, payload(me)});
+      EXPECT_EQ(stfw.exchange(sends).size(), 3u);
+    }
+  });
+  EXPECT_LE(cluster.mailbox_wakeups(),
+            static_cast<std::uint64_t>(kRanks * vpt.dim() * kExchanges));
 }
 
 }  // namespace

@@ -135,67 +135,45 @@ TEST(VerifyExplore, BarrierFreeOverlapExhaustiveSweepIsClean) {
   EXPECT_EQ(hook_calls.load() % 4, 0) << "hook must fire exactly once per rank per schedule";
 }
 
-TEST(VerifyExplore, LockfreeMailboxExhaustiveSweepIsClean) {
-  // The zero-copy/lock-free PR sweep: the same K=4, n=2, <=2-preemption
-  // exhaustive space as ExhaustiveSmallConfigIsCleanAndBranches, but with the
-  // MPSC ring forced on and shrunk to capacity 2 so almost every post races
-  // the consumer's recycle and the overflow channel engages. The verify hooks
-  // on publish/pop give the engine the send->recv happens-before edges, so a
-  // missing edge in the lock-free path would surface as a race or a delivery
-  // oracle failure on some interleaving.
-  ExchangeHarness h(Vpt::direct(4));
+/// The delivery oracle over consecutive exchanges of one schedule.
+std::string check_each(const std::vector<verify::ExchangeObservation>& obs) {
+  for (std::size_t i = 0; i < obs.size(); ++i)
+    if (std::string v = verify::check_exchange_delivery(obs[i]); !v.empty())
+      return "exchange " + std::to_string(i) + ": " + v;
+  return {};
+}
+
+TEST(VerifyExplore, BackToBackExchangesExhaustiveSweepIsClean) {
+  // Two exchanges per schedule on one communicator. A rank that finishes the
+  // first early posts second-exchange frames while their receiver still
+  // waits on a first-exchange tag: such a post must neither complete that
+  // wait nor be lost, which is where a premature or missing wakeup of the
+  // mailbox wait protocol would show.
+  const Vpt vpt = Vpt::direct(4);
+  const auto sends = two_message_sendsets(4);
+  std::vector<verify::ExchangeObservation> obs(2);
+  const auto body = [&] {
+    for (verify::ExchangeObservation& o : obs) {
+      o.reset(4);
+      o.sends = sends;
+    }
+    runtime::Cluster cluster(4);
+    cluster.run([&](runtime::Comm& comm) {
+      const auto me = static_cast<std::size_t>(comm.rank());
+      StfwCommunicator communicator(comm, vpt);
+      for (verify::ExchangeObservation& o : obs)
+        o.delivered[me] = communicator.exchange(sends[me]);
+    });
+  };
   verify::ExploreConfig cfg;
   cfg.mode = verify::ExploreConfig::Mode::kExhaustive;
   cfg.max_preemptions = 2;
   cfg.max_schedules = 20000;
-  cfg.label = "lockfree-exhaustive-k4n2";
-  const auto body = [&h] {
-    const Rank K = h.vpt.size();
-    h.obs.reset(K);
-    h.obs.sends = h.sends;
-    runtime::Cluster cluster(K);
-    cluster.set_lockfree_mailbox(true);
-    cluster.set_mailbox_ring_capacity(2);
-    cluster.run([&](runtime::Comm& comm) {
-      EXPECT_TRUE(cluster.lockfree_active());
-      StfwCommunicator communicator(comm, h.vpt);
-      h.obs.delivered[static_cast<std::size_t>(comm.rank())] =
-          communicator.exchange(h.sends[static_cast<std::size_t>(comm.rank())]);
-    });
-  };
-  const verify::ExploreResult res = verify::explore(cfg, body, h.oracle());
+  cfg.label = "back-to-back-exhaustive-k4n2";
+  const verify::ExploreResult res =
+      verify::explore(cfg, body, [&] { return check_each(obs); });
   EXPECT_TRUE(res.clean()) << res.summary();
-  EXPECT_FALSE(res.truncated) << "preemption-bounded space not exhausted after "
-                              << res.schedules_run << " schedules";
   EXPECT_GT(res.schedules_run, 1u) << "no branch points were enumerated";
-}
-
-TEST(VerifyExplore, LockfreeMailboxSeededRandomSweepIsClean) {
-  // Wider random sweep over the forwarding VPT with the lock-free mailbox on:
-  // store-and-forward stages stress the per-source ticket gate (forwarded
-  // frames from several intermediates interleave at each consumer).
-  ExchangeHarness h(Vpt::balanced(4, 2));
-  const auto body = [&h] {
-    const Rank K = h.vpt.size();
-    h.obs.reset(K);
-    h.obs.sends = h.sends;
-    runtime::Cluster cluster(K);
-    cluster.set_lockfree_mailbox(true);
-    cluster.set_mailbox_ring_capacity(2);
-    cluster.run([&](runtime::Comm& comm) {
-      StfwCommunicator communicator(comm, h.vpt);
-      h.obs.delivered[static_cast<std::size_t>(comm.rank())] =
-          communicator.exchange(h.sends[static_cast<std::size_t>(comm.rank())]);
-    });
-  };
-  verify::ExploreConfig cfg;
-  cfg.mode = verify::ExploreConfig::Mode::kRandom;
-  cfg.schedules = std::max(schedule_count(), 64);
-  cfg.base_seed = 7;
-  cfg.label = "lockfree-random-k4-forwarding";
-  const verify::ExploreResult res = verify::explore(cfg, body, h.oracle());
-  EXPECT_TRUE(res.clean()) << res.summary();
-  EXPECT_EQ(res.schedules_run, static_cast<std::uint64_t>(cfg.schedules));
 }
 
 TEST(VerifyExplore, SeededRandomSchedulesOverForwardingVptAreClean) {
@@ -252,6 +230,48 @@ TEST(VerifyExplore, ResilientModeLosesNoFramesUnderDrops) {
   cfg.label = "resilient-drops";
   const verify::ExploreResult res = verify::explore(cfg, body, oracle);
   EXPECT_TRUE(res.clean()) << res.summary();
+}
+
+TEST(VerifyExplore, BackToBackResilientExchangesNeverRetransmit) {
+  // Two resilient exchanges per schedule, no injector. A rank that leaves the
+  // first exchange's epilogue early posts second-exchange frames under the
+  // same fixed tags while slower peers still drain the first. Were those
+  // frames discarded there, the logical clock would run into the retransmit
+  // timeout; on a clean transport nothing may ever be retransmitted.
+  const Vpt vpt({2, 2});
+  const Rank K = vpt.size();
+  const auto sends = two_message_sendsets(K);
+  std::vector<verify::ExchangeObservation> obs(2);
+  std::atomic<std::int64_t> retransmits{0};
+  const auto body = [&] {
+    for (verify::ExchangeObservation& o : obs) {
+      o.reset(K);
+      o.sends = sends;
+    }
+    retransmits.store(0);
+    runtime::Cluster cluster(K);
+    cluster.run([&](runtime::Comm& comm) {
+      const auto me = static_cast<std::size_t>(comm.rank());
+      StfwCommunicator communicator(comm, vpt);
+      for (verify::ExchangeObservation& o : obs) {
+        o.delivered[me] = communicator.exchange_resilient(sends[me]).delivered;
+        retransmits.fetch_add(communicator.last_stats().retransmits);
+      }
+    });
+  };
+  const auto oracle = [&]() -> std::string {
+    if (const std::int64_t n = retransmits.load(); n != 0)
+      return std::to_string(n) + " retransmit(s) on a fault-free transport";
+    return check_each(obs);
+  };
+  verify::ExploreConfig cfg;
+  cfg.mode = verify::ExploreConfig::Mode::kRandom;
+  cfg.schedules = schedule_count();
+  cfg.base_seed = 300;
+  cfg.label = "resilient-back-to-back-k4";
+  const verify::ExploreResult res = verify::explore(cfg, body, oracle);
+  EXPECT_TRUE(res.clean()) << res.summary();
+  EXPECT_EQ(res.schedules_run, static_cast<std::uint64_t>(cfg.schedules));
 }
 
 TEST(VerifyExplore, UnmatchedRecvIsReportedAsDeadlock) {
