@@ -172,6 +172,21 @@ TEST(VerifyCrash, EveryCrashSiteSurvivesRandomSchedules) {
   }
 }
 
+TEST(VerifyCrash, TransitDeathAfterSettledReportIsReinjected) {
+  // Rank 2 forwards 3->0 at stage 1 and dies on entering it. On schedules
+  // where rank 3 has already settled and reported before the death, its
+  // reinjected copy of 3->0 is new work after its report: the root must not
+  // close the exchange on that report while the copy is still in flight.
+  CrashHarness h(Vpt({2, 2}), /*crash_rank=*/2, /*crash_stage=*/1);
+  verify::ExploreConfig cfg;
+  cfg.mode = verify::ExploreConfig::Mode::kRandom;
+  cfg.schedules = 64;
+  cfg.base_seed = 4242;
+  cfg.label = "crash-random-k4-r2s1";
+  const verify::ExploreResult res = verify::explore(cfg, h.body(), h.oracle());
+  EXPECT_TRUE(res.clean()) << res.summary();
+}
+
 TEST(VerifyCrash, DeeperRandomSweepOnThreeDimensionalVpt) {
   // Three stages give the dead rank a transit role (traffic neither from nor
   // to it routes through it), exercising the relay detour under exploration.
