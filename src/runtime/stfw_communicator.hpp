@@ -361,6 +361,8 @@ private:
   std::vector<std::byte> planned_frame_bytes(
       const core::PlanOutFrame& frame, std::span<const std::span<const std::byte>> seeds,
       const std::vector<std::vector<std::vector<std::byte>>>& in_raw);
+  /// The plan-cache key of a send list: its (dest, size) sequence.
+  static core::PatternSignature signature_of(std::span<const OutboundMessage> sends);
   /// Fresh per-stage deadline from exchange_deadline_ (never() when 0).
   runtime::Deadline stage_deadline() const;
   /// This rank's dimension-`stage` neighbors, ascending — the inbound
