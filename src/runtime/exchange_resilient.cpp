@@ -184,7 +184,7 @@ ResilientExchangeResult StfwCommunicator::exchange_resilient(
   // overrides steer each send onto a surviving canonical hop, the relay
   // lane, or a dead-destination drop.
   std::shared_ptr<runtime::ExchangePlan> seed_plan;
-  if (plan_cache_capacity_ > 0)
+  if (plan_cache_capacity() > 0)
     seed_plan = plan_cache_find(signature_of(sends));
   if (seed_plan) stats_.plan_hits = 1;
   std::shared_ptr<const core::RepairedPlan> repaired;

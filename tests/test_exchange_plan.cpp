@@ -5,14 +5,17 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstdint>
 #include <cstring>
 #include <memory>
 #include <random>
+#include <thread>
 #include <vector>
 
 #include "core/error.hpp"
 #include "core/exchange_plan.hpp"
+#include "core/sync.hpp"
 #include "core/vpt.hpp"
 #include "partition/partitioner.hpp"
 #include "runtime/comm.hpp"
@@ -251,6 +254,37 @@ TEST(PlanCache, ResilientExchangeReusesSeedRouting) {
     EXPECT_TRUE(r.fully_recovered);
     // The resilient path found the frozen routes in the cache.
     EXPECT_EQ(communicator.last_stats().plan_hits, 1);
+  });
+}
+
+// The header lets a configuration thread resize the cache while the rank is
+// mid-exchange, so exchange_resilient must read the bound under the cache
+// mutex too. The ranks loop exchange_resilient alone: no plain exchange()
+// between the calls takes the mutex and happens to order the read after the
+// flips, so under TSan an unlocked read is a reported data race.
+TEST(PlanCache, CapacityFlipsRaceResilientExchanges) {
+  constexpr Rank kRanks = 4;
+  const Vpt vpt({2, 2});
+  const SendSets sets = ring_sendsets(kRanks, 41);
+  runtime::Cluster cluster(kRanks);
+  cluster.run([&](runtime::Comm& comm) {
+    const auto me = static_cast<std::size_t>(comm.rank());
+    StfwCommunicator communicator(comm, vpt);
+    const std::vector<InboundMessage> reference = communicator.exchange(sets[me]);
+    std::atomic<bool> stop{false};
+    core::Thread config([&] {
+      for (std::uint64_t flip = 0; !stop.load(std::memory_order_acquire); ++flip) {
+        communicator.set_plan_cache_capacity(flip % 2 == 0 ? 0 : 4);
+        std::this_thread::yield();
+      }
+    });
+    for (int i = 0; i < 30; ++i) {
+      const ResilientExchangeResult r = communicator.exchange_resilient(sets[me]);
+      EXPECT_TRUE(r.fully_recovered);
+      EXPECT_EQ(r.delivered, reference) << "rank " << me << " exchange " << i;
+    }
+    stop.store(true, std::memory_order_release);
+    config.join();
   });
 }
 
