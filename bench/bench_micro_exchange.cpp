@@ -8,12 +8,9 @@
 //   unplanned  plan cache disabled (capacity 0) — Algorithm 1 every time
 //   cached     transparent plan cache: one warm-up records, timed iterations
 //              replay (plain exchange(), no API change)
-//   planned    explicit plan() + barrier-free replay. With zero-copy enabled
-//              (STFW_ZERO_COPY, the default) the timed loop drives
+//   planned    explicit plan() + barrier-free replay through
 //              exchange_views() — pooled gather out, views in — i.e. the
-//              full zero-copy hot path; with STFW_ZERO_COPY=0 it drives the
-//              historical copying exchange(plan, payloads), which is the A/B
-//              baseline the CI zero-copy gate compares against.
+//              full zero-copy hot path
 //
 // Rows land in BENCH_micro_exchange.json (schema: docs/performance.md) for
 // tools/compare_bench.py. Knobs: STFW_BENCH_MICRO_KMAX (default 512),
@@ -121,19 +118,17 @@ ModeResult run_mode(stfw::runtime::Cluster& cluster, const stfw::core::Vpt& vpt,
     std::vector<std::span<const std::byte>> payloads;
     payloads.reserve(sends.size());
     for (const auto& s : sends) payloads.emplace_back(s.bytes);
-    const bool views = plan != nullptr && communicator.zero_copy_enabled();
     comm.barrier();
     const auto t0 = std::chrono::steady_clock::now();
     std::uint64_t received = 0;
     std::int64_t my_hits = 0;
     for (int it = 0; it < iters; ++it) {
-      if (views) {
+      if (plan) {
         for (const stfw::runtime::InboundView& v : communicator.exchange_views(*plan, payloads))
           received += v.bytes.size();
       } else {
-        std::vector<stfw::InboundMessage> result =
-            plan ? communicator.exchange(*plan, sends) : communicator.exchange(sends);
-        for (const stfw::InboundMessage& m : result) received += m.bytes.size();
+        for (const stfw::InboundMessage& m : communicator.exchange(sends))
+          received += m.bytes.size();
       }
       my_hits += communicator.last_stats().plan_hits;
     }
@@ -170,8 +165,6 @@ int main() {
                          .set("kmax", Json::integer(kmax))
                          .set("iters", Json::integer(iters))
                          .set("payload_base_bytes", Json::integer(base_bytes))
-                         .set("zero_copy", Json::boolean(
-                                               stfw::core::env_flag("STFW_ZERO_COPY", true)))
                          .set("seed", Json::integer(static_cast<std::int64_t>(
                                           stfw::bench::bench_seed()))));
   Json results = Json::array();

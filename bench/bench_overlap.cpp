@@ -1,13 +1,10 @@
 // Communication/computation overlap on the dependency-driven exchange.
 //
 // The solver loop does one exchange plus one local compute phase per
-// iteration. Three schedules of that pair are timed on the same skewed
+// iteration. Two schedules of that pair are timed on the same skewed
 // pattern:
 //
-//   barrier   STFW_BARRIER_SYNC emulation (set_barrier_sync(true)): a global
-//             barrier delimits every stage — the pre-refactor schedule —
-//             and the compute phase runs after the exchange returns
-//   sync      dependency-driven stages (no barriers), compute still after
+//   sync      dependency-driven stages (no barriers), compute after
 //             the exchange returns (STFW_OVERLAP=0 in the solver)
 //   overlap   dependency-driven stages with the compute phase run inside
 //             the exchange's OverlapHook, i.e. between posting the stage-0
@@ -86,11 +83,10 @@ std::vector<std::vector<stfw::OutboundMessage>> build_pattern(Rank num_ranks,
   return sends;
 }
 
-enum class Mode { kBarrier, kSync, kOverlap };
+enum class Mode { kSync, kOverlap };
 
 const char* mode_name(Mode m) {
   switch (m) {
-    case Mode::kBarrier: return "barrier";
     case Mode::kSync: return "sync";
     case Mode::kOverlap: return "overlap";
   }
@@ -127,14 +123,13 @@ double run_mode(stfw::runtime::Cluster& cluster, const stfw::core::Vpt& vpt,
   double wall_ns = 0.0;
   cluster.run([&](stfw::runtime::Comm& comm) {
     stfw::StfwCommunicator communicator(comm, vpt);
-    communicator.set_barrier_sync(mode == Mode::kBarrier);
     const auto& sends = pattern[static_cast<std::size_t>(comm.rank())];
     const auto seed = static_cast<std::uint64_t>(comm.rank());
     // Skewed compute, like an irregular partition's row distribution: every
-    // fourth rank carries 4x the work. Under per-stage barriers the heavy
-    // ranks gate every stage of every iteration; dependency-driven progress
-    // lets light ranks run ahead (the epoch+stage tag demux absorbs their
-    // early frames), so their wait time soaks up the heavy ranks' compute.
+    // fourth rank carries 4x the work. Dependency-driven progress lets light
+    // ranks run ahead (the epoch+stage tag demux absorbs their early
+    // frames), and inside the hook their wait soaks up the heavy ranks'
+    // compute.
     const int my_work = work * (comm.rank() % 4 == 0 ? 4 : 1);
     (void)communicator.exchange(sends);  // warm-up records the plan
     comm.barrier();
@@ -212,11 +207,11 @@ int main() {
       fc.delay_max = std::chrono::milliseconds(lat_ms);
       cluster.set_fault_injector(std::make_shared<stfw::fault::FaultInjector>(fc));
     }
-    double barrier_ns = 0.0;
-    for (const Mode mode : {Mode::kBarrier, Mode::kSync, Mode::kOverlap}) {
+    double sync_ns = 0.0;
+    for (const Mode mode : {Mode::kSync, Mode::kOverlap}) {
       const double ns = run_mode(cluster, vpt, pattern, iters, work, mode);
-      if (mode == Mode::kBarrier) barrier_ns = ns;
-      const double speedup = ns > 0.0 ? barrier_ns / ns : 0.0;
+      if (mode == Mode::kSync) sync_ns = ns;
+      const double speedup = ns > 0.0 ? sync_ns / ns : 0.0;
       std::printf("%6d %9s %14.0f %9s\n", num_ranks, mode_name(mode), ns,
                   (fmt(speedup, 2) + "x").c_str());
       std::string row_name = "K";
@@ -230,7 +225,7 @@ int main() {
                        .set("iters", Json::integer(iters))
                        .set("compute_work", Json::integer(work))
                        .set("wall_ns_per_iter", Json::number(ns))
-                       .set("speedup_vs_barrier", Json::number(speedup)));
+                       .set("speedup_vs_sync", Json::number(speedup)));
     }
   }
 

@@ -135,10 +135,9 @@ struct ExchangePlanLayout {
   }
 };
 
-/// Builds an ExchangePlanLayout from a stream of per-stage events. Fed either
-/// by StfwCommunicator::plan() (a header-only collective planning pass) or by
-/// a recording unplanned exchange (the transparent cache's miss path); both
-/// produce identical layouts because routing is deterministic.
+/// Builds an ExchangePlanLayout from a stream of per-stage events, fed by a
+/// recording Algorithm 1 run: StfwCommunicator::plan() or the transparent
+/// cache's miss path, which run the same code and so freeze the same layout.
 class PlanRecorder {
 public:
   PlanRecorder(const Vpt& vpt, Rank me,

@@ -20,10 +20,8 @@
 #include "core/verify_hooks.hpp"
 #include "core/wire.hpp"
 #include "fault/fault_injector.hpp"
-
-#if STFW_VALIDATE_ENABLED
 #include "validate/exchange_validator.hpp"
-#endif
+
 
 namespace stfw {
 
@@ -171,10 +169,8 @@ ResilientExchangeResult StfwCommunicator::exchange_resilient(
   std::mt19937_64 jitter_rng((static_cast<std::uint64_t>(me) << 32) ^ epoch ^
                              0x9e3779b97f4a7c15ull);
 
-#if STFW_VALIDATE_ENABLED
   std::optional<validate::ExchangeValidator> validator;
-  if (validate_) validator.emplace(vpt_, me);
-#endif
+  if (validate_ && validation_available()) validator.emplace(vpt_, me);
 
   // A cached plan for this pattern supplies frozen seed routing dimensions
   // (the full frame layout cannot be replayed here: injected faults make the
@@ -209,9 +205,7 @@ ResilientExchangeResult StfwCommunicator::exchange_resilient(
   std::uint64_t seed_bytes = 0;
   std::uint32_t next_sub_id = 0;
   for (const OutboundMessage& s : sends) {
-#if STFW_VALIDATE_ENABLED
     if (validator) validator->on_seed(s.dest, s.bytes);
-#endif
     const std::uint64_t off = arena.add(s.bytes);
     const auto size = static_cast<std::uint32_t>(s.bytes.size());
     Submessage sub;
@@ -528,9 +522,7 @@ ResilientExchangeResult StfwCommunicator::exchange_resilient(
 
   auto accept_stage_subs = [&](int stage, core::Rank sender, std::span<const std::byte> body) {
     const std::vector<Submessage> subs = core::deserialize_tracked(body, arena);
-#if STFW_VALIDATE_ENABLED
     if (validator) validator->on_stage_recv(stage, sender, subs);
-#endif
     state.accept(stage, subs);
     ++stats_.messages_received;
     stage_got[static_cast<std::size_t>(stage)].insert(sender);
@@ -613,9 +605,7 @@ ResilientExchangeResult StfwCommunicator::exchange_resilient(
           continue;
         }
         const std::vector<Submessage> subs = core::deserialize_tracked(dec->body, arena);
-#if STFW_VALIDATE_ENABLED
         if (validator) validator->on_direct_recv(sender, subs);
-#endif
         for (const Submessage& s : subs) {
           core::require(s.dest == me, "exchange_resilient: direct frame not addressed to me");
           direct_delivered.push_back(s);
@@ -727,9 +717,7 @@ ResilientExchangeResult StfwCommunicator::exchange_resilient(
         route_relayed(std::move(msg.subs), /*count_as_relay=*/false);
         continue;
       }
-#if STFW_VALIDATE_ENABLED
       if (validator) validator->on_stage_send(cur_stage, msg);
-#endif
       ++stats_.messages_sent;
       stats_.payload_bytes_sent += msg.payload_bytes();
       make_frame(core::FrameKind::kData, cur_stage, nbr, std::move(msg));
@@ -774,11 +762,9 @@ ResilientExchangeResult StfwCommunicator::exchange_resilient(
     }
 
     transit_peak = std::max(transit_peak, state.buffered_payload_bytes());
-#if STFW_VALIDATE_ENABLED
     if (validator)
       validator->on_stage_complete(cur_stage, state.buffered_payload_bytes(),
                                    state.buffered_submessage_count());
-#endif
   }
 
   // --- settlement: serve acks/retransmits until every survivor is done -----
@@ -1007,7 +993,6 @@ ResilientExchangeResult StfwCommunicator::exchange_resilient(
       ++stats_.duplicate_submessages_discarded;
   }
 
-#if STFW_VALIDATE_ENABLED
   if (validator && result.fully_recovered && !result.degraded) {
     // The conservation check is collective and only meaningful when nothing
     // was lost anywhere *and* membership is full (its allgather is rank-0
@@ -1020,7 +1005,6 @@ ResilientExchangeResult StfwCommunicator::exchange_resilient(
                                             runtime::Deadline::in(opt.stage_deadline));
     validator->finish(delivered, arena, stats_.messages_sent, summaries);
   }
-#endif
 
   std::stable_sort(delivered.begin(), delivered.end(),
                    [](const Submessage& a, const Submessage& b) { return a.source < b.source; });

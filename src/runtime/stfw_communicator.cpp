@@ -1,25 +1,18 @@
 #include "stfw_communicator.hpp"
 
 #include <algorithm>
-#include <chrono>
 #include <cstring>
-#include <limits>
-#include <map>
 #include <optional>
-#include <random>
-#include <set>
 #include <unordered_map>
 #include <utility>
 
 #include "core/env.hpp"
 #include "core/error.hpp"
 #include "core/exchange_plan.hpp"
+#include "core/verify_hooks.hpp"
 #include "core/wire.hpp"
 #include "fault/fault_injector.hpp"
-
-#if STFW_VALIDATE_ENABLED
 #include "validate/exchange_validator.hpp"
-#endif
 
 namespace stfw {
 
@@ -42,96 +35,28 @@ constexpr std::uint64_t kDefaultExchangeDeadlineMs = 30000;
 // 4-byte empty StageMessage (submessage count 0) so each receiver can block
 // on per-neighbor frame counters — dependency-driven progress — instead of
 // a global barrier. A real frame always carries >= 1 submessage header, so
-// on the wire empty <=> filler, on both the payload format (core::serialize)
-// and the header-only planning format (serialize_headers).
+// on the wire empty <=> filler.
 std::vector<std::byte> filler_frame() { return std::vector<std::byte>(4); }
 
 bool is_filler_frame(std::span<const std::byte> raw) noexcept { return raw.size() == 4; }
 
-// Stage boundary annotation for stfw-verify schedule traces; pairs with the
-// fault injector's at_stage sites so a race/oracle report can name the
-// dimension-order stage it happened in. No-op unless an engine is installed.
-inline void verify_stage_tag(int rank, int stage) {
-#if STFW_VERIFY_ENABLED
-  STFW_VERIFY_HOOK(stage(rank, stage));
-#else
-  (void)rank;
-  (void)stage;
-#endif
-}
+// in_raw[stage][frame]: the inbound frames a plan replay parked.
+using ParkedFrames = std::vector<std::vector<std::vector<std::byte>>>;
 
-std::vector<std::pair<core::Rank, std::uint32_t>> pattern_of(
-    std::span<const OutboundMessage> sends) {
-  std::vector<std::pair<core::Rank, std::uint32_t>> pattern;
-  pattern.reserve(sends.size());
-  for (const OutboundMessage& s : sends)
-    pattern.emplace_back(s.dest, static_cast<std::uint32_t>(s.bytes.size()));
-  return pattern;
-}
-
-// Header-only wire format of the planning pass: u32 count, then per
-// submessage { i32 source, i32 dest, u32 len }. Only plan() traffic uses it
-// (a collective, so no other reader can see these frames).
-std::vector<std::byte> serialize_headers(const StageMessage& msg) {
-  std::vector<std::byte> out(4 + msg.subs.size() * 12);
-  std::byte* p = out.data();
-  const auto count = static_cast<std::uint32_t>(msg.subs.size());
-  std::memcpy(p, &count, 4);
-  p += 4;
-  for (const Submessage& s : msg.subs) {
-    std::memcpy(p, &s.source, 4);
-    std::memcpy(p + 4, &s.dest, 4);
-    std::memcpy(p + 8, &s.size_bytes, 4);
-    p += 12;
-  }
-  return out;
-}
-
-std::vector<Submessage> deserialize_headers(std::span<const std::byte> wire) {
-  core::require(wire.size() >= 4, "plan: truncated header frame");
-  std::uint32_t count = 0;
-  std::memcpy(&count, wire.data(), 4);
-  core::require(wire.size() == 4 + static_cast<std::size_t>(count) * 12,
-                "plan: header frame size mismatch");
-  std::vector<Submessage> subs(count);
-  const std::byte* p = wire.data() + 4;
-  for (Submessage& s : subs) {
-    std::memcpy(&s.source, p, 4);
-    std::memcpy(&s.dest, p + 4, 4);
-    std::memcpy(&s.size_bytes, p + 8, 4);
-    p += 12;
-  }
-  return subs;
-}
-
-// Provenance encoding of the planning pass: StfwRankState routes
-// Submessage::offset untouched, so while planning it carries where the
-// payload will come from at replay time instead of an arena offset.
-constexpr std::uint64_t kProvRecvBit = 1ull << 63;
-
-std::uint64_t encode_recv_prov(int stage, std::size_t frame, std::uint64_t offset) {
-  return kProvRecvBit | (static_cast<std::uint64_t>(stage) << 48) |
-         (static_cast<std::uint64_t>(frame) << 32) | offset;
-}
-
-core::PayloadSrc decode_prov(std::uint64_t enc, std::uint32_t bytes) {
-  core::PayloadSrc src;
-  src.bytes = bytes;
-  if ((enc & kProvRecvBit) == 0) {
-    src.kind = core::PayloadSrc::Kind::kSeed;
-    src.index = static_cast<std::uint32_t>(enc);
-  } else {
-    src.kind = core::PayloadSrc::Kind::kRecv;
-    src.stage = static_cast<std::uint8_t>((enc >> 48) & 0x7fu);
-    src.frame = static_cast<std::uint16_t>((enc >> 32) & 0xffffu);
-    src.offset = static_cast<std::uint32_t>(enc & 0xffffffffull);
-  }
-  return src;
+// The bytes a frozen PayloadSrc names: one of the caller's seed payloads or
+// a slice of a parked inbound frame.
+std::span<const std::byte> payload_of(const core::PayloadSrc& src,
+                                      std::span<const std::span<const std::byte>> seeds,
+                                      const ParkedFrames& in_raw) {
+  if (src.bytes == 0) return {};
+  const std::byte* from = src.kind == core::PayloadSrc::Kind::kSeed
+                              ? seeds[src.index].data()
+                              : in_raw[src.stage][src.frame].data() + src.offset;
+  return {from, src.bytes};
 }
 
 // True when a received wire frame has exactly the submessage headers the
-// plan expects at the planned offsets. Any deviation means a peer's pattern
-// drifted since the plan was recorded.
+// plan expects at the planned offsets.
 bool frame_headers_match(std::span<const std::byte> raw, const core::PlanInFrame& f) {
   if (raw.size() != f.wire_size || raw.size() < 4) return false;
   std::uint32_t count = 0;
@@ -150,23 +75,22 @@ bool frame_headers_match(std::span<const std::byte> raw, const core::PlanInFrame
   return true;
 }
 
-// Copies `frame`'s prebuilt wire image and fills its payload gaps from the
-// seed payload views / previously received raw frames. The historical
-// copying assembly, kept as the zero-copy A/B baseline (set_zero_copy(false)
-// / STFW_ZERO_COPY=0): every payload byte is written twice, once as the
-// image's zeroed gap and once as the payload itself.
-std::vector<std::byte> fill_planned_frame(
-    const core::PlanOutFrame& frame, std::span<const std::span<const std::byte>> seeds,
-    const std::vector<std::vector<std::vector<std::byte>>>& in_raw) {
-  std::vector<std::byte> wire(frame.image);
-  for (std::size_t i = 0; i < frame.slots.size(); ++i) {
-    const core::PayloadSrc& src = frame.slots[i];
-    const std::byte* from = src.kind == core::PayloadSrc::Kind::kSeed
-                                ? seeds[src.index].data()
-                                : in_raw[src.stage][src.frame].data() + src.offset;
-    std::memcpy(wire.data() + frame.slot_offsets[i], from, src.bytes);
+// True when one stage's inbound frames (ascending source) are the frozen
+// roster: each expected frame from its planned source with its planned
+// headers, and a filler from every other neighbor. Anything else means a
+// peer's pattern drifted since the plan was recorded.
+bool roster_matches(std::span<const runtime::Message> msgs,
+                    std::span<const core::PlanInFrame> expected) {
+  std::size_t ei = 0;
+  for (const runtime::Message& m : msgs) {
+    if (ei < expected.size() && m.source == static_cast<int>(expected[ei].source)) {
+      if (!frame_headers_match(m.data, expected[ei])) return false;
+      ++ei;
+    } else if (!is_filler_frame(m.data)) {
+      return false;
+    }
   }
-  return wire;
+  return ei == expected.size();
 }
 
 // Scatter/gather assembly of one planned frame into a pooled wire buffer:
@@ -177,10 +101,9 @@ std::vector<std::byte> fill_planned_frame(
 // pool's sanitize-mode poison is fully overwritten) nothing stale can leak
 // onto the wire. Slot offsets were audited by validate_plan_layout at plan
 // construction, so the arithmetic here can trust them.
-std::vector<std::byte> gather_planned_frame(
-    core::BufferPool& pool, const core::PlanOutFrame& frame,
-    std::span<const std::span<const std::byte>> seeds,
-    const std::vector<std::vector<std::vector<std::byte>>>& in_raw) {
+std::vector<std::byte> gather_planned_frame(core::BufferPool& pool, const core::PlanOutFrame& frame,
+                                            std::span<const std::span<const std::byte>> seeds,
+                                            const ParkedFrames& in_raw) {
   std::vector<std::byte> wire = pool.acquire(frame.image.size());
   const std::byte* img = frame.image.data();
   std::byte* out = wire.data();
@@ -189,10 +112,7 @@ std::vector<std::byte> gather_planned_frame(
     const core::PayloadSrc& src = frame.slots[i];
     const std::size_t off = frame.slot_offsets[i];
     if (off > cursor) std::memcpy(out + cursor, img + cursor, off - cursor);
-    const std::byte* from = src.kind == core::PayloadSrc::Kind::kSeed
-                                ? seeds[src.index].data()
-                                : in_raw[src.stage][src.frame].data() + src.offset;
-    std::memcpy(out + off, from, src.bytes);
+    std::memcpy(out + off, payload_of(src, seeds, in_raw).data(), src.bytes);
     cursor = off + src.bytes;
   }
   if (cursor < frame.image.size())
@@ -209,22 +129,11 @@ void record_pool_delta(LocalExchangeStats& stats, const core::BufferPoolStats& n
   stats.pool_reused_bytes = now.reused_bytes - before.reused_bytes;
 }
 
-// Materializes the InboundMessages of a completed planned exchange.
-std::vector<InboundMessage> planned_result(
-    const core::ExchangePlanLayout& layout, std::span<const std::span<const std::byte>> seeds,
-    const std::vector<std::vector<std::vector<std::byte>>>& in_raw) {
+std::vector<InboundMessage> copies_of(std::span<const runtime::InboundView> views) {
   std::vector<InboundMessage> result;
-  result.reserve(layout.deliveries.size());
-  for (const core::PlanDelivery& d : layout.deliveries) {
-    if (d.src.bytes == 0) {
-      result.push_back(InboundMessage{d.source, {}});
-      continue;
-    }
-    const std::byte* from = d.src.kind == core::PayloadSrc::Kind::kSeed
-                                ? seeds[d.src.index].data()
-                                : in_raw[d.src.stage][d.src.frame].data() + d.src.offset;
-    result.push_back(InboundMessage{d.source, {from, from + d.src.bytes}});
-  }
+  result.reserve(views.size());
+  for (const runtime::InboundView& v : views)
+    result.push_back(InboundMessage{v.source, {v.bytes.begin(), v.bytes.end()}});
   return result;
 }
 
@@ -235,17 +144,250 @@ std::vector<std::span<const std::byte>> seed_views_of(std::span<const OutboundMe
   return views;
 }
 
-bool validation_default() {
-#if STFW_VALIDATE_ENABLED
-  // Strict parse (core/env): a typo'd STFW_VALIDATE throws instead of
-  // silently leaving the validator on.
-  return core::env_flag("STFW_VALIDATE", true);
-#else
-  return false;
-#endif
-}
-
 }  // namespace
+
+/// The stage engine of every plain exchange (paper Algorithm 1, lines 8-18).
+/// step() runs one stage for either frame source — Algorithm1 below, or a
+/// frozen plan's replay (replay_stages) — which hands its frames to step()
+/// through a template callback, so a frame costs no indirect call. The
+/// driver claims the exchange's epoch (its stage tags) up front and owns
+/// the validator, engaged only when validation is on in a validator build.
+class StfwCommunicator::StageDriver {
+public:
+  StageDriver(StfwCommunicator& c, LocalExchangeStats& stats, const OverlapHook* overlap)
+      : c_(c),
+        stats_(stats),
+        overlap_(overlap),
+        me_(static_cast<core::Rank>(c.comm_->rank())),
+        tag_base_(c.epoch_++ * c.vpt_.dim()),
+        injector_(c.comm_->fault_injector()) {
+    stats_ = LocalExchangeStats{};
+    if (c.validate_ && validation_available()) validator.emplace(c.vpt_, me_);
+  }
+
+  std::optional<validate::ExchangeValidator> validator;
+
+  core::Rank me() const noexcept { return me_; }
+  const core::Vpt& vpt() const noexcept { return c_.vpt_; }
+  LocalExchangeStats& stats() noexcept { return stats_; }
+
+  void seed(std::span<const OutboundMessage> sends) {
+    if (validator)
+      for (const OutboundMessage& s : sends) validator->on_seed(s.dest, s.bytes);
+  }
+
+  /// Runs stage `stage`: posts every frame `frames(post)` hands to
+  /// post(to, subs, wire, payload_bytes), a filler to each neighbor it left
+  /// out, the overlap hook after stage 0's posts, and then blocks until one
+  /// frame per dimension-`stage` neighbor has arrived — no barrier: frames
+  /// of later stages and exchanges wait in the mailbox under their own tags.
+  /// Returns those frames in ascending-source order.
+  template <class Frames>
+  std::vector<runtime::Message> step(int stage, Frames&& frames) {
+    STFW_VERIFY_HOOK(stage(static_cast<int>(me_), stage));
+    if (injector_ != nullptr) injector_->at_stage(static_cast<int>(me_), stage);
+    const int tag = tag_base_ + stage;
+    stage_neighbor_ranks(stage);
+    covered_.assign(nbrs_.size(), false);
+    frames([&](core::Rank to, std::span<const Submessage> subs, std::vector<std::byte> wire,
+               std::uint64_t payload_bytes) {
+      if (validator)
+        validator->on_stage_send(stage, StageMessage{me_, to, {subs.begin(), subs.end()}});
+      ++stats_.messages_sent;
+      stats_.payload_bytes_sent += payload_bytes;
+      stats_.wire_bytes_sent += wire.size();
+      const auto ni = std::lower_bound(nbrs_.begin(), nbrs_.end(), static_cast<int>(to));
+      if (ni != nbrs_.end() && *ni == static_cast<int>(to))
+        covered_[static_cast<std::size_t>(ni - nbrs_.begin())] = true;
+      c_.comm_->send(static_cast<int>(to), tag, std::move(wire));
+    });
+    send_stage_fillers(tag);
+    if (stage == 0 && overlap_ != nullptr && *overlap_) (*overlap_)();
+    std::vector<runtime::Message> msgs = c_.comm_->recv_from_each(nbrs_, tag, deadline());
+    for (const runtime::Message& m : msgs)
+      ++(is_filler_frame(m.data) ? stats_.filler_frames_received : stats_.messages_received);
+    return msgs;
+  }
+
+  /// The validator's collective conservation and buffer-bound verdict over
+  /// this rank's deliveries (no-op without a validator).
+  void finish(std::span<const Submessage> delivered, const PayloadArena& arena) {
+    if (!validator) return;
+    const auto summaries = c_.comm_->allgather(validator->summary_blob(), deadline());
+    validator->finish(delivered, arena, stats_.messages_sent, summaries);
+  }
+
+private:
+  runtime::Deadline deadline() const {
+    return c_.exchange_deadline_.count() == 0 ? runtime::Deadline::never()
+                                              : runtime::Deadline::in(c_.exchange_deadline_);
+  }
+
+  // This rank's dimension-`stage` neighbors, ascending: with_coord over
+  // ascending digit values yields ascending ranks, the order the plan's
+  // in_frame indices were frozen under.
+  void stage_neighbor_ranks(int stage) {
+    nbrs_.clear();
+    for (int v = 0; v < c_.vpt_.dim_size(stage); ++v) {
+      const core::Rank r = c_.vpt_.with_coord(me_, stage, v);
+      if (r != me_) nbrs_.push_back(static_cast<int>(r));
+    }
+  }
+
+  // One 4-byte empty filler to every neighbor this stage sent nothing, so
+  // each receiver's per-stage frame count is met.
+  void send_stage_fillers(int tag) {
+    for (std::size_t i = 0; i < nbrs_.size(); ++i) {
+      if (covered_[i]) continue;
+      ++stats_.filler_frames_sent;
+      stats_.wire_bytes_sent += 4;
+      c_.comm_->send(nbrs_[i], tag, filler_frame());
+    }
+  }
+
+  StfwCommunicator& c_;
+  LocalExchangeStats& stats_;
+  const OverlapHook* overlap_;
+  const core::Rank me_;
+  const int tag_base_;
+  fault::FaultInjector* const injector_;
+  std::vector<int> nbrs_;
+  std::vector<bool> covered_;
+};
+
+/// Algorithm 1's frame source: the rank's routing state and payload arena.
+/// A recording run also feeds a PlanRecorder, tracking per arena offset
+/// where each payload comes from at replay time (seed index or inbound-frame
+/// slice), so the finished layout replays the routing with plain memcpys.
+class StfwCommunicator::Algorithm1 {
+public:
+  Algorithm1(StageDriver& drv, std::span<const OutboundMessage> sends,
+             const core::PatternSignature* record_as)
+      : drv_(drv), state_(drv.vpt(), drv.me()) {
+    if (record_as != nullptr) recorder_.emplace(drv.vpt(), drv.me(), record_as->sequence);
+    for (std::size_t i = 0; i < sends.size(); ++i) {
+      const std::vector<std::byte>& bytes = sends[i].bytes;
+      const std::uint64_t off = arena_.add(bytes);
+      state_.add_send(sends[i].dest, off, static_cast<std::uint32_t>(bytes.size()));
+      if (recorder_ && !bytes.empty()) {
+        core::PayloadSrc src;
+        src.index = static_cast<std::uint32_t>(i);
+        src.bytes = static_cast<std::uint32_t>(bytes.size());
+        provenance_.insert_or_assign(off, src);
+      }
+      seed_bytes_ += bytes.size();
+    }
+  }
+
+  /// Runs stages [first, n), then finishes the exchange.
+  void run(int first) {
+    for (int stage = first; stage < drv_.vpt().dim(); ++stage) {
+      std::vector<runtime::Message> msgs = drv_.step(stage, [&](auto&& post) {
+        outbox_.clear();
+        state_.make_stage_outbox(stage, outbox_);
+        for (const StageMessage& m : outbox_) {
+          if (recorder_) recorder_->on_stage_send(stage, m.to, m.subs, provenance(m.subs));
+          post(m.to, m.subs, core::serialize(m, arena_), m.payload_bytes());
+        }
+      });
+      accept(stage, msgs);
+    }
+    finish();
+  }
+
+  /// Drift resume: rebuilds the state a plan replay reached by `stage` from
+  /// the frames it parked for the earlier stages, accepts the frames that
+  /// arrived at `stage`, and runs the rest. The replay already sent this
+  /// stage's frames and those of every earlier one, all determined by this
+  /// rank's own (unchanged) pattern, so the rebuilt outboxes are discarded.
+  void resume(int stage, const ParkedFrames& parked, std::vector<runtime::Message>& arrived) {
+    for (int s = 0; s < stage; ++s) {
+      outbox_.clear();
+      state_.make_stage_outbox(s, outbox_);
+      for (const std::vector<std::byte>& raw : parked[static_cast<std::size_t>(s)])
+        state_.accept(s, core::deserialize(raw, arena_));
+      transit_peak_ = std::max(transit_peak_, state_.buffered_payload_bytes());
+    }
+    outbox_.clear();
+    state_.make_stage_outbox(stage, outbox_);
+    accept(stage, arrived);
+    run(stage + 1);
+  }
+
+  /// The deliveries, sorted by source.
+  std::vector<InboundMessage> inbox() const {
+    std::vector<InboundMessage> result;
+    result.reserve(delivered_.size());
+    for (const Submessage& s : delivered_) {
+      const auto payload = arena_.view(s);
+      result.push_back(InboundMessage{s.source, {payload.begin(), payload.end()}});
+    }
+    return result;
+  }
+
+  /// The recorded layout (recording runs only).
+  core::ExchangePlanLayout layout() { return recorder_->finish(delivered_, provenance(delivered_)); }
+
+private:
+  std::span<const core::PayloadSrc> provenance(std::span<const Submessage> subs) {
+    srcs_.clear();
+    for (const Submessage& s : subs)
+      srcs_.push_back(s.size_bytes == 0 ? core::PayloadSrc{} : provenance_.at(s.offset));
+    return srcs_;
+  }
+
+  void accept(int stage, std::vector<runtime::Message>& msgs) {
+    std::uint16_t frame_index = 0;
+    for (const runtime::Message& m : msgs) {
+      if (is_filler_frame(m.data)) continue;
+      const auto source = static_cast<core::Rank>(m.source);
+      const std::vector<Submessage> subs = core::deserialize(m.data, arena_);
+      if (drv_.validator) drv_.validator->on_stage_recv(stage, source, subs);
+      if (recorder_) {
+        const core::PlanInFrame& frame = recorder_->on_stage_recv(stage, source, subs);
+        for (std::size_t k = 0; k < subs.size(); ++k) {
+          if (subs[k].size_bytes == 0) continue;
+          core::PayloadSrc src;
+          src.kind = core::PayloadSrc::Kind::kRecv;
+          src.stage = static_cast<std::uint8_t>(stage);
+          src.frame = frame_index;
+          src.offset = static_cast<std::uint32_t>(frame.subs[k].offset);
+          src.bytes = subs[k].size_bytes;
+          provenance_.insert_or_assign(subs[k].offset, src);
+        }
+      }
+      state_.accept(stage, subs);
+      ++frame_index;
+    }
+    const std::uint64_t bytes = state_.buffered_payload_bytes();
+    const std::uint64_t count = state_.buffered_submessage_count();
+    transit_peak_ = std::max(transit_peak_, bytes);
+    if (recorder_) recorder_->on_stage_complete(stage, bytes, count);
+    if (drv_.validator) drv_.validator->on_stage_complete(stage, bytes, count);
+  }
+
+  void finish() {
+    // Paper Section 6.2 buffer metric: original send + receive buffers plus
+    // the store-and-forward transit residency.
+    drv_.stats().peak_buffer_bytes =
+        seed_bytes_ + state_.delivered_payload_bytes() + transit_peak_;
+    delivered_ = state_.take_delivered();
+    drv_.finish(delivered_, arena_);
+    std::stable_sort(delivered_.begin(), delivered_.end(),
+                     [](const Submessage& a, const Submessage& b) { return a.source < b.source; });
+  }
+
+  StageDriver& drv_;
+  StfwRankState state_;
+  PayloadArena arena_;
+  std::optional<core::PlanRecorder> recorder_;
+  std::unordered_map<std::uint64_t, core::PayloadSrc> provenance_;
+  std::vector<StageMessage> outbox_;
+  std::vector<core::PayloadSrc> srcs_;
+  std::vector<Submessage> delivered_;
+  std::uint64_t seed_bytes_ = 0;
+  std::uint64_t transit_peak_ = 0;
+};
 
 bool StfwCommunicator::validation_available() noexcept {
 #if STFW_VALIDATE_ENABLED
@@ -258,11 +400,11 @@ bool StfwCommunicator::validation_available() noexcept {
 StfwCommunicator::StfwCommunicator(runtime::Comm& comm, core::Vpt vpt)
     : comm_(&comm),
       vpt_(std::move(vpt)),
-      validate_(validation_default()),
+      // Strict parse (core/env): a typo'd STFW_VALIDATE throws instead of
+      // silently leaving the validator on. Not read without a validator.
+      validate_(validation_available() && core::env_flag("STFW_VALIDATE", true)),
       exchange_deadline_(std::chrono::milliseconds(
           core::env_u64("STFW_EXCHANGE_DEADLINE_MS", kDefaultExchangeDeadlineMs))),
-      barrier_sync_(core::env_flag("STFW_BARRIER_SYNC", false)),
-      zero_copy_(core::env_flag("STFW_ZERO_COPY", true)),
       plan_cache_capacity_(static_cast<std::size_t>(
           core::env_u64("STFW_PLAN_CACHE", kDefaultPlanCacheCapacity))) {
   core::require(vpt_.size() == comm.size(),
@@ -270,44 +412,11 @@ StfwCommunicator::StfwCommunicator(runtime::Comm& comm, core::Vpt vpt)
 }
 
 core::PatternSignature StfwCommunicator::signature_of(std::span<const OutboundMessage> sends) {
-  return core::PatternSignature::of(pattern_of(sends));
-}
-
-runtime::Deadline StfwCommunicator::stage_deadline() const {
-  return exchange_deadline_.count() == 0 ? runtime::Deadline::never()
-                                         : runtime::Deadline::in(exchange_deadline_);
-}
-
-void StfwCommunicator::stage_neighbor_ranks(int stage, std::vector<int>& out) const {
-  out.clear();
-  const auto me = static_cast<core::Rank>(comm_->rank());
-  const int k = vpt_.dim_size(stage);
-  // with_coord over ascending digit values yields ascending ranks, matching
-  // the drain() sort order the plan's in_frame indices were frozen under.
-  for (int v = 0; v < k; ++v) {
-    const core::Rank r = vpt_.with_coord(me, stage, v);
-    if (r != me) out.push_back(static_cast<int>(r));
-  }
-}
-
-void StfwCommunicator::send_stage_fillers(int stage, int tag, std::span<const int> neighbors,
-                                          const std::vector<bool>& covered, bool count_stats) {
-  (void)stage;
-  for (std::size_t i = 0; i < neighbors.size(); ++i) {
-    if (covered[i]) continue;
-    if (count_stats) {
-      ++stats_.filler_frames_sent;
-      stats_.wire_bytes_sent += 4;
-    }
-    comm_->send(neighbors[i], tag, filler_frame());
-  }
-}
-
-std::vector<std::byte> StfwCommunicator::planned_frame_bytes(
-    const core::PlanOutFrame& frame, std::span<const std::span<const std::byte>> seeds,
-    const std::vector<std::vector<std::vector<std::byte>>>& in_raw) {
-  return zero_copy_ ? gather_planned_frame(pool_, frame, seeds, in_raw)
-                    : fill_planned_frame(frame, seeds, in_raw);
+  std::vector<std::pair<core::Rank, std::uint32_t>> pattern;
+  pattern.reserve(sends.size());
+  for (const OutboundMessage& s : sends)
+    pattern.emplace_back(s.dest, static_cast<std::uint32_t>(s.bytes.size()));
+  return core::PatternSignature::of(pattern);
 }
 
 std::size_t StfwCommunicator::plan_cache_capacity() const {
@@ -358,13 +467,7 @@ void StfwCommunicator::plan_cache_insert(std::shared_ptr<runtime::ExchangePlan> 
       return;
     }
   }
-  if (plan_cache_.size() >= plan_cache_capacity_ && !plan_cache_.empty()) {
-    std::size_t lru = 0;
-    for (std::size_t i = 1; i < plan_cache_.size(); ++i)
-      if (plan_cache_[i].last_use < plan_cache_[lru].last_use) lru = i;
-    plan_cache_[lru] = PlanCacheEntry{std::move(plan), ++plan_cache_tick_};
-    return;
-  }
+  plan_cache_evict_to(plan_cache_capacity_ - 1);
   plan_cache_.push_back(PlanCacheEntry{std::move(plan), ++plan_cache_tick_});
 }
 
@@ -391,412 +494,106 @@ std::vector<InboundMessage> StfwCommunicator::exchange(std::span<const OutboundM
   core::require(!comm_->membership().any_failed(),
                 "exchange: cluster is degraded (a rank died); plain exchange() cannot "
                 "survive rank failure — use exchange_resilient()");
+  StageDriver drv(*this, stats_, &overlap);
+  drv.seed(sends);
+  std::optional<core::PatternSignature> sig;
   if (plan_cache_capacity() > 0) {
-    const auto pattern = pattern_of(sends);
-    const auto sig = core::PatternSignature::of(pattern);
-    // The shared_ptr pins the plan for the call: a mid-flight fallback
-    // erases the cache entry while the plan's scratch is still in use.
-    if (const std::shared_ptr<runtime::ExchangePlan> hit = plan_cache_find(sig))
-      return exchange_planned_cached(*hit, sends, overlap);
-    return exchange_unplanned(sends, &sig, overlap);
+    sig = signature_of(sends);
+    // The shared_ptr pins the plan for the call: a drift fallback erases the
+    // cache entry while the plan's parked frames are still in use.
+    if (const std::shared_ptr<runtime::ExchangePlan> hit = plan_cache_find(*sig))
+      return exchange_cached(drv, *hit, sends);
   }
-  return exchange_unplanned(sends, nullptr, overlap);
-}
-
-std::vector<InboundMessage> StfwCommunicator::exchange_unplanned(
-    std::span<const OutboundMessage> sends, const core::PatternSignature* record_as,
-    const OverlapHook& overlap) {
-  const auto me = static_cast<core::Rank>(comm_->rank());
-  StfwRankState state(vpt_, me);
-  PayloadArena arena;
-  stats_ = LocalExchangeStats{};
-
-  // On a cache miss the exchange records itself into a PlanRecorder:
-  // payload provenance (seed index or inbound-frame slice) is tracked per
-  // arena offset so the finished layout can replay the routing with plain
-  // memcpys next iteration.
-  std::optional<core::PlanRecorder> recorder;
-  std::unordered_map<std::uint64_t, core::PayloadSrc> provenance;
-  if (record_as != nullptr) recorder.emplace(vpt_, me, record_as->sequence);
-
-#if STFW_VALIDATE_ENABLED
-  std::optional<validate::ExchangeValidator> validator;
-  if (validate_) validator.emplace(vpt_, me);
-#endif
-
-  std::uint64_t seed_bytes = 0;
-  std::uint32_t seed_index = 0;
-  for (const OutboundMessage& s : sends) {
-#if STFW_VALIDATE_ENABLED
-    if (validator) validator->on_seed(s.dest, s.bytes);
-#endif
-    const std::uint64_t off = arena.add(s.bytes);
-    state.add_send(s.dest, off, static_cast<std::uint32_t>(s.bytes.size()));
-    if (recorder && !s.bytes.empty()) {
-      core::PayloadSrc src;
-      src.kind = core::PayloadSrc::Kind::kSeed;
-      src.index = seed_index;
-      src.bytes = static_cast<std::uint32_t>(s.bytes.size());
-      provenance.insert_or_assign(off, src);
-    }
-    ++seed_index;
-    seed_bytes += s.bytes.size();
-  }
-
-  std::vector<StageMessage> outbox;
-  std::vector<core::PayloadSrc> srcs;
-  std::vector<int> nbrs;
-  std::vector<bool> covered;
-  std::uint64_t transit_peak = 0;
-  const int tag_base = epoch_ * vpt_.dim();
-  fault::FaultInjector* injector = comm_->fault_injector();
-  for (int stage = 0; stage < vpt_.dim(); ++stage) {
-    verify_stage_tag(static_cast<int>(me), stage);
-    if (injector != nullptr) injector->at_stage(static_cast<int>(me), stage);
-    const int tag = tag_base + stage;
-    stage_neighbor_ranks(stage, nbrs);
-    covered.assign(nbrs.size(), false);
-    outbox.clear();
-    state.make_stage_outbox(stage, outbox);
-    for (const StageMessage& m : outbox) {
-#if STFW_VALIDATE_ENABLED
-      if (validator) validator->on_stage_send(stage, m);
-#endif
-      if (recorder) {
-        srcs.clear();
-        for (const Submessage& s : m.subs)
-          srcs.push_back(s.size_bytes == 0 ? core::PayloadSrc{} : provenance.at(s.offset));
-        recorder->on_stage_send(stage, m.to, m.subs, srcs);
-      }
-      auto wire = core::serialize(m, arena);
-      ++stats_.messages_sent;
-      stats_.payload_bytes_sent += m.payload_bytes();
-      stats_.wire_bytes_sent += wire.size();
-      const auto ni = std::lower_bound(nbrs.begin(), nbrs.end(), static_cast<int>(m.to));
-      if (ni != nbrs.end() && *ni == static_cast<int>(m.to))
-        covered[static_cast<std::size_t>(ni - nbrs.begin())] = true;
-      comm_->send(static_cast<int>(m.to), tag, std::move(wire));
-    }
-    send_stage_fillers(stage, tag, nbrs, covered, /*count_stats=*/true);
-    if (stage == 0 && overlap) overlap();
-    // Dependency-driven progress: this rank's stage completes as soon as one
-    // frame — real or filler — has arrived from each dimension-`stage`
-    // neighbor; frames of later stages and exchanges wait in the mailbox
-    // under their own tags. barrier_sync() re-inserts the bulk-synchronous
-    // seed schedule for A/B measurement.
-    if (barrier_sync_) comm_->barrier(stage_deadline());
-    std::size_t frame_index = 0;
-    for (runtime::Message& m : comm_->recv_from_each(nbrs, tag, stage_deadline())) {
-      if (is_filler_frame(m.data)) {
-        ++stats_.filler_frames_received;
-        continue;
-      }
-      ++stats_.messages_received;
-      const std::vector<Submessage> subs = core::deserialize(m.data, arena);
-#if STFW_VALIDATE_ENABLED
-      if (validator)
-        validator->on_stage_recv(stage, static_cast<core::Rank>(m.source), subs);
-#endif
-      if (recorder) {
-        const core::PlanInFrame& frame =
-            recorder->on_stage_recv(stage, static_cast<core::Rank>(m.source), subs);
-        for (std::size_t k = 0; k < subs.size(); ++k) {
-          if (subs[k].size_bytes == 0) continue;
-          core::PayloadSrc src;
-          src.kind = core::PayloadSrc::Kind::kRecv;
-          src.stage = static_cast<std::uint8_t>(stage);
-          src.frame = static_cast<std::uint16_t>(frame_index);
-          src.offset = static_cast<std::uint32_t>(frame.subs[k].offset);
-          src.bytes = subs[k].size_bytes;
-          provenance.insert_or_assign(subs[k].offset, src);
-        }
-      }
-      state.accept(stage, subs);
-      ++frame_index;
-    }
-    transit_peak = std::max(transit_peak, state.buffered_payload_bytes());
-    if (recorder)
-      recorder->on_stage_complete(stage, state.buffered_payload_bytes(),
-                                  state.buffered_submessage_count());
-#if STFW_VALIDATE_ENABLED
-    if (validator)
-      validator->on_stage_complete(stage, state.buffered_payload_bytes(),
-                                   state.buffered_submessage_count());
-#endif
-  }
-  ++epoch_;
-
-  // Paper Section 6.2 buffer metric: original send + receive buffers plus
-  // the store-and-forward transit residency.
-  stats_.peak_buffer_bytes = seed_bytes + state.delivered_payload_bytes() + transit_peak;
-
-  std::vector<Submessage> delivered = state.take_delivered();
-
-#if STFW_VALIDATE_ENABLED
-  if (validator) {
-    // Collective conservation + buffer-bound verdict: every rank shares its
-    // seed-side claims and checks its deliveries against them.
-    const auto summaries = comm_->allgather(validator->summary_blob(), stage_deadline());
-    validator->finish(delivered, arena, stats_.messages_sent, summaries);
-  }
-#endif
-
-  std::vector<InboundMessage> result;
-  std::stable_sort(delivered.begin(), delivered.end(),
-                   [](const Submessage& a, const Submessage& b) { return a.source < b.source; });
-  if (recorder) {
-    srcs.clear();
-    for (const Submessage& s : delivered)
-      srcs.push_back(s.size_bytes == 0 ? core::PayloadSrc{} : provenance.at(s.offset));
-    plan_cache_insert(
-        std::make_shared<runtime::ExchangePlan>(recorder->finish(delivered, srcs)));
+  // Algorithm 1 from stage 0; a cache miss records itself as the next plan.
+  Algorithm1 alg(drv, sends, sig ? &*sig : nullptr);
+  alg.run(0);
+  if (sig) {
+    plan_cache_insert(std::make_shared<runtime::ExchangePlan>(alg.layout()));
     stats_.plan_builds = 1;
   }
-  result.reserve(delivered.size());
-  for (const Submessage& s : delivered) {
-    const auto payload = arena.view(s);
-    result.push_back(InboundMessage{s.source, {payload.begin(), payload.end()}});
-  }
-  return result;
+  return alg.inbox();
 }
 
-std::vector<InboundMessage> StfwCommunicator::exchange_planned_cached(
-    runtime::ExchangePlan& plan, std::span<const OutboundMessage> sends,
-    const OverlapHook& overlap) {
-  const auto me = static_cast<core::Rank>(comm_->rank());
+std::vector<InboundMessage> StfwCommunicator::exchange_cached(
+    StageDriver& drv, runtime::ExchangePlan& plan, std::span<const OutboundMessage> sends) {
+  const std::vector<std::span<const std::byte>> seeds = seed_views_of(sends);
+  std::vector<runtime::Message> drifted;
+  const int stage = replay_stages(drv, plan, seeds, &drifted);
+  if (stage == vpt_.dim()) return copies_of(plan.views_);
+  // A peer's pattern drifted since the plan was recorded: carry on as
+  // Algorithm 1 from the drifted stage. Peers that missed the cache, hit it
+  // or fell back at another stage all exchange the same regularized frames,
+  // so the cluster stays deadlock-free without a barrier.
+  stats_.plan_fallbacks = 1;
+  plan_cache_erase(plan.signature());
+  Algorithm1 alg(drv, sends, nullptr);
+  alg.resume(stage, plan.in_raw_, drifted);
+  return alg.inbox();
+}
+
+int StfwCommunicator::replay_stages(StageDriver& drv, runtime::ExchangePlan& plan,
+                                    std::span<const std::span<const std::byte>> seeds,
+                                    std::vector<runtime::Message>* drifted) {
   const core::ExchangePlanLayout& layout = plan.layout();
   const int n = vpt_.dim();
-  stats_ = LocalExchangeStats{};
-  stats_.plan_hits = 1;
+  drv.stats().plan_hits = 1;
   // Any replay recycles the plan's parked frames, so views handed out by an
-  // earlier exchange_views() stop being valid here — drop them now rather
-  // than leave a span into a poisoned/reused buffer reachable.
+  // earlier replay stop being valid here; clearing them first leaves an
+  // empty span behind a throw, never a dangling one.
   plan.views_.clear();
   const core::BufferPoolStats pool_before = pool_.stats();
-  const int tag_base = epoch_ * n;
-  fault::FaultInjector* injector = comm_->fault_injector();
-  const std::vector<std::span<const std::byte>> seeds = seed_views_of(sends);
-  std::vector<int> nbrs;
-  std::vector<bool> covered;
-  std::vector<std::size_t> real_idx;
-
-#if STFW_VALIDATE_ENABLED
-  std::optional<validate::ExchangeValidator> validator;
-  if (validate_) {
-    validator.emplace(vpt_, me);
-    for (const OutboundMessage& s : sends) validator->on_seed(s.dest, s.bytes);
+  int stage = 0;
+  for (; stage < n; ++stage) {
+    const auto si = static_cast<std::size_t>(stage);
+    std::vector<runtime::Message> msgs = drv.step(stage, [&](auto&& post) {
+      for (const core::PlanOutFrame& f : layout.out_frames[si])
+        post(f.to, f.subs, gather_planned_frame(pool_, f, seeds, plan.in_raw_), f.payload_bytes);
+    });
+    if (!roster_matches(msgs, layout.in_frames[si])) {
+      core::require(drifted != nullptr,
+                    "exchange(plan): inbound frames deviate from the plan; the send pattern "
+                    "changed since plan() (use plain exchange() for iteration-varying "
+                    "patterns)");
+      *drifted = std::move(msgs);
+      break;
+    }
+    // Park the real frames. The buffer each one displaces goes back to the
+    // pool, where the next stage's (or replay's) gathers draw from it, so
+    // the steady state cycles a fixed working set of allocations.
+    std::size_t fi = 0;
+    for (runtime::Message& m : msgs) {
+      if (is_filler_frame(m.data)) continue;
+      const core::PlanInFrame& expected = layout.in_frames[si][fi];
+      if (drv.validator) drv.validator->on_stage_recv(stage, expected.source, expected.subs);
+      std::vector<std::byte>& parked = plan.in_raw_[si][fi++];
+      if (!parked.empty()) pool_.release(std::move(parked));
+      parked = std::move(m.data);
+    }
+    if (drv.validator)
+      drv.validator->on_stage_complete(stage, layout.stage_buffered_bytes[si],
+                                       layout.stage_buffered_subs[si]);
   }
-#endif
+  record_pool_delta(drv.stats(), pool_.stats(), pool_before);
+  if (stage < n) return stage;
 
-  for (int stage = 0; stage < n; ++stage) {
-    verify_stage_tag(static_cast<int>(me), stage);
-    if (injector != nullptr) injector->at_stage(static_cast<int>(me), stage);
-    const int tag = tag_base + stage;
-    stage_neighbor_ranks(stage, nbrs);
-    covered.assign(nbrs.size(), false);
-    for (const core::PlanOutFrame& f : layout.out_frames[static_cast<std::size_t>(stage)]) {
-#if STFW_VALIDATE_ENABLED
-      if (validator) {
-        StageMessage m;
-        m.from = me;
-        m.to = f.to;
-        m.subs = f.subs;
-        validator->on_stage_send(stage, m);
-      }
-#endif
-      auto wire = planned_frame_bytes(f, seeds, plan.in_raw_);
-      ++stats_.messages_sent;
-      stats_.payload_bytes_sent += f.payload_bytes;
-      stats_.wire_bytes_sent += wire.size();
-      const auto ni = std::lower_bound(nbrs.begin(), nbrs.end(), static_cast<int>(f.to));
-      if (ni != nbrs.end() && *ni == static_cast<int>(f.to))
-        covered[static_cast<std::size_t>(ni - nbrs.begin())] = true;
-      comm_->send(static_cast<int>(f.to), tag, std::move(wire));
-    }
-    // Same regularized one-frame-per-neighbor traffic as the unplanned path,
-    // so a cluster in which some ranks hit the cache and others miss (or
-    // fall back mid-exchange) stays deadlock-free without a barrier.
-    send_stage_fillers(stage, tag, nbrs, covered, /*count_stats=*/true);
-    if (stage == 0 && overlap) overlap();
-    if (barrier_sync_) comm_->barrier(stage_deadline());
-    std::vector<runtime::Message> msgs = comm_->recv_from_each(nbrs, tag, stage_deadline());
-
-    // Matching against the frozen roster: expected (real) frames must appear
-    // with their planned headers in ascending-source order, and every other
-    // neighbor's frame must be a filler. Any deviation means a peer's pattern
-    // drifted since the plan was recorded.
-    const auto& expected = layout.in_frames[static_cast<std::size_t>(stage)];
-    real_idx.clear();
-    bool match = true;
-    for (std::size_t i = 0; match && i < msgs.size(); ++i) {
-      const std::size_t ei = real_idx.size();
-      if (ei < expected.size() && msgs[i].source == static_cast<int>(expected[ei].source)) {
-        match = frame_headers_match(msgs[i].data, expected[ei]);
-        real_idx.push_back(i);
-      } else {
-        match = is_filler_frame(msgs[i].data);
-      }
-    }
-    match = match && real_idx.size() == expected.size();
-
-    if (!match) {
-      // A peer's pattern drifted since the plan was recorded: the inbound
-      // frames no longer match the frozen roster. Rebuild Algorithm 1 state
-      // by replaying the stages already completed from the raw frames the
-      // plan kept, ingest what actually arrived, and continue unplanned.
-      // Frames already sent this stage depended only on our own (matching)
-      // pattern, so nothing wrong went out.
-      stats_.plan_fallbacks = 1;
-      plan_cache_erase(layout.signature);
-
-      StfwRankState state(vpt_, me);
-      PayloadArena arena;
-      std::uint64_t seed_bytes = 0;
-      for (const OutboundMessage& s : sends) {
-        const std::uint64_t off = arena.add(s.bytes);
-        state.add_send(s.dest, off, static_cast<std::uint32_t>(s.bytes.size()));
-        seed_bytes += s.bytes.size();
-      }
-      std::vector<StageMessage> outbox;
-      std::uint64_t transit_peak = 0;
-      for (int s = 0; s < stage; ++s) {
-        outbox.clear();
-        state.make_stage_outbox(s, outbox);  // already on the wire; discard
-        for (const std::vector<std::byte>& raw : plan.in_raw_[static_cast<std::size_t>(s)])
-          state.accept(s, core::deserialize(raw, arena));
-        transit_peak = std::max(transit_peak, state.buffered_payload_bytes());
-      }
-      outbox.clear();
-      state.make_stage_outbox(stage, outbox);  // already on the wire; discard
-      for (runtime::Message& m : msgs) {
-        if (is_filler_frame(m.data)) {
-          ++stats_.filler_frames_received;
-          continue;
-        }
-        ++stats_.messages_received;
-        const std::vector<Submessage> subs = core::deserialize(m.data, arena);
-#if STFW_VALIDATE_ENABLED
-        if (validator)
-          validator->on_stage_recv(stage, static_cast<core::Rank>(m.source), subs);
-#endif
-        state.accept(stage, subs);
-      }
-      transit_peak = std::max(transit_peak, state.buffered_payload_bytes());
-#if STFW_VALIDATE_ENABLED
-      if (validator)
-        validator->on_stage_complete(stage, state.buffered_payload_bytes(),
-                                     state.buffered_submessage_count());
-#endif
-      for (int s = stage + 1; s < n; ++s) {
-        verify_stage_tag(static_cast<int>(me), s);
-        if (injector != nullptr) injector->at_stage(static_cast<int>(me), s);
-        const int t = tag_base + s;
-        stage_neighbor_ranks(s, nbrs);
-        covered.assign(nbrs.size(), false);
-        outbox.clear();
-        state.make_stage_outbox(s, outbox);
-        for (const StageMessage& m : outbox) {
-#if STFW_VALIDATE_ENABLED
-          if (validator) validator->on_stage_send(s, m);
-#endif
-          auto wire = core::serialize(m, arena);
-          ++stats_.messages_sent;
-          stats_.payload_bytes_sent += m.payload_bytes();
-          stats_.wire_bytes_sent += wire.size();
-          const auto ni = std::lower_bound(nbrs.begin(), nbrs.end(), static_cast<int>(m.to));
-          if (ni != nbrs.end() && *ni == static_cast<int>(m.to))
-            covered[static_cast<std::size_t>(ni - nbrs.begin())] = true;
-          comm_->send(static_cast<int>(m.to), t, std::move(wire));
-        }
-        send_stage_fillers(s, t, nbrs, covered, /*count_stats=*/true);
-        if (barrier_sync_) comm_->barrier(stage_deadline());
-        for (runtime::Message& m : comm_->recv_from_each(nbrs, t, stage_deadline())) {
-          if (is_filler_frame(m.data)) {
-            ++stats_.filler_frames_received;
-            continue;
-          }
-          ++stats_.messages_received;
-          const std::vector<Submessage> subs = core::deserialize(m.data, arena);
-#if STFW_VALIDATE_ENABLED
-          if (validator)
-            validator->on_stage_recv(s, static_cast<core::Rank>(m.source), subs);
-#endif
-          state.accept(s, subs);
-        }
-        transit_peak = std::max(transit_peak, state.buffered_payload_bytes());
-#if STFW_VALIDATE_ENABLED
-        if (validator)
-          validator->on_stage_complete(s, state.buffered_payload_bytes(),
-                                       state.buffered_submessage_count());
-#endif
-      }
-      ++epoch_;
-      stats_.peak_buffer_bytes = seed_bytes + state.delivered_payload_bytes() + transit_peak;
-      record_pool_delta(stats_, pool_.stats(), pool_before);
-      std::vector<Submessage> delivered = state.take_delivered();
-#if STFW_VALIDATE_ENABLED
-      if (validator) {
-        const auto summaries = comm_->allgather(validator->summary_blob(), stage_deadline());
-        validator->finish(delivered, arena, stats_.messages_sent, summaries);
-      }
-#endif
-      std::vector<InboundMessage> result;
-      std::stable_sort(
-          delivered.begin(), delivered.end(),
-          [](const Submessage& a, const Submessage& b) { return a.source < b.source; });
-      result.reserve(delivered.size());
-      for (const Submessage& sub : delivered) {
-        const auto payload = arena.view(sub);
-        result.push_back(InboundMessage{sub.source, {payload.begin(), payload.end()}});
-      }
-      return result;
-    }
-
-    stats_.filler_frames_received +=
-        static_cast<std::int64_t>(msgs.size() - expected.size());
-    for (std::size_t i = 0; i < expected.size(); ++i) {
-      ++stats_.messages_received;
-#if STFW_VALIDATE_ENABLED
-      if (validator) validator->on_stage_recv(stage, expected[i].source, expected[i].subs);
-#endif
-      // Recycle the previous replay's frame into the pool: the next stage's
-      // (or iteration's) outbound gathers draw from it, so the steady state
-      // cycles a fixed working set of allocations across the cluster.
-      auto& slot = plan.in_raw_[static_cast<std::size_t>(stage)][i];
-      if (zero_copy_ && !slot.empty()) pool_.release(std::move(slot));
-      slot = std::move(msgs[real_idx[i]].data);
-    }
-#if STFW_VALIDATE_ENABLED
-    if (validator)
-      validator->on_stage_complete(stage,
-                                   layout.stage_buffered_bytes[static_cast<std::size_t>(stage)],
-                                   layout.stage_buffered_subs[static_cast<std::size_t>(stage)]);
-#endif
-  }
-  ++epoch_;
-  stats_.peak_buffer_bytes = layout.peak_buffer_bytes();
-  record_pool_delta(stats_, pool_.stats(), pool_before);
-
-  std::vector<InboundMessage> result = planned_result(layout, seeds, plan.in_raw_);
-
-#if STFW_VALIDATE_ENABLED
-  if (validator) {
-    PayloadArena varena;
-    std::vector<Submessage> vdelivered;
-    vdelivered.reserve(result.size());
-    for (const InboundMessage& r : result) {
+  drv.stats().peak_buffer_bytes = layout.peak_buffer_bytes();
+  for (const core::PlanDelivery& d : layout.deliveries)
+    plan.views_.push_back(runtime::InboundView{d.source, payload_of(d.src, seeds, plan.in_raw_)});
+  if (drv.validator) {
+    // The verdict covers exactly the bytes the views hand out.
+    PayloadArena arena;
+    std::vector<Submessage> delivered;
+    for (const runtime::InboundView& v : plan.views_) {
       Submessage s;
-      s.source = r.source;
-      s.dest = me;
-      s.size_bytes = static_cast<std::uint32_t>(r.bytes.size());
-      s.offset = varena.add(r.bytes);
-      vdelivered.push_back(s);
+      s.source = v.source;
+      s.dest = drv.me();
+      s.size_bytes = static_cast<std::uint32_t>(v.bytes.size());
+      s.offset = arena.add(v.bytes);
+      delivered.push_back(s);
     }
-    const auto summaries = comm_->allgather(validator->summary_blob(), stage_deadline());
-    validator->finish(vdelivered, varena, stats_.messages_sent, summaries);
+    drv.finish(delivered, arena);
   }
-#endif
-  return result;
+  return n;
 }
 
 std::shared_ptr<runtime::ExchangePlan> StfwCommunicator::plan(
@@ -804,75 +601,30 @@ std::shared_ptr<runtime::ExchangePlan> StfwCommunicator::plan(
   core::require(!comm_->membership().any_failed(),
                 "plan: cluster is degraded (a rank died); the planning collective "
                 "cannot survive rank failure — use exchange_resilient()");
-  const auto me = static_cast<core::Rank>(comm_->rank());
-  const auto pattern = pattern_of(sends);
-  core::PlanRecorder recorder(vpt_, me, pattern);
-  StfwRankState state(vpt_, me);
-
-  // Header-only collective planning pass: the same Algorithm 1 stage
-  // structure with empty wire bodies. Submessage::offset carries payload
-  // provenance (seed index or inbound-frame slice) through the routing.
-  std::uint32_t index = 0;
-  for (const auto& [dest, size] : pattern) state.add_send(dest, index++, size);
-
-  std::vector<StageMessage> outbox;
-  std::vector<core::PayloadSrc> srcs;
-  std::vector<int> nbrs;
-  std::vector<bool> covered;
-  const int tag_base = epoch_ * vpt_.dim();
-  fault::FaultInjector* injector = comm_->fault_injector();
-  for (int stage = 0; stage < vpt_.dim(); ++stage) {
-    verify_stage_tag(static_cast<int>(me), stage);
-    if (injector != nullptr) injector->at_stage(static_cast<int>(me), stage);
-    const int tag = tag_base + stage;
-    stage_neighbor_ranks(stage, nbrs);
-    covered.assign(nbrs.size(), false);
-    outbox.clear();
-    state.make_stage_outbox(stage, outbox);
-    for (const StageMessage& m : outbox) {
-      srcs.clear();
-      for (const Submessage& s : m.subs) srcs.push_back(decode_prov(s.offset, s.size_bytes));
-      recorder.on_stage_send(stage, m.to, m.subs, srcs);
-      const auto ni = std::lower_bound(nbrs.begin(), nbrs.end(), static_cast<int>(m.to));
-      if (ni != nbrs.end() && *ni == static_cast<int>(m.to))
-        covered[static_cast<std::size_t>(ni - nbrs.begin())] = true;
-      comm_->send(static_cast<int>(m.to), tag, serialize_headers(m));
-    }
-    // Planning traffic is regularized too (an empty header frame is the same
-    // 4 bytes as a payload-format filler), but frozen stats stay filler-free.
-    send_stage_fillers(stage, tag, nbrs, covered, /*count_stats=*/false);
-    std::size_t frame_index = 0;
-    for (runtime::Message& m : comm_->recv_from_each(nbrs, tag, stage_deadline())) {
-      if (is_filler_frame(m.data)) continue;
-      std::vector<Submessage> subs = deserialize_headers(m.data);
-      const core::PlanInFrame& frame =
-          recorder.on_stage_recv(stage, static_cast<core::Rank>(m.source), subs);
-      for (std::size_t k = 0; k < subs.size(); ++k)
-        subs[k].offset = encode_recv_prov(stage, frame_index, frame.subs[k].offset);
-      state.accept(stage, subs);
-      ++frame_index;
-    }
-    recorder.on_stage_complete(stage, state.buffered_payload_bytes(),
-                               state.buffered_submessage_count());
-  }
-  ++epoch_;
-
-  std::vector<Submessage> delivered = state.take_delivered();
-  std::stable_sort(delivered.begin(), delivered.end(),
-                   [](const Submessage& a, const Submessage& b) { return a.source < b.source; });
-  srcs.clear();
-  for (const Submessage& s : delivered) srcs.push_back(decode_prov(s.offset, s.size_bytes));
-  return std::make_shared<runtime::ExchangePlan>(recorder.finish(delivered, srcs));
+  // A recording Algorithm 1 run. Its stats go to a scratch record and its
+  // plan to the caller, so last_stats() and the cache stay as they were.
+  LocalExchangeStats scratch;
+  StageDriver drv(*this, scratch, nullptr);
+  drv.seed(sends);
+  const core::PatternSignature sig = signature_of(sends);
+  Algorithm1 alg(drv, sends, &sig);
+  alg.run(0);
+  return std::make_shared<runtime::ExchangePlan>(alg.layout());
 }
 
-void StfwCommunicator::replay_plan_stages(
+std::vector<InboundMessage> StfwCommunicator::exchange(
+    runtime::ExchangePlan& plan, std::span<const std::span<const std::byte>> payloads) {
+  return copies_of(exchange_views(plan, payloads));
+}
+
+std::span<const runtime::InboundView> StfwCommunicator::exchange_views(
     runtime::ExchangePlan& plan, std::span<const std::span<const std::byte>> payloads) {
   core::require(!comm_->membership().any_failed(),
                 "exchange(plan): cluster is degraded (a rank died); planned replay "
                 "cannot survive rank failure — use exchange_resilient()");
-  const auto me = static_cast<core::Rank>(comm_->rank());
   const core::ExchangePlanLayout& layout = plan.layout();
-  core::require(layout.rank == me, "exchange(plan): plan belongs to another rank");
+  core::require(layout.rank == static_cast<core::Rank>(comm_->rank()),
+                "exchange(plan): plan belongs to another rank");
   core::require(layout.vpt_dims == vpt_.dim_sizes(),
                 "exchange(plan): plan was built for a different VPT");
   const auto& sequence = layout.signature.sequence;
@@ -882,149 +634,12 @@ void StfwCommunicator::replay_plan_stages(
     core::require(payloads[i].size() == sequence[i].second,
                   "exchange(plan): payload size differs from the planned pattern");
 
-  const int n = vpt_.dim();
-  stats_ = LocalExchangeStats{};
-  stats_.plan_hits = 1;
-  // Views of the previous replay die the moment this one starts recycling
-  // the parked frames; clearing first means a throw below leaves an empty
-  // span behind, never a dangling one.
-  plan.views_.clear();
-  const core::BufferPoolStats pool_before = pool_.stats();
-  const int tag_base = epoch_ * n;
-  fault::FaultInjector* injector = comm_->fault_injector();
-  std::vector<int> nbrs;
-  std::vector<bool> covered;
-
-#if STFW_VALIDATE_ENABLED
-  std::optional<validate::ExchangeValidator> validator;
-  if (validate_) {
-    validator.emplace(vpt_, me);
+  StageDriver drv(*this, stats_, nullptr);
+  if (drv.validator)
     for (std::size_t i = 0; i < payloads.size(); ++i)
-      validator->on_seed(sequence[i].first, payloads[i]);
-  }
-#endif
-
-  for (int stage = 0; stage < n; ++stage) {
-    verify_stage_tag(static_cast<int>(me), stage);
-    if (injector != nullptr) injector->at_stage(static_cast<int>(me), stage);
-    const int tag = tag_base + stage;
-    stage_neighbor_ranks(stage, nbrs);
-    covered.assign(nbrs.size(), false);
-    for (const core::PlanOutFrame& f : layout.out_frames[static_cast<std::size_t>(stage)]) {
-#if STFW_VALIDATE_ENABLED
-      if (validator) {
-        StageMessage m;
-        m.from = me;
-        m.to = f.to;
-        m.subs = f.subs;
-        validator->on_stage_send(stage, m);
-      }
-#endif
-      auto wire = planned_frame_bytes(f, payloads, plan.in_raw_);
-      ++stats_.messages_sent;
-      stats_.payload_bytes_sent += f.payload_bytes;
-      stats_.wire_bytes_sent += wire.size();
-      const auto ni = std::lower_bound(nbrs.begin(), nbrs.end(), static_cast<int>(f.to));
-      if (ni != nbrs.end() && *ni == static_cast<int>(f.to))
-        covered[static_cast<std::size_t>(ni - nbrs.begin())] = true;
-      comm_->send(static_cast<int>(f.to), tag, std::move(wire));
-    }
-    send_stage_fillers(stage, tag, nbrs, covered, /*count_stats=*/true);
-    // Barrier-free: the plan froze exactly which frames arrive, so the stage
-    // blocks on one frame per dimension-`stage` neighbor and merges the real
-    // frames against the frozen roster. All ranks must replay plans of the
-    // same collective plan() — drift here is a contract violation.
-    auto& raw_stage = plan.in_raw_[static_cast<std::size_t>(stage)];
-    const auto& expected = layout.in_frames[static_cast<std::size_t>(stage)];
-    std::size_t ei = 0;
-    for (runtime::Message& m : comm_->recv_from_each(nbrs, tag, stage_deadline())) {
-      if (ei < expected.size() && m.source == static_cast<int>(expected[ei].source)) {
-        core::require(frame_headers_match(m.data, expected[ei]),
-                      "exchange(plan): inbound frame deviates from the plan; the send "
-                      "pattern changed since plan() (use plain exchange() for "
-                      "iteration-varying patterns)");
-        ++stats_.messages_received;
-#if STFW_VALIDATE_ENABLED
-        if (validator) validator->on_stage_recv(stage, expected[ei].source, expected[ei].subs);
-#endif
-        if (zero_copy_ && !raw_stage[ei].empty()) pool_.release(std::move(raw_stage[ei]));
-        raw_stage[ei] = std::move(m.data);
-        ++ei;
-      } else {
-        core::require(is_filler_frame(m.data),
-                      "exchange(plan): inbound frame deviates from the plan; the send "
-                      "pattern changed since plan() (use plain exchange() for "
-                      "iteration-varying patterns)");
-        ++stats_.filler_frames_received;
-      }
-    }
-    core::require(ei == expected.size(),
-                  "exchange(plan): a planned inbound frame never arrived; the send "
-                  "pattern changed since plan() (use plain exchange() for "
-                  "iteration-varying patterns)");
-#if STFW_VALIDATE_ENABLED
-    if (validator)
-      validator->on_stage_complete(stage,
-                                   layout.stage_buffered_bytes[static_cast<std::size_t>(stage)],
-                                   layout.stage_buffered_subs[static_cast<std::size_t>(stage)]);
-#endif
-  }
-  ++epoch_;
-  stats_.peak_buffer_bytes = layout.peak_buffer_bytes();
-  record_pool_delta(stats_, pool_.stats(), pool_before);
-
-#if STFW_VALIDATE_ENABLED
-  if (validator) {
-    // Reconstruct the deliveries from the frozen provenance tables — the
-    // exact bytes both materializers below hand out — so the conservation
-    // verdict is independent of whether the caller asked for copies or views.
-    PayloadArena varena;
-    std::vector<Submessage> vdelivered;
-    vdelivered.reserve(layout.deliveries.size());
-    for (const core::PlanDelivery& d : layout.deliveries) {
-      Submessage s;
-      s.source = d.source;
-      s.dest = me;
-      s.size_bytes = d.src.bytes;
-      std::span<const std::byte> bytes;
-      if (d.src.bytes > 0) {
-        const std::byte* from =
-            d.src.kind == core::PayloadSrc::Kind::kSeed
-                ? payloads[d.src.index].data()
-                : plan.in_raw_[d.src.stage][d.src.frame].data() + d.src.offset;
-        bytes = {from, d.src.bytes};
-      }
-      s.offset = varena.add(bytes);
-      vdelivered.push_back(s);
-    }
-    const auto summaries = comm_->allgather(validator->summary_blob(), stage_deadline());
-    validator->finish(vdelivered, varena, stats_.messages_sent, summaries);
-  }
-#endif
-}
-
-std::vector<InboundMessage> StfwCommunicator::exchange(
-    runtime::ExchangePlan& plan, std::span<const std::span<const std::byte>> payloads) {
-  replay_plan_stages(plan, payloads);
-  return planned_result(plan.layout(), payloads, plan.in_raw_);
-}
-
-std::span<const runtime::InboundView> StfwCommunicator::exchange_views(
-    runtime::ExchangePlan& plan, std::span<const std::span<const std::byte>> payloads) {
-  replay_plan_stages(plan, payloads);
-  const core::ExchangePlanLayout& layout = plan.layout();
-  plan.views_.reserve(layout.deliveries.size());
-  for (const core::PlanDelivery& d : layout.deliveries) {
-    std::span<const std::byte> bytes;
-    if (d.src.bytes > 0) {
-      const std::byte* from =
-          d.src.kind == core::PayloadSrc::Kind::kSeed
-              ? payloads[d.src.index].data()
-              : plan.in_raw_[d.src.stage][d.src.frame].data() + d.src.offset;
-      bytes = {from, d.src.bytes};
-    }
-    plan.views_.push_back(runtime::InboundView{d.source, bytes});
-  }
+      drv.validator->on_seed(sequence[i].first, payloads[i]);
+  // Strict: every rank replays the same collective plan, so drift throws.
+  (void)replay_stages(drv, plan, payloads, nullptr);
   return plan.views_;
 }
 

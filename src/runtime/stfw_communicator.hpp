@@ -79,8 +79,8 @@ struct LocalExchangeStats {
   std::int64_t filler_frames_sent = 0;
   std::int64_t filler_frames_received = 0;
 
-  // Pooled-buffer activity of this exchange (zero-copy planned replays only;
-  // zero elsewhere). Hits are outbound gathers served from the communicator's
+  // Pooled-buffer activity of this exchange (planned replays only; zero
+  // elsewhere). Hits are outbound gathers served from the communicator's
   // recycled wire buffers, misses fell through to the allocator;
   // pool_reused_bytes counts the bytes handed out without allocating.
   std::int64_t pool_hits = 0;
@@ -229,10 +229,13 @@ public:
   std::vector<InboundMessage> exchange(std::span<const OutboundMessage> sends,
                                        const OverlapHook& overlap);
 
-  /// Builds an ExchangePlan for `sends`' pattern with a header-only
-  /// collective planning pass (payload bytes in `sends` are ignored; only
-  /// (dest, size) matter). Collective: all ranks must call plan() together,
-  /// like an exchange. The plan is bound to this rank and VPT.
+  /// Builds an ExchangePlan for `sends`' pattern by running one recording
+  /// exchange of Algorithm 1 — the same run a cache-missing exchange() makes,
+  /// so both freeze the same layout. The payload bytes travel but do not
+  /// affect the plan; only the (dest, size) sequence does. Collective: all
+  /// ranks must call plan() together, like an exchange. Leaves last_stats()
+  /// and the transparent cache untouched. The plan is bound to this rank and
+  /// VPT.
   std::shared_ptr<runtime::ExchangePlan> plan(std::span<const OutboundMessage> sends);
 
   /// Replays `plan` with fresh payload bytes — the explicit persistent-
@@ -260,15 +263,6 @@ public:
   /// byte-identical to exchange(plan, payloads).
   std::span<const runtime::InboundView> exchange_views(
       runtime::ExchangePlan& plan, std::span<const std::span<const std::byte>> payloads);
-
-  /// Whether planned replays gather outgoing frames scatter/gather-style
-  /// straight into pooled wire buffers (each byte written exactly once)
-  /// instead of copying the frame image and overwriting its payload gaps.
-  /// Defaults to the STFW_ZERO_COPY environment variable (strict parse, on).
-  /// Off keeps the historical copying path for A/B benchmarking; results are
-  /// byte-identical either way.
-  [[nodiscard]] bool zero_copy_enabled() const noexcept { return zero_copy_; }
-  void set_zero_copy(bool on) noexcept { zero_copy_ = on; }
 
   /// Cumulative wire-buffer pool counters of this communicator (planned
   /// replays only). LocalExchangeStats carries per-exchange deltas.
@@ -330,48 +324,30 @@ public:
   }
   void set_exchange_deadline(std::chrono::milliseconds d) noexcept { exchange_deadline_ = d; }
 
-  /// A/B switch for the bulk-synchronous seed schedule: when on, exchange()
-  /// re-inserts a global barrier between posting a stage's sends and
-  /// receiving — the pre-dependency-driven structure, kept for honest
-  /// overlap benchmarking (bench_overlap) and differential tests. Defaults
-  /// to the STFW_BARRIER_SYNC environment variable (strict parse, off).
-  [[nodiscard]] bool barrier_sync() const noexcept { return barrier_sync_; }
-  void set_barrier_sync(bool on) noexcept { barrier_sync_ = on; }
-
 private:
+  friend struct PlanCacheProbe;  // read access to the cache for tests
+
   struct PlanCacheEntry {
     std::shared_ptr<runtime::ExchangePlan> plan;
     std::uint64_t last_use = 0;
   };
 
-  std::vector<InboundMessage> exchange_unplanned(std::span<const OutboundMessage> sends,
-                                                 const core::PatternSignature* record_as,
-                                                 const OverlapHook& overlap);
-  std::vector<InboundMessage> exchange_planned_cached(runtime::ExchangePlan& plan,
-                                                      std::span<const OutboundMessage> sends,
-                                                      const OverlapHook& overlap);
-  /// Shared stage loop of the strict replay APIs: contract checks, sends
-  /// (gather or copy), dependency-driven receives, validator, stats. Leaves
-  /// the inbound raw frames parked in `plan`; the caller materializes either
-  /// InboundMessages or InboundViews from them.
-  void replay_plan_stages(runtime::ExchangePlan& plan,
-                          std::span<const std::span<const std::byte>> payloads);
-  /// Outbound frame bytes for a planned send: pooled scatter/gather when
-  /// zero_copy_, else a copy of the image with the payload gaps filled.
-  std::vector<std::byte> planned_frame_bytes(
-      const core::PlanOutFrame& frame, std::span<const std::span<const std::byte>> seeds,
-      const std::vector<std::vector<std::vector<std::byte>>>& in_raw);
+  class StageDriver;
+  class Algorithm1;
+
+  /// A cache hit: replays `plan`, resuming Algorithm 1 where a peer drifted.
+  std::vector<InboundMessage> exchange_cached(StageDriver& drv, runtime::ExchangePlan& plan,
+                                              std::span<const OutboundMessage> sends);
+  /// The plan-replay frame source of both the cached and the strict path:
+  /// gathers each stage's frames from `seeds` and the frozen layout, checks
+  /// the inbound frames against it and parks them in `plan`. Returns dim()
+  /// with the deliveries in plan.views_, or the first stage whose inbound
+  /// frames drifted, moved into `*drifted` (a null `drifted` throws).
+  int replay_stages(StageDriver& drv, runtime::ExchangePlan& plan,
+                    std::span<const std::span<const std::byte>> seeds,
+                    std::vector<runtime::Message>* drifted);
   /// The plan-cache key of a send list: its (dest, size) sequence.
   static core::PatternSignature signature_of(std::span<const OutboundMessage> sends);
-  /// Fresh per-stage deadline from exchange_deadline_ (never() when 0).
-  runtime::Deadline stage_deadline() const;
-  /// This rank's dimension-`stage` neighbors, ascending — the inbound
-  /// dependency set of one dependency-driven stage.
-  void stage_neighbor_ranks(int stage, std::vector<int>& out) const;
-  /// Posts one 4-byte empty filler frame to every dimension-`stage` neighbor
-  /// not in `covered`, so each receiver's per-stage frame count is met.
-  void send_stage_fillers(int stage, int tag, std::span<const int> neighbors,
-                          const std::vector<bool>& covered, bool count_stats);
   // Self-locking cache helpers: each takes plan_cache_mu_ only for its own
   // body, so the mutex is never held across Comm calls (no ordering edge
   // between the cache mutex and any mailbox/barrier mutex can form).
@@ -387,10 +363,8 @@ private:
   int epoch_ = 0;  // distinguishes tags across repeated exchanges
   bool validate_;
   std::chrono::milliseconds exchange_deadline_;
-  bool barrier_sync_;
-  bool zero_copy_;
   LocalExchangeStats stats_;
-  // Recycled wire buffers of the zero-copy replay path. Thread-confined to
+  // Recycled wire buffers of the planned replays. Thread-confined to
   // the owning rank's exchange thread (like stats_), so no lock.
   core::BufferPool pool_;
   // Single-slot cache of the last incremental plan repair, keyed by pattern

@@ -198,24 +198,78 @@ TEST(ExchangeEquivalence, MixedPatternDriftFallsBackCorrectly) {
   expect_same_inboxes(reference, got, "drift-fallback");
 }
 
-/// Tentpole differential (dependency-driven progress): the overlap hook and
-/// the STFW_BARRIER_SYNC bulk-synchronous emulation must not change what is
-/// delivered. Runs each variant over both the recording and the cached-replay
-/// path and compares against the BL/direct baseline byte-for-byte; also
-/// checks the hook fires exactly once per exchange.
-TEST(ExchangeEquivalence, OverlapAndBarrierSyncDeliverIdenticalMultisets) {
+/// The drift seam of the cached path: a rank whose first drifted frame
+/// arrives at its last stage rebuilds Algorithm 1's state from the frames
+/// its replay parked for every earlier stage and resumes there. Rank 0 adds
+/// a send to the rank that differs from it in every digit; that submessage
+/// reaches the destination only in the last stage, so the destination's
+/// earlier stages still match the plan, while each rank along the route
+/// drifts one stage later than the one before.
+TEST(ExchangeEquivalence, DriftAtLastStageResumesFromParkedFrames) {
+  const Vpt vpt({2, 2, 2});
+  const Rank kRanks = vpt.size();
+  const int n = vpt.dim();
+  Rank far = 0;
+  for (int d = 0; d < n; ++d) far = vpt.with_coord(far, d, vpt.dim_size(d) - 1);
+  const SendSets first = skewed_sendsets(kRanks, 4242, 1024);
+  SendSets second = first;
+  second[0].push_back(OutboundMessage{far, {std::byte{7}, std::byte{8}, std::byte{9}}});
+
+  runtime::Cluster cluster(kRanks);
+  Inboxes got(static_cast<std::size_t>(kRanks));
+  std::vector<LocalExchangeStats> stats(static_cast<std::size_t>(kRanks));
+  cluster.run([&](runtime::Comm& comm) {
+    const auto me = static_cast<std::size_t>(comm.rank());
+    StfwCommunicator communicator(comm, vpt);
+    (void)communicator.exchange(first[me]);  // records `first` on all ranks
+    auto inbox = communicator.exchange(second[me]);
+    stats[me] = communicator.last_stats();
+    sort_inbox(inbox);
+    got[me] = std::move(inbox);
+  });
+
+  // Rank 0 records afresh; its route to `far` falls back one stage per hop,
+  // ending at `far` in the last stage (n - 1 >= 1).
+  EXPECT_EQ(stats[0].plan_builds, 1);
+  const LocalExchangeStats& last = stats[static_cast<std::size_t>(far)];
+  EXPECT_EQ(last.plan_hits, 1);
+  EXPECT_EQ(last.plan_fallbacks, 1);
+
+  const Inboxes reference = run_mode(cluster, Vpt::direct(kRanks), second, Mode::kUnplanned);
+  ASSERT_EQ(got[static_cast<std::size_t>(far)], reference[static_cast<std::size_t>(far)])
+      << "rank " << far << " resumed at stage " << n - 1;
+  expect_same_inboxes(reference, got, "drift-at-last-stage");
+
+  // A fallback keeps the regularized schedule: one frame, real or filler,
+  // per (stage, neighbor) in each direction.
+  const auto frames = static_cast<std::int64_t>(vpt.max_message_count_bound());
+  int fallbacks = 0;
+  for (Rank r = 0; r < kRanks; ++r) {
+    const LocalExchangeStats& s = stats[static_cast<std::size_t>(r)];
+    if (s.plan_fallbacks == 0) continue;
+    ++fallbacks;
+    EXPECT_EQ(s.messages_sent + s.filler_frames_sent, frames) << "rank " << r;
+    EXPECT_EQ(s.messages_received + s.filler_frames_received, frames) << "rank " << r;
+  }
+  EXPECT_GE(fallbacks, n) << "one fallback per hop of the drifted route";
+}
+
+/// The overlap hook must not change what is delivered. Runs with and
+/// without a hook over both the recording and the cached-replay path and
+/// compares against the BL/direct baseline byte-for-byte; also checks the
+/// hook fires exactly once per exchange.
+TEST(ExchangeEquivalence, OverlapDeliversIdenticalMultisets) {
   constexpr Rank kRanks = 16;
   const Vpt vpt({4, 4});
   const SendSets sets = skewed_sendsets(kRanks, 777, 2048);
   runtime::Cluster cluster(kRanks);
 
-  auto run_with = [&](bool use_hook, bool barrier_sync, const char* label) {
+  auto run_with = [&](bool use_hook, const char* label) {
     Inboxes received(kRanks);
     std::vector<std::int64_t> hook_calls(kRanks, 0);
     cluster.run([&](runtime::Comm& comm) {
       const auto me = static_cast<std::size_t>(comm.rank());
       StfwCommunicator communicator(comm, vpt);
-      communicator.set_barrier_sync(barrier_sync);
       std::vector<InboundMessage> inbox;
       if (use_hook) {
         const OverlapHook hook = [&] { ++hook_calls[me]; };
@@ -229,19 +283,17 @@ TEST(ExchangeEquivalence, OverlapAndBarrierSyncDeliverIdenticalMultisets) {
       sort_inbox(inbox);
       received[me] = std::move(inbox);
     });
-    if (use_hook)
+    if (use_hook) {
       for (Rank r = 0; r < kRanks; ++r)
         EXPECT_EQ(hook_calls[static_cast<std::size_t>(r)], 2)
             << label << ": hook must fire once per exchange, rank " << r;
+    }
     return received;
   };
 
   const Inboxes reference = run_mode(cluster, Vpt::direct(kRanks), sets, Mode::kUnplanned);
-  expect_same_inboxes(reference, run_with(false, false, "overlap-off"), "overlap-off");
-  expect_same_inboxes(reference, run_with(true, false, "overlap-on"), "overlap-on");
-  expect_same_inboxes(reference, run_with(false, true, "barrier-sync"), "barrier-sync");
-  expect_same_inboxes(reference, run_with(true, true, "overlap+barrier-sync"),
-                      "overlap+barrier-sync");
+  expect_same_inboxes(reference, run_with(false, "overlap-off"), "overlap-off");
+  expect_same_inboxes(reference, run_with(true, "overlap-on"), "overlap-on");
 }
 
 /// Plans survive interleaving with other traffic: planned replays, resilient

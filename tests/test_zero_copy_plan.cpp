@@ -1,13 +1,15 @@
-// Zero-copy planned replay differential battery (zero-copy PR satellite).
+// Planned-replay differential battery.
 //
-// The pooled scatter/gather replay (gather_planned_frame + exchange_views,
-// stfw_communicator.cpp) must be byte-identical to both the historical
-// copying replay and the unplanned Algorithm 1 — on every wire frame and
-// every delivery, across pattern scale, payload-size extremes, aliasing and
-// repeated replays over recycled pool buffers. This suite pins that:
+// A planned replay (gather_planned_frame + exchange_views,
+// stfw_communicator.cpp) must be byte-identical to the recording Algorithm 1
+// run it replays — on every wire frame and every delivery, across pattern
+// scale, payload-size extremes, aliasing and repeated replays over recycled
+// pool buffers. This suite pins that:
 //
-//  * three-way differential (views vs copying replay vs unplanned) at
-//    K in {4, 16, 64, 256} over a skewed pseudo-random pattern;
+//  * golden wire frames: a replay posts exactly the frames the recording
+//    exchange serialized, and plan() freezes the layout that exchange cached;
+//  * three-way differential (views vs exchange(plan) copies vs unplanned)
+//    at K in {4, 16, 64, 256} over a skewed pseudo-random pattern;
 //  * mixed payload sizes including zero-length sends and a max-slot payload
 //    dwarfing the rest of its frame;
 //  * aliasing: the same source bytes sent to several destinations, and
@@ -19,16 +21,30 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <cstdint>
+#include <map>
+#include <memory>
 #include <span>
+#include <tuple>
 #include <vector>
 
 #include "core/error.hpp"
+#include "core/sync.hpp"
 #include "core/vpt.hpp"
 #include "runtime/comm.hpp"
 #include "runtime/stfw_communicator.hpp"
 
 namespace stfw {
+
+/// Test access to StfwCommunicator's transparent plan cache.
+struct PlanCacheProbe {
+  static std::shared_ptr<runtime::ExchangePlan> find(StfwCommunicator& stfw,
+                                                     std::span<const OutboundMessage> sends) {
+    return stfw.plan_cache_find(StfwCommunicator::signature_of(sends));
+  }
+};
+
 namespace {
 
 using core::Rank;
@@ -100,7 +116,7 @@ void run_sweep(Rank num_ranks, int iters, std::uint32_t big_bytes) {
   const auto nK = static_cast<std::size_t>(num_ranks);
 
   // inboxes[mode][rank][iter]
-  enum { kUnplanned = 0, kCopying = 1, kViews = 2, kModes = 3 };
+  enum { kUnplanned = 0, kCopies = 1, kViews = 2, kModes = 3 };
   std::vector<std::vector<std::vector<std::vector<InboundMessage>>>> inboxes(
       kModes, std::vector<std::vector<std::vector<InboundMessage>>>(
                   nK, std::vector<std::vector<InboundMessage>>(
@@ -111,7 +127,6 @@ void run_sweep(Rank num_ranks, int iters, std::uint32_t big_bytes) {
     cluster.run([&](Comm& comm) {
       const auto me = static_cast<Rank>(comm.rank());
       StfwCommunicator stfw(comm, vpt);
-      stfw.set_zero_copy(mode == kViews);
       if (mode == kUnplanned) stfw.set_plan_cache_capacity(0);
       std::shared_ptr<runtime::ExchangePlan> plan;
       if (mode != kUnplanned) plan = stfw.plan(sends_for(me, num_ranks, 0, big_bytes));
@@ -121,7 +136,7 @@ void run_sweep(Rank num_ranks, int iters, std::uint32_t big_bytes) {
                             [static_cast<std::size_t>(iter)];
         if (mode == kUnplanned) {
           slot = stfw.exchange(sends);
-        } else if (mode == kCopying) {
+        } else if (mode == kCopies) {
           slot = stfw.exchange(*plan, sends);
         } else {
           std::vector<std::span<const std::byte>> payloads;
@@ -137,13 +152,91 @@ void run_sweep(Rank num_ranks, int iters, std::uint32_t big_bytes) {
     for (int iter = 0; iter < iters; ++iter) {
       const auto& want =
           inboxes[kUnplanned][static_cast<std::size_t>(r)][static_cast<std::size_t>(iter)];
-      EXPECT_EQ(inboxes[kCopying][static_cast<std::size_t>(r)][static_cast<std::size_t>(iter)],
+      EXPECT_EQ(inboxes[kCopies][static_cast<std::size_t>(r)][static_cast<std::size_t>(iter)],
                 want)
-          << "copying replay diverged, rank " << r << " iter " << iter;
+          << "exchange(plan) diverged, rank " << r << " iter " << iter;
       EXPECT_EQ(inboxes[kViews][static_cast<std::size_t>(r)][static_cast<std::size_t>(iter)],
                 want)
-          << "zero-copy views diverged, rank " << r << " iter " << iter;
+          << "exchange_views diverged, rank " << r << " iter " << iter;
     }
+  }
+}
+
+void expect_same_layout(const core::ExchangePlanLayout& a, const core::ExchangePlanLayout& b,
+                        Rank me) {
+  EXPECT_TRUE(a.signature == b.signature) << "rank " << me;
+  ASSERT_EQ(a.out_frames.size(), b.out_frames.size()) << "rank " << me;
+  ASSERT_EQ(a.in_frames.size(), b.in_frames.size()) << "rank " << me;
+  for (std::size_t s = 0; s < a.out_frames.size(); ++s) {
+    ASSERT_EQ(a.out_frames[s].size(), b.out_frames[s].size()) << "rank " << me << " stage " << s;
+    for (std::size_t f = 0; f < a.out_frames[s].size(); ++f) {
+      const core::PlanOutFrame& x = a.out_frames[s][f];
+      const core::PlanOutFrame& y = b.out_frames[s][f];
+      EXPECT_EQ(x.to, y.to);
+      EXPECT_EQ(x.image, y.image) << "rank " << me << " stage " << s << " frame " << f;
+      EXPECT_EQ(x.slot_offsets, y.slot_offsets);
+      EXPECT_EQ(x.slots, y.slots);
+    }
+    ASSERT_EQ(a.in_frames[s].size(), b.in_frames[s].size()) << "rank " << me << " stage " << s;
+    for (std::size_t f = 0; f < a.in_frames[s].size(); ++f) {
+      EXPECT_EQ(a.in_frames[s][f].source, b.in_frames[s][f].source);
+      EXPECT_EQ(a.in_frames[s][f].wire_size, b.in_frames[s][f].wire_size);
+      EXPECT_EQ(a.in_frames[s][f].subs, b.in_frames[s][f].subs);
+    }
+  }
+  ASSERT_EQ(a.deliveries.size(), b.deliveries.size()) << "rank " << me;
+  for (std::size_t i = 0; i < a.deliveries.size(); ++i) {
+    EXPECT_EQ(a.deliveries[i].source, b.deliveries[i].source) << "rank " << me;
+    EXPECT_EQ(a.deliveries[i].src, b.deliveries[i].src) << "rank " << me << " delivery " << i;
+  }
+}
+
+// Golden wire frames: for the same pattern and payloads, a planned replay
+// (exchange_views) posts byte-for-byte the frames the recording exchange
+// serialized with core::serialize — real frames and fillers alike, stage by
+// stage — and plan() freezes the very layout that exchange cached.
+TEST(ZeroCopyPlan, ReplayPostsTheRecordingExchangesWireFrames) {
+  const Vpt vpt({4, 2, 2});
+  const Rank K = vpt.size();
+  const int n = vpt.dim();
+  // frames[0]: the recording exchange (epoch 1); frames[1]: the replay
+  // (epoch 2). Keyed by (source, dest, stage).
+  std::array<std::map<std::tuple<int, int, int>, std::vector<std::byte>>, 2> frames;
+  core::Mutex mu;
+  Cluster cluster(K);
+  cluster.set_wire_tap([&](int source, int dest, int tag, std::span<const std::byte> bytes) {
+    const int epoch = tag / n;  // plain-exchange tags are epoch * dim + stage
+    if (tag < 0 || epoch < 1 || epoch > 2) return;
+    core::MutexLock lock(mu);
+    frames[static_cast<std::size_t>(epoch - 1)].emplace(
+        std::tuple{source, dest, tag % n}, std::vector<std::byte>(bytes.begin(), bytes.end()));
+  });
+  cluster.run([&](Comm& comm) {
+    const auto me = static_cast<Rank>(comm.rank());
+    StfwCommunicator stfw(comm, vpt);
+    const auto sends = sends_for(me, K, 3, 700);
+    const auto planned = stfw.plan(sends);  // epoch 0
+    (void)stfw.exchange(sends);             // epoch 1: cache miss, records
+    const auto cached = PlanCacheProbe::find(stfw, sends);
+    ASSERT_NE(cached, nullptr);
+    expect_same_layout(planned->layout(), cached->layout(), me);
+    std::vector<std::span<const std::byte>> payloads;
+    for (const OutboundMessage& s : sends) payloads.emplace_back(s.bytes);
+    (void)stfw.exchange_views(*planned, payloads);  // epoch 2
+  });
+  cluster.set_wire_tap(nullptr);
+
+  // One frame per (stage, neighbor) in both exchanges.
+  const auto expected = static_cast<std::size_t>(K) *
+                        static_cast<std::size_t>(vpt.max_message_count_bound());
+  ASSERT_EQ(frames[0].size(), expected);
+  ASSERT_EQ(frames[1].size(), expected);
+  for (const auto& [key, bytes] : frames[0]) {
+    const auto& [source, dest, stage] = key;
+    const auto it = frames[1].find(key);
+    ASSERT_NE(it, frames[1].end()) << source << " -> " << dest << " stage " << stage;
+    EXPECT_EQ(it->second, bytes) << "replayed frame differs: " << source << " -> " << dest
+                                 << " stage " << stage;
   }
 }
 
@@ -228,7 +321,6 @@ TEST(ZeroCopyPlan, PoolStatsReportReuseAcrossReplays) {
   cluster.run([&](Comm& comm) {
     const auto me = static_cast<Rank>(comm.rank());
     StfwCommunicator stfw(comm, vpt);
-    ASSERT_TRUE(stfw.zero_copy_enabled());  // STFW_ZERO_COPY defaults on
     std::vector<OutboundMessage> sends;
     for (Rank d = 0; d < K; ++d)
       if (d != me) sends.push_back({d, std::vector<std::byte>(128, static_cast<std::byte>(d))});

@@ -17,15 +17,6 @@ The gate picks the largest K present and fails if the "overlap" row's
 wall_ns_per_iter is slower than the "sync" (overlap-off) row's beyond the
 tolerance — communication/computation overlap must never cost time.
 
-Zero-copy gate (CI's bench-smoke job, on two BENCH_micro_exchange.json runs):
-
-    python3 tools/compare_bench.py --zero-copy-gate copying.json zerocopy.json
-
-The gate compares the "planned" row at the largest K present in both files:
-the zero-copy run (second file) must not be slower than the copying run
-(first file, STFW_ZERO_COPY=0) beyond the tolerance -- replacing the
-per-submessage copies with pooled scatter-gather must never cost time.
-
 Rows are matched by their "name" key. Time-like metrics (keys ending in _ns,
 _us or _ms, or named *time*) are regression-only: the candidate may be faster
 by any amount, but slower than baseline by more than the tolerance fails.
@@ -205,50 +196,6 @@ def overlap_gate(path, doc, tolerance):
     return []
 
 
-def planned_time_at_largest_k(path, doc, k=None):
-    """(K, wall_ns_per_exchange) of the "planned" row at the largest K
-    (or at an imposed K), or (None, [failures])."""
-    rows = [r for r in doc["results"] if isinstance(r.get("ranks"), int)
-            and not isinstance(r.get("ranks"), bool)]
-    if not rows:
-        return None, [f"{path}: no rows carry an integer 'ranks' metric"]
-    if k is None:
-        k = max(r["ranks"] for r in rows)
-    planned = [r for r in rows if r["ranks"] == k and r.get("mode") == "planned"]
-    if not planned:
-        return None, [f"{path}: no 'planned' row at K={k}"]
-    v = planned[0].get("wall_ns_per_exchange")
-    if isinstance(v, bool) or not isinstance(v, (int, float)) or v <= 0:
-        return None, [f"{path}: 'planned' row at K={k} has no positive "
-                      f"'wall_ns_per_exchange'"]
-    return (k, v), []
-
-
-def zero_copy_gate(base_path, base, cand_path, cand, tolerance):
-    """Return a list of failures (empty = zero-copy pays for itself).
-
-    base is the copying run (STFW_ZERO_COPY=0), cand the zero-copy run; both
-    must hold a "planned" row at a common largest K, and the zero-copy replay
-    must not be slower beyond the tolerance.
-    """
-    got, failures = planned_time_at_largest_k(base_path, base)
-    if failures:
-        return failures
-    k, base_ns = got
-    got, failures = planned_time_at_largest_k(cand_path, cand, k)
-    if failures:
-        return failures
-    _, cand_ns = got
-    rel = cand_ns / base_ns - 1.0
-    if rel > tolerance:
-        return [f"zero-copy planned replay slower than copying at K={k}: "
-                f"{cand_ns:g} ns ({cand_path}) vs {base_ns:g} ns ({base_path}) "
-                f"(+{rel * 100:.1f}% > {tolerance * 100:.0f}%)"]
-    print(f"ok: zero-copy gate at K={k}: {cand_ns:g} ns vs {base_ns:g} ns "
-          f"copying ({-rel * 100:+.1f}% faster)")
-    return []
-
-
 def main():
     ap = argparse.ArgumentParser(description=__doc__,
                                  formatter_class=argparse.RawDescriptionHelpFormatter)
@@ -259,9 +206,6 @@ def main():
     ap.add_argument("--overlap-gate", action="store_true",
                     help="gate each file: 'overlap' must not be slower than "
                          "'sync' at the largest K present")
-    ap.add_argument("--zero-copy-gate", action="store_true",
-                    help="gate a (copying, zero-copy) file pair: the zero-copy "
-                         "'planned' row must not be slower at the largest K")
     ap.add_argument("--tolerance", type=float, default=0.25,
                     help="relative tolerance for the diff (default 0.25)")
     args = ap.parse_args()
@@ -287,22 +231,6 @@ def main():
         failures = []
         for path, doc in docs:
             failures += overlap_gate(path, doc, args.tolerance)
-        if failures:
-            for f in failures:
-                print(f"FAIL: {f}", file=sys.stderr)
-            sys.exit(1)
-        return
-
-    if args.zero_copy_gate:
-        if args.tolerance < 0:
-            print("error: tolerance must be >= 0", file=sys.stderr)
-            sys.exit(2)
-        if len(docs) != 2:
-            print("error: --zero-copy-gate needs exactly two files "
-                  "(copying zero-copy)", file=sys.stderr)
-            sys.exit(2)
-        (base_path, base), (cand_path, cand) = docs
-        failures = zero_copy_gate(base_path, base, cand_path, cand, args.tolerance)
         if failures:
             for f in failures:
                 print(f"FAIL: {f}", file=sys.stderr)
