@@ -120,15 +120,6 @@ std::vector<std::byte> gather_planned_frame(core::BufferPool& pool, const core::
   return wire;
 }
 
-// Per-exchange pool counters: the difference between the communicator pool's
-// cumulative stats now and at exchange entry.
-void record_pool_delta(LocalExchangeStats& stats, const core::BufferPoolStats& now,
-                       const core::BufferPoolStats& before) {
-  stats.pool_hits = now.hits - before.hits;
-  stats.pool_misses = now.misses - before.misses;
-  stats.pool_reused_bytes = now.reused_bytes - before.reused_bytes;
-}
-
 std::vector<InboundMessage> copies_of(std::span<const runtime::InboundView> views) {
   std::vector<InboundMessage> result;
   result.reserve(views.size());
@@ -171,6 +162,7 @@ public:
   const core::Vpt& vpt() const noexcept { return c_.vpt_; }
   LocalExchangeStats& stats() noexcept { return stats_; }
 
+  /// Hands the caller's sends to the validator's conservation claims.
   void seed(std::span<const OutboundMessage> sends) {
     if (validator)
       for (const OutboundMessage& s : sends) validator->on_seed(s.dest, s.bytes);
@@ -300,7 +292,7 @@ public:
   /// arrived at `stage`, and runs the rest. The replay already sent this
   /// stage's frames and those of every earlier one, all determined by this
   /// rank's own (unchanged) pattern, so the rebuilt outboxes are discarded.
-  void resume(int stage, const ParkedFrames& parked, std::vector<runtime::Message>& arrived) {
+  void resume(int stage, const ParkedFrames& parked, std::span<const runtime::Message> arrived) {
     for (int s = 0; s < stage; ++s) {
       outbox_.clear();
       state_.make_stage_outbox(s, outbox_);
@@ -326,7 +318,9 @@ public:
   }
 
   /// The recorded layout (recording runs only).
-  core::ExchangePlanLayout layout() { return recorder_->finish(delivered_, provenance(delivered_)); }
+  core::ExchangePlanLayout layout() {
+    return recorder_->finish(delivered_, provenance(delivered_));
+  }
 
 private:
   std::span<const core::PayloadSrc> provenance(std::span<const Submessage> subs) {
@@ -336,7 +330,7 @@ private:
     return srcs_;
   }
 
-  void accept(int stage, std::vector<runtime::Message>& msgs) {
+  void accept(int stage, std::span<const runtime::Message> msgs) {
     std::uint16_t frame_index = 0;
     for (const runtime::Message& m : msgs) {
       if (is_filler_frame(m.data)) continue;
@@ -573,7 +567,10 @@ int StfwCommunicator::replay_stages(StageDriver& drv, runtime::ExchangePlan& pla
       drv.validator->on_stage_complete(stage, layout.stage_buffered_bytes[si],
                                        layout.stage_buffered_subs[si]);
   }
-  record_pool_delta(drv.stats(), pool_.stats(), pool_before);
+  const core::BufferPoolStats& pool_now = pool_.stats();
+  drv.stats().pool_hits = pool_now.hits - pool_before.hits;
+  drv.stats().pool_misses = pool_now.misses - pool_before.misses;
+  drv.stats().pool_reused_bytes = pool_now.reused_bytes - pool_before.reused_bytes;
   if (stage < n) return stage;
 
   drv.stats().peak_buffer_bytes = layout.peak_buffer_bytes();
