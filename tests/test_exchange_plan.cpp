@@ -278,13 +278,19 @@ TEST(PlanCache, CapacityFlipsRaceResilientExchanges) {
         std::this_thread::yield();
       }
     });
+    struct StopAndJoin {  // also on a throwing exchange
+      std::atomic<bool>& stop;
+      core::Thread& thread;
+      ~StopAndJoin() {
+        stop.store(true, std::memory_order_release);
+        thread.join();
+      }
+    } stop_config{stop, config};
     for (int i = 0; i < 30; ++i) {
       const ResilientExchangeResult r = communicator.exchange_resilient(sets[me]);
       EXPECT_TRUE(r.fully_recovered);
       EXPECT_EQ(r.delivered, reference) << "rank " << me << " exchange " << i;
     }
-    stop.store(true, std::memory_order_release);
-    config.join();
   });
 }
 
