@@ -1,21 +1,20 @@
-// Cost of surviving a rank failure: healthy replay vs degraded replay.
+// Cost of surviving a rank failure: healthy vs degraded resilient exchanges.
 //
-// exchange_resilient() on a repeated pattern replays the frozen ExchangePlan;
-// after a survivable rank crash the plan is incrementally repaired (detours
-// over the relay lane, dead destinations dropped) and replayed among the
-// survivors instead of being re-recorded. This harness prices that repaired
-// replay against the all-alive baseline on one skewed pattern per K:
+// After a survivable rank crash, exchange_resilient() routes every seed from
+// the shrunken membership view: detours around the dead rank go over the
+// relay lane and traffic to it is dropped. This harness prices those
+// degraded exchanges against the all-alive baseline on one skewed pattern
+// per K:
 //
-//   healthy    all K ranks alive; warm plain exchange() records the plan,
-//              timed iterations replay it through exchange_resilient()
-//   degraded   same warm-up, then a FaultInjector crashes rank 1 survivably
-//              at stage 0 of the first resilient exchange; the timed
-//              iterations replay the *repaired* plan among the K-1 survivors
+//   healthy    all K ranks alive; the timed iterations run
+//              exchange_resilient() on the fixed pattern
+//   degraded   a FaultInjector first crashes rank 1 survivably at stage 0
+//              of an untimed resilient exchange; the timed iterations then
+//              run among the K-1 survivors
 //
-// The crash exchange itself is untimed — it pays one-off detection and
-// repair costs (retransmit timeouts toward the dead rank, the epoch bump,
-// the plan diff); the steady state an iterative solver lives in afterwards
-// is what the degraded rows measure. Rows land in
+// The crash exchange pays one-off detection costs (retransmit timeouts
+// toward the dead rank, the epoch bump); the steady state an iterative
+// solver lives in afterwards is what the degraded rows measure. Rows land in
 // BENCH_degraded_exchange.json for tools/compare_bench.py. Knobs:
 // STFW_BENCH_DEGRADED_KMAX (default 128), STFW_BENCH_DEGRADED_ITERS (timed
 // iterations, default 16), STFW_BENCH_DEGRADED_BYTES (base payload, 64).
@@ -51,8 +50,8 @@ std::uint64_t mix(std::uint64_t x) {
 /// Skewed fixed pattern: every rank sends to ~12 pseudo-random peers with
 /// sizes in [base, 4*base); rank 0 additionally sends to everyone. The
 /// pattern is held constant across modes and iterations so the degraded
-/// rows replay the same signature the healthy rows do — traffic whose
-/// destination died is dropped at seed time, not rebuilt.
+/// rows send what the healthy rows do — traffic whose destination died is
+/// dropped at seed time.
 std::vector<std::vector<stfw::OutboundMessage>> build_pattern(Rank num_ranks,
                                                               std::uint32_t base_bytes,
                                                               std::uint64_t seed) {
@@ -95,7 +94,6 @@ constexpr Rank kCrashRank = 1;
 
 struct ModeResult {
   double ns_per_exchange = 0.0;
-  std::int64_t plan_repairs = 0;       // across all survivors, whole run
   std::int64_t relay_submessages = 0;  // per timed iteration, summed over survivors
   std::int64_t live_ranks = 0;
   std::uint32_t epoch = 0;  // membership epoch the timed iterations ran at
@@ -123,29 +121,23 @@ ModeResult run_mode(const stfw::core::Vpt& vpt,
     stfw::fault::FaultConfig cfg;
     cfg.seed = seed;
     cfg.crash_rank = kCrashRank;
-    // Visits 0..dim-1 belong to the warm plain exchange (which cannot
-    // survive a crash); visit dim is stage 0 of the first resilient one.
-    cfg.crash_visit = vpt.dim();
+    cfg.crash_visit = 0;  // stage 0 of the first (untimed) exchange
     cfg.crash_survivable = true;
     injector = std::make_shared<stfw::fault::FaultInjector>(cfg);
     cluster.set_fault_injector(injector);
   }
 
   double wall_ns = 0.0;
-  std::atomic<std::int64_t> repairs{0};
   std::atomic<std::int64_t> relays{0};
   std::atomic<std::uint32_t> epoch{0};
   const stfw::ResilienceOptions opt = bench_options();
   cluster.run([&](stfw::runtime::Comm& comm) {
     stfw::StfwCommunicator communicator(comm, vpt);
     const auto& sends = pattern[static_cast<std::size_t>(comm.rank())];
-    (void)communicator.exchange(sends);  // warm-up records the plan
-    std::int64_t my_repairs = 0;
     if (mode == Mode::kDegraded) {
       // The crash exchange: rank kCrashRank dies at stage 0, survivors
-      // detect the death, bump the epoch and repair the plan. Untimed.
+      // detect the death and bump the epoch. Untimed.
       (void)communicator.exchange_resilient(sends, opt);
-      my_repairs += communicator.last_stats().plan_repairs;
     }
     comm.barrier();  // alive-aware: released once every survivor arrives
     const auto t0 = std::chrono::steady_clock::now();
@@ -154,13 +146,11 @@ ModeResult run_mode(const stfw::core::Vpt& vpt,
     for (int it = 0; it < iters; ++it) {
       const stfw::ResilientExchangeResult result = communicator.exchange_resilient(sends, opt);
       for (const stfw::InboundMessage& m : result.delivered) received += m.bytes.size();
-      my_repairs += communicator.last_stats().plan_repairs;
       my_relays += communicator.last_stats().relay_submessages;
     }
     comm.barrier();
     const auto t1 = std::chrono::steady_clock::now();
     g_sink.fetch_add(received, std::memory_order_relaxed);
-    repairs.fetch_add(my_repairs, std::memory_order_relaxed);
     relays.fetch_add(my_relays, std::memory_order_relaxed);
     if (comm.rank() == 0) {
       epoch.store(communicator.last_stats().membership_epoch, std::memory_order_relaxed);
@@ -172,7 +162,6 @@ ModeResult run_mode(const stfw::core::Vpt& vpt,
 
   ModeResult out;
   out.ns_per_exchange = wall_ns / static_cast<double>(iters);
-  out.plan_repairs = repairs.load();
   out.relay_submessages = relays.load();
   out.live_ranks = num_ranks - static_cast<Rank>(cluster.membership().failed().size());
   out.epoch = epoch.load();
@@ -205,10 +194,10 @@ int main() {
                                           stfw::bench::bench_seed()))));
   Json results = Json::array();
 
-  std::printf("healthy vs one-rank-dead repaired-plan replay, %d timed iterations\n", iters);
-  std::printf("%6s %10s %6s %14s %9s %9s %10s\n", "K", "mode", "live", "ns/exchange",
-              "repairs", "relays", "overhead");
-  stfw::bench::print_rule(70);
+  std::printf("healthy vs one-rank-dead resilient exchange, %d timed iterations\n", iters);
+  std::printf("%6s %10s %6s %14s %9s %10s\n", "K", "mode", "live", "ns/exchange", "relays",
+              "overhead");
+  stfw::bench::print_rule(60);
 
   for (const Rank num_ranks : {16, 32, 64, 128, 256}) {
     if (num_ranks > kmax) break;
@@ -222,9 +211,8 @@ int main() {
       const ModeResult r = run_mode(vpt, pattern, iters, mode, seed);
       if (mode == Mode::kHealthy) healthy_ns = r.ns_per_exchange;
       const double overhead = healthy_ns > 0.0 ? r.ns_per_exchange / healthy_ns : 0.0;
-      std::printf("%6d %10s %6lld %14.0f %9lld %9lld %10s\n", num_ranks, mode_name(mode),
+      std::printf("%6d %10s %6lld %14.0f %9lld %10s\n", num_ranks, mode_name(mode),
                   static_cast<long long>(r.live_ranks), r.ns_per_exchange,
-                  static_cast<long long>(r.plan_repairs),
                   static_cast<long long>(r.relay_submessages), (fmt(overhead, 2) + "x").c_str());
       std::string row_name = "K";
       row_name += std::to_string(num_ranks);
@@ -238,7 +226,6 @@ int main() {
                        .set("live_ranks", Json::integer(r.live_ranks))
                        .set("iters", Json::integer(iters))
                        .set("membership_epoch", Json::integer(r.epoch))
-                       .set("plan_repairs", Json::integer(r.plan_repairs))
                        .set("relay_submessages", Json::integer(r.relay_submessages))
                        .set("wall_ns_per_exchange", Json::number(r.ns_per_exchange))
                        .set("overhead_vs_healthy", Json::number(overhead)));

@@ -61,11 +61,8 @@ PlanRecorder::PlanRecorder(const Vpt& vpt, Rank me,
   layout_.expected_stage_frames.resize(static_cast<std::size_t>(n));
   for (int d = 0; d < n; ++d)
     layout_.expected_stage_frames[static_cast<std::size_t>(d)] = vpt.dim_size(d) - 1;
-  layout_.seed_first_dim.reserve(pattern.size());
   for (const auto& [dest, size] : pattern) {
     require(dest >= 0 && dest < vpt.size(), "PlanRecorder: destination out of range");
-    layout_.seed_first_dim.push_back(
-        static_cast<std::int8_t>(dest == me ? -1 : vpt.first_diff_dim(me, dest)));
     layout_.seed_payload_bytes += size;
   }
 }

@@ -99,11 +99,6 @@ struct ExchangePlanLayout {
   std::vector<int> vpt_dims;
   Rank rank = -1;
 
-  /// Routing dimension of each seed send (index-parallel with
-  /// signature.sequence); -1 for self-sends. Lets the resilient exchange
-  /// skip the per-send first_diff_dim scan on a plan hit.
-  std::vector<std::int8_t> seed_first_dim;
-
   std::vector<std::vector<PlanOutFrame>> out_frames;  // [stage][frame]
   std::vector<std::vector<PlanInFrame>> in_frames;    // [stage][frame]
   std::vector<PlanDelivery> deliveries;               // sorted by source

@@ -24,21 +24,6 @@ void StfwRankState::add_send(Rank dest, std::uint64_t payload_offset,
   stash(-1, s);
 }
 
-void StfwRankState::add_send_routed(Rank dest, int first_dim, std::uint64_t payload_offset,
-                                    std::uint32_t payload_bytes, std::uint32_t id) {
-  require(dest >= 0 && dest < vpt_->size(), "add_send_routed: destination out of range");
-  require(stages_consumed_ == 0, "add_send_routed: exchange already started");
-  const Submessage s{me_, dest, payload_offset, payload_bytes, id};
-  if (first_dim < 0) {
-    STFW_ASSERT(dest == me_, "add_send_routed: negative dimension but not a self-send");
-    delivered_.push_back(s);
-    delivered_bytes_ += payload_bytes;
-    return;
-  }
-  require(first_dim < vpt_->dim(), "add_send_routed: dimension out of range");
-  stash_into(first_dim, s);
-}
-
 void StfwRankState::stash(int stage_from, const Submessage& s) {
   const int d = vpt_->first_diff_dim_after(me_, s.dest, stage_from);
   if (d < 0) {
@@ -48,10 +33,6 @@ void StfwRankState::stash(int stage_from, const Submessage& s) {
     return;
   }
   STFW_ASSERT(d >= stages_consumed_, "stash: routing targets an already-consumed stage buffer");
-  stash_into(d, s);
-}
-
-void StfwRankState::stash_into(int d, const Submessage& s) {
   const int x = vpt_->coord(s.dest, d);
   fwbuf_[static_cast<std::size_t>(d)][x].push_back(s);
   buffered_bytes_ += s.size_bytes;

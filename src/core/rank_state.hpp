@@ -38,14 +38,6 @@ public:
   void add_send(Rank dest, std::uint64_t payload_offset, std::uint32_t payload_bytes,
                 std::uint32_t id = 0);
 
-  /// Seeding fast path for replayed patterns: like add_send, but the caller
-  /// supplies the routing dimension (`first_dim`, -1 for a self-send) frozen
-  /// in an ExchangePlanLayout, skipping the per-send first_diff_dim scan.
-  /// The value is trusted — a wrong dimension is caught by accept()'s
-  /// routing assertion at the next hop, not here.
-  void add_send_routed(Rank dest, int first_dim, std::uint64_t payload_offset,
-                       std::uint32_t payload_bytes, std::uint32_t id = 0);
-
   /// Algorithm 1 lines 9-12: move the non-empty dimension-d buffers out as
   /// coalesced messages, one per neighbor coordinate. Buffers for stage d
   /// are consumed by this call; routing guarantees nothing is scattered
@@ -81,7 +73,6 @@ public:
 
 private:
   void stash(int stage_from, const Submessage& s);
-  void stash_into(int d, const Submessage& s);
 
   const Vpt* vpt_;
   Rank me_;

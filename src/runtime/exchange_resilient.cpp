@@ -10,12 +10,10 @@
 #include <limits>
 #include <map>
 #include <optional>
-#include <random>
 #include <set>
 #include <unordered_map>
 #include <utility>
 
-#include "core/env.hpp"
 #include "core/error.hpp"
 #include "core/verify_hooks.hpp"
 #include "core/wire.hpp"
@@ -150,57 +148,19 @@ ResilientExchangeResult StfwCommunicator::exchange_resilient(
   std::uint32_t announced_epoch = mem.epoch;  // deaths known at entry need no notice
   stats_.membership_epoch = mem.epoch;
 
-  // Decorrelation jitter on the retransmit backoff. STFW_RETRY_JITTER
-  // overrides the option (strict parse: a typo throws instead of silently
-  // disabling jitter).
-  double jitter = opt.retry_jitter;
-  if (core::env_present("STFW_RETRY_JITTER"))
-    jitter = core::env_double("STFW_RETRY_JITTER", jitter);
-  core::require(jitter >= 0.0 && jitter <= 1.0,
-                "exchange_resilient: retry jitter must be in [0, 1]");
-
   // Claim the epoch up front so a thrown exchange cannot leave stale frames
   // that a retry under the same epoch would mistake for its own.
-  const auto epoch = static_cast<std::uint32_t>(epoch_);
-  ++epoch_;
+  const std::uint32_t epoch = epoch_++;
   fault::FaultInjector* injector = comm_->fault_injector();
-  // Jitter draws are seeded per (rank, exchange): reproducible run to run,
-  // and deterministic under the STFW_VERIFY schedule explorer.
-  std::mt19937_64 jitter_rng((static_cast<std::uint64_t>(me) << 32) ^ epoch ^
-                             0x9e3779b97f4a7c15ull);
 
   std::optional<validate::ExchangeValidator> validator;
   if (validate_ && validation_available()) validator.emplace(vpt_, me);
 
-  // A cached plan for this pattern supplies frozen seed routing dimensions
-  // (the full frame layout cannot be replayed here: injected faults make the
-  // inbound schedule non-deterministic, so only the seeding scan is reused).
-  // In degraded mode the frozen layout is *incrementally repaired* for the
-  // current membership — diffed, not re-recorded — and its seed-route
-  // overrides steer each send onto a surviving canonical hop, the relay
-  // lane, or a dead-destination drop.
-  std::shared_ptr<runtime::ExchangePlan> seed_plan;
-  if (plan_cache_capacity() > 0)
-    seed_plan = plan_cache_find(signature_of(sends));
-  if (seed_plan) stats_.plan_hits = 1;
-  std::shared_ptr<const core::RepairedPlan> repaired;
-  if (seed_plan && degraded) {
-    const std::uint64_t sig_key = seed_plan->layout().signature.key;
-    if (repaired_plan_ != nullptr && repaired_sig_key_ == sig_key &&
-        repaired_epoch_ == mem.epoch) {
-      repaired = repaired_plan_;  // same pattern, same membership: reuse the diff
-    } else {
-      repaired = std::make_shared<const core::RepairedPlan>(
-          core::repair_plan(seed_plan->layout(), vpt_, mem.alive));
-      repaired_plan_ = repaired;
-      repaired_sig_key_ = sig_key;
-      repaired_epoch_ = mem.epoch;
-      ++stats_.plan_repairs;
-    }
-  }
-
-  // Seeds whose canonical first hop is dead leave the static plan entirely;
-  // they are injected into the relay lane once its machinery exists below.
+  // Seed routing is a pure function of (me, dest, VPT) and the membership
+  // view: a self-send is delivered locally, a send to a dead destination is
+  // dropped and reported, and a send whose canonical first hop died leaves
+  // the stage machinery for the relay lane (injected once its machinery
+  // exists below). Everything else is seeded as in Algorithm 1.
   std::vector<Submessage> relay_seeds;
   std::uint64_t seed_bytes = 0;
   std::uint32_t next_sub_id = 0;
@@ -208,49 +168,19 @@ ResilientExchangeResult StfwCommunicator::exchange_resilient(
     if (validator) validator->on_seed(s.dest, s.bytes);
     const std::uint64_t off = arena.add(s.bytes);
     const auto size = static_cast<std::uint32_t>(s.bytes.size());
-    Submessage sub;
-    sub.source = me;
-    sub.dest = s.dest;
-    sub.offset = off;
-    sub.size_bytes = size;
-    sub.id = next_sub_id;
-    if (repaired != nullptr) {
-      const core::SeedRoute& sr = repaired->seed_routes[next_sub_id];
-      switch (sr.kind) {
-        case core::SeedRoute::Kind::kSelf:
-          state.add_send_routed(s.dest, -1, off, size, next_sub_id);
-          break;
-        case core::SeedRoute::Kind::kPlanned:
-          state.add_send_routed(s.dest, sr.first_dim, off, size, next_sub_id);
-          break;
-        case core::SeedRoute::Kind::kRelay:
-          relay_seeds.push_back(sub);
-          break;
-        case core::SeedRoute::Kind::kDeadDest:
-          ++stats_.dead_dest_submessages_dropped;
-          result.failure.lost.push_back({me, s.dest, size, -1});
-          break;
-      }
-    } else if (degraded && s.dest != me) {
-      if (!mem.is_alive(s.dest)) {
-        ++stats_.dead_dest_submessages_dropped;
-        result.failure.lost.push_back({me, s.dest, size, -1});
-      } else {
-        const int d0 = vpt_.first_diff_dim(me, s.dest);
-        const core::Rank hop = vpt_.with_coord(me, d0, vpt_.coord(s.dest, d0));
-        if (mem.is_alive(hop))
-          state.add_send(s.dest, off, size, next_sub_id);
-        else
-          relay_seeds.push_back(sub);
-      }
-    } else if (seed_plan) {
-      state.add_send_routed(s.dest, seed_plan->layout().seed_first_dim[next_sub_id], off,
-                            size, next_sub_id);
-    } else {
-      state.add_send(s.dest, off, size, next_sub_id);
-    }
-    ++next_sub_id;
+    const std::uint32_t id = next_sub_id++;
     seed_bytes += s.bytes.size();
+    if (!degraded || s.dest == me) {
+      state.add_send(s.dest, off, size, id);
+    } else if (!mem.is_alive(s.dest)) {
+      ++stats_.dead_dest_submessages_dropped;
+      result.failure.lost.push_back({me, s.dest, size, -1});
+    } else if (const int d0 = vpt_.first_diff_dim(me, s.dest);
+               mem.is_alive(vpt_.with_coord(me, d0, vpt_.coord(s.dest, d0)))) {
+      state.add_send(s.dest, off, size, id);
+    } else {
+      relay_seeds.push_back(Submessage{me, s.dest, off, size, id});
+    }
   }
 
   // --- sender side: every frame we emitted and still track -----------------
@@ -305,16 +235,7 @@ ResilientExchangeResult StfwCommunicator::exchange_resilient(
     auto wire = core::encode_frame(f.header, core::serialize_tracked(f.msg, arena));
     stats_.wire_bytes_sent += wire.size();
     comm_->send(static_cast<int>(f.dest), kResilientDataTag, std::move(wire));
-    auto delay = f.backoff;
-    if (jitter > 0.0 && delay > opt.retransmit_timeout) {
-      // Pull the retry earlier by a random fraction of the grown part of the
-      // backoff, so ranks that collided once don't retry in lockstep forever.
-      const double u = std::uniform_real_distribution<double>(0.0, 1.0)(jitter_rng);
-      const auto span = static_cast<double>((delay - opt.retransmit_timeout).count());
-      delay -= std::chrono::milliseconds{
-          static_cast<std::chrono::milliseconds::rep>(u * jitter * span)};
-    }
-    f.next_retry = now + delay;
+    f.next_retry = now + f.backoff;
     f.backoff = next_backoff(f.backoff, opt.backoff_factor, opt.retransmit_timeout,
                              opt.stage_deadline);
   };
@@ -333,8 +254,7 @@ ResilientExchangeResult StfwCommunicator::exchange_resilient(
     // the same way: straight to per-destination kDirect frames. Without this
     // a survivable crash could turn into reported loss between live ranks
     // purely because the detour's first hop was congested.
-    if ((kind == core::FrameKind::kData || kind == core::FrameKind::kRelay) &&
-        opt.direct_fallback && !subs.empty()) {
+    if ((kind == core::FrameKind::kData || kind == core::FrameKind::kRelay) && !subs.empty()) {
       std::map<core::Rank, std::vector<Submessage>> groups;
       for (const Submessage& s : subs) {
         // A direct frame to a dead destination would never be acked and —
@@ -711,9 +631,9 @@ ResilientExchangeResult StfwCommunicator::exchange_resilient(
         msg.subs = std::move(outbox[it->second].subs);
       if (!mem.is_alive(nbr)) {
         // Dead neighbor: this rank is the pivot for whatever the stage would
-        // have funneled through it — the dynamic counterpart of the repaired
-        // plan's PivotSend set. No empty frame either; receivers only count
-        // alive senders.
+        // have funneled through it, so it re-homes that traffic over the
+        // relay lane. No empty frame either; receivers only count alive
+        // senders.
         route_relayed(std::move(msg.subs), /*count_as_relay=*/false);
         continue;
       }
@@ -969,7 +889,9 @@ ResilientExchangeResult StfwCommunicator::exchange_resilient(
   for (const int tag : {kResilientDataTag, kResilientAckTag}) {
     for (runtime::Message& m : comm_->drain(tag)) {
       const auto dec = core::decode_frame(m.data);
-      if (dec && dec->header.epoch > epoch) carried_frames(tag).push_back(std::move(m));
+      // Wrap-aware "newer than this exchange": the epoch counter is 32-bit.
+      if (dec && static_cast<std::int32_t>(dec->header.epoch - epoch) > 0)
+        carried_frames(tag).push_back(std::move(m));
     }
   }
   (void)comm_->drain(kSettleReportTag);  // should already be empty

@@ -30,6 +30,15 @@ constexpr std::size_t kDefaultPlanCacheCapacity = 4;
 // surfaces as core::TimeoutError instead of an untimed hang.
 constexpr std::uint64_t kDefaultExchangeDeadlineMs = 30000;
 
+// Plain stage tags are (epoch mod kEpochWindow) * dim + stage. A Vpt has at
+// most 30 dimensions (K <= 2^30 and every k_d >= 2), so every such tag stays
+// below 1 << 28, where exchange_resilient's fixed frame tags start. Neighbor
+// dependencies keep each rank within a few exchanges of its peers, so the
+// wrap never reuses a tag still in flight; 2^32 is a multiple of the window,
+// so the 32-bit epoch counter wraps in step with it.
+constexpr std::uint32_t kEpochWindow = 1u << 23;
+static_assert(std::uint64_t{kEpochWindow} * 30 < (std::uint64_t{1} << 28));
+
 // Regularized stage traffic: every (stage, dimension-d neighbor) pair
 // carries exactly one frame. Neighbors the outbox leaves empty still get a
 // 4-byte empty StageMessage (submessage count 0) so each receiver can block
@@ -150,7 +159,7 @@ public:
         stats_(stats),
         overlap_(overlap),
         me_(static_cast<core::Rank>(c.comm_->rank())),
-        tag_base_(c.epoch_++ * c.vpt_.dim()),
+        tag_base_(static_cast<int>(c.epoch_++ % kEpochWindow) * c.vpt_.dim()),
         injector_(c.comm_->fault_injector()) {
     stats_ = LocalExchangeStats{};
     if (c.validate_ && validation_available()) validator.emplace(c.vpt_, me_);

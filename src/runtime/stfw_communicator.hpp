@@ -11,7 +11,6 @@
 
 #include "core/buffer_pool.hpp"
 #include "core/metrics.hpp"
-#include "core/plan_repair.hpp"
 #include "core/rank_state.hpp"
 #include "core/sync.hpp"
 #include "core/vpt.hpp"
@@ -63,7 +62,8 @@ struct LocalExchangeStats {
   std::uint64_t wire_bytes_sent = 0;       // payload + wire headers
   std::uint64_t peak_buffer_bytes = 0;     // forward-buffer high water + delivered
 
-  // Plan-cache activity of this exchange (see docs/performance.md).
+  // Plan-cache activity of this plain exchange (see docs/performance.md);
+  // exchange_resilient() never consults the cache and leaves these zero.
   std::int64_t plan_builds = 0;     // 1 when this exchange recorded a new plan
   std::int64_t plan_hits = 0;       // 1 when this exchange replayed a plan
   std::int64_t plan_fallbacks = 0;  // 1 when a replay detected pattern drift
@@ -109,7 +109,6 @@ struct LocalExchangeStats {
   std::int64_t relay_submessages = 0;      // subs carried over the relay lane
   std::int64_t reinjected_submessages = 0;  // subs re-homed off frames to dead ranks
   std::int64_t dead_dest_submessages_dropped = 0;  // traffic whose destination died
-  std::int64_t plan_repairs = 0;  // 1 when a degraded replay repaired a cached plan
 };
 
 /// Tuning knobs of exchange_resilient(). Defaults suit the in-process
@@ -134,18 +133,6 @@ struct ResilienceOptions {
   /// the cluster to settle before force-failing outstanding frames. Bounds
   /// exchange runtime.
   int max_settle_rounds = 200;
-  /// Re-route the submessages of a retry-exhausted frame straight to their
-  /// final destinations instead of declaring them lost immediately.
-  bool direct_fallback = true;
-  /// Decorrelation jitter on the retransmit backoff, in [0, 1]. Each retry
-  /// waits backoff - U[0,1) * retry_jitter * (backoff - retransmit_timeout):
-  /// 0 keeps the exact deterministic schedule, 1 spreads retries uniformly
-  /// between the base timeout and the full backoff so colliding ranks
-  /// decorrelate instead of thundering in lockstep. The STFW_RETRY_JITTER
-  /// environment variable overrides this field (strict parse). Draws come
-  /// from a per-(rank, exchange) seeded generator, so runs — including
-  /// schedule exploration under STFW_VERIFY — stay deterministic.
-  double retry_jitter = 0.0;
 };
 
 /// What one rank could not recover in a resilient exchange. empty() means
@@ -284,16 +271,16 @@ public:
   /// checksum rejection, direct-routing fallback and a per-rank failure
   /// report. Collective among the *alive* ranks; all must pass equal
   /// options. No foreign traffic may share the communicator's tags while it
-  /// runs.
+  /// runs. It neither reads nor fills the plan cache: every send is routed
+  /// from the membership view the exchange polls.
   ///
   /// Unlike plain exchange(), this mode survives rank failure: when a rank
   /// dies (fault::RankCrashedError) the membership epoch advances, survivors
-  /// announce the death with kFailureNotice frames, incrementally repair any
-  /// cached plan instead of re-recording it, re-home traffic stranded at the
-  /// dead rank over the relay lane (kRelay frames, greedy-alive next hops),
-  /// and complete the exchange among themselves with exactly-once delivery —
-  /// frames are epoch-stamped and stale-epoch stage traffic is nacked. See
-  /// docs/fault_model.md, "Membership epochs and degraded mode".
+  /// announce the death with kFailureNotice frames, re-home traffic stranded
+  /// at the dead rank over the relay lane (kRelay frames, greedy-alive next
+  /// hops), and complete the exchange among themselves with exactly-once
+  /// delivery — frames are epoch-stamped and stale-epoch stage traffic is
+  /// nacked. See docs/fault_model.md, "Membership epochs and degraded mode".
   [[nodiscard]] ResilientExchangeResult exchange_resilient(
       std::span<const OutboundMessage> sends, const ResilienceOptions& options = {});
 
@@ -325,7 +312,7 @@ public:
   void set_exchange_deadline(std::chrono::milliseconds d) noexcept { exchange_deadline_ = d; }
 
 private:
-  friend struct PlanCacheProbe;  // read access to the cache for tests
+  friend struct PlanCacheProbe;  // test access to the cache and the exchange epoch
 
   struct PlanCacheEntry {
     std::shared_ptr<runtime::ExchangePlan> plan;
@@ -360,20 +347,15 @@ private:
 
   runtime::Comm* comm_;
   core::Vpt vpt_;
-  int epoch_ = 0;  // distinguishes tags across repeated exchanges
+  // Exchange counter: plain stage tags derive from it, resilient frames
+  // carry it in their header. Wraps modulo 2^32.
+  std::uint32_t epoch_ = 0;
   bool validate_;
   std::chrono::milliseconds exchange_deadline_;
   LocalExchangeStats stats_;
   // Recycled wire buffers of the planned replays. Thread-confined to
   // the owning rank's exchange thread (like stats_), so no lock.
   core::BufferPool pool_;
-  // Single-slot cache of the last incremental plan repair, keyed by pattern
-  // signature and membership epoch. Thread-confined to the owning rank's
-  // exchange thread (like stats_), so no lock: repeated degraded iterations
-  // replay the same repaired routing without re-diffing the layout.
-  std::shared_ptr<const core::RepairedPlan> repaired_plan_;
-  std::uint64_t repaired_sig_key_ = 0;
-  std::uint32_t repaired_epoch_ = 0;
   // Resilient frames of the next exchange that reached this rank before its
   // previous exchange_resilient finished draining: a faster peer had already
   // started the next call. [0] data tag, [1] ack tag. Thread-confined like

@@ -192,7 +192,6 @@ std::vector<double> run_distributed_resilient(runtime::Cluster& cluster,
   std::vector<ExchangeStatsTotals> totals(num_ranks);
   std::vector<std::int64_t> degraded_iters(num_ranks, 0);
   std::vector<std::int64_t> transitions(num_ranks, 0);
-  std::vector<std::int64_t> repairs(num_ranks, 0);
   std::vector<std::uint32_t> final_epoch(num_ranks, 0);
 
   cluster.run([&](runtime::Comm& comm) {
@@ -226,7 +225,6 @@ std::vector<double> run_distributed_resilient(runtime::Cluster& cluster,
       const std::size_t slot = static_cast<std::size_t>(me);
       absorb_stats(totals[slot], s);
       transitions[slot] += s.epoch_transitions;
-      repairs[slot] += s.plan_repairs;
       final_epoch[slot] = s.membership_epoch;
       if (ex.degraded) ++degraded_iters[slot];
 
@@ -261,12 +259,10 @@ std::vector<double> run_distributed_resilient(runtime::Cluster& cluster,
     report->membership_epoch = 0;
     report->degraded_iterations = 0;
     report->epoch_transitions = 0;
-    report->plan_repairs = 0;
     for (std::size_t r = 0; r < num_ranks; ++r) {
       report->membership_epoch = std::max(report->membership_epoch, final_epoch[r]);
       report->degraded_iterations = std::max(report->degraded_iterations, degraded_iters[r]);
       report->epoch_transitions += transitions[r];
-      report->plan_repairs += repairs[r];
     }
   }
   return result;

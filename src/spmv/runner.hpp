@@ -58,7 +58,6 @@ struct ResilientRunReport {
   std::uint32_t membership_epoch = 0;       // highest epoch any rank finished under
   std::int64_t degraded_iterations = 0;     // max per-rank iterations run degraded
   std::int64_t epoch_transitions = 0;       // summed over ranks
-  std::int64_t plan_repairs = 0;            // summed over ranks
 };
 
 /// Rank-failure-surviving variant of run_distributed: exchanges run over

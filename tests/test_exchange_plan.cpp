@@ -241,7 +241,10 @@ TEST(PlanCache, RunDistributedReusesOnePlanAcrossIterations) {
   }
 }
 
-TEST(PlanCache, ResilientExchangeReusesSeedRouting) {
+TEST(PlanCache, ResilientExchangeLeavesThePlanCacheAlone) {
+  // exchange_resilient routes every seed from the membership view, so a
+  // plan recorded by a plain exchange of the same pattern is neither looked
+  // up, rebuilt nor evicted by it.
   constexpr Rank kRanks = 8;
   const Vpt vpt({2, 2, 2});
   const SendSets sets = ring_sendsets(kRanks, 31);
@@ -249,19 +252,22 @@ TEST(PlanCache, ResilientExchangeReusesSeedRouting) {
   cluster.run([&](runtime::Comm& comm) {
     const auto me = static_cast<std::size_t>(comm.rank());
     StfwCommunicator communicator(comm, vpt);
-    (void)communicator.exchange(sets[me]);  // records the plan
+    const std::vector<InboundMessage> plain = communicator.exchange(sets[me]);
+    ASSERT_EQ(communicator.last_stats().plan_builds, 1);
+    const std::size_t cached = communicator.plan_cache_size();
     const ResilientExchangeResult r = communicator.exchange_resilient(sets[me]);
     EXPECT_TRUE(r.fully_recovered);
-    // The resilient path found the frozen routes in the cache.
-    EXPECT_EQ(communicator.last_stats().plan_hits, 1);
+    EXPECT_EQ(r.delivered, plain) << "rank " << me;
+    EXPECT_EQ(communicator.last_stats().plan_hits, 0);
+    EXPECT_EQ(communicator.last_stats().plan_builds, 0);
+    EXPECT_EQ(communicator.plan_cache_size(), cached);
   });
 }
 
 // The header lets a configuration thread resize the cache while the rank is
-// mid-exchange, so exchange_resilient must read the bound under the cache
-// mutex too. The ranks loop exchange_resilient alone: no plain exchange()
-// between the calls takes the mutex and happens to order the read after the
-// flips, so under TSan an unlocked read is a reported data race.
+// mid-exchange. exchange_resilient no longer reads the bound at all; this
+// stays as a concurrency check that resilient exchanges and a thread
+// flipping the capacity share the communicator without a race under TSan.
 TEST(PlanCache, CapacityFlipsRaceResilientExchanges) {
   constexpr Rank kRanks = 4;
   const Vpt vpt({2, 2});

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cstdint>
 #include <cstring>
 #include <map>
@@ -13,6 +14,14 @@
 #include "core/wire.hpp"
 
 namespace stfw {
+
+/// Test access to StfwCommunicator's exchange epoch.
+struct PlanCacheProbe {
+  static void set_epoch(StfwCommunicator& stfw, std::uint32_t epoch) {
+    stfw.epoch_ = static_cast<decltype(stfw.epoch_)>(epoch);
+  }
+};
+
 namespace {
 
 using core::Rank;
@@ -261,6 +270,50 @@ TEST(Communicator, BaselineEqualsDirectSends) {
     for (const auto& m : sets[r]) payload += m.bytes.size();
     EXPECT_EQ(bl.last_stats().messages_sent, static_cast<std::int64_t>(sets[r].size()));
     EXPECT_EQ(bl.last_stats().payload_bytes_sent, payload);
+  });
+}
+
+// The exchange epoch is one 32-bit counter behind both the plain stage tags
+// ((epoch mod 2^23) * dim + stage) and the resilient frame headers. Started
+// just below each point where the counter or a derived tag wraps or leaves
+// its range, plain and resilient exchanges in turn must keep delivering the
+// reference result without a single retransmit: no plain tag may overflow
+// int or reach the resilient protocol's fixed tags (1 << 28), and a
+// resilient exchange must still carry a faster peer's next-exchange frames
+// across the 2^32 wrap rather than drop them.
+TEST(Communicator, ExchangeEpochWrapsCleanly) {
+  const Vpt vpt({2, 2, 2});
+  const Rank K = vpt.size();
+  const auto dim = static_cast<std::uint32_t>(vpt.dim());
+  const SendSets sets = random_sendsets(K, 0.6, 2718);
+  const std::uint32_t starts[] = {
+      static_cast<std::uint32_t>(INT32_MAX) / dim - 1,  // epoch * dim leaves int
+      static_cast<std::uint32_t>(INT32_MAX) - 1,        // the epoch leaves int
+      UINT32_MAX - 1,                                   // the counter wraps
+      (1u << 23) - 2,                                   // the plain tag window wraps
+      (1u << 28) / dim - 2,  // epoch * dim reaches the resilient tags
+  };
+  ResilienceOptions opt;
+  opt.retransmit_timeout = std::chrono::milliseconds(1000);
+  runtime::Cluster cluster(K);
+  cluster.run([&](runtime::Comm& comm) {
+    const auto me = static_cast<std::size_t>(comm.rank());
+    StfwCommunicator communicator(comm, vpt);
+    const std::vector<InboundMessage> reference = communicator.exchange(sets[me]);
+    for (const std::uint32_t start : starts) {
+      PlanCacheProbe::set_epoch(communicator, start);
+      for (int round = 0; round < 2; ++round) {
+        EXPECT_EQ(communicator.exchange(sets[me]), reference)
+            << "rank " << me << " start " << start << " round " << round;
+        for (int r = 0; r < 2; ++r) {
+          const ResilientExchangeResult res = communicator.exchange_resilient(sets[me], opt);
+          EXPECT_TRUE(res.fully_recovered) << res.failure.to_string();
+          EXPECT_EQ(res.delivered, reference) << "rank " << me << " start " << start;
+          EXPECT_EQ(communicator.last_stats().retransmits, 0)
+              << "rank " << me << " start " << start;
+        }
+      }
+    }
   });
 }
 

@@ -4,7 +4,9 @@
 
 #include <algorithm>
 #include <numeric>
+#include <random>
 #include <set>
+#include <vector>
 
 #include "core/error.hpp"
 
@@ -275,6 +277,99 @@ TEST(Vpt, NodeAwareTwoLevelTopology) {
 TEST(Vpt, EqualityComparesDimensionSizes) {
   EXPECT_EQ(Vpt({4, 4}), Vpt({4, 4}));
   EXPECT_FALSE(Vpt({4, 4}) == Vpt({2, 8}));
+}
+
+std::vector<std::uint8_t> all_alive(Rank K) {
+  return std::vector<std::uint8_t>(static_cast<std::size_t>(K), 1);
+}
+
+// ---------------------------------------------------------------------------
+// route_hops
+
+TEST(RouteHops, SelfRouteIsEmpty) {
+  const Vpt vpt({2, 2, 2});
+  for (Rank r = 0; r < vpt.size(); ++r) EXPECT_TRUE(route_hops(vpt, r, r).empty());
+}
+
+TEST(RouteHops, FollowsAscendingDimensionOrder) {
+  for (const Vpt& vpt : {Vpt({4, 2}), Vpt({2, 2, 2}), Vpt({3, 3}), Vpt({4, 2, 2})}) {
+    for (Rank src = 0; src < vpt.size(); ++src)
+      for (Rank dst = 0; dst < vpt.size(); ++dst) {
+        const auto hops = route_hops(vpt, src, dst);
+        ASSERT_EQ(static_cast<int>(hops.size()), vpt.hamming(src, dst))
+            << vpt.to_string() << " " << src << "->" << dst;
+        Rank cur = src;
+        int last_dim = -1;
+        for (const Rank hop : hops) {
+          const int d = vpt.first_diff_dim(cur, hop);
+          ASSERT_NE(d, -1);
+          EXPECT_GT(d, last_dim) << "route must fix dimensions in ascending order";
+          EXPECT_EQ(vpt.first_diff_dim_after(cur, hop, d), -1)
+              << "each hop must change exactly one coordinate";
+          EXPECT_EQ(vpt.coord(hop, d), vpt.coord(dst, d))
+              << "each hop must land on the destination's digit";
+          last_dim = d;
+          cur = hop;
+        }
+        if (src != dst) {
+          EXPECT_EQ(hops.back(), dst);
+        }
+      }
+  }
+}
+
+// ---------------------------------------------------------------------------
+// greedy_next_hop
+
+TEST(GreedyNextHop, FullyAliveMatchesCanonicalRoute) {
+  const Vpt vpt({4, 2, 2});
+  const auto alive = all_alive(vpt.size());
+  for (Rank src = 0; src < vpt.size(); ++src)
+    for (Rank dst = 0; dst < vpt.size(); ++dst) {
+      if (src == dst) continue;
+      const auto hops = route_hops(vpt, src, dst);
+      EXPECT_EQ(greedy_next_hop(vpt, alive, src, dst), hops.front());
+    }
+}
+
+TEST(GreedyNextHop, FallsBackToDirectWhenEveryIntermediateIsDead) {
+  const Vpt vpt({2, 2, 2});
+  // Only src and dst survive: no aligned intermediate can be alive, so the
+  // relay must jump straight to the destination.
+  const Rank src = 0, dst = 7;
+  std::vector<std::uint8_t> alive(static_cast<std::size_t>(vpt.size()), 0);
+  alive[static_cast<std::size_t>(src)] = 1;
+  alive[static_cast<std::size_t>(dst)] = 1;
+  EXPECT_EQ(greedy_next_hop(vpt, alive, src, dst), dst);
+}
+
+TEST(GreedyNextHop, ChainsTerminateAndOnlyVisitSurvivors) {
+  // Random dead sets (destination kept alive): following greedy hops from
+  // any survivor must reach the destination within dim() steps and never
+  // step onto a dead rank — each hop fixes one more coordinate, so chains
+  // cannot cycle even though every hop re-evaluates liveness.
+  const Vpt vpt({4, 2, 2});
+  const Rank K = vpt.size();
+  std::mt19937_64 rng(2026);
+  for (int trial = 0; trial < 200; ++trial) {
+    std::vector<std::uint8_t> alive = all_alive(K);
+    const int deaths = static_cast<int>(rng() % static_cast<std::uint64_t>(K / 2));
+    for (int i = 0; i < deaths; ++i) alive[rng() % static_cast<std::uint64_t>(K)] = 0;
+    for (Rank src = 0; src < K; ++src) {
+      if (!alive[static_cast<std::size_t>(src)]) continue;
+      for (Rank dst = 0; dst < K; ++dst) {
+        if (dst == src || !alive[static_cast<std::size_t>(dst)]) continue;
+        Rank cur = src;
+        int steps = 0;
+        while (cur != dst) {
+          cur = greedy_next_hop(vpt, alive, cur, dst);
+          ASSERT_TRUE(alive[static_cast<std::size_t>(cur)])
+              << "greedy hop landed on dead rank " << cur;
+          ASSERT_LE(++steps, vpt.dim()) << src << "->" << dst << " did not converge";
+        }
+      }
+    }
+  }
 }
 
 }  // namespace
