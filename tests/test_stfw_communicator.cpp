@@ -18,7 +18,7 @@ namespace stfw {
 /// Test access to StfwCommunicator's exchange epoch.
 struct PlanCacheProbe {
   static void set_epoch(StfwCommunicator& stfw, std::uint32_t epoch) {
-    stfw.epoch_ = static_cast<decltype(stfw.epoch_)>(epoch);
+    stfw.epoch_ = epoch;
   }
 };
 
