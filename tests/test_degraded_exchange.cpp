@@ -1,9 +1,14 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cmath>
+#include <cstdint>
 #include <map>
 #include <memory>
+#include <random>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "core/env.hpp"
@@ -20,8 +25,8 @@
 /// Rank-failure survival of exchange_resilient (docs/fault_model.md,
 /// "Membership epochs and degraded mode"): exhaustive crash sweeps over
 /// (rank, stage), back-to-back degraded exchanges, the environment-driven CI
-/// crash-matrix entry, and survivor continuation of the distributed SpMV
-/// runner.
+/// crash-matrix entry, seed routing from a membership that is degraded at
+/// entry, and survivor continuation of the distributed SpMV runner.
 
 namespace stfw {
 namespace {
@@ -304,6 +309,188 @@ TEST(DegradedExchange, EnvCrashMatrixEntry) {
       }
     }
   }
+}
+
+// ---------------------------------------------------------------------------
+// Seed routing from a membership view that is already degraded at entry
+
+/// A self-send plus a deterministic ~60% subset of the other ranks, so a
+/// degraded exchange exercises every seed class: local delivery, dead
+/// destination, alive canonical first hop, and relay.
+std::vector<OutboundMessage> mixed_sends(Rank K, Rank me) {
+  std::vector<OutboundMessage> out;
+  for (Rank d = 0; d < K; ++d)
+    if (d == me || (me * 31 + d * 17 + 7) % 10 < 6) out.push_back({d, pattern_bytes(me, d)});
+  return out;
+}
+
+struct EntryRun {
+  std::vector<ResilientExchangeResult> results;
+  std::vector<LocalExchangeStats> stats;
+};
+
+/// One resilient exchange whose membership is degraded before any rank
+/// enters it: every rank in `dead` dies survivably first, and the barrier
+/// only releases once each death is marked, so every survivor seeds from the
+/// same shrunken view.
+template <typename SendsOf>
+EntryRun run_dead_at_entry(const Vpt& vpt, const std::vector<Rank>& dead, SendsOf sends_of) {
+  const Rank K = vpt.size();
+  EntryRun run{std::vector<ResilientExchangeResult>(static_cast<std::size_t>(K)),
+               std::vector<LocalExchangeStats>(static_cast<std::size_t>(K))};
+  Cluster cluster(K);
+  cluster.run([&](Comm& comm) {
+    const Rank me = comm.rank();
+    if (std::find(dead.begin(), dead.end(), me) != dead.end())
+      throw fault::RankCrashedError("rank " + std::to_string(me) + " died before the exchange");
+    comm.barrier();
+    for (const Rank d : dead) ASSERT_FALSE(comm.membership().alive(d));
+    StfwCommunicator stfw(comm, vpt);
+    const auto i = static_cast<std::size_t>(me);
+    run.results[i] = stfw.exchange_resilient(sends_of(me), sweep_options());
+    run.stats[i] = stfw.last_stats();
+  });
+  return run;
+}
+
+/// Survivor contract for sends seeded under a dead-at-entry membership:
+/// every survivor receives each alive source's send to it exactly once and
+/// intact, and reports as lost exactly its own sends to dead ranks.
+void check_dead_at_entry(const Vpt& vpt, const std::vector<Rank>& dead, const EntryRun& run) {
+  const Rank K = vpt.size();
+  const auto is_dead = [&](Rank r) { return std::find(dead.begin(), dead.end(), r) != dead.end(); };
+  for (Rank r = 0; r < K; ++r) {
+    if (is_dead(r)) continue;
+    const auto& res = run.results[static_cast<std::size_t>(r)];
+    EXPECT_TRUE(res.degraded) << "survivor " << r;
+    std::map<Rank, int> seen;
+    for (const InboundMessage& m : res.delivered) {
+      EXPECT_EQ(m.bytes, pattern_bytes(m.source, r)) << m.source << "->" << r;
+      ++seen[m.source];
+    }
+    std::vector<std::pair<Rank, std::uint32_t>> expected_lost;
+    for (Rank src = 0; src < K; ++src) {
+      if (is_dead(src)) continue;
+      int sent = 0;
+      for (const OutboundMessage& s : mixed_sends(K, src)) sent += s.dest == r ? 1 : 0;
+      EXPECT_EQ(seen[src], sent) << src << "->" << r;
+    }
+    for (const OutboundMessage& s : mixed_sends(K, r))
+      if (is_dead(s.dest)) expected_lost.emplace_back(s.dest, static_cast<std::uint32_t>(s.bytes.size()));
+    std::vector<std::pair<Rank, std::uint32_t>> lost;
+    for (const auto& l : res.failure.lost) {
+      EXPECT_EQ(l.source, r);
+      EXPECT_EQ(l.stage, -1) << "a dead destination is dropped at seeding, not by a stage";
+      lost.emplace_back(l.dest, l.bytes);
+    }
+    std::sort(lost.begin(), lost.end());
+    EXPECT_EQ(lost, expected_lost) << "survivor " << r;
+    EXPECT_EQ(run.stats[static_cast<std::size_t>(r)].dead_dest_submessages_dropped,
+              static_cast<std::int64_t>(expected_lost.size()));
+  }
+}
+
+class SeedRouting : public ::testing::TestWithParam<std::vector<int>> {};
+
+TEST_P(SeedRouting, EverySingleDeadRankDeliversEveryAlivePairOnce) {
+  const Vpt vpt(GetParam());
+  for (Rank dead = 0; dead < vpt.size(); ++dead) {
+    SCOPED_TRACE(vpt.to_string() + " dead rank " + std::to_string(dead));
+    const EntryRun run = run_dead_at_entry(
+        vpt, {dead}, [&](Rank me) { return mixed_sends(vpt.size(), me); });
+    check_dead_at_entry(vpt, {dead}, run);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Sweep, SeedRouting,
+                         ::testing::Values(std::vector<int>{2, 2, 2}, std::vector<int>{2, 4, 2},
+                                           std::vector<int>{4, 2}, std::vector<int>{4, 4}));
+
+TEST(SeedRouting, EveryDoubleDeadSetOnT222DeliversEveryAlivePairOnce) {
+  const Vpt vpt({2, 2, 2});
+  for (Rank a = 0; a < vpt.size(); ++a)
+    for (Rank b = a + 1; b < vpt.size(); ++b) {
+      SCOPED_TRACE("dead ranks " + std::to_string(a) + ", " + std::to_string(b));
+      const EntryRun run = run_dead_at_entry(
+          vpt, {a, b}, [&](Rank me) { return mixed_sends(vpt.size(), me); });
+      check_dead_at_entry(vpt, {a, b}, run);
+    }
+}
+
+TEST(SeedRouting, SeededDoubleDeadSetsOnT442DeliverEveryAlivePairOnce) {
+  // Three dimensions of up to four digits: relay chains around two dead
+  // ranks can take several greedy hops before they reach the destination.
+  const Vpt vpt({4, 4, 2});
+  const Rank K = vpt.size();
+  std::mt19937 rng(2026);
+  std::uniform_int_distribution<Rank> pick(0, K - 1);
+  for (int trial = 0; trial < 8; ++trial) {
+    const Rank a = pick(rng);
+    Rank b = pick(rng);
+    while (b == a) b = pick(rng);
+    const std::vector<Rank> dead = {std::min(a, b), std::max(a, b)};
+    SCOPED_TRACE("dead ranks " + std::to_string(dead[0]) + ", " + std::to_string(dead[1]));
+    const EntryRun run =
+        run_dead_at_entry(vpt, dead, [&](Rank me) { return mixed_sends(K, me); });
+    check_dead_at_entry(vpt, dead, run);
+  }
+}
+
+TEST(SeedRouting, SourceRelaysExactlyTheSendsWhoseFirstHopIsDead) {
+  // One source sends to everyone, so no other rank forwards relay traffic
+  // through it and its relay counter holds only its own seed decisions.
+  for (const Vpt& vpt : {Vpt({2, 2, 2}), Vpt({4, 2})}) {
+    const Rank K = vpt.size();
+    for (Rank dead = 0; dead < K; ++dead)
+      for (Rank source = 0; source < K; ++source) {
+        if (source == dead) continue;
+        SCOPED_TRACE(vpt.to_string() + " dead " + std::to_string(dead) + " source " +
+                     std::to_string(source));
+        std::int64_t want_relayed = 0;
+        for (Rank d = 0; d < K; ++d)
+          if (d != source && d != dead && core::route_hops(vpt, source, d).front() == dead)
+            ++want_relayed;
+        const EntryRun run = run_dead_at_entry(vpt, {dead}, [&](Rank me) {
+          return me == source ? all_to_all_sends(K, me) : std::vector<OutboundMessage>{};
+        });
+        const auto& st = run.stats[static_cast<std::size_t>(source)];
+        EXPECT_EQ(st.relay_submessages, want_relayed);
+        EXPECT_EQ(st.reinjected_submessages, 0);
+        EXPECT_EQ(st.dead_dest_submessages_dropped, 1);
+        for (Rank r = 0; r < K; ++r) {
+          if (r == source || r == dead) continue;
+          const auto& delivered = run.results[static_cast<std::size_t>(r)].delivered;
+          ASSERT_EQ(delivered.size(), 1u) << "rank " << r;
+          EXPECT_EQ(delivered[0].source, source);
+          EXPECT_EQ(delivered[0].bytes, pattern_bytes(source, r));
+        }
+      }
+  }
+}
+
+TEST(SeedRouting, RoutingAroundADeadRankIsFullyRecovered) {
+  // No survivor addresses the dead rank, so nothing is lost: a degraded
+  // exchange that only detours around it must report full recovery.
+  const Vpt vpt({4, 4});
+  const Rank K = vpt.size();
+  const Rank dead = 5;
+  const EntryRun run = run_dead_at_entry(vpt, {dead}, [&](Rank me) {
+    std::vector<OutboundMessage> out;
+    for (const OutboundMessage& s : all_to_all_sends(K, me))
+      if (s.dest != dead) out.push_back(s);
+    return out;
+  });
+  check_survivor_delivery(K, dead, run.results, "routing around rank 5");
+  std::int64_t relayed = 0;
+  for (Rank r = 0; r < K; ++r) {
+    if (r == dead) continue;
+    const auto& res = run.results[static_cast<std::size_t>(r)];
+    EXPECT_TRUE(res.degraded) << "survivor " << r;
+    EXPECT_TRUE(res.fully_recovered) << "survivor " << r << ": " << res.failure.to_string();
+    EXPECT_TRUE(res.failure.lost.empty()) << "survivor " << r;
+    relayed += run.stats[static_cast<std::size_t>(r)].relay_submessages;
+  }
+  EXPECT_GT(relayed, 0) << "no seed took the relay lane around the dead rank";
 }
 
 // ---------------------------------------------------------------------------

@@ -264,6 +264,28 @@ TEST(PlanCache, ResilientExchangeLeavesThePlanCacheAlone) {
   });
 }
 
+TEST(PlanCache, PlainExchangeAfterAResilientOneStillReplaysItsPlan) {
+  // A resilient exchange in between advances the shared exchange epoch but
+  // leaves the recorded plan in place: the next plain exchange of the same
+  // pattern replays it and delivers what the recording exchange did.
+  constexpr Rank kRanks = 8;
+  const Vpt vpt({4, 2});
+  const SendSets sets = ring_sendsets(kRanks, 37);
+  runtime::Cluster cluster(kRanks);
+  cluster.run([&](runtime::Comm& comm) {
+    const auto me = static_cast<std::size_t>(comm.rank());
+    StfwCommunicator communicator(comm, vpt);
+    const std::vector<InboundMessage> recorded = communicator.exchange(sets[me]);
+    ASSERT_EQ(communicator.last_stats().plan_builds, 1);
+    const ResilientExchangeResult r = communicator.exchange_resilient(sets[me]);
+    EXPECT_TRUE(r.fully_recovered);
+    const std::vector<InboundMessage> replayed = communicator.exchange(sets[me]);
+    EXPECT_EQ(communicator.last_stats().plan_hits, 1);
+    EXPECT_EQ(communicator.last_stats().plan_builds, 0);
+    EXPECT_EQ(replayed, recorded) << "rank " << me;
+  });
+}
+
 // The header lets a configuration thread resize the cache while the rank is
 // mid-exchange. exchange_resilient no longer reads the bound at all; this
 // stays as a concurrency check that resilient exchanges and a thread

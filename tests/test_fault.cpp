@@ -694,6 +694,28 @@ TEST(ResilientExchange, RetransmittedFramesAreByteIdenticalToOriginals) {
   EXPECT_GT(retransmissions, 0u) << "no frame was ever retransmitted";
 }
 
+TEST(ResilienceOptions, RejectsOutOfRangeValues) {
+  const std::vector<std::pair<const char*, void (*)(ResilienceOptions&)>> bad = {
+      {"max_attempts", [](ResilienceOptions& o) { o.max_attempts = 0; }},
+      {"backoff_factor", [](ResilienceOptions& o) { o.backoff_factor = 0.5; }},
+      {"retransmit_timeout", [](ResilienceOptions& o) { o.retransmit_timeout = 0ms; }},
+      {"stage_deadline", [](ResilienceOptions& o) { o.stage_deadline = -1ms; }},
+      {"max_settle_rounds", [](ResilienceOptions& o) { o.max_settle_rounds = 0; }},
+  };
+  Cluster cluster(4);
+  for (const auto& [field, spoil] : bad) {
+    SCOPED_TRACE(field);
+    EXPECT_THROW(cluster.run([&](Comm& comm) {
+                   StfwCommunicator stfw(comm, core::Vpt({2, 2}));
+                   ResilienceOptions opt;
+                   spoil(opt);
+                   (void)stfw.exchange_resilient({}, opt);
+                 }),
+                 core::Error);
+  }
+  cluster.run([](Comm& comm) { comm.barrier(); });  // cluster stays usable
+}
+
 TEST(ResilientExchange, EnvironmentDrivenFaultMatrixEntry) {
   // The CI fault-matrix job drives this test through STFW_FAULT_* variables;
   // without them it runs one representative mid-rate configuration.
