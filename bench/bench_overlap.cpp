@@ -5,7 +5,7 @@
 // pattern:
 //
 //   sync      dependency-driven stages (no barriers), compute after
-//             the exchange returns (STFW_OVERLAP=0 in the solver)
+//             the exchange returns (the baseline schedule)
 //   overlap   dependency-driven stages with the compute phase run inside
 //             the exchange's OverlapHook, i.e. between posting the stage-0
 //             sends and blocking on the stage-0 receives

@@ -156,19 +156,6 @@ std::optional<DecodedFrame> decode_frame(std::span<const std::byte> wire) noexce
   return f;
 }
 
-void restamp_member_epoch(std::vector<std::byte>& wire, std::uint32_t member_epoch) {
-  // Field offsets in the frame layout: magic(0) kind(4) stage(6) epoch(8)
-  // member_epoch(12) seq(16) sender(20) body_len(24) checksum(28) body(36).
-  constexpr std::size_t kMemberEpochPos = 12;
-  constexpr std::size_t kChecksumPos = 28;
-  require(wire.size() >= kFrameOverheadBytes, "restamp_member_epoch: not a frame");
-  std::memcpy(wire.data() + kMemberEpochPos, &member_epoch, sizeof(member_epoch));
-  const std::span<const std::byte> all(wire);
-  const std::uint64_t sum =
-      fnv1a(all.subspan(kFrameOverheadBytes), fnv1a(all.first(kChecksumPos)));
-  std::memcpy(wire.data() + kChecksumPos, &sum, sizeof(sum));
-}
-
 std::vector<std::byte> encode_failure_notice(std::uint32_t membership_epoch,
                                              std::span<const std::int32_t> dead) {
   std::vector<std::byte> out;

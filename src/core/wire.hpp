@@ -111,12 +111,6 @@ std::vector<std::byte> encode_frame(FrameHeader header, std::span<const std::byt
 /// (sender retransmission), so it is dropped rather than raised.
 std::optional<DecodedFrame> decode_frame(std::span<const std::byte> wire) noexcept;
 
-/// Rewrite the member_epoch field of an already encoded frame in place and
-/// recompute the checksum. Used when a sender observes a membership change
-/// while frames are still unacknowledged: the payload is unchanged, only the
-/// sender's membership claim advances, so receivers stop nacking it as stale.
-void restamp_member_epoch(std::vector<std::byte>& wire, std::uint32_t member_epoch);
-
 // --- failure-notice body codec ---------------------------------------------
 //
 // Body layout (little-endian, packed):

@@ -148,6 +148,11 @@ ResilientExchangeResult StfwCommunicator::exchange_resilient(
   std::uint32_t announced_epoch = mem.epoch;  // deaths known at entry need no notice
   stats_.membership_epoch = mem.epoch;
 
+  // A bad destination is the caller's error in healthy and degraded mode
+  // alike; reject it before the epoch is claimed, never report it as a loss.
+  for (const OutboundMessage& s : sends)
+    core::require(s.dest >= 0 && s.dest < world, "exchange_resilient: destination out of range");
+
   // Claim the epoch up front so a thrown exchange cannot leave stale frames
   // that a retry under the same epoch would mistake for its own.
   const std::uint32_t epoch = epoch_++;
@@ -387,9 +392,9 @@ ResilientExchangeResult StfwCommunicator::exchange_resilient(
       // (source, id) dedup absorbs whatever it managed to forward first.
       route_relayed(std::move(subs), /*count_as_relay=*/false);
     }
-    // Frames are re-encoded per transmit, so advancing the membership claim
-    // is a header-field write — the next retransmit carries it (the encoded
-    // restamp_member_epoch fixup is only needed for retained wire images).
+    // Frames are re-encoded from their tracked header on every transmit, so
+    // advancing the membership claim is a header-field write: the next
+    // retransmit carries it under a fresh checksum.
     for (OutFrame& f : frames)
       if (!f.acked && !f.failed) f.header.member_epoch = mem.epoch;
   };

@@ -497,6 +497,8 @@ std::vector<InboundMessage> StfwCommunicator::exchange(std::span<const OutboundM
   core::require(!comm_->membership().any_failed(),
                 "exchange: cluster is degraded (a rank died); plain exchange() cannot "
                 "survive rank failure — use exchange_resilient()");
+  for (const OutboundMessage& s : sends)
+    core::require(s.dest >= 0 && s.dest < comm_->size(), "exchange: destination out of range");
   StageDriver drv(*this, stats_, &overlap);
   drv.seed(sends);
   std::optional<core::PatternSignature> sig;

@@ -2,8 +2,9 @@
 
 #include <algorithm>
 #include <cstring>
+#include <string>
+#include <type_traits>
 
-#include "core/env.hpp"
 #include "core/error.hpp"
 #include "runtime/stfw_communicator.hpp"
 
@@ -14,20 +15,24 @@ using core::require;
 
 namespace {
 
-void unpack_doubles(std::span<const std::byte> bytes, std::span<double> out) {
-  require(bytes.size() == out.size() * sizeof(double), "unpack_doubles: size mismatch");
-  std::memcpy(out.data(), bytes.data(), bytes.size());
-}
+// The SpMV stride as a compile-time constant: every `* nv` of the rank loop
+// folds away, so the single-vector kernel runs as fast as a dedicated one.
+using OneVector = std::integral_constant<std::size_t, 1>;
+
+// What one rank's loop observed; the entry points reduce these.
+struct RankTally {
+  ExchangeStatsTotals totals;
+  std::int64_t degraded_iterations = 0;
+  std::int64_t epoch_transitions = 0;
+  std::uint32_t membership_epoch = 0;
+};
 
 // Partition local rows by whether every column reads an owned x slot (the
 // local x layout keeps slots [0, num_owned) owned and the rest ghosts).
-// Interior rows depend on no inbound data, so the overlap hook can multiply
-// them while the exchange is still in flight; boundary rows wait for the
-// ghost scatter.
+// Interior rows depend on no inbound data, so they are multiplied while the
+// exchange is still in flight; boundary rows wait for the ghost scatter.
 void split_rows(const sparse::Csr& a, std::size_t num_owned,
                 std::vector<std::int32_t>& interior, std::vector<std::int32_t>& boundary) {
-  interior.clear();
-  boundary.clear();
   for (std::int32_t r = 0; r < a.num_rows(); ++r) {
     bool in = true;
     for (const std::int32_t c : a.row_cols(r)) {
@@ -40,35 +45,21 @@ void split_rows(const sparse::Csr& a, std::size_t num_owned,
   }
 }
 
-// Row-subset SpMV with exactly Csr::spmv's per-row accumulation order, so an
-// interior/boundary split computes y bit-identical to one full sweep.
-void spmv_rows(const sparse::Csr& a, std::span<const std::int32_t> rows,
-               std::span<const double> x, std::span<double> y) {
+// y <- A x on the listed rows, for `nv` row-major vectors. Each entry sums
+// its row's nonzeros in Csr::spmv's order, so any interior/boundary split
+// computes y bit-identical to Csr::spmv (nv = 1) and Csr::spmm.
+template <typename Stride>
+void multiply_rows(const sparse::Csr& a, std::span<const std::int32_t> rows,
+                   std::span<const double> x, std::span<double> y, Stride nv) {
   const auto col_idx = a.col_idx();
   const auto values = a.values();
   for (const std::int32_t r : rows) {
-    double acc = 0.0;
-    for (std::int64_t i = a.row_begin(r); i < a.row_end(r); ++i)
-      acc += values[static_cast<std::size_t>(i)] *
-             x[static_cast<std::size_t>(col_idx[static_cast<std::size_t>(i)])];
-    y[static_cast<std::size_t>(r)] = acc;
-  }
-}
-
-// Row-subset SpMM mirroring Csr::spmm, same bit-identity guarantee.
-void spmm_rows(const sparse::Csr& a, std::span<const std::int32_t> rows,
-               std::span<const double> x, std::span<double> y, std::int32_t num_vectors) {
-  const auto nv = static_cast<std::size_t>(num_vectors);
-  const auto col_idx = a.col_idx();
-  const auto values = a.values();
-  for (const std::int32_t r : rows) {
-    double* yr = y.data() + static_cast<std::size_t>(r) * nv;
-    std::fill(yr, yr + nv, 0.0);
-    for (std::int64_t i = a.row_begin(r); i < a.row_end(r); ++i) {
-      const double v = values[static_cast<std::size_t>(i)];
-      const double* xc =
-          x.data() + static_cast<std::size_t>(col_idx[static_cast<std::size_t>(i)]) * nv;
-      for (std::size_t k = 0; k < nv; ++k) yr[k] += v * xc[k];
+    for (std::size_t k = 0; k < nv; ++k) {
+      double acc = 0.0;
+      for (std::int64_t i = a.row_begin(r); i < a.row_end(r); ++i)
+        acc += values[static_cast<std::size_t>(i)] *
+               x[static_cast<std::size_t>(col_idx[static_cast<std::size_t>(i)]) * nv + k];
+      y[static_cast<std::size_t>(r) * nv + k] = acc;
     }
   }
 }
@@ -83,35 +74,41 @@ void absorb_stats(ExchangeStatsTotals& t, const LocalExchangeStats& s) {
   t.wire_bytes_sent += s.wire_bytes_sent;
 }
 
-}  // namespace
+std::vector<ExchangeStatsTotals> totals_of(const std::vector<RankTally>& tallies) {
+  std::vector<ExchangeStatsTotals> out;
+  out.reserve(tallies.size());
+  for (const RankTally& t : tallies) out.push_back(t.totals);
+  return out;
+}
 
-bool overlap_default() { return core::env_flag("STFW_OVERLAP", true); }
-
-std::vector<double> run_distributed(runtime::Cluster& cluster, const SpmvProblem& problem,
-                                    const core::Vpt& vpt, std::span<const double> x0,
-                                    int iterations, std::vector<ExchangeStatsTotals>* totals,
-                                    bool overlap) {
-  require(problem.has_plans(), "run_distributed: problem built without numeric plans");
-  require(cluster.size() == problem.num_ranks(), "run_distributed: cluster size mismatch");
-  require(x0.size() == static_cast<std::size_t>(problem.matrix().num_rows()),
-          "run_distributed: x size mismatch");
-  require(iterations >= 1, "run_distributed: need at least one iteration");
-
+// The rank loop behind every distributed runner: `iterations` of X <- A X on
+// `nv` row-major vectors. Each iteration packs the owned x entries, exchanges
+// them, scatters the inbound ones into ghost slots and multiplies, with the
+// interior rows computed while the exchange is in flight. `resilient` runs
+// exchange_resilient and its tolerant scatter; `who` prefixes errors.
+template <typename Stride>
+std::vector<double> run_ranks(runtime::Cluster& cluster, const SpmvProblem& problem,
+                              const core::Vpt& vpt, std::span<const double> x0, Stride nv,
+                              int iterations, bool resilient, const char* who,
+                              std::vector<RankTally>& tallies) {
   std::vector<double> result(x0.size(), 0.0);
-  if (totals != nullptr) totals->assign(static_cast<std::size_t>(problem.num_ranks()), {});
+  // Per-rank slots so the rank threads never share a counter.
+  tallies.assign(static_cast<std::size_t>(problem.num_ranks()), {});
+  const std::size_t entry = nv * sizeof(double);  // bytes per x entry
 
   cluster.run([&](runtime::Comm& comm) {
     const auto me = static_cast<Rank>(comm.rank());
     const RankPlan& plan = problem.plan(me);
+    RankTally& tally = tallies[static_cast<std::size_t>(me)];
     StfwCommunicator communicator(comm, vpt);
 
     // Local x: owned slots seeded from the global vector, ghosts zero.
-    std::vector<double> x_local(plan.x_slot_global.size(), 0.0);
     const std::size_t num_owned = plan.owned_rows.size();
+    std::vector<double> x_local(plan.x_slot_global.size() * nv, 0.0);
     for (std::size_t i = 0; i < num_owned; ++i)
-      x_local[i] = x0[static_cast<std::size_t>(plan.owned_rows[i])];
-    std::vector<double> y_local(num_owned, 0.0);
-    std::vector<double> scratch;
+      std::memcpy(x_local.data() + i * nv,
+                  x0.data() + static_cast<std::size_t>(plan.owned_rows[i]) * nv, entry);
+    std::vector<double> y_local(num_owned * nv, 0.0);
 
     // The pattern never changes across iterations, so the outbound buffers
     // are allocated once and refilled in place (and the exchanges behind
@@ -119,59 +116,93 @@ std::vector<double> run_distributed(runtime::Cluster& cluster, const SpmvProblem
     std::vector<OutboundMessage> sends(plan.sends.size());
     for (std::size_t i = 0; i < plan.sends.size(); ++i) {
       sends[i].dest = plan.sends[i].dest;
-      sends[i].bytes.resize(plan.sends[i].x_slots.size() * sizeof(double));
+      sends[i].bytes.resize(plan.sends[i].x_slots.size() * entry);
     }
 
-    // Overlap split: the packed send buffers snapshot the owned x entries
-    // before the exchange starts, so the hook may multiply interior rows
-    // concurrently with the stage traffic.
     std::vector<std::int32_t> interior;
     std::vector<std::int32_t> boundary;
-    if (overlap) split_rows(plan.local, num_owned, interior, boundary);
-    const OverlapHook hook = [&] { spmv_rows(plan.local, interior, x_local, y_local); };
+    split_rows(plan.local, num_owned, interior, boundary);
+    const auto multiply = [&](std::span<const std::int32_t> rows) {
+      multiply_rows(plan.local, rows, x_local, y_local, nv);
+    };
+    const OverlapHook hook = [&] { multiply(interior); };
 
     for (int it = 0; it < iterations; ++it) {
-      // Communication phase: ship owned x entries to their consumers.
+      // Communication phase: the packed buffers snapshot the owned x
+      // entries, so the interior rows may be multiplied concurrently with
+      // the stage traffic.
       for (std::size_t si = 0; si < plan.sends.size(); ++si) {
-        const RankPlan::SendTo& s = plan.sends[si];
-        scratch.resize(s.x_slots.size());
-        for (std::size_t i = 0; i < s.x_slots.size(); ++i)
-          scratch[i] = x_local[static_cast<std::size_t>(s.x_slots[i])];
-        std::memcpy(sends[si].bytes.data(), scratch.data(), sends[si].bytes.size());
+        std::byte* out = sends[si].bytes.data();
+        for (const std::int32_t slot : plan.sends[si].x_slots) {
+          std::memcpy(out, x_local.data() + static_cast<std::size_t>(slot) * nv, entry);
+          out += entry;
+        }
       }
-      const std::vector<InboundMessage> received =
-          overlap ? communicator.exchange(sends, hook) : communicator.exchange(sends);
-      if (totals != nullptr)
-        absorb_stats((*totals)[static_cast<std::size_t>(me)], communicator.last_stats());
+      std::vector<InboundMessage> inbound;
+      if (resilient) {
+        multiply(interior);  // exchange_resilient runs no hook
+        ResilientExchangeResult ex = communicator.exchange_resilient(sends);
+        const LocalExchangeStats& s = communicator.last_stats();
+        tally.epoch_transitions += s.epoch_transitions;
+        tally.membership_epoch = s.membership_epoch;
+        if (ex.degraded) ++tally.degraded_iterations;
+        inbound = std::move(ex.delivered);
+      } else {
+        inbound = communicator.exchange(sends, hook);
+      }
+      absorb_stats(tally.totals, communicator.last_stats());
 
-      // Scatter received x entries into ghost slots.
-      require(received.size() == plan.recvs.size(),
-              "run_distributed: unexpected number of inbound messages");
-      for (std::size_t i = 0; i < received.size(); ++i) {
-        const RankPlan::RecvFrom& r = plan.recvs[i];
-        require(received[i].source == r.source, "run_distributed: inbound source mismatch");
-        scratch.resize(r.ghost_slots.size());
-        unpack_doubles(received[i].bytes, scratch);
-        for (std::size_t j = 0; j < r.ghost_slots.size(); ++j)
-          x_local[static_cast<std::size_t>(r.ghost_slots[j])] = scratch[j];
+      // Scatter inbound x entries into ghost slots; both lists ascend by
+      // source. The plain exchange delivers exactly the planned messages.
+      // Under exchange_resilient a source that died simply stops sending, so
+      // its ghost entries freeze at their last received values.
+      if (!resilient && inbound.size() != plan.recvs.size())
+        core::fail(std::string(who) + ": unexpected number of inbound messages");
+      std::size_t di = 0;
+      for (const RankPlan::RecvFrom& r : plan.recvs) {
+        while (resilient && di < inbound.size() && inbound[di].source < r.source) ++di;
+        const bool match = di < inbound.size() && inbound[di].source == r.source &&
+                           inbound[di].bytes.size() == r.ghost_slots.size() * entry;
+        if (!match && resilient) continue;
+        if (!match) core::fail(std::string(who) + ": inbound source or size mismatch");
+        const std::byte* in = inbound[di++].bytes.data();
+        for (const std::int32_t slot : r.ghost_slots) {
+          std::memcpy(x_local.data() + static_cast<std::size_t>(slot) * nv, in, entry);
+          in += entry;
+        }
       }
 
-      // Compute phase (interior rows already done by the hook when
-      // overlapping).
-      if (overlap)
-        spmv_rows(plan.local, boundary, x_local, y_local);
-      else
-        plan.local.spmv(x_local, y_local);
+      multiply(boundary);
       if (it + 1 < iterations)
         std::copy(y_local.begin(), y_local.end(), x_local.begin());  // x <- y
     }
 
-    // Threads share the result buffer; owned rows are disjoint across ranks.
+    // Threads share the result buffer; owned rows are disjoint across ranks,
+    // and a dead rank never reaches this write.
     for (std::size_t i = 0; i < num_owned; ++i)
-      result[static_cast<std::size_t>(plan.owned_rows[i])] = y_local[i];
+      std::memcpy(result.data() + static_cast<std::size_t>(plan.owned_rows[i]) * nv,
+                  y_local.data() + i * nv, entry);
   });
 
   return result;
+}
+
+}  // namespace
+
+std::vector<double> run_distributed(runtime::Cluster& cluster, const SpmvProblem& problem,
+                                    const core::Vpt& vpt, std::span<const double> x0,
+                                    int iterations, std::vector<ExchangeStatsTotals>* totals) {
+  require(problem.has_plans(), "run_distributed: problem built without numeric plans");
+  require(cluster.size() == problem.num_ranks(), "run_distributed: cluster size mismatch");
+  require(x0.size() == static_cast<std::size_t>(problem.matrix().num_rows()),
+          "run_distributed: x size mismatch");
+  require(iterations >= 1, "run_distributed: need at least one iteration");
+
+  std::vector<RankTally> tallies;
+  std::vector<double> y = run_ranks(cluster, problem, vpt, x0, OneVector{}, iterations,
+                                    /*resilient=*/false, "run_distributed", tallies);
+  if (totals != nullptr) *totals = totals_of(tallies);
+  return y;
 }
 
 std::vector<double> run_distributed_resilient(runtime::Cluster& cluster,
@@ -185,94 +216,26 @@ std::vector<double> run_distributed_resilient(runtime::Cluster& cluster,
           "run_distributed_resilient: x size mismatch");
   require(iterations >= 1, "run_distributed_resilient: need at least one iteration");
 
-  const auto num_ranks = static_cast<std::size_t>(problem.num_ranks());
-  std::vector<double> result(x0.size(), 0.0);
-  // Per-rank slots so the rank threads never share a counter; reduced into
-  // the report after the run.
-  std::vector<ExchangeStatsTotals> totals(num_ranks);
-  std::vector<std::int64_t> degraded_iters(num_ranks, 0);
-  std::vector<std::int64_t> transitions(num_ranks, 0);
-  std::vector<std::uint32_t> final_epoch(num_ranks, 0);
-
-  cluster.run([&](runtime::Comm& comm) {
-    const auto me = static_cast<Rank>(comm.rank());
-    const RankPlan& plan = problem.plan(me);
-    StfwCommunicator communicator(comm, vpt);
-
-    std::vector<double> x_local(plan.x_slot_global.size(), 0.0);
-    const std::size_t num_owned = plan.owned_rows.size();
-    for (std::size_t i = 0; i < num_owned; ++i)
-      x_local[i] = x0[static_cast<std::size_t>(plan.owned_rows[i])];
-    std::vector<double> y_local(num_owned, 0.0);
-    std::vector<double> scratch;
-
-    std::vector<OutboundMessage> sends(plan.sends.size());
-    for (std::size_t i = 0; i < plan.sends.size(); ++i) {
-      sends[i].dest = plan.sends[i].dest;
-      sends[i].bytes.resize(plan.sends[i].x_slots.size() * sizeof(double));
-    }
-
-    for (int it = 0; it < iterations; ++it) {
-      for (std::size_t si = 0; si < plan.sends.size(); ++si) {
-        const RankPlan::SendTo& s = plan.sends[si];
-        scratch.resize(s.x_slots.size());
-        for (std::size_t i = 0; i < s.x_slots.size(); ++i)
-          scratch[i] = x_local[static_cast<std::size_t>(s.x_slots[i])];
-        std::memcpy(sends[si].bytes.data(), scratch.data(), sends[si].bytes.size());
-      }
-      const ResilientExchangeResult ex = communicator.exchange_resilient(sends);
-      const LocalExchangeStats& s = communicator.last_stats();
-      const std::size_t slot = static_cast<std::size_t>(me);
-      absorb_stats(totals[slot], s);
-      transitions[slot] += s.epoch_transitions;
-      final_epoch[slot] = s.membership_epoch;
-      if (ex.degraded) ++degraded_iters[slot];
-
-      // Tolerant inbound matching: a source that died simply stops sending,
-      // so its ghost entries freeze at the last received values instead of
-      // failing the run. Both lists are sorted by source rank.
-      std::size_t di = 0;
-      for (const RankPlan::RecvFrom& r : plan.recvs) {
-        while (di < ex.delivered.size() && ex.delivered[di].source < r.source) ++di;
-        if (di >= ex.delivered.size() || ex.delivered[di].source != r.source) continue;
-        if (ex.delivered[di].bytes.size() != r.ghost_slots.size() * sizeof(double)) continue;
-        scratch.resize(r.ghost_slots.size());
-        unpack_doubles(ex.delivered[di].bytes, scratch);
-        for (std::size_t j = 0; j < r.ghost_slots.size(); ++j)
-          x_local[static_cast<std::size_t>(r.ghost_slots[j])] = scratch[j];
-      }
-
-      plan.local.spmv(x_local, y_local);
-      if (it + 1 < iterations)
-        std::copy(y_local.begin(), y_local.end(), x_local.begin());  // x <- y
-    }
-
-    // Threads share the result buffer; owned rows are disjoint across ranks,
-    // and a dead rank never reaches this write.
-    for (std::size_t i = 0; i < num_owned; ++i)
-      result[static_cast<std::size_t>(plan.owned_rows[i])] = y_local[i];
-  });
-
+  std::vector<RankTally> tallies;
+  std::vector<double> y = run_ranks(cluster, problem, vpt, x0, OneVector{}, iterations,
+                                    /*resilient=*/true, "run_distributed_resilient", tallies);
   if (report != nullptr) {
-    report->totals = std::move(totals);
+    *report = ResilientRunReport{};
+    report->totals = totals_of(tallies);
     report->failed_ranks = cluster.membership().failed();
-    report->membership_epoch = 0;
-    report->degraded_iterations = 0;
-    report->epoch_transitions = 0;
-    for (std::size_t r = 0; r < num_ranks; ++r) {
-      report->membership_epoch = std::max(report->membership_epoch, final_epoch[r]);
-      report->degraded_iterations = std::max(report->degraded_iterations, degraded_iters[r]);
-      report->epoch_transitions += transitions[r];
+    for (const RankTally& t : tallies) {
+      report->membership_epoch = std::max(report->membership_epoch, t.membership_epoch);
+      report->degraded_iterations = std::max(report->degraded_iterations, t.degraded_iterations);
+      report->epoch_transitions += t.epoch_transitions;
     }
   }
-  return result;
+  return y;
 }
 
 std::vector<double> run_distributed_spmm(runtime::Cluster& cluster, const SpmvProblem& problem,
                                          const core::Vpt& vpt, std::span<const double> x0,
                                          std::int32_t num_vectors, int iterations,
-                                         std::vector<ExchangeStatsTotals>* totals,
-                                         bool overlap) {
+                                         std::vector<ExchangeStatsTotals>* totals) {
   require(problem.has_plans(), "run_distributed_spmm: problem built without numeric plans");
   require(cluster.size() == problem.num_ranks(), "run_distributed_spmm: cluster size mismatch");
   require(num_vectors >= 1, "run_distributed_spmm: need at least one vector");
@@ -281,76 +244,12 @@ std::vector<double> run_distributed_spmm(runtime::Cluster& cluster, const SpmvPr
           "run_distributed_spmm: X size mismatch");
   require(iterations >= 1, "run_distributed_spmm: need at least one iteration");
 
-  const auto nv = static_cast<std::size_t>(num_vectors);
-  std::vector<double> result(x0.size(), 0.0);
-  if (totals != nullptr) totals->assign(static_cast<std::size_t>(problem.num_ranks()), {});
-
-  cluster.run([&](runtime::Comm& comm) {
-    const auto me = static_cast<Rank>(comm.rank());
-    const RankPlan& plan = problem.plan(me);
-    StfwCommunicator communicator(comm, vpt);
-
-    std::vector<double> x_local(plan.x_slot_global.size() * nv, 0.0);
-    const std::size_t num_owned = plan.owned_rows.size();
-    for (std::size_t i = 0; i < num_owned; ++i)
-      std::copy_n(x0.data() + static_cast<std::size_t>(plan.owned_rows[i]) * nv, nv,
-                  x_local.data() + i * nv);
-    std::vector<double> y_local(num_owned * nv, 0.0);
-    std::vector<double> scratch;
-
-    std::vector<OutboundMessage> sends(plan.sends.size());
-    for (std::size_t i = 0; i < plan.sends.size(); ++i) {
-      sends[i].dest = plan.sends[i].dest;
-      sends[i].bytes.resize(plan.sends[i].x_slots.size() * nv * sizeof(double));
-    }
-
-    std::vector<std::int32_t> interior;
-    std::vector<std::int32_t> boundary;
-    if (overlap) split_rows(plan.local, num_owned, interior, boundary);
-    const OverlapHook hook = [&] {
-      spmm_rows(plan.local, interior, x_local, y_local, num_vectors);
-    };
-
-    for (int it = 0; it < iterations; ++it) {
-      for (std::size_t si = 0; si < plan.sends.size(); ++si) {
-        const RankPlan::SendTo& s = plan.sends[si];
-        scratch.resize(s.x_slots.size() * nv);
-        for (std::size_t i = 0; i < s.x_slots.size(); ++i)
-          std::copy_n(x_local.data() + static_cast<std::size_t>(s.x_slots[i]) * nv, nv,
-                      scratch.data() + i * nv);
-        std::memcpy(sends[si].bytes.data(), scratch.data(), sends[si].bytes.size());
-      }
-      const std::vector<InboundMessage> received =
-          overlap ? communicator.exchange(sends, hook) : communicator.exchange(sends);
-      if (totals != nullptr)
-        absorb_stats((*totals)[static_cast<std::size_t>(me)], communicator.last_stats());
-
-      require(received.size() == plan.recvs.size(),
-              "run_distributed_spmm: unexpected number of inbound messages");
-      for (std::size_t i = 0; i < received.size(); ++i) {
-        const RankPlan::RecvFrom& r = plan.recvs[i];
-        require(received[i].source == r.source, "run_distributed_spmm: inbound source mismatch");
-        scratch.resize(r.ghost_slots.size() * nv);
-        unpack_doubles(received[i].bytes, scratch);
-        for (std::size_t j = 0; j < r.ghost_slots.size(); ++j)
-          std::copy_n(scratch.data() + j * nv, nv,
-                      x_local.data() + static_cast<std::size_t>(r.ghost_slots[j]) * nv);
-      }
-
-      if (overlap)
-        spmm_rows(plan.local, boundary, x_local, y_local, num_vectors);
-      else
-        plan.local.spmm(x_local, y_local, num_vectors);
-      if (it + 1 < iterations)
-        std::copy(y_local.begin(), y_local.end(), x_local.begin());
-    }
-
-    for (std::size_t i = 0; i < num_owned; ++i)
-      std::copy_n(y_local.data() + i * nv, nv,
-                  result.data() + static_cast<std::size_t>(plan.owned_rows[i]) * nv);
-  });
-
-  return result;
+  std::vector<RankTally> tallies;
+  std::vector<double> y =
+      run_ranks(cluster, problem, vpt, x0, static_cast<std::size_t>(num_vectors), iterations,
+                /*resilient=*/false, "run_distributed_spmm", tallies);
+  if (totals != nullptr) *totals = totals_of(tallies);
+  return y;
 }
 
 std::vector<double> run_serial(const sparse::Csr& a, std::span<const double> x0, int iterations) {

@@ -13,9 +13,12 @@
 ///
 /// Every rank runs the paper's two-phase iteration: exchange the x entries
 /// over the given VPT with the store-and-forward communicator (Vpt::direct
-/// for the BL baseline), then multiply locally. Used to validate that the
-/// regularized communication computes bit-identical results to a serial
-/// SpMV, and by the examples.
+/// for the BL baseline), then multiply locally. The runners always overlap
+/// the two: interior rows (rows reading only owned x slots) are multiplied
+/// while the exchange is in flight, and only the boundary rows wait for the
+/// ghost scatter. Every row accumulates in Csr::spmv's order, so results are
+/// bit-identical to the serial references. Used to validate the regularized
+/// communication, by the examples and by perfbench.
 
 namespace stfw::spmv {
 
@@ -33,14 +36,6 @@ struct ExchangeStatsTotals {
   std::uint64_t wire_bytes_sent = 0;
 };
 
-/// Default of the runners' `overlap` parameter: the STFW_OVERLAP environment
-/// flag (strict parse, default on). With overlap on, each rank multiplies its
-/// interior rows — rows reading only owned x slots — inside the exchange's
-/// OverlapHook while stage frames are still in flight, and only the boundary
-/// rows wait for the ghost scatter. Results are bit-identical either way
-/// (the split kernels accumulate in the same per-row order as Csr::spmv).
-bool overlap_default();
-
 /// Run `iterations` of x <- A x on `cluster` and return the final global
 /// vector (row i's value at index i). The problem must have numeric plans.
 /// When `totals` is non-null it is resized to one entry per rank and filled
@@ -48,8 +43,7 @@ bool overlap_default();
 std::vector<double> run_distributed(runtime::Cluster& cluster, const SpmvProblem& problem,
                                     const core::Vpt& vpt, std::span<const double> x0,
                                     int iterations = 1,
-                                    std::vector<ExchangeStatsTotals>* totals = nullptr,
-                                    bool overlap = overlap_default());
+                                    std::vector<ExchangeStatsTotals>* totals = nullptr);
 
 /// What a resilient distributed run observed (see run_distributed_resilient).
 struct ResilientRunReport {
@@ -80,8 +74,7 @@ std::vector<double> run_distributed_resilient(runtime::Cluster& cluster,
 std::vector<double> run_distributed_spmm(runtime::Cluster& cluster, const SpmvProblem& problem,
                                          const core::Vpt& vpt, std::span<const double> x0,
                                          std::int32_t num_vectors, int iterations = 1,
-                                         std::vector<ExchangeStatsTotals>* totals = nullptr,
-                                         bool overlap = overlap_default());
+                                         std::vector<ExchangeStatsTotals>* totals = nullptr);
 
 /// Serial reference: `iterations` of x <- A x.
 std::vector<double> run_serial(const sparse::Csr& a, std::span<const double> x0,

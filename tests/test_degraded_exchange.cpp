@@ -26,7 +26,8 @@
 /// "Membership epochs and degraded mode"): exhaustive crash sweeps over
 /// (rank, stage), back-to-back degraded exchanges, the environment-driven CI
 /// crash-matrix entry, seed routing from a membership that is degraded at
-/// entry, and survivor continuation of the distributed SpMV runner.
+/// entry, destination validation, and survivor continuation of the
+/// distributed SpMV runner.
 
 namespace stfw {
 namespace {
@@ -491,6 +492,77 @@ TEST(SeedRouting, RoutingAroundADeadRankIsFullyRecovered) {
     relayed += run.stats[static_cast<std::size_t>(r)].relay_submessages;
   }
   EXPECT_GT(relayed, 0) << "no seed took the relay lane around the dead rank";
+}
+
+// ---------------------------------------------------------------------------
+// Destination validation: an out-of-range destination is the caller's error,
+// and a degraded membership must not turn it into a reported loss.
+
+/// Rank 0 sends one message to `bad`; every other rank sends nothing.
+std::vector<OutboundMessage> bad_dest_sends(Rank me, Rank bad) {
+  if (me != 0) return {};
+  return {{bad, pattern_bytes(0, 1)}};
+}
+
+/// The message of the core::Error that `run` throws, or "" when none is thrown.
+template <typename Run>
+std::string error_of(Run run) {
+  try {
+    run();
+  } catch (const core::Error& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST(DestinationValidation, PlainExchangeRejectsOutOfRangeDestination) {
+  const Vpt vpt({2, 2});
+  for (const Rank bad : {Rank{-1}, vpt.size()}) {
+    SCOPED_TRACE("destination " + std::to_string(bad));
+    Cluster cluster(vpt.size());
+    const std::string what = error_of([&] {
+      cluster.run([&](Comm& comm) {
+        StfwCommunicator stfw(comm, vpt);
+        (void)stfw.exchange(bad_dest_sends(comm.rank(), bad));
+      });
+    });
+    EXPECT_NE(what.find("destination out of range"), std::string::npos) << what;
+  }
+}
+
+/// The error of one resilient exchange on a healthy cluster in which rank 0
+/// sends to `bad`.
+std::string healthy_resilient_error(const Vpt& vpt, Rank bad) {
+  Cluster cluster(vpt.size());
+  return error_of([&] {
+    cluster.run([&](Comm& comm) {
+      StfwCommunicator stfw(comm, vpt);
+      (void)stfw.exchange_resilient(bad_dest_sends(comm.rank(), bad), sweep_options());
+    });
+  });
+}
+
+TEST(DestinationValidation, HealthyResilientExchangeRejectsOutOfRangeDestination) {
+  const Vpt vpt({2, 2});
+  for (const Rank bad : {Rank{-1}, vpt.size()}) {
+    SCOPED_TRACE("destination " + std::to_string(bad));
+    const std::string what = healthy_resilient_error(vpt, bad);
+    EXPECT_NE(what.find("destination out of range"), std::string::npos) << what;
+  }
+}
+
+TEST(DestinationValidation, DegradedResilientExchangeRejectsOutOfRangeDestinationLikeHealthy) {
+  // Rank 3 is dead at entry. Its liveness must not turn a bad destination
+  // into a dropped "dead destination" reported as a loss.
+  const Vpt vpt({2, 2});
+  for (const Rank bad : {Rank{-1}, vpt.size()}) {
+    SCOPED_TRACE("destination " + std::to_string(bad));
+    const std::string degraded = error_of([&] {
+      (void)run_dead_at_entry(vpt, {3}, [&](Rank me) { return bad_dest_sends(me, bad); });
+    });
+    EXPECT_EQ(degraded, healthy_resilient_error(vpt, bad));
+    EXPECT_NE(degraded.find("destination out of range"), std::string::npos) << degraded;
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <random>
 
 #include "core/error.hpp"
@@ -22,6 +23,15 @@ std::vector<double> random_vector(std::size_t n, std::uint64_t seed) {
 void expect_near(std::span<const double> a, std::span<const double> b, double tol) {
   ASSERT_EQ(a.size(), b.size());
   for (std::size_t i = 0; i < a.size(); ++i) EXPECT_NEAR(a[i], b[i], tol) << "index " << i;
+}
+
+/// Bit-for-bit equality, like perfbench's memcmp oracle: an inf or NaN
+/// cannot compare equal by accident, and -0.0 differs from 0.0.
+void expect_bitwise(std::span<const double> a, std::span<const double> b) {
+  ASSERT_EQ(a.size(), b.size());
+  for (std::size_t i = 0; i < a.size(); ++i)
+    EXPECT_EQ(std::memcmp(&a[i], &b[i], sizeof(double)), 0)
+        << "index " << i << ": " << a[i] << " vs " << b[i];
 }
 
 struct RunnerCase {
@@ -50,8 +60,9 @@ TEST_P(DistributedSpmv, MatchesSerialReference) {
   const auto x0 = random_vector(static_cast<std::size_t>(a.num_rows()), 77);
   const auto distributed = run_distributed(cluster, problem, vpt, x0, param.iterations);
   const auto serial = run_serial(a, x0, param.iterations);
-  // Same owner computes each row with identical local ordering -> near-exact.
-  expect_near(distributed, serial, 1e-9);
+  // The local CSR keeps each row's column order and the row kernel sums in
+  // Csr::spmv's order, so the interior/boundary split is exact.
+  expect_bitwise(distributed, serial);
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -109,36 +120,6 @@ TEST(DistributedSpmvEdge, ResultsIdenticalAcrossVpts) {
   }
 }
 
-TEST(DistributedSpmvEdge, OverlapIsBitIdenticalToSynchronous) {
-  // The overlapped schedule computes interior rows inside the exchange and
-  // boundary rows after the ghost scatter, with the exact per-row
-  // accumulation order of the monolithic kernel — so overlap on/off must be
-  // bit-identical, not merely near.
-  const sparse::Csr a = sparse::generate(
-      sparse::scaled_spec(sparse::find_paper_matrix("pattern1"), 0.05, 128), 13);
-  partition::PartitionOptions opts;
-  opts.num_parts = 16;
-  const auto parts = partition::partition_rows(a, opts);
-  const SpmvProblem problem(a, parts, 16);
-  runtime::Cluster cluster(16);
-  const auto x0 = random_vector(static_cast<std::size_t>(a.num_rows()), 5);
-
-  const core::Vpt vpt({4, 4});
-  const auto sync = run_distributed(cluster, problem, vpt, x0, 3, nullptr, /*overlap=*/false);
-  const auto over = run_distributed(cluster, problem, vpt, x0, 3, nullptr, /*overlap=*/true);
-  ASSERT_EQ(over.size(), sync.size());
-  for (std::size_t i = 0; i < sync.size(); ++i)
-    EXPECT_DOUBLE_EQ(over[i], sync[i]) << "index " << i;
-
-  const auto sync_mm =
-      run_distributed_spmm(cluster, problem, vpt, x0, 1, 2, nullptr, /*overlap=*/false);
-  const auto over_mm =
-      run_distributed_spmm(cluster, problem, vpt, x0, 1, 2, nullptr, /*overlap=*/true);
-  ASSERT_EQ(over_mm.size(), sync_mm.size());
-  for (std::size_t i = 0; i < sync_mm.size(); ++i)
-    EXPECT_DOUBLE_EQ(over_mm[i], sync_mm[i]) << "index " << i;
-}
-
 struct SpmmCase {
   std::int32_t num_vectors;
   std::vector<int> vpt_dims;
@@ -165,7 +146,7 @@ TEST_P(DistributedSpmm, MatchesSerialReference) {
   const auto distributed =
       run_distributed_spmm(cluster, problem, vpt, x0, param.num_vectors, param.iterations);
   const auto serial = run_serial_spmm(a, x0, param.num_vectors, param.iterations);
-  expect_near(distributed, serial, 1e-9);
+  expect_bitwise(distributed, serial);
 }
 
 INSTANTIATE_TEST_SUITE_P(Sweep, DistributedSpmm,

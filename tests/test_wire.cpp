@@ -264,34 +264,6 @@ TEST(Frame, MemberEpochRoundTripsAndIsChecksummed) {
   EXPECT_FALSE(std::equal(ca.begin(), ca.end(), cb.begin(), cb.end()));
 }
 
-TEST(Frame, RestampMemberEpochKeepsFrameDecodable) {
-  const auto body = bytes_of({1, 2, 3, 4});
-  FrameHeader h;
-  h.kind = FrameKind::kData;
-  h.stage = 2;
-  h.epoch = 5;
-  h.member_epoch = 1;
-  h.seq = 33;
-  h.sender = 6;
-  auto wire = encode_frame(h, body);
-  restamp_member_epoch(wire, 9);
-  const auto dec = decode_frame(wire);
-  ASSERT_TRUE(dec.has_value()) << "restamp must recompute the checksum";
-  EXPECT_EQ(dec->header.member_epoch, 9u);
-  EXPECT_EQ(dec->header.kind, FrameKind::kData);
-  EXPECT_EQ(dec->header.stage, 2);
-  EXPECT_EQ(dec->header.epoch, 5u);
-  EXPECT_EQ(dec->header.seq, 33u);
-  EXPECT_EQ(dec->header.sender, 6);
-  EXPECT_TRUE(std::equal(dec->body.begin(), dec->body.end(), body.begin(), body.end()));
-  EXPECT_EQ(wire, encode_frame([&] {
-              FrameHeader fresh = h;
-              fresh.member_epoch = 9;
-              return fresh;
-            }(), body))
-      << "restamping must be byte-identical to encoding with the new epoch";
-}
-
 TEST(FailureNoticeCodec, RoundTripsDeadList) {
   const std::vector<std::int32_t> dead{3, 7, 11};
   const auto body = encode_failure_notice(42, dead);

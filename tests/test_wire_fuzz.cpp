@@ -242,32 +242,19 @@ TEST(WireFuzz, RandomGarbageNeverCrashesNoticeDecode) {
 
 /// Stale-epoch replay: an attacker (or a delayed network) re-delivering an
 /// old frame can never make it claim a newer membership than it was signed
-/// with — flipping the member_epoch bytes breaks the checksum, and the only
-/// legitimate path, restamp_member_epoch, re-signs the frame.
-TEST(WireFuzz, StaleEpochReplayRequiresRestamp) {
+/// with — flipping the member_epoch bytes breaks the checksum. A sender that
+/// advances its claim re-encodes the frame from its header instead.
+TEST(WireFuzz, PatchedMemberEpochFailsChecksum) {
   std::mt19937_64 rng(37);
   for (int trial = 0; trial < 50; ++trial) {
     FrameHeader h = random_header(rng);
     h.member_epoch = 3;
     const auto body = random_body(rng, 64);
-    auto wire = encode_frame(h, body);
-
+    auto patched = encode_frame(h, body);
     // Patching the member_epoch field (offset 12) without re-signing must
     // read as corruption.
-    auto patched = wire;
     patched[12] = static_cast<std::byte>(9);
-    EXPECT_FALSE(decode_frame(patched).has_value());
-
-    // Restamping is the sanctioned path: decodable, new epoch, same body.
-    std::uniform_int_distribution<std::uint32_t> u32_dist;
-    const std::uint32_t fresh = u32_dist(rng);
-    restamp_member_epoch(wire, fresh);
-    const auto dec = decode_frame(wire);
-    ASSERT_TRUE(dec.has_value()) << "trial " << trial;
-    EXPECT_EQ(dec->header.member_epoch, fresh);
-    EXPECT_EQ(dec->header.kind, h.kind);
-    EXPECT_EQ(dec->header.seq, h.seq);
-    EXPECT_TRUE(std::equal(dec->body.begin(), dec->body.end(), body.begin(), body.end()));
+    EXPECT_FALSE(decode_frame(patched).has_value()) << "trial " << trial;
   }
 }
 
