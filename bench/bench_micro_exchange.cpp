@@ -9,7 +9,7 @@
 //   cached     transparent plan cache: one warm-up records, timed iterations
 //              replay (plain exchange(), no API change)
 //   planned    explicit plan() + barrier-free replay through
-//              exchange_views() — pooled gather out, views in — i.e. the
+//              exchange_views() — gather out, views in — i.e. the
 //              full zero-copy hot path
 //
 // Rows land in BENCH_micro_exchange.json (schema: docs/performance.md) for

@@ -8,10 +8,10 @@
 
 /// \file exchange_plan.hpp
 /// Runtime handle for a frozen exchange schedule (core::ExchangePlanLayout)
-/// plus the pooled mutable scratch its replays reuse: the raw inbound frames
-/// of each stage are parked here so every planned exchange on the same
-/// pattern recycles the same allocations instead of rebuilding a
-/// StfwRankState, a PayloadArena and per-submessage vectors.
+/// plus the mutable scratch its replays reuse: the raw inbound frames of
+/// each stage are parked here so every planned exchange on the same pattern
+/// gathers from them instead of rebuilding a StfwRankState, a PayloadArena
+/// and per-submessage vectors.
 ///
 /// A plan is produced by StfwCommunicator::plan() (collective) or recorded
 /// transparently by the communicator's plan cache on the first exchange()
@@ -57,12 +57,11 @@ private:
   core::ExchangePlanLayout layout_;
   // in_raw_[stage][frame]: the raw wire bytes received in the most recent
   // replay. Buffers arrive by ownership transfer from Comm; the buffer a new
-  // frame displaces is released into the communicator's pool, so steady-state
-  // replays cycle a fixed working set of allocations.
+  // frame displaces is freed.
   std::vector<std::vector<std::vector<std::byte>>> in_raw_;
   // Scratch behind the span exchange_views() returns. Cleared at replay
   // entry, so after a drift/validation throw the previous views are gone
-  // rather than dangling into recycled buffers.
+  // rather than dangling into freed buffers.
   std::vector<InboundView> views_;
 };
 

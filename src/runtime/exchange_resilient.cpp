@@ -81,7 +81,7 @@ std::optional<SettleMsg> decode_settle(std::span<const std::byte> raw) {
 
 }  // namespace
 
-std::chrono::milliseconds next_backoff(std::chrono::milliseconds current, double factor,
+std::chrono::milliseconds next_backoff(std::chrono::milliseconds current,
                                        std::chrono::milliseconds retransmit_timeout,
                                        std::chrono::milliseconds stage_deadline) noexcept {
   using rep = std::chrono::milliseconds::rep;
@@ -93,15 +93,10 @@ std::chrono::milliseconds next_backoff(std::chrono::milliseconds current, double
   rep cap = std::max<rep>(stage_deadline.count(), 0);
   const rep rt = retransmit_timeout.count();
   if (rt >= 0 && rt < std::numeric_limits<rep>::max() / 8) cap = std::min(cap, 8 * rt);
-  // Clamp BEFORE the double -> rep cast: current * factor can exceed what
-  // rep holds (large factor, or backoff grown near rep's max), and casting
-  // an out-of-range double is undefined — observed as a negative delay that
-  // turns the retry loop into a hot spin. NaN and negative products floor
-  // at zero.
-  const double scaled = static_cast<double>(current.count()) * factor;
-  if (!(scaled >= 0.0)) return std::chrono::milliseconds{0};
-  if (scaled >= static_cast<double>(cap)) return std::chrono::milliseconds{cap};
-  return std::chrono::milliseconds{static_cast<rep>(scaled)};
+  // Compare against cap / 2 rather than doubling first, so a backoff grown
+  // near rep's max clamps instead of wrapping negative.
+  const rep cur = std::max<rep>(current.count(), 0);
+  return std::chrono::milliseconds{cur > cap / 2 ? cap : 2 * cur};
 }
 
 std::string ExchangeFailure::to_string() const {
@@ -125,7 +120,6 @@ ResilientExchangeResult StfwCommunicator::exchange_resilient(
   // builds, the deterministic logical clock under the stfw-verify scheduler.
   using clock = std::chrono::steady_clock;
   core::require(opt.max_attempts >= 1, "exchange_resilient: max_attempts must be >= 1");
-  core::require(opt.backoff_factor >= 1.0, "exchange_resilient: backoff_factor must be >= 1");
   core::require(opt.retransmit_timeout.count() > 0,
                 "exchange_resilient: retransmit_timeout must be positive");
   core::require(opt.stage_deadline.count() > 0,
@@ -241,8 +235,7 @@ ResilientExchangeResult StfwCommunicator::exchange_resilient(
     stats_.wire_bytes_sent += wire.size();
     comm_->send(static_cast<int>(f.dest), kResilientDataTag, std::move(wire));
     f.next_retry = now + f.backoff;
-    f.backoff = next_backoff(f.backoff, opt.backoff_factor, opt.retransmit_timeout,
-                             opt.stage_deadline);
+    f.backoff = next_backoff(f.backoff, opt.retransmit_timeout, opt.stage_deadline);
   };
 
   // Give up on frame `i`: a dead kData frame degrades into kDirect frames
@@ -568,10 +561,12 @@ ResilientExchangeResult StfwCommunicator::exchange_resilient(
         // The sender routed this frame under a membership view that predates
         // a death we already observed; its forwarding decisions are suspect.
         // Nack so the sender re-decides now rather than after its retry
-        // budget (its own epoch poll restamps in-flight frames, so only the
-        // race window is refused).
+        // budget. The nacked sender demotes the frame's submessages to
+        // kDirect and never resends a stage frame, so its slot counts as
+        // heard from; waiting for it would stall until the stage deadline.
         ++stats_.stale_epoch_frames_refused;
         send_control(core::FrameKind::kNack, sender, h);
+        stage_got[static_cast<std::size_t>(fstage)].insert(sender);
         continue;
       }
       if (fstage < cur_stage) {

@@ -102,18 +102,17 @@ bool roster_matches(std::span<const runtime::Message> msgs,
   return ei == expected.size();
 }
 
-// Scatter/gather assembly of one planned frame into a pooled wire buffer:
+// Scatter/gather assembly of one planned frame into a fresh wire buffer:
 // template segments of the frozen image (the submessage headers between the
 // payload gaps) are interleaved with payload memcpys straight from the seed
 // views / parked inbound frames. Every byte of the buffer is written exactly
-// once — no image pre-copy, no double-written payload bytes, and (since the
-// pool's sanitize-mode poison is fully overwritten) nothing stale can leak
-// onto the wire. Slot offsets were audited by validate_plan_layout at plan
-// construction, so the arithmetic here can trust them.
-std::vector<std::byte> gather_planned_frame(core::BufferPool& pool, const core::PlanOutFrame& frame,
+// once — no image pre-copy, no double-written payload bytes. Slot offsets
+// were audited by validate_plan_layout at plan construction, so the
+// arithmetic here can trust them.
+std::vector<std::byte> gather_planned_frame(const core::PlanOutFrame& frame,
                                             std::span<const std::span<const std::byte>> seeds,
                                             const ParkedFrames& in_raw) {
-  std::vector<std::byte> wire = pool.acquire(frame.image.size());
+  std::vector<std::byte> wire(frame.image.size());
   const std::byte* img = frame.image.data();
   std::byte* out = wire.data();
   std::size_t cursor = 0;
@@ -408,8 +407,7 @@ StfwCommunicator::StfwCommunicator(runtime::Comm& comm, core::Vpt vpt)
       validate_(validation_available() && core::env_flag("STFW_VALIDATE", true)),
       exchange_deadline_(std::chrono::milliseconds(
           core::env_u64("STFW_EXCHANGE_DEADLINE_MS", kDefaultExchangeDeadlineMs))),
-      plan_cache_capacity_(static_cast<std::size_t>(
-          core::env_u64("STFW_PLAN_CACHE", kDefaultPlanCacheCapacity))) {
+      plan_cache_capacity_(kDefaultPlanCacheCapacity) {
   core::require(vpt_.size() == comm.size(),
                 "StfwCommunicator: VPT size must equal communicator size");
 }
@@ -546,13 +544,12 @@ int StfwCommunicator::replay_stages(StageDriver& drv, runtime::ExchangePlan& pla
   // earlier replay stop being valid here; clearing them first leaves an
   // empty span behind a throw, never a dangling one.
   plan.views_.clear();
-  const core::BufferPoolStats pool_before = pool_.stats();
   int stage = 0;
   for (; stage < n; ++stage) {
     const auto si = static_cast<std::size_t>(stage);
     std::vector<runtime::Message> msgs = drv.step(stage, [&](auto&& post) {
       for (const core::PlanOutFrame& f : layout.out_frames[si])
-        post(f.to, f.subs, gather_planned_frame(pool_, f, seeds, plan.in_raw_), f.payload_bytes);
+        post(f.to, f.subs, gather_planned_frame(f, seeds, plan.in_raw_), f.payload_bytes);
     });
     if (!roster_matches(msgs, layout.in_frames[si])) {
       core::require(drifted != nullptr,
@@ -562,26 +559,18 @@ int StfwCommunicator::replay_stages(StageDriver& drv, runtime::ExchangePlan& pla
       *drifted = std::move(msgs);
       break;
     }
-    // Park the real frames. The buffer each one displaces goes back to the
-    // pool, where the next stage's (or replay's) gathers draw from it, so
-    // the steady state cycles a fixed working set of allocations.
+    // Park the real frames; the buffer each one displaces is freed.
     std::size_t fi = 0;
     for (runtime::Message& m : msgs) {
       if (is_filler_frame(m.data)) continue;
       const core::PlanInFrame& expected = layout.in_frames[si][fi];
       if (drv.validator) drv.validator->on_stage_recv(stage, expected.source, expected.subs);
-      std::vector<std::byte>& parked = plan.in_raw_[si][fi++];
-      if (!parked.empty()) pool_.release(std::move(parked));
-      parked = std::move(m.data);
+      plan.in_raw_[si][fi++] = std::move(m.data);
     }
     if (drv.validator)
       drv.validator->on_stage_complete(stage, layout.stage_buffered_bytes[si],
                                        layout.stage_buffered_subs[si]);
   }
-  const core::BufferPoolStats& pool_now = pool_.stats();
-  drv.stats().pool_hits = pool_now.hits - pool_before.hits;
-  drv.stats().pool_misses = pool_now.misses - pool_before.misses;
-  drv.stats().pool_reused_bytes = pool_now.reused_bytes - pool_before.reused_bytes;
   if (stage < n) return stage;
 
   drv.stats().peak_buffer_bytes = layout.peak_buffer_bytes();

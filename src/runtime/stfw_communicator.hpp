@@ -9,7 +9,6 @@
 #include <string>
 #include <vector>
 
-#include "core/buffer_pool.hpp"
 #include "core/metrics.hpp"
 #include "core/rank_state.hpp"
 #include "core/sync.hpp"
@@ -79,14 +78,6 @@ struct LocalExchangeStats {
   std::int64_t filler_frames_sent = 0;
   std::int64_t filler_frames_received = 0;
 
-  // Pooled-buffer activity of this exchange (planned replays only; zero
-  // elsewhere). Hits are outbound gathers served from the communicator's
-  // recycled wire buffers, misses fell through to the allocator;
-  // pool_reused_bytes counts the bytes handed out without allocating.
-  std::int64_t pool_hits = 0;
-  std::int64_t pool_misses = 0;
-  std::uint64_t pool_reused_bytes = 0;
-
   // Resilient mode only (all zero for plain exchange()).
   std::int64_t retransmits = 0;            // transmissions beyond each frame's first
   std::int64_t timeouts = 0;               // retransmit-timer + stage-deadline expiries
@@ -115,12 +106,11 @@ struct LocalExchangeStats {
 /// runtime under test-grade fault rates; real deployments would scale the
 /// deadlines with network latency.
 struct ResilienceOptions {
-  /// First retransmission after this long without an ack; grows by
-  /// backoff_factor on every further attempt, capped at 8x this timeout
-  /// (and never above the stage deadline) so a much-faulted frame still
-  /// retries often enough to fit inside the settlement budget.
+  /// First retransmission after this long without an ack; doubles on every
+  /// further attempt (RFC 6298 section 5.5), capped at 8x this timeout (and
+  /// never above the stage deadline) so a much-faulted frame still retries
+  /// often enough to fit inside the settlement budget.
   std::chrono::milliseconds retransmit_timeout{10};
-  double backoff_factor = 2.0;
   /// Transmissions per frame (including the first) before giving up and
   /// degrading. >= 1. Direct-fallback frames are exempt: as the last
   /// resort they keep retrying until the settlement safety valve.
@@ -164,13 +154,11 @@ struct ExchangeFailure {
 /// equivalent to the plain overload.
 using OverlapHook = std::function<void()>;
 
-/// Overflow-safe retransmit backoff step: the next backoff after `current`
-/// grown by `factor`, clamped into [0, min(stage_deadline, 8 *
-/// retransmit_timeout)]. The clamp is computed without the signed overflow
-/// that 8 * a-huge-timeout invites, and the double -> milliseconds cast only
-/// happens on an in-range value, so no combination of large backoff_factor
-/// and accumulated backoff can wrap into a negative or absurd delay.
-std::chrono::milliseconds next_backoff(std::chrono::milliseconds current, double factor,
+/// Overflow-safe retransmit backoff step: 2 * `current`, clamped into
+/// [0, min(stage_deadline, 8 * retransmit_timeout)]. Neither the cap nor the
+/// doubling is computed with the signed overflow that a huge timeout or an
+/// accumulated backoff near the representable maximum invites.
+std::chrono::milliseconds next_backoff(std::chrono::milliseconds current,
                                        std::chrono::milliseconds retransmit_timeout,
                                        std::chrono::milliseconds stage_deadline) noexcept;
 
@@ -251,15 +239,9 @@ public:
   std::span<const runtime::InboundView> exchange_views(
       runtime::ExchangePlan& plan, std::span<const std::span<const std::byte>> payloads);
 
-  /// Cumulative wire-buffer pool counters of this communicator (planned
-  /// replays only). LocalExchangeStats carries per-exchange deltas.
-  [[nodiscard]] const core::BufferPoolStats& buffer_pool_stats() const noexcept {
-    return pool_.stats();
-  }
-
-  /// Transparent plan cache bound (LRU, default 4 plans; STFW_PLAN_CACHE
-  /// overrides the default). 0 disables transparent caching entirely;
-  /// explicit plan()/exchange(plan, ...) still work. The cache has its own
+  /// Transparent plan cache bound (LRU, default 4 plans). 0 disables
+  /// transparent caching entirely; explicit plan()/exchange(plan, ...)
+  /// still work. The cache has its own
   /// mutex so a configuration thread may resize/inspect it while the owning
   /// rank is mid-exchange; the exchange itself stays single-threaded.
   [[nodiscard]] std::size_t plan_cache_capacity() const STFW_EXCLUDES(plan_cache_mu_);
@@ -353,9 +335,6 @@ private:
   bool validate_;
   std::chrono::milliseconds exchange_deadline_;
   LocalExchangeStats stats_;
-  // Recycled wire buffers of the planned replays. Thread-confined to
-  // the owning rank's exchange thread (like stats_), so no lock.
-  core::BufferPool pool_;
   // Resilient frames of the next exchange that reached this rank before its
   // previous exchange_resilient finished draining: a faster peer had already
   // started the next call. [0] data tag, [1] ack tag. Thread-confined like

@@ -68,13 +68,20 @@ ResilienceOptions sweep_options() {
 
 /// The survivor contract for one all-to-all exchange with `dead` crashed:
 /// every alive-pair message arrives exactly once and intact; traffic from
-/// the dead rank may be lost but never fabricated or duplicated.
+/// the dead rank may be lost but never fabricated or duplicated; and, when
+/// `check_missing`, no survivor ends a stage still missing an alive
+/// neighbor's frame.
 void check_survivor_delivery(Rank K, Rank dead,
                              const std::vector<ResilientExchangeResult>& results,
-                             const char* context) {
+                             const char* context, bool check_missing = true) {
   for (Rank r = 0; r < K; ++r) {
     if (r == dead) continue;
     const auto& res = results[static_cast<std::size_t>(r)];
+    if (check_missing) {
+      EXPECT_TRUE(res.failure.missing.empty())
+          << context << ": survivor " << r << " waited out a stage deadline: "
+          << res.failure.to_string();
+    }
     std::map<Rank, int> seen;
     for (const InboundMessage& m : res.delivered) {
       EXPECT_EQ(m.bytes, pattern_bytes(m.source, r))
@@ -95,7 +102,7 @@ void check_survivor_delivery(Rank K, Rank dead,
 /// a single resilient exchange. Asserts survivor completion, the survivor
 /// delivery contract, and that every survivor finished at the new epoch.
 void run_crash_config(const Vpt& vpt, Rank crash_rank, int crash_stage,
-                      std::uint64_t seed) {
+                      std::uint64_t seed, bool check_missing = true) {
   const Rank K = vpt.size();
   const std::string context = vpt.to_string() + " crash rank " +
                               std::to_string(crash_rank) + " stage " +
@@ -127,7 +134,7 @@ void run_crash_config(const Vpt& vpt, Rank crash_rank, int crash_stage,
   ASSERT_EQ(cluster.membership().failed(), std::vector<std::int32_t>{crash_rank});
   EXPECT_EQ(cluster.membership().epoch(), epoch_before + 1);
 
-  check_survivor_delivery(K, crash_rank, results, context.c_str());
+  check_survivor_delivery(K, crash_rank, results, context.c_str(), check_missing);
   for (Rank r = 0; r < K; ++r) {
     if (r == crash_rank) continue;
     const auto& res = results[static_cast<std::size_t>(r)];
@@ -164,7 +171,15 @@ TEST(DegradedExchange, ExhaustiveCrashSweepK16) {
 TEST(DegradedExchange, SeededCrashAtScaleK256) {
   const Vpt vpt = Vpt::balanced(256, 2);
   ASSERT_EQ(vpt.size(), 256);
-  run_crash_config(vpt, /*crash_rank=*/37, /*crash_stage=*/1, 20260806);
+  // Under ThreadSanitizer, 256 rank threads on a few cores start seconds
+  // apart and run 5 ms retransmit timers, so stages miss their 2 s deadline
+  // with or without a crash; the missing-frame check holds only elsewhere.
+#if defined(__SANITIZE_THREAD__)
+  constexpr bool kCheckMissing = false;
+#else
+  constexpr bool kCheckMissing = true;
+#endif
+  run_crash_config(vpt, /*crash_rank=*/37, /*crash_stage=*/1, 20260806, kCheckMissing);
 }
 
 TEST(DegradedExchange, BackToBackDegradedExchangesDeliverAlivePairs) {
@@ -356,7 +371,8 @@ EntryRun run_dead_at_entry(const Vpt& vpt, const std::vector<Rank>& dead, SendsO
 
 /// Survivor contract for sends seeded under a dead-at-entry membership:
 /// every survivor receives each alive source's send to it exactly once and
-/// intact, and reports as lost exactly its own sends to dead ranks.
+/// intact, misses no alive neighbor's stage frame, and reports as lost
+/// exactly its own sends to dead ranks.
 void check_dead_at_entry(const Vpt& vpt, const std::vector<Rank>& dead, const EntryRun& run) {
   const Rank K = vpt.size();
   const auto is_dead = [&](Rank r) { return std::find(dead.begin(), dead.end(), r) != dead.end(); };
@@ -364,6 +380,7 @@ void check_dead_at_entry(const Vpt& vpt, const std::vector<Rank>& dead, const En
     if (is_dead(r)) continue;
     const auto& res = run.results[static_cast<std::size_t>(r)];
     EXPECT_TRUE(res.degraded) << "survivor " << r;
+    EXPECT_TRUE(res.failure.missing.empty()) << "survivor " << r << ": " << res.failure.to_string();
     std::map<Rank, int> seen;
     for (const InboundMessage& m : res.delivered) {
       EXPECT_EQ(m.bytes, pattern_bytes(m.source, r)) << m.source << "->" << r;
@@ -460,7 +477,9 @@ TEST(SeedRouting, SourceRelaysExactlyTheSendsWhoseFirstHopIsDead) {
         EXPECT_EQ(st.dead_dest_submessages_dropped, 1);
         for (Rank r = 0; r < K; ++r) {
           if (r == source || r == dead) continue;
-          const auto& delivered = run.results[static_cast<std::size_t>(r)].delivered;
+          const auto& res = run.results[static_cast<std::size_t>(r)];
+          EXPECT_TRUE(res.failure.missing.empty()) << "rank " << r << ": " << res.failure.to_string();
+          const auto& delivered = res.delivered;
           ASSERT_EQ(delivered.size(), 1u) << "rank " << r;
           EXPECT_EQ(delivered[0].source, source);
           EXPECT_EQ(delivered[0].bytes, pattern_bytes(source, r));

@@ -3,9 +3,8 @@
 // blocked in an untimed stage wait forever (the per-stage barrier hid the
 // hang in CI, where all ranks always arrive). Each stage wait now carries a
 // Deadline derived from STFW_EXCHANGE_DEADLINE_MS and the failure surfaces
-// as a named error. Also covers next_backoff, the overflow-safe replacement
-// of the resilient retransmit backoff's unchecked double -> milliseconds
-// cast.
+// as a named error. Also covers next_backoff, the overflow-safe doubling of
+// the resilient retransmit backoff.
 
 #include <gtest/gtest.h>
 
@@ -124,39 +123,34 @@ TEST(ExchangeDeadline, ZeroDeadlineStillCompletesHealthyExchanges) {
 }
 
 // ---------------------------------------------------------------------------
-// next_backoff: the clamp must happen before the double -> milliseconds
-// cast, so no (current, factor) combination produces a negative or wrapped
-// delay. The old code computed min(scaled, cap) with cap itself derived from
-// an overflowing 8 * retransmit_timeout.
+// next_backoff: neither the 8 * retransmit_timeout cap nor the doubling may
+// overflow into a negative or wrapped delay. An older version computed the
+// cap itself from an overflowing 8 * retransmit_timeout.
 
 TEST(NextBackoff, GrowsGeometricallyInsideTheCap) {
-  EXPECT_EQ(next_backoff(10ms, 2.0, 50ms, 10000ms), 20ms);
-  EXPECT_EQ(next_backoff(100ms, 1.5, 50ms, 10000ms), 150ms);
+  EXPECT_EQ(next_backoff(10ms, 50ms, 10000ms), 20ms);
+  EXPECT_EQ(next_backoff(200ms, 50ms, 10000ms), 400ms);  // exactly the cap
 }
 
 TEST(NextBackoff, ClampsToEightRetransmitTimeoutsOrStageDeadline) {
-  EXPECT_EQ(next_backoff(300ms, 2.0, 50ms, 10000ms), 400ms);   // 8 * rt
-  EXPECT_EQ(next_backoff(300ms, 2.0, 50ms, 250ms), 250ms);     // stage deadline
+  EXPECT_EQ(next_backoff(300ms, 50ms, 10000ms), 400ms);  // 8 * rt
+  EXPECT_EQ(next_backoff(300ms, 50ms, 250ms), 250ms);    // stage deadline
 }
 
-TEST(NextBackoff, LargeFactorDoesNotWrapNegative) {
-  const auto b = next_backoff(1000ms, 1e300, 50ms, 10000ms);
-  EXPECT_GE(b.count(), 0);
-  EXPECT_EQ(b, 400ms);  // clamped to 8 * retransmit_timeout
+TEST(NextBackoff, HugeCurrentBackoffClampsInsteadOfWrapping) {
+  const auto huge = milliseconds{std::numeric_limits<milliseconds::rep>::max() / 2 + 1};
+  EXPECT_EQ(next_backoff(huge, 50ms, 10000ms), 400ms);  // 2 * huge would overflow
 }
 
 TEST(NextBackoff, MaxAccumulatedBackoffDoesNotOverflow) {
   const auto big = milliseconds{std::numeric_limits<milliseconds::rep>::max()};
-  const auto b = next_backoff(big, 2.0, big, big);
+  const auto b = next_backoff(big, big, big);
   EXPECT_GE(b.count(), 0);
   EXPECT_LE(b, big);  // the 8x term is skipped rather than overflowed
 }
 
-TEST(NextBackoff, PathologicalFactorsFloorAtZero) {
-  EXPECT_EQ(next_backoff(100ms, -3.0, 50ms, 10000ms), 0ms);
-  EXPECT_EQ(next_backoff(100ms, std::numeric_limits<double>::quiet_NaN(), 50ms, 10000ms),
-            0ms);
-  EXPECT_EQ(next_backoff(100ms, 2.0, 50ms, -5ms), 0ms);  // negative deadline
+TEST(NextBackoff, NegativeStageDeadlineFloorsAtZero) {
+  EXPECT_EQ(next_backoff(100ms, 50ms, -5ms), 0ms);
 }
 
 }  // namespace

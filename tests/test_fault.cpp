@@ -697,7 +697,6 @@ TEST(ResilientExchange, RetransmittedFramesAreByteIdenticalToOriginals) {
 TEST(ResilienceOptions, RejectsOutOfRangeValues) {
   const std::vector<std::pair<const char*, void (*)(ResilienceOptions&)>> bad = {
       {"max_attempts", [](ResilienceOptions& o) { o.max_attempts = 0; }},
-      {"backoff_factor", [](ResilienceOptions& o) { o.backoff_factor = 0.5; }},
       {"retransmit_timeout", [](ResilienceOptions& o) { o.retransmit_timeout = 0ms; }},
       {"stage_deadline", [](ResilienceOptions& o) { o.stage_deadline = -1ms; }},
       {"max_settle_rounds", [](ResilienceOptions& o) { o.max_settle_rounds = 0; }},

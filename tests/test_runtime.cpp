@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstring>
@@ -462,6 +463,120 @@ TEST(Runtime, WakeupsStayWithinOnePerRankPerStageOverBlExchanges) {
   EXPECT_LE(cluster.mailbox_wakeups(),
             static_cast<std::uint64_t>(kRanks * vpt.dim() * kExchanges));
 }
+
+// ---------------------------------------------------------------------------
+// The collectives every exchange is built from, at cluster sizes from one
+// rank through odd and prime counts to 33.
+
+class RuntimeSizes : public ::testing::TestWithParam<int> {};
+
+/// Rank `from`'s value for rank `to` in the personalized patterns below.
+int cell(int from, int to, int size) { return from * size + to; }
+
+TEST_P(RuntimeSizes, AllgatherIndexesIrregularContributionsByRank) {
+  const int size = GetParam();
+  Cluster cluster(size);
+  cluster.run([size](Comm& comm) {
+    // Rank r contributes r bytes of value r, so rank 0's is empty.
+    const auto r = static_cast<std::size_t>(comm.rank());
+    const auto all = comm.allgather(std::vector<std::byte>(r, static_cast<std::byte>(r)));
+    ASSERT_EQ(all.size(), static_cast<std::size_t>(size));
+    for (std::size_t src = 0; src < all.size(); ++src)
+      EXPECT_EQ(all[src], std::vector<std::byte>(src, static_cast<std::byte>(src)))
+          << "contribution of rank " << src;
+  });
+}
+
+TEST_P(RuntimeSizes, DrainAfterBarrierReturnsEverySendSortedBySource) {
+  const int size = GetParam();
+  Cluster cluster(size);
+  cluster.run([size](Comm& comm) {
+    const int me = comm.rank();
+    for (int d = 0; d < size; ++d)
+      if (d != me) comm.send(d, 3, payload(cell(me, d, size)));
+    comm.barrier();
+    const auto msgs = comm.drain(3);
+    ASSERT_EQ(msgs.size(), static_cast<std::size_t>(size - 1));
+    int want_source = 0;
+    for (const Message& m : msgs) {
+      if (want_source == me) ++want_source;
+      EXPECT_EQ(m.source, want_source);
+      EXPECT_EQ(value_of(m), cell(want_source, me, size));
+      ++want_source;
+    }
+    EXPECT_TRUE(comm.drain(3).empty());
+  });
+}
+
+TEST_P(RuntimeSizes, RecvFromEachTakesTheFirstFramePerSourceInOrder) {
+  const int size = GetParam();
+  Cluster cluster(size);
+  cluster.run([size](Comm& comm) {
+    const int me = comm.rank();
+    std::vector<int> sources;
+    for (int s = 0; s < size; ++s)
+      if (s != me) sources.push_back(s);
+    // Two frames per (source, tag): each wait takes the earlier one and
+    // leaves the later one queued for the next wait.
+    for (const int d : sources) {
+      comm.send(d, 5, payload(cell(me, d, size)));
+      comm.send(d, 5, payload(-cell(me, d, size) - 1));
+    }
+    for (const bool first : {true, false}) {
+      const auto msgs = comm.recv_from_each(sources, 5, Deadline::in(30s));
+      ASSERT_EQ(msgs.size(), sources.size());
+      for (std::size_t i = 0; i < msgs.size(); ++i) {
+        EXPECT_EQ(msgs[i].source, sources[i]);
+        const int v = cell(sources[i], me, size);
+        EXPECT_EQ(value_of(msgs[i]), first ? v : -v - 1);
+      }
+    }
+  });
+}
+
+/// The personalized all-to-all pattern: rank i sends cell(i, j) to every
+/// rank j, itself included, except (i + 1) % size, which gets nothing.
+std::vector<OutboundMessage> personalized_sends(int me, int size) {
+  std::vector<OutboundMessage> sends;
+  for (int j = 0; j < size; ++j)
+    if (j != (me + 1) % size) sends.push_back({j, payload(cell(me, j, size))});
+  return sends;
+}
+
+void expect_personalized_inbox(std::vector<InboundMessage> inbox, int me, int size) {
+  std::sort(inbox.begin(), inbox.end(),
+            [](const InboundMessage& a, const InboundMessage& b) { return a.source < b.source; });
+  std::vector<InboundMessage> want;
+  for (int i = 0; i < size; ++i)
+    if (me != (i + 1) % size) want.push_back({i, payload(cell(i, me, size))});
+  EXPECT_EQ(inbox, want) << "rank " << me;
+}
+
+TEST_P(RuntimeSizes, BlExchangeIsAPersonalizedAllToAll) {
+  const int size = GetParam();
+  const core::Vpt vpt = core::Vpt::direct(size);
+  Cluster cluster(size);
+  cluster.run([&](Comm& comm) {
+    StfwCommunicator stfw(comm, vpt);
+    expect_personalized_inbox(stfw.exchange(personalized_sends(comm.rank(), size)), comm.rank(),
+                              size);
+  });
+}
+
+TEST_P(RuntimeSizes, ResilientBlExchangeIsAPersonalizedAllToAll) {
+  const int size = GetParam();
+  const core::Vpt vpt = core::Vpt::direct(size);
+  Cluster cluster(size);
+  cluster.run([&](Comm& comm) {
+    StfwCommunicator stfw(comm, vpt);
+    ResilientExchangeResult res = stfw.exchange_resilient(personalized_sends(comm.rank(), size));
+    EXPECT_TRUE(res.fully_recovered) << res.failure.to_string();
+    EXPECT_FALSE(res.degraded);
+    expect_personalized_inbox(std::move(res.delivered), comm.rank(), size);
+  });
+}
+
+INSTANTIATE_TEST_SUITE_P(Sizes, RuntimeSizes, ::testing::Values(1, 2, 3, 4, 7, 8, 16, 33));
 
 }  // namespace
 }  // namespace stfw::runtime

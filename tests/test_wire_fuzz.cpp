@@ -10,7 +10,6 @@
 #include <random>
 #include <vector>
 
-#include "core/buffer_pool.hpp"
 #include "core/error.hpp"
 #include "core/exchange_plan.hpp"
 #include "core/message.hpp"
@@ -383,23 +382,6 @@ TEST(PlanLayoutFuzz, RandomFieldCorruptionValidatesOrThrowsButNeverCrashes) {
     }
   }
 }
-
-#if STFW_SANITIZE_ENABLED
-// Pool hygiene under sanitized builds: a recycled buffer must come back
-// poisoned (0xA5), so a stale InboundView into a released buffer can never
-// silently read the previous exchange's payload (buffer_pool.cpp pins the
-// poison constant here).
-TEST(BufferPoolFuzz, RecycledBuffersComeBackPoisoned) {
-  BufferPool pool;
-  auto buf = pool.acquire(96);
-  std::fill(buf.begin(), buf.end(), std::byte{0x11});
-  pool.release(std::move(buf));
-  const auto again = pool.acquire(96);
-  ASSERT_EQ(pool.stats().hits, 1);
-  for (std::size_t i = 0; i < again.size(); ++i)
-    ASSERT_EQ(static_cast<int>(again[i]), 0xA5) << "byte " << i << " not poisoned";
-}
-#endif
 
 TEST(WireFuzz, TruncatedStageMessagesThrowOrDecodeSafely) {
   std::mt19937_64 rng(19);
