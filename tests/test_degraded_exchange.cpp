@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <cmath>
 #include <cstdint>
@@ -8,6 +9,7 @@
 #include <memory>
 #include <random>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -180,6 +182,53 @@ TEST(DegradedExchange, SeededCrashAtScaleK256) {
   constexpr bool kCheckMissing = true;
 #endif
   run_crash_config(vpt, /*crash_rank=*/37, /*crash_stage=*/1, 20260806, kCheckMissing);
+}
+
+TEST(DegradedExchange, StaleEpochStageFrameIsNackedAndCountsItsSlot) {
+  // Rank 1 enters alone and posts its stage-0 frame to rank 0 under the full
+  // view. Once that frame is queued at rank 0, rank 3 dies, and ranks 0 and
+  // 2 enter only after the death is marked. Rank 0 therefore receives a
+  // stage frame whose member_epoch predates its own view. It must nack the
+  // frame and count rank 1's slot as heard from: the nacked sender demotes
+  // the frame's submessages to kDirect and never resends it to the stage,
+  // so waiting for it would only run out the stage deadline.
+  const Vpt vpt({2, 2});
+  const Rank K = vpt.size();
+  constexpr Rank kDead = 3;
+  ASSERT_EQ(vpt.first_diff_dim(1, 0), 0);      // rank 1 -> rank 0 is a stage-0 link
+  ASSERT_EQ(vpt.first_diff_dim(1, kDead), 1);  // the death is off that link
+
+  std::atomic<bool> frame_queued{false};
+  std::vector<ResilientExchangeResult> results(static_cast<std::size_t>(K));
+  std::vector<LocalExchangeStats> stats(static_cast<std::size_t>(K));
+  Cluster cluster(K);
+  const std::uint32_t epoch_before = cluster.membership().epoch();
+  cluster.run([&](Comm& comm) {
+    const Rank me = comm.rank();
+    if (me == kDead) {
+      frame_queued.wait(false);
+      throw fault::RankCrashedError("rank 3 died after rank 1's stage-0 frame was queued");
+    }
+    if (me == 0) {
+      // Nothing but rank 1's stage-0 frame can reach rank 0 before the death.
+      const bool queued = comm.wait_message(runtime::Deadline::in(10s));
+      frame_queued = true;
+      frame_queued.notify_all();
+      ASSERT_TRUE(queued) << "rank 1's stage-0 frame never reached rank 0";
+    }
+    if (me != 1) {
+      while (comm.membership().alive(kDead)) std::this_thread::yield();
+    }
+    StfwCommunicator stfw(comm, vpt);
+    const auto i = static_cast<std::size_t>(me);
+    results[i] = stfw.exchange_resilient(all_to_all_sends(K, me), sweep_options());
+    stats[i] = stfw.last_stats();
+  });
+
+  ASSERT_EQ(cluster.membership().failed(), std::vector<std::int32_t>{kDead});
+  EXPECT_EQ(cluster.membership().epoch(), epoch_before + 1);
+  EXPECT_GE(stats[0].stale_epoch_frames_refused, 1);
+  check_survivor_delivery(K, kDead, results, "stale-epoch stage frame");
 }
 
 TEST(DegradedExchange, BackToBackDegradedExchangesDeliverAlivePairs) {
