@@ -8,13 +8,16 @@
 //
 //   healthy    all K ranks alive; the timed iterations run
 //              exchange_resilient() on the fixed pattern
-//   degraded   a FaultInjector first crashes rank 1 survivably at stage 0
-//              of an untimed resilient exchange; the timed iterations then
-//              run among the K-1 survivors
+//   crash      a FaultInjector crashes rank 1 survivably at stage 0 of one
+//              resilient exchange; that single exchange is timed, from a
+//              barrier of all K ranks to a barrier of the K-1 survivors
+//   degraded   after the crash exchange, the timed iterations run among the
+//              K-1 survivors
 //
 // The crash exchange pays one-off detection costs (retransmit timeouts
-// toward the dead rank, the epoch bump); the steady state an iterative
-// solver lives in afterwards is what the degraded rows measure. Rows land in
+// toward the dead rank, the epoch bump); a stall in failure handling shows
+// there and nowhere else. The steady state an iterative solver lives in
+// afterwards is what the degraded rows measure. Rows land in
 // BENCH_degraded_exchange.json for tools/compare_bench.py. Knobs:
 // STFW_BENCH_DEGRADED_KMAX (default 128), STFW_BENCH_DEGRADED_ITERS (timed
 // iterations, default 16), STFW_BENCH_DEGRADED_BYTES (base payload, 64).
@@ -86,17 +89,26 @@ std::vector<std::vector<stfw::OutboundMessage>> build_pattern(Rank num_ranks,
   return sends;
 }
 
-enum class Mode { kHealthy, kDegraded };
+enum class Mode { kHealthy, kCrash, kDegraded };
 
-const char* mode_name(Mode m) { return m == Mode::kHealthy ? "healthy" : "degraded"; }
+const char* mode_name(Mode m) {
+  switch (m) {
+    case Mode::kHealthy: return "healthy";
+    case Mode::kCrash: return "crash";
+    case Mode::kDegraded: return "degraded";
+  }
+  return "?";
+}
 
 constexpr Rank kCrashRank = 1;
 
 struct ModeResult {
+  Mode mode = Mode::kHealthy;
+  int iters = 0;
   double ns_per_exchange = 0.0;
-  std::int64_t relay_submessages = 0;  // per timed iteration, summed over survivors
+  std::int64_t relay_submessages = 0;  // over the timed iterations and survivors
   std::int64_t live_ranks = 0;
-  std::uint32_t epoch = 0;  // membership epoch the timed iterations ran at
+  std::uint32_t epoch = 0;  // membership epoch rank 0 ended the timed part at
 };
 
 std::atomic<std::uint64_t> g_sink{0};  // defeats dead-code elimination
@@ -111,36 +123,51 @@ stfw::ResilienceOptions bench_options() {
   return opt;
 }
 
-ModeResult run_mode(const stfw::core::Vpt& vpt,
-                    const std::vector<std::vector<stfw::OutboundMessage>>& pattern, int iters,
-                    Mode mode, std::uint64_t seed) {
+/// Runs one cluster: the healthy rows alone, or the crash exchange followed
+/// by the degraded rows.
+std::vector<ModeResult> run_cluster(const stfw::core::Vpt& vpt,
+                                    const std::vector<std::vector<stfw::OutboundMessage>>& pattern,
+                                    int iters, bool crash, std::uint64_t seed) {
   const Rank num_ranks = vpt.size();
   stfw::runtime::Cluster cluster(num_ranks);
   std::shared_ptr<stfw::fault::FaultInjector> injector;
-  if (mode == Mode::kDegraded) {
+  if (crash) {
     stfw::fault::FaultConfig cfg;
     cfg.seed = seed;
     cfg.crash_rank = kCrashRank;
-    cfg.crash_visit = 0;  // stage 0 of the first (untimed) exchange
+    cfg.crash_visit = 0;  // stage 0 of the crash exchange
     cfg.crash_survivable = true;
     injector = std::make_shared<stfw::fault::FaultInjector>(cfg);
     cluster.set_fault_injector(injector);
   }
 
+  double crash_ns = 0.0;
   double wall_ns = 0.0;
+  std::atomic<std::int64_t> crash_relays{0};
   std::atomic<std::int64_t> relays{0};
+  std::uint32_t crash_epoch = 0;
   std::atomic<std::uint32_t> epoch{0};
   const stfw::ResilienceOptions opt = bench_options();
   cluster.run([&](stfw::runtime::Comm& comm) {
     stfw::StfwCommunicator communicator(comm, vpt);
     const auto& sends = pattern[static_cast<std::size_t>(comm.rank())];
-    if (mode == Mode::kDegraded) {
+    std::chrono::steady_clock::time_point c0;
+    if (crash) {
       // The crash exchange: rank kCrashRank dies at stage 0, survivors
-      // detect the death and bump the epoch. Untimed.
+      // detect the death and bump the epoch.
+      comm.barrier();
+      c0 = std::chrono::steady_clock::now();
       (void)communicator.exchange_resilient(sends, opt);
+      crash_relays.fetch_add(communicator.last_stats().relay_submessages,
+                             std::memory_order_relaxed);
     }
     comm.barrier();  // alive-aware: released once every survivor arrives
     const auto t0 = std::chrono::steady_clock::now();
+    if (crash && comm.rank() == 0) {
+      crash_epoch = communicator.last_stats().membership_epoch;
+      crash_ns = static_cast<double>(
+          std::chrono::duration_cast<std::chrono::nanoseconds>(t0 - c0).count());
+    }
     std::uint64_t received = 0;
     std::int64_t my_relays = 0;
     for (int it = 0; it < iters; ++it) {
@@ -160,14 +187,16 @@ ModeResult run_mode(const stfw::core::Vpt& vpt,
   });
   cluster.set_fault_injector(nullptr);
 
-  ModeResult out;
-  out.ns_per_exchange = wall_ns / static_cast<double>(iters);
-  out.relay_submessages = relays.load();
-  out.live_ranks = num_ranks - static_cast<Rank>(cluster.membership().failed().size());
-  out.epoch = epoch.load();
-  if (mode == Mode::kDegraded && injector->counters().crashes != 1)
-    std::fprintf(stderr, "warning: K=%d expected 1 injected crash, saw %lld\n", num_ranks,
-                 static_cast<long long>(injector->counters().crashes));
+  const std::int64_t live = num_ranks - static_cast<Rank>(cluster.membership().failed().size());
+  std::vector<ModeResult> out;
+  if (crash) {
+    out.push_back({Mode::kCrash, 1, crash_ns, crash_relays.load(), live, crash_epoch});
+    if (injector->counters().crashes != 1)
+      std::fprintf(stderr, "warning: K=%d expected 1 injected crash, saw %lld\n", num_ranks,
+                   static_cast<long long>(injector->counters().crashes));
+  }
+  out.push_back({crash ? Mode::kDegraded : Mode::kHealthy, iters,
+                 wall_ns / static_cast<double>(iters), relays.load(), live, epoch.load()});
   return out;
 }
 
@@ -206,25 +235,25 @@ int main() {
         stfw::bench::bench_seed() ^ static_cast<std::uint64_t>(num_ranks);
     const auto pattern = build_pattern(num_ranks, base_bytes, seed);
 
-    double healthy_ns = 0.0;
-    for (const Mode mode : {Mode::kHealthy, Mode::kDegraded}) {
-      const ModeResult r = run_mode(vpt, pattern, iters, mode, seed);
-      if (mode == Mode::kHealthy) healthy_ns = r.ns_per_exchange;
+    std::vector<ModeResult> rows = run_cluster(vpt, pattern, iters, false, seed);
+    const double healthy_ns = rows.front().ns_per_exchange;
+    for (const ModeResult& r : run_cluster(vpt, pattern, iters, true, seed)) rows.push_back(r);
+    for (const ModeResult& r : rows) {
       const double overhead = healthy_ns > 0.0 ? r.ns_per_exchange / healthy_ns : 0.0;
-      std::printf("%6d %10s %6lld %14.0f %9lld %10s\n", num_ranks, mode_name(mode),
+      std::printf("%6d %10s %6lld %14.0f %9lld %10s\n", num_ranks, mode_name(r.mode),
                   static_cast<long long>(r.live_ranks), r.ns_per_exchange,
                   static_cast<long long>(r.relay_submessages), (fmt(overhead, 2) + "x").c_str());
       std::string row_name = "K";
       row_name += std::to_string(num_ranks);
       row_name += '/';
-      row_name += mode_name(mode);
+      row_name += mode_name(r.mode);
       results.push(Json::object()
                        .set("name", Json::string(std::move(row_name)))
-                       .set("mode", Json::string(mode_name(mode)))
+                       .set("mode", Json::string(mode_name(r.mode)))
                        .set("scheme", Json::string(stfw::bench::scheme_name(2)))
                        .set("ranks", Json::integer(num_ranks))
                        .set("live_ranks", Json::integer(r.live_ranks))
-                       .set("iters", Json::integer(iters))
+                       .set("iters", Json::integer(r.iters))
                        .set("membership_epoch", Json::integer(r.epoch))
                        .set("relay_submessages", Json::integer(r.relay_submessages))
                        .set("wall_ns_per_exchange", Json::number(r.ns_per_exchange))

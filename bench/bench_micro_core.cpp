@@ -1,6 +1,6 @@
 // Micro-benchmarks (google-benchmark) of the core routing machinery: VPT
 // coordinate math, SendSet seeding, stage outbox formation, wire
-// serialization, and whole-exchange simulator throughput.
+// serialization, the frame checksum, and whole-exchange simulator throughput.
 
 #include <benchmark/benchmark.h>
 
@@ -73,6 +73,20 @@ void BM_WireSerializeRoundTrip(benchmark::State& state) {
                               64, 64 * static_cast<std::uint64_t>(state.range(0)))));
 }
 BENCHMARK(BM_WireSerializeRoundTrip)->Arg(16)->Arg(256)->Arg(4096);
+
+// The resilient frame checksum; 4216 bytes is the mean resilient_drop_k64
+// frame, and every frame is digested once to encode and once to decode.
+void BM_Digest64(benchmark::State& state) {
+  std::vector<std::byte> buf(static_cast<std::size_t>(state.range(0)));
+  std::mt19937_64 rng(5);
+  for (std::byte& b : buf) b = static_cast<std::byte>(rng());
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(buf.data());
+    benchmark::DoNotOptimize(core::digest64(buf));
+  }
+  state.SetBytesProcessed(state.iterations() * state.range(0));
+}
+BENCHMARK(BM_Digest64)->Arg(36)->Arg(4216)->Arg(65536);
 
 void BM_SimulateExchange(benchmark::State& state) {
   const auto K = static_cast<Rank>(state.range(0));

@@ -5,6 +5,8 @@
 #include <cstdio>
 #include <cstdlib>
 
+#include <unistd.h>
+
 #include "core/env.hpp"
 #include "core/error.hpp"
 #include "partition/partitioner.hpp"
@@ -273,6 +275,11 @@ Json bench_json_envelope(const std::string& bench_name) {
   Json root = Json::object();
   root.set("bench", Json::string(bench_name));
   root.set("schema_version", Json::integer(1));
+  root.set("fingerprint",
+           Json::object()
+               .set("nproc", Json::integer(sysconf(_SC_NPROCESSORS_ONLN)))
+               .set("compiler", Json::string(STFW_BENCH_COMPILER))
+               .set("build_type", Json::string(STFW_BENCH_BUILD_TYPE)));
   root.set("config", std::move(config));
   root.set("results", Json::array());
   return root;

@@ -84,6 +84,7 @@ std::string fmt(double v, int precision = 1);
 // human-readable table so runs are diffable across commits
 // (tools/compare_bench.py). Schema (docs/performance.md):
 //   { "bench": <name>, "schema_version": 1,
+//     "fingerprint": { "nproc", "compiler", "build_type" },
 //     "config": { knob: value, ... },
 //     "results": [ { "name": <row key>, <numeric metrics>... }, ... ] }
 

@@ -60,9 +60,10 @@ std::vector<Submessage> deserialize_tracked(std::span<const std::byte> wire, Pay
 // version the sender believed in when it built the frame: receivers whose
 // membership has advanced past it nack the frame, forcing the sender to
 // observe the failure and re-route before retrying (docs/fault_model.md,
-// "Membership epochs"). `checksum` is FNV-1a over all preceding header bytes
-// plus the body, which catches the truncation and bit-rot faults the
-// injector can produce.
+// "Membership epochs"). `checksum` is digest64 of the body, seeded with
+// digest64 of all preceding header bytes; with the exact-length check it
+// catches truncation and any corruption confined to one 8-byte word of the
+// header or the body, which covers every single-bit and single-byte fault.
 
 inline constexpr std::uint32_t kFrameMagic = 0x53544652u;  // "STFR"
 inline constexpr std::uint64_t kFrameOverheadBytes = 36;
@@ -97,9 +98,16 @@ struct DecodedFrame {
   std::span<const std::byte> body;
 };
 
-/// FNV-1a (64-bit) over `bytes`, continuing from `h`.
-std::uint64_t fnv1a(std::span<const std::byte> bytes,
-                    std::uint64_t h = 14695981039346656037ull) noexcept;
+/// 64-bit digest of `bytes`, chained through `seed`. `bytes` is read as
+/// 8-byte words in host byte order, like every field here, in four lanes;
+/// the lanes, the length, the leftover words and the zero-padded tail are
+/// then folded in order. Every step is `h = (h ^ word) * 1099511628211`, a
+/// bijection of `h` for a fixed word and of the word for a fixed `h`, so
+/// any change confined to one 8-byte word of `bytes`, or to `seed`, changes
+/// the digest. Differences spread only toward higher bits, so changes in
+/// several words can cancel: a checksum, not a hash for adversarial input.
+std::uint64_t digest64(std::span<const std::byte> bytes,
+                       std::uint64_t seed = 14695981039346656037ull) noexcept;
 
 /// Wrap `body` in a frame with `header` (its body_len is overwritten) and a
 /// freshly computed checksum.

@@ -5,6 +5,7 @@
 #include <string>
 
 #include "core/error.hpp"
+#include "core/wire.hpp"
 
 namespace stfw::validate {
 
@@ -13,13 +14,7 @@ using core::StageMessage;
 using core::Submessage;
 
 std::uint64_t payload_digest(std::span<const std::byte> payload) noexcept {
-  // FNV-1a, 64-bit.
-  std::uint64_t h = 14695981039346656037ull;
-  for (const std::byte b : payload) {
-    h ^= static_cast<std::uint64_t>(b);
-    h *= 1099511628211ull;
-  }
-  return h;
+  return core::digest64(payload);
 }
 
 namespace {

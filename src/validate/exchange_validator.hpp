@@ -43,8 +43,8 @@
 namespace stfw::validate {
 
 /// Order-independent digest of a set of payloads: the sum (mod 2^64) of the
-/// FNV-1a hash of each payload. Addition (not XOR) so duplicated payloads do
-/// not cancel.
+/// core::digest64 of each payload. Addition (not XOR) so duplicated payloads
+/// do not cancel.
 std::uint64_t payload_digest(std::span<const std::byte> payload) noexcept;
 
 class ExchangeValidator {

@@ -339,7 +339,7 @@ TEST(ExchangeValidator, StructuredDiagnosticsCarryContext) {
 TEST(ExchangeValidator, PayloadDigestIsOrderIndependentButSizeSensitive) {
   const auto a = bytes_of({1, 2});
   const auto b = bytes_of({2, 1});
-  EXPECT_NE(payload_digest(a), payload_digest(b));  // FNV-1a is order-sensitive per payload
+  EXPECT_NE(payload_digest(a), payload_digest(b));  // digest64 is order-sensitive per payload
   // The per-pair combination (sum) is what makes multiset comparison
   // order-independent: a+b == b+a trivially; duplicates do not cancel.
   EXPECT_EQ(payload_digest(a) + payload_digest(b), payload_digest(b) + payload_digest(a));

@@ -190,20 +190,26 @@ TEST(Frame, DetectsTruncationAnywhere) {
 }
 
 TEST(Frame, DetectsSingleBitCorruptionAnywhere) {
-  const auto body = bytes_of({0xaa, 0xbb, 0xcc, 0xdd});
   FrameHeader h;
   h.kind = FrameKind::kDirect;
   h.epoch = 3;
   h.seq = 7;
   h.sender = 5;
-  const auto wire = encode_frame(h, body);
-  ASSERT_TRUE(decode_frame(wire).has_value());
-  for (std::size_t i = 0; i < wire.size(); ++i) {
-    for (int bit = 0; bit < 8; ++bit) {
-      auto bad = wire;
-      bad[i] ^= static_cast<std::byte>(1 << bit);
-      EXPECT_FALSE(decode_frame(bad).has_value())
-          << "accepted a flipped bit " << bit << " at byte " << i;
+  // Lengths on both sides of the digest's word (8) and lane-block (32)
+  // boundaries, so the tail, leftover-word and lane paths all get mutated.
+  for (const std::size_t len :
+       std::initializer_list<std::size_t>{0, 1, 7, 8, 9, 31, 32, 33, 63, 64, 65}) {
+    std::vector<std::byte> body(len);
+    for (std::size_t i = 0; i < len; ++i) body[i] = static_cast<std::byte>(0xa5 ^ (i * 29));
+    const auto wire = encode_frame(h, body);
+    ASSERT_TRUE(decode_frame(wire).has_value()) << len << "-byte body";
+    for (std::size_t i = 0; i < wire.size(); ++i) {
+      for (int bit = 0; bit < 8; ++bit) {
+        auto bad = wire;
+        bad[i] ^= static_cast<std::byte>(1 << bit);
+        EXPECT_FALSE(decode_frame(bad).has_value())
+            << len << "-byte body: accepted a flipped bit " << bit << " at byte " << i;
+      }
     }
   }
 }
@@ -300,11 +306,22 @@ TEST(FailureNoticeCodec, RejectsOverstatedDeadCount) {
   EXPECT_FALSE(decode_failure_notice(body).has_value());
 }
 
-TEST(Frame, FnvDigestIsStable) {
-  const auto data = bytes_of({'a', 'b', 'c'});
-  // Reference value of FNV-1a 64 for "abc".
-  EXPECT_EQ(fnv1a(data), 0xe71fa2190541574bull);
-  EXPECT_EQ(fnv1a({}), 14695981039346656037ull);
+TEST(Frame, DigestIsStable) {
+  // Reference values from an independent transcription of the digest64
+  // definition (wire.hpp) on a little-endian host. The lengths cover the
+  // tail-only (3), one-word (8), words-plus-tail (31), one lane block (32),
+  // block-plus-tail (33) and many-block (4096) paths.
+  std::vector<std::byte> data(4096);
+  for (std::size_t i = 0; i < data.size(); ++i) data[i] = static_cast<std::byte>(i * 37 + 11);
+  const std::span<const std::byte> all(data);
+  EXPECT_EQ(digest64({}), 0x9fffe57be8b2ba21ull);
+  EXPECT_EQ(digest64(all.first(3)), 0xc752db8cc1670419ull);
+  EXPECT_EQ(digest64(all.first(8)), 0x702a81659f8ef0e6ull);
+  EXPECT_EQ(digest64(all.first(31)), 0x75a01388a2c49648ull);
+  EXPECT_EQ(digest64(all.first(32)), 0x5f740af6319f2e7dull);
+  EXPECT_EQ(digest64(all.first(33)), 0xd1594e56517868d3ull);
+  EXPECT_EQ(digest64(all), 0x37a01db0e163ae21ull);
+  EXPECT_EQ(digest64(bytes_of({'a', 'b', 'c'}), 1), 0x94afe98330fc0cffull);
 }
 
 TEST(PayloadArenaTest, ViewsRemainValidAcrossAdds) {
