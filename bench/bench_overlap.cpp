@@ -7,23 +7,29 @@
 //   sync      dependency-driven stages (no barriers), compute after
 //             the exchange returns (the baseline schedule)
 //   overlap   dependency-driven stages with the compute phase run inside
-//             the exchange's OverlapHook, i.e. between posting the stage-0
-//             sends and blocking on the stage-0 receives
+//             the exchange's OverlapHook, i.e. between arriving at the
+//             stage-0 group and waiting for its other members
 //
 // The in-process cluster has no wire: a message "travels" by moving between
 // mailboxes under a mutex, so communication time is all CPU and there is
-// nothing for compute to overlap *with*. The harness therefore models
-// network latency with the fault injector's delay machinery — every frame
-// is held for STFW_BENCH_OVERLAP_LAT_MS by the monitor pump before
-// delivery, which is real non-CPU in-flight time exactly like a NIC's.
+// nothing for compute to overlap *with*. The harness therefore models a
+// slow peer with the fault injector's stall site: at stage 0 of every
+// exchange, rank 1 is held for STFW_BENCH_OVERLAP_LAT_MS before it posts
+// anything — real non-CPU time that every other rank waits out. The two
+// schedules then read about the same in-process, because under `sync` the
+// other ranks' compute of one iteration already runs while rank 1 stalls
+// at the start of the next; the gate checks that the hook costs no time.
+// The injector's message delays cannot model wire latency here: a plain
+// exchange closes a stage on its group's arrival, so it refuses message
+// faults (docs/fault_model.md).
 //
 // Rows land in BENCH_overlap.json (schema: docs/performance.md) for
 // tools/compare_bench.py --overlap-gate. Knobs: STFW_BENCH_OVERLAP_KMAX
 // (default 256), STFW_BENCH_OVERLAP_ITERS (timed iterations, default 12),
 // STFW_BENCH_OVERLAP_BYTES (base payload size, default 64),
 // STFW_BENCH_OVERLAP_WORK (compute-phase fma count per rank, default
-// 65536), STFW_BENCH_OVERLAP_LAT_MS (per-hop latency, default 64, 0 = no
-// modeled latency).
+// 65536), STFW_BENCH_OVERLAP_LAT_MS (the slow peer's stall per exchange,
+// default 64, 0 = no slow peer).
 
 #include <algorithm>
 #include <atomic>
@@ -55,8 +61,8 @@ std::uint64_t mix(std::uint64_t x) {
 }
 
 /// Skewed fixed pattern: every rank sends to ~8 pseudo-random peers with
-/// sizes in [base, 4*base) — sparse enough that the regularized exchange
-/// ships filler frames, the regime the barrier-free schedule targets.
+/// sizes in [base, 4*base) — sparse enough that many (stage, neighbor)
+/// slots carry no frame, the regime the barrier-free schedule targets.
 std::vector<std::vector<stfw::OutboundMessage>> build_pattern(Rank num_ranks,
                                                               std::uint32_t base_bytes,
                                                               std::uint64_t seed) {
@@ -127,8 +133,8 @@ double run_mode(stfw::runtime::Cluster& cluster, const stfw::core::Vpt& vpt,
     const auto seed = static_cast<std::uint64_t>(comm.rank());
     // Skewed compute, like an irregular partition's row distribution: every
     // fourth rank carries 4x the work. Dependency-driven progress lets light
-    // ranks run ahead (the epoch+stage tag demux absorbs their early
-    // frames), and inside the hook their wait soaks up the heavy ranks'
+    // ranks run ahead (per-exchange stage tags keep their early frames
+    // apart), and inside the hook their wait soaks up the heavy ranks'
     // compute.
     const int my_work = work * (comm.rank() % 4 == 0 ? 4 : 1);
     (void)communicator.exchange(sends);  // warm-up records the plan
@@ -180,7 +186,7 @@ int main() {
                          .set("iters", Json::integer(iters))
                          .set("payload_base_bytes", Json::integer(base_bytes))
                          .set("compute_work", Json::integer(work))
-                         .set("latency_ms", Json::integer(lat_ms))
+                         .set("slow_peer_stall_ms", Json::integer(lat_ms))
                          .set("seed", Json::integer(static_cast<std::int64_t>(
                                           stfw::bench::bench_seed()))));
   Json results = Json::array();
@@ -198,13 +204,13 @@ int main() {
 
     stfw::runtime::Cluster cluster(num_ranks);
     if (lat_ms > 0) {
-      // Deterministic per-hop in-flight latency: every frame is held by the
-      // delayed-message pump for lat_ms before it reaches the mailbox.
+      // The slow peer: a light rank (1 % 4 != 0) stalls lat_ms at stage 0
+      // of every exchange, before it posts anything.
       stfw::fault::FaultConfig fc;
       fc.seed = stfw::bench::bench_seed();
-      fc.delay_prob = 1.0;
-      fc.delay_min = std::chrono::milliseconds(lat_ms);
-      fc.delay_max = std::chrono::milliseconds(lat_ms);
+      fc.stall_rank = 1;
+      fc.stall_stage = 0;
+      fc.stall_duration = std::chrono::milliseconds(lat_ms);
       cluster.set_fault_injector(std::make_shared<stfw::fault::FaultInjector>(fc));
     }
     double sync_ns = 0.0;

@@ -58,9 +58,6 @@ PlanRecorder::PlanRecorder(const Vpt& vpt, Rank me,
   layout_.in_frames.resize(static_cast<std::size_t>(n));
   layout_.stage_buffered_bytes.assign(static_cast<std::size_t>(n), 0);
   layout_.stage_buffered_subs.assign(static_cast<std::size_t>(n), 0);
-  layout_.expected_stage_frames.resize(static_cast<std::size_t>(n));
-  for (int d = 0; d < n; ++d)
-    layout_.expected_stage_frames[static_cast<std::size_t>(d)] = vpt.dim_size(d) - 1;
   for (const auto& [dest, size] : pattern) {
     require(dest >= 0 && dest < vpt.size(), "PlanRecorder: destination out of range");
     layout_.seed_payload_bytes += size;

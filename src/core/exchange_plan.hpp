@@ -103,13 +103,6 @@ struct ExchangePlanLayout {
   std::vector<std::vector<PlanInFrame>> in_frames;    // [stage][frame]
   std::vector<PlanDelivery> deliveries;               // sorted by source
 
-  /// Per-stage inbound dependency table of the barrier-free replay: the
-  /// total number of frames — real (in_frames) plus 4-byte empty fillers —
-  /// this rank awaits in stage d, i.e. its k_d - 1 dimension-d neighbors.
-  /// Frozen so a replay blocks on exactly these counts instead of a global
-  /// barrier; any neighbor beyond in_frames must arrive empty.
-  std::vector<int> expected_stage_frames;
-
   /// Forward-buffer residency after each stage, frozen for the validator's
   /// on_stage_complete hook.
   std::vector<std::uint64_t> stage_buffered_bytes;

@@ -14,6 +14,11 @@ using core::require;
 
 namespace {
 
+// reserve_tags hands out [0, kTagRange); the release post of an arrival
+// round on tag t carries t | kReleaseBit, outside every stage tag.
+constexpr int kTagRange = 1 << 28;
+constexpr int kReleaseBit = 1 << 29;
+
 long long ms_since(std::chrono::steady_clock::time_point t) {
   return std::chrono::duration_cast<std::chrono::milliseconds>(verify::verify_now() - t)
       .count();
@@ -38,9 +43,19 @@ Message Comm::recv(int source, int tag, Deadline deadline) {
 
 std::vector<Message> Comm::drain(int tag) { return cluster_->drain(rank_, tag); }
 
-std::vector<Message> Comm::recv_from_each(std::span<const int> sources, int tag,
-                                          Deadline deadline) {
-  return cluster_->recv_from_each(rank_, sources, tag, deadline);
+void Comm::arrive(std::span<const int> group, int tag) { cluster_->arrive(rank_, group, tag); }
+
+void Comm::await_arrival(std::span<const int> group, int tag, Deadline deadline) {
+  require(!group.empty(), "Comm::await_arrival: empty group");
+  (void)cluster_->blocking_recv(rank_, kAnySource, tag | kReleaseBit, deadline, group);
+}
+
+int Comm::reserve_tags(int count) {
+  require(count >= 1 && count <= kTagRange, "Comm::reserve_tags: count out of range");
+  int base = (next_tag_ + count - 1) / count * count;
+  if (base > kTagRange - count) base = 0;
+  next_tag_ = base + count;
+  return base;
 }
 
 bool Comm::probe(int source, int tag) { return cluster_->probe(rank_, source, tag); }
@@ -122,6 +137,14 @@ void Cluster::run(const std::function<void(Comm&)>& fn) {
   wakeups_.store(0, std::memory_order_relaxed);
   for (int r = 0; r < num_ranks_; ++r) {
     const auto& mb = mailboxes_[static_cast<std::size_t>(r)];
+    {
+      // Rounds left open by an aborted run never complete; like the barrier
+      // count, the arrival state is rearmed for every run.
+      MutexLock lock(mb->rounds_mu);
+      STFW_VERIFY_WRITE(&mb->rounds, "Cluster::run arrival reset");
+      mb->rounds.clear();
+      mb->latest_arrival.store(-1);
+    }
     // No rank threads are alive here, but the previous run's monitor could
     // in principle have raced this check before TSA made the lock mandatory.
     MutexLock lock(mb->mu);
@@ -407,22 +430,8 @@ bool matches(const Message& m, int source, int tag) {
 // and the queue rescanned: a completing post, a spurious wakeup and the
 // teardown/membership broadcasts (notify_all) all take the same path.
 
-bool Cluster::Waiter::completed_by(const Message& m) {
-  switch (kind) {
-    case Kind::kNone:
-      return false;
-    case Kind::kAny:
-      return true;
-    case Kind::kRecv:
-      return matches(m, source, tag);
-    case Kind::kEach:
-      break;
-  }
-  if (m.tag != tag) return false;
-  const auto it = std::lower_bound(missing.begin(), missing.end(), m.source);
-  if (it == missing.end() || *it != m.source) return false;
-  missing.erase(it);
-  return missing.empty();
+bool Cluster::Waiter::completed_by(const Message& m) const {
+  return kind == Kind::kAny || (kind == Kind::kRecv && matches(m, source, tag));
 }
 
 void Cluster::sleep_on(Mailbox& mb, MutexLock& lock, Deadline deadline) {
@@ -433,7 +442,10 @@ void Cluster::sleep_on(Mailbox& mb, MutexLock& lock, Deadline deadline) {
   mb.waiter.kind = Waiter::Kind::kNone;
 }
 
-Message Cluster::blocking_recv(int me, int source, int tag, Deadline deadline) {
+Message Cluster::blocking_recv(int me, int source, int tag, Deadline deadline,
+                               std::span<const int> group) {
+  const char* op = group.empty() ? "recv" : "await_arrival";
+  const int round = group.empty() ? tag : tag ^ kReleaseBit;  // the arrival round's tag
   Mailbox& mb = *mailboxes_[static_cast<std::size_t>(me)];
   const auto entered = verify::verify_now();
   bool registered = false;
@@ -451,14 +463,23 @@ Message Cluster::blocking_recv(int me, int source, int tag, Deadline deadline) {
       note_progress();
       return out;
     }
-    throw_if_torn_down(me, "recv");
-    if (deadline.expired()) {
+    throw_if_torn_down(me, op);
+    const bool expired = deadline.expired();
+    if (!group.empty() && (expired || membership_.any_failed())) {
+      if (auto error = stranded(me, group, round, expired, ms_since(entered))) {
+        if (registered) set_block_state(me, BlockInfo::Kind::kRunning);
+        throw *error;
+      }
+      // Every member arrived: the release post is on its way.
+      if (expired) deadline = Deadline::never();
+    } else if (expired) {
       if (registered) set_block_state(me, BlockInfo::Kind::kRunning);
       throw core::TimeoutError("recv", me, source, tag, ms_since(entered),
                                "no matching message arrived before the deadline");
     }
     if (!registered) {
-      set_block_state(me, BlockInfo::Kind::kRecv, source, tag);
+      set_block_state(me, group.empty() ? BlockInfo::Kind::kRecv : BlockInfo::Kind::kArrival,
+                      source, round);
       registered = true;
     }
     mb.waiter.kind = Waiter::Kind::kRecv;
@@ -468,94 +489,56 @@ Message Cluster::blocking_recv(int me, int source, int tag, Deadline deadline) {
   }
 }
 
-std::vector<Message> Cluster::recv_from_each(int me, std::span<const int> sources, int tag,
-                                             Deadline deadline) {
-  std::vector<int> want(sources.begin(), sources.end());
-  std::sort(want.begin(), want.end());
-  require(std::adjacent_find(want.begin(), want.end()) == want.end(),
-          "Comm::recv_from_each: duplicate source");
-  std::vector<Message> out(want.size());
-  std::vector<bool> have(want.size(), false);
-  std::size_t remaining = want.size();
-  if (remaining == 0) return out;
-
-  Mailbox& mb = *mailboxes_[static_cast<std::size_t>(me)];
-  const auto entered = verify::verify_now();
-  bool registered = false;
-  MutexLock lock(mb.mu);
-  for (;;) {
-    STFW_VERIFY_READ(&mb.queue, "Cluster::recv_from_each scan");
-    auto it = mb.queue.begin();
-    while (it != mb.queue.end() && remaining > 0) {
-      bool take = false;
-      std::size_t idx = 0;
-      if (it->tag == tag) {
-        const auto w = std::lower_bound(want.begin(), want.end(), it->source);
-        if (w != want.end() && *w == it->source) {
-          idx = static_cast<std::size_t>(w - want.begin());
-          // Only the first queued match per source: a second same-tag
-          // message from it belongs to a later wait and keeps its order.
-          take = !have[idx];
-        }
-      }
-      if (!take) {
-        ++it;
-        continue;
-      }
-      STFW_VERIFY_WRITE(&mb.queue, "Cluster::recv_from_each dequeue");
-      STFW_VERIFY_HOOK(mailbox_recv(me, it->source, it->tag, it->verify_id));
-      out[idx] = std::move(*it);
-      have[idx] = true;
-      --remaining;
-      it = mb.queue.erase(it);
-      note_progress();
+void Cluster::arrive(int me, std::span<const int> group, int tag) {
+  require(tag >= 0 && tag < kReleaseBit, "Comm::arrive: tag out of range");
+  require(std::adjacent_find(group.begin(), group.end(), std::greater_equal<>()) == group.end() &&
+              std::binary_search(group.begin(), group.end(), me) && group.front() >= 0 &&
+              group.back() < num_ranks_,
+          "Comm::arrive: the group must be ascending ranks that include the caller");
+  mailboxes_[static_cast<std::size_t>(me)]->latest_arrival.store(tag);
+  {
+    Mailbox& shard = *mailboxes_[static_cast<std::size_t>(group.front())];
+    MutexLock lock(shard.rounds_mu);
+    STFW_VERIFY_WRITE(&shard.rounds, "Cluster::arrive count");
+    auto& rounds = shard.rounds;
+    const auto it = std::find_if(rounds.begin(), rounds.end(), [&](const ArrivalRound& r) {
+      return r.tag == tag && std::equal(r.members.begin(), r.members.end(), group.begin(),
+                                        group.end());
+    });
+    if (it == rounds.end() && group.size() > 1) {
+      rounds.push_back(ArrivalRound{tag, {group.begin(), group.end()}, 1});
+      return;  // the first arrival opens the round
     }
-    if (remaining == 0) {
-      if (registered) set_block_state(me, BlockInfo::Kind::kRunning);
-      return out;
+    if (it != rounds.end()) {
+      if (++it->arrived < group.size()) return;
+      *it = std::move(rounds.back());  // the last arrival closes it
+      rounds.pop_back();
     }
-    throw_if_torn_down(me, "recv_from_each");
-    if (membership_.any_failed()) {
-      // A dead awaited source can never satisfy the dependency; fail fast
-      // with a named error instead of sleeping out the full deadline.
-      for (std::size_t i = 0; i < want.size(); ++i) {
-        if (have[i] || membership_.alive(want[i])) continue;
-        if (registered) set_block_state(me, BlockInfo::Kind::kRunning);
-        throw core::TimeoutError("recv_from_each", me, want[i], tag, ms_since(entered),
-                                 "awaited source died before sending its frame");
-      }
-    }
-    if (deadline.expired()) {
-      if (registered) set_block_state(me, BlockInfo::Kind::kRunning);
-      std::string missing;
-      for (std::size_t i = 0; i < want.size(); ++i) {
-        if (have[i]) continue;
-        if (!missing.empty()) missing += ", ";
-        missing += std::to_string(want[i]);
-      }
-      int first_missing = kAnySource;
-      for (std::size_t i = 0; i < want.size(); ++i)
-        if (!have[i]) {
-          first_missing = want[i];
-          break;
-        }
-      throw core::TimeoutError("recv_from_each", me, first_missing, tag, ms_since(entered),
-                               "no frame arrived from source(s) " + missing +
-                                   " before the deadline");
-    }
-    if (!registered) {
-      set_block_state(me, BlockInfo::Kind::kRecv, kAnySource, tag);
-      registered = true;
-    }
-    // The scan above took every queued match, so the sources still missing
-    // are exactly those with no matching message queued.
-    mb.waiter.kind = Waiter::Kind::kEach;
-    mb.waiter.tag = tag;
-    mb.waiter.missing.clear();
-    for (std::size_t i = 0; i < want.size(); ++i)
-      if (!have[i]) mb.waiter.missing.push_back(want[i]);
-    sleep_on(mb, lock, deadline);
   }
+  // The last arrival releases every member, itself included, with one
+  // post each, so a waiting member wakes once. The post bypasses the
+  // injector and the wire tap: it is runtime control, not traffic.
+  for (const int m : group) post_raw(m, Message{me, tag | kReleaseBit, {}});
+}
+
+std::optional<core::TimeoutError> Cluster::stranded(int me, std::span<const int> group, int tag,
+                                                    bool expired, long long waited_ms) const {
+  std::string absent;
+  int first = kAnySource;
+  for (const int m : group) {
+    // Liveness first: a member's death is published after its last arrive(),
+    // so a dead member that did arrive reads as arrived below.
+    const bool dead = !membership_.alive(m);
+    if (mailboxes_[static_cast<std::size_t>(m)]->latest_arrival.load() == tag) continue;
+    if (dead)
+      return core::TimeoutError("await_arrival", me, m, tag, waited_ms,
+                                "group member " + std::to_string(m) + " died before arriving");
+    absent += (first == kAnySource ? "" : ", ") + std::to_string(m);
+    if (first == kAnySource) first = m;
+  }
+  if (!expired || first == kAnySource) return std::nullopt;
+  return core::TimeoutError("await_arrival", me, first, tag, waited_ms,
+                            "group member(s) " + absent + " did not arrive before the deadline");
 }
 
 std::vector<Message> Cluster::drain(int me, int tag) {
@@ -747,6 +730,7 @@ void Cluster::check_deadlock(std::chrono::steady_clock::time_point now) {
       if (b.kind == BlockInfo::Kind::kDone) continue;
       any_active = true;
       const bool blocked = b.kind == BlockInfo::Kind::kRecv ||
+                           b.kind == BlockInfo::Kind::kArrival ||
                            b.kind == BlockInfo::Kind::kBarrier ||
                            b.kind == BlockInfo::Kind::kWait;
       if (!blocked || now - b.since < watchdog_window_) {
@@ -771,6 +755,9 @@ void Cluster::check_deadlock(std::chrono::steady_clock::time_point now) {
                     (b.source == kAnySource ? std::string("any")
                                             : std::to_string(b.source)) +
                     ", tag=" + std::to_string(b.tag) + ")";
+          break;
+        case BlockInfo::Kind::kArrival:
+          report += "blocked in await_arrival(tag=" + std::to_string(b.tag) + ")";
           break;
         case BlockInfo::Kind::kBarrier:
           report += "blocked in barrier";

@@ -7,10 +7,12 @@
 #include <deque>
 #include <functional>
 #include <memory>
+#include <optional>
 #include <span>
 #include <string>
 #include <vector>
 
+#include "core/error.hpp"
 #include "core/sync.hpp"
 #include "core/verify_hooks.hpp"
 #include "membership.hpp"
@@ -27,18 +29,22 @@
 ///  * point-to-point ordering: two messages from the same source with the
 ///    same tag arrive in send order;
 ///  * barrier(): collective; all sends issued before a rank enters the
-///    barrier are visible to drain() calls made after it returns.
+///    barrier are visible to drain() calls made after it returns;
+///  * stage arrival: once await_arrival() returns, every message each member
+///    of the group sent to the caller before its arrive() is queued in the
+///    caller's mailbox — a send is queued by the time it returns, so a round
+///    that every member has arrived at is NBX's matched-synchronous-send
+///    condition, and drain(tag) then takes exactly those messages.
 ///
 /// This is deliberately a small, honest subset of MPI — enough to run
 /// Algorithm 1 exactly as each MPI rank would run it.
 ///
 /// Mailbox wait protocol (docs/performance.md): a mailbox is one locked
 /// deque, and its owner rank is the only thread that ever waits on it. A
-/// blocking receive records under the mailbox mutex what it waits for —
-/// any message, one (source, tag), or one tag-matched frame from each of a
-/// set of sources — and a post notifies only when its message completes
-/// that wait. A stage of recv_from_each therefore costs its rank one
-/// wakeup, not one per arriving frame.
+/// blocking receive records under the mailbox mutex what it waits for — any
+/// message or one (source, tag) — and a post notifies only when its message
+/// completes that wait. A stage arrival releases each waiting member with
+/// one such post, so a stage costs a waiting rank one wakeup.
 ///
 /// Resilience plumbing (docs/fault_model.md):
 ///
@@ -109,21 +115,27 @@ public:
   Message recv(int source, int tag, Deadline deadline);
 
   /// All messages with `tag` currently in the mailbox, sorted by source
-  /// (then arrival order). Non-blocking; complete after a barrier that
-  /// orders it after the sends of interest.
+  /// (then arrival order). Non-blocking; complete after a barrier or an
+  /// await_arrival() that orders it after the sends of interest.
   std::vector<Message> drain(int tag);
 
-  /// Blocks until one message with `tag` from *every* rank in `sources` is
-  /// queued, then returns them in ascending-source order (the first queued
-  /// match per source; later same-tag messages stay queued in send order).
-  /// This is the stage-aware demultiplexer of the dependency-driven
-  /// exchange: a rank advances the moment its per-stage inbound dependency
-  /// set is satisfied, while frames tagged for later stages wait in the
-  /// mailbox untouched. Throws core::TimeoutError naming a missing source
-  /// when the deadline expires first, or as soon as an awaited source is
-  /// dead (it can never satisfy the dependency).
-  std::vector<Message> recv_from_each(std::span<const int> sources, int tag,
-                                      Deadline deadline = Deadline::never());
+  /// Stage arrival, a non-blocking barrier over `group` (NBX's ibarrier).
+  /// Every member passes the same ascending group, itself included, and the
+  /// same tag in [0, 2^29), unused by the group's earlier rounds in this
+  /// run. arrive() returns at once; await_arrival() blocks until every
+  /// member has arrived at that (tag, group) round, and throws
+  /// core::TimeoutError naming every absent member when the deadline
+  /// expires, or as soon as one of them is dead. run() resets the rounds.
+  void arrive(std::span<const int> group, int tag);
+  void await_arrival(std::span<const int> group, int tag,
+                     Deadline deadline = Deadline::never());
+
+  /// Reserves `count` consecutive tags in [0, 2^28), starting at a multiple
+  /// of `count`, that no earlier reservation of this rank in this run holds
+  /// (until the range wraps). Ranks making the same sequence of
+  /// reservations get the same tags, so collectives on different objects
+  /// sharing one run never share a tag — the role of MPI's context ids.
+  int reserve_tags(int count);
 
   /// True iff a message matching (source, tag) is queued.
   bool probe(int source, int tag);
@@ -167,6 +179,7 @@ private:
 
   Cluster* cluster_;
   int rank_;
+  int next_tag_ = 0;
 };
 
 /// A fixed-size set of ranks executing a common function on private threads.
@@ -237,29 +250,39 @@ private:
   /// What a mailbox's owner thread is blocked on. Only the owner waits on
   /// its mailbox, so one record per mailbox suffices.
   struct Waiter {
-    enum class Kind : std::uint8_t { kNone, kAny, kRecv, kEach };
+    enum class Kind : std::uint8_t { kNone, kAny, kRecv };
     Kind kind = Kind::kNone;
     int source = kAnySource;  // kRecv
-    int tag = 0;              // kRecv, kEach
-    /// kEach: ascending sources with no matching message queued yet.
-    std::vector<int> missing;
+    int tag = 0;              // kRecv
 
-    /// Notes that `m` was just queued; true iff it completes the wait. For
-    /// kEach the first matching message from a missing source clears that
-    /// source, so a second same-tag message from it never counts.
-    bool completed_by(const Message& m);
+    /// True iff `m`, just queued, completes the wait.
+    bool completed_by(const Message& m) const;
   };
 
+  /// An open stage-arrival round: its key and how many members arrived.
+  struct ArrivalRound {
+    int tag = 0;
+    std::vector<int> members;  // ascending
+    std::size_t arrived = 0;
+  };
+
+  /// A rank's mailbox, and the arrival state sharded by rank: the open
+  /// rounds of the groups whose lowest rank it is, under their own mutex,
+  /// and the tag of its latest arrive() this run (-1 before the first),
+  /// which names the absent members when an arrival wait fails.
   struct Mailbox {
     core::Mutex mu;
     core::CondVar cv;
     std::deque<Message> queue STFW_GUARDED_BY(mu);
     Waiter waiter STFW_GUARDED_BY(mu);
+    core::Mutex rounds_mu;
+    std::vector<ArrivalRound> rounds STFW_GUARDED_BY(rounds_mu);
+    std::atomic<int> latest_arrival{-1};
   };
 
   /// What a rank's thread is doing, as seen by the watchdog.
   struct BlockInfo {
-    enum class Kind : std::uint8_t { kRunning, kRecv, kBarrier, kWait, kDone };
+    enum class Kind : std::uint8_t { kRunning, kRecv, kArrival, kBarrier, kWait, kDone };
     Kind kind = Kind::kRunning;
     int source = 0;
     int tag = 0;
@@ -274,9 +297,15 @@ private:
 
   void post(int dest, Message msg);
   void post_raw(int dest, Message msg, bool to_front = false);
-  Message blocking_recv(int me, int source, int tag, Deadline deadline);
-  std::vector<Message> recv_from_each(int me, std::span<const int> sources, int tag,
-                                      Deadline deadline);
+  /// A non-empty `group` makes this await_arrival: the wait for the release
+  /// post of the round that `tag` names, failing early on absent members.
+  Message blocking_recv(int me, int source, int tag, Deadline deadline,
+                        std::span<const int> group = {});
+  void arrive(int me, std::span<const int> group, int tag);
+  /// The error an arrival wait fails with: a dead absent member, or once
+  /// `expired` every absent member; nullopt while the round can complete.
+  std::optional<core::TimeoutError> stranded(int me, std::span<const int> group, int tag,
+                                             bool expired, long long waited_ms) const;
   std::vector<Message> drain(int me, int tag);
   bool probe(int me, int source, int tag);
   bool wait_message(int me, Deadline deadline);

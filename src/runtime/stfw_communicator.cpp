@@ -25,29 +25,26 @@ namespace {
 
 constexpr std::size_t kDefaultPlanCacheCapacity = 4;
 
-// Hang guard of the plain exchange's dependency waits: generous against real
+// Hang guard of the plain exchange's stage waits: generous against real
 // schedules (stages complete in microseconds) yet finite, so a lost rank
 // surfaces as core::TimeoutError instead of an untimed hang.
 constexpr std::uint64_t kDefaultExchangeDeadlineMs = 30000;
 
-// Plain stage tags are (epoch mod kEpochWindow) * dim + stage. A Vpt has at
-// most 30 dimensions (K <= 2^30 and every k_d >= 2), so every such tag stays
-// below 1 << 28, where exchange_resilient's fixed frame tags start. Neighbor
-// dependencies keep each rank within a few exchanges of its peers, so the
-// wrap never reuses a tag still in flight; 2^32 is a multiple of the window,
-// so the 32-bit epoch counter wraps in step with it.
-constexpr std::uint32_t kEpochWindow = 1u << 23;
-static_assert(std::uint64_t{kEpochWindow} * 30 < (std::uint64_t{1} << 28));
-
-// Regularized stage traffic: every (stage, dimension-d neighbor) pair
-// carries exactly one frame. Neighbors the outbox leaves empty still get a
-// 4-byte empty StageMessage (submessage count 0) so each receiver can block
-// on per-neighbor frame counters — dependency-driven progress — instead of
-// a global barrier. A real frame always carries >= 1 submessage header, so
-// on the wire empty <=> filler.
-std::vector<std::byte> filler_frame() { return std::vector<std::byte>(4); }
-
-bool is_filler_frame(std::span<const std::byte> raw) noexcept { return raw.size() == 4; }
+// Plain exchange closes a stage on its group's arrival, not on a count of
+// frames, so a dropped or delayed frame would simply be missing from the
+// result. Message faults are refused before the exchange claims its tags;
+// the injector's stall and crash sites stay allowed.
+fault::FaultInjector* reliable_injector(const runtime::Comm& comm) {
+  fault::FaultInjector* injector = comm.fault_injector();
+  if (injector == nullptr) return nullptr;
+  const fault::FaultConfig& f = injector->config();
+  core::require(f.drop_prob <= 0 && f.duplicate_prob <= 0 && f.reorder_prob <= 0 &&
+                    f.truncate_prob <= 0 && f.delay_prob <= 0,
+                "plain exchange needs a reliable transport, but the cluster's fault injector "
+                "drops, duplicates, reorders, truncates or delays messages — use "
+                "exchange_resilient()");
+  return injector;
+}
 
 // in_raw[stage][frame]: the inbound frames a plan replay parked.
 using ParkedFrames = std::vector<std::vector<std::vector<std::byte>>>;
@@ -86,20 +83,16 @@ bool frame_headers_match(std::span<const std::byte> raw, const core::PlanInFrame
 
 // True when one stage's inbound frames (ascending source) are the frozen
 // roster: each expected frame from its planned source with its planned
-// headers, and a filler from every other neighbor. Anything else means a
-// peer's pattern drifted since the plan was recorded.
+// headers, and nothing else. A missing or extra frame means a peer's
+// pattern drifted since the plan was recorded.
 bool roster_matches(std::span<const runtime::Message> msgs,
                     std::span<const core::PlanInFrame> expected) {
-  std::size_t ei = 0;
-  for (const runtime::Message& m : msgs) {
-    if (ei < expected.size() && m.source == static_cast<int>(expected[ei].source)) {
-      if (!frame_headers_match(m.data, expected[ei])) return false;
-      ++ei;
-    } else if (!is_filler_frame(m.data)) {
+  if (msgs.size() != expected.size()) return false;
+  for (std::size_t i = 0; i < msgs.size(); ++i)
+    if (msgs[i].source != static_cast<int>(expected[i].source) ||
+        !frame_headers_match(msgs[i].data, expected[i]))
       return false;
-    }
-  }
-  return ei == expected.size();
+  return true;
 }
 
 // Scatter/gather assembly of one planned frame into a fresh wire buffer:
@@ -149,8 +142,8 @@ std::vector<std::span<const std::byte>> seed_views_of(std::span<const OutboundMe
 /// step() runs one stage for either frame source — Algorithm1 below, or a
 /// frozen plan's replay (replay_stages) — which hands its frames to step()
 /// through a template callback, so a frame costs no indirect call. The
-/// driver claims the exchange's epoch (its stage tags) up front and owns
-/// the validator, engaged only when validation is on in a validator build.
+/// driver claims the exchange's stage tags up front and owns the validator,
+/// engaged only when validation is on in a validator build.
 class StfwCommunicator::StageDriver {
 public:
   StageDriver(StfwCommunicator& c, LocalExchangeStats& stats, const OverlapHook* overlap)
@@ -158,8 +151,8 @@ public:
         stats_(stats),
         overlap_(overlap),
         me_(static_cast<core::Rank>(c.comm_->rank())),
-        tag_base_(static_cast<int>(c.epoch_++ % kEpochWindow) * c.vpt_.dim()),
-        injector_(c.comm_->fault_injector()) {
+        injector_(reliable_injector(*c.comm_)),
+        tag_base_(c.comm_->reserve_tags(c.vpt_.dim())) {
     stats_ = LocalExchangeStats{};
     if (c.validate_ && validation_available()) validator.emplace(c.vpt_, me_);
   }
@@ -177,18 +170,17 @@ public:
   }
 
   /// Runs stage `stage`: posts every frame `frames(post)` hands to
-  /// post(to, subs, wire, payload_bytes), a filler to each neighbor it left
-  /// out, the overlap hook after stage 0's posts, and then blocks until one
-  /// frame per dimension-`stage` neighbor has arrived — no barrier: frames
-  /// of later stages and exchanges wait in the mailbox under their own tags.
-  /// Returns those frames in ascending-source order.
+  /// post(to, subs, wire, payload_bytes), arrives at the stage's
+  /// dimension-`stage` group, runs the overlap hook after stage 0's
+  /// arrival, awaits the group and drains the stage tag. Frames of later
+  /// stages and exchanges wait in the mailbox under their own tags. Returns
+  /// exactly the stage's real frames addressed to this rank, in
+  /// ascending-source order.
   template <class Frames>
   std::vector<runtime::Message> step(int stage, Frames&& frames) {
     STFW_VERIFY_HOOK(stage(static_cast<int>(me_), stage));
     if (injector_ != nullptr) injector_->at_stage(static_cast<int>(me_), stage);
     const int tag = tag_base_ + stage;
-    stage_neighbor_ranks(stage);
-    covered_.assign(nbrs_.size(), false);
     frames([&](core::Rank to, std::span<const Submessage> subs, std::vector<std::byte> wire,
                std::uint64_t payload_bytes) {
       if (validator)
@@ -196,16 +188,18 @@ public:
       ++stats_.messages_sent;
       stats_.payload_bytes_sent += payload_bytes;
       stats_.wire_bytes_sent += wire.size();
-      const auto ni = std::lower_bound(nbrs_.begin(), nbrs_.end(), static_cast<int>(to));
-      if (ni != nbrs_.end() && *ni == static_cast<int>(to))
-        covered_[static_cast<std::size_t>(ni - nbrs_.begin())] = true;
       c_.comm_->send(static_cast<int>(to), tag, std::move(wire));
     });
-    send_stage_fillers(tag);
+    // This rank's dimension-`stage` group, itself included, ascending:
+    // with_coord over ascending digit values yields ascending ranks.
+    group_.clear();
+    for (int v = 0; v < c_.vpt_.dim_size(stage); ++v)
+      group_.push_back(static_cast<int>(c_.vpt_.with_coord(me_, stage, v)));
+    c_.comm_->arrive(group_, tag);
     if (stage == 0 && overlap_ != nullptr && *overlap_) (*overlap_)();
-    std::vector<runtime::Message> msgs = c_.comm_->recv_from_each(nbrs_, tag, deadline());
-    for (const runtime::Message& m : msgs)
-      ++(is_filler_frame(m.data) ? stats_.filler_frames_received : stats_.messages_received);
+    c_.comm_->await_arrival(group_, tag, deadline());
+    std::vector<runtime::Message> msgs = c_.comm_->drain(tag);
+    stats_.messages_received += static_cast<std::int64_t>(msgs.size());
     return msgs;
   }
 
@@ -223,36 +217,18 @@ private:
                                               : runtime::Deadline::in(c_.exchange_deadline_);
   }
 
-  // This rank's dimension-`stage` neighbors, ascending: with_coord over
-  // ascending digit values yields ascending ranks, the order the plan's
-  // in_frame indices were frozen under.
-  void stage_neighbor_ranks(int stage) {
-    nbrs_.clear();
-    for (int v = 0; v < c_.vpt_.dim_size(stage); ++v) {
-      const core::Rank r = c_.vpt_.with_coord(me_, stage, v);
-      if (r != me_) nbrs_.push_back(static_cast<int>(r));
-    }
-  }
-
-  // One 4-byte empty filler to every neighbor this stage sent nothing, so
-  // each receiver's per-stage frame count is met.
-  void send_stage_fillers(int tag) {
-    for (std::size_t i = 0; i < nbrs_.size(); ++i) {
-      if (covered_[i]) continue;
-      ++stats_.filler_frames_sent;
-      stats_.wire_bytes_sent += 4;
-      c_.comm_->send(nbrs_[i], tag, filler_frame());
-    }
-  }
-
   StfwCommunicator& c_;
   LocalExchangeStats& stats_;
   const OverlapHook* overlap_;
   const core::Rank me_;
+  fault::FaultInjector* const injector_;  // checked before tag_base_ claims the tags
+  // The exchange's dim() stage tags from Comm::reserve_tags: a base that is
+  // a multiple of dim(), below exchange_resilient's fixed tags at 1 << 28,
+  // and shared with no other plain exchange of the run until the range
+  // wraps. Neighbor dependencies keep each rank within a few exchanges of
+  // its peers, so the wrap never reuses a tag still in flight.
   const int tag_base_;
-  fault::FaultInjector* const injector_;
-  std::vector<int> nbrs_;
-  std::vector<bool> covered_;
+  std::vector<int> group_;
 };
 
 /// Algorithm 1's frame source: the rank's routing state and payload arena.
@@ -341,7 +317,6 @@ private:
   void accept(int stage, std::span<const runtime::Message> msgs) {
     std::uint16_t frame_index = 0;
     for (const runtime::Message& m : msgs) {
-      if (is_filler_frame(m.data)) continue;
       const auto source = static_cast<core::Rank>(m.source);
       const std::vector<Submessage> subs = core::deserialize(m.data, arena_);
       if (drv_.validator) drv_.validator->on_stage_recv(stage, source, subs);
@@ -525,8 +500,8 @@ std::vector<InboundMessage> StfwCommunicator::exchange_cached(
   if (stage == vpt_.dim()) return copies_of(plan.views_);
   // A peer's pattern drifted since the plan was recorded: carry on as
   // Algorithm 1 from the drifted stage. Peers that missed the cache, hit it
-  // or fell back at another stage all exchange the same regularized frames,
-  // so the cluster stays deadlock-free without a barrier.
+  // or fell back at another stage all close each stage on the same group
+  // arrival, so the cluster stays deadlock-free without a barrier.
   stats_.plan_fallbacks = 1;
   plan_cache_erase(plan.signature());
   Algorithm1 alg(drv, sends, nullptr);
@@ -559,13 +534,11 @@ int StfwCommunicator::replay_stages(StageDriver& drv, runtime::ExchangePlan& pla
       *drifted = std::move(msgs);
       break;
     }
-    // Park the real frames; the buffer each one displaces is freed.
-    std::size_t fi = 0;
-    for (runtime::Message& m : msgs) {
-      if (is_filler_frame(m.data)) continue;
+    // Park the frames; the buffer each one displaces is freed.
+    for (std::size_t fi = 0; fi < msgs.size(); ++fi) {
       const core::PlanInFrame& expected = layout.in_frames[si][fi];
       if (drv.validator) drv.validator->on_stage_recv(stage, expected.source, expected.subs);
-      plan.in_raw_[si][fi++] = std::move(m.data);
+      plan.in_raw_[si][fi] = std::move(msgs[fi].data);
     }
     if (drv.validator)
       drv.validator->on_stage_complete(stage, layout.stage_buffered_bytes[si],

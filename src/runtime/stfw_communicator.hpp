@@ -23,8 +23,9 @@
 /// this degenerates to plain point-to-point sends — the BL baseline.
 ///
 /// Two exchange modes are offered. exchange() is the paper's Algorithm 1
-/// verbatim: it assumes a reliable transport and deadlocks or silently loses
-/// data if messages go missing. exchange_resilient() runs the same routing
+/// verbatim: it assumes a reliable transport, refuses a fault injector that
+/// faults messages, and would silently lose data if messages went missing
+/// anyway. exchange_resilient() runs the same routing
 /// over sequence-numbered, checksummed wire frames with per-stage
 /// ack/retransmit and bounded exponential backoff, recovering transparently
 /// from dropped, duplicated, reordered, truncated and delayed messages; when
@@ -68,13 +69,10 @@ struct LocalExchangeStats {
   std::int64_t plan_fallbacks = 0;  // 1 when a replay detected pattern drift
                                     // mid-flight and fell back to Algorithm 1
 
-  // Dependency-driven stage progress (plain exchange; docs/performance.md).
-  // Fillers are the 4-byte empty stage frames that regularize the exchange
-  // to exactly one frame per (stage, dimension-d neighbor) so receivers can
-  // await per-neighbor counters instead of a global barrier. They carry no
-  // submessages and are excluded from messages_sent / messages_received
-  // (which keep counting real protocol messages only); their wire bytes do
-  // appear in wire_bytes_sent, like acks.
+  // Always 0: a plain exchange closes each stage on one group arrival and
+  // sends no 4-byte filler frames any more. Kept only because the benchmark
+  // (perfbench/src/workloads.cpp) still reads them; its next change drops
+  // them together with core.filler_frames_per_exchange.
   std::int64_t filler_frames_sent = 0;
   std::int64_t filler_frames_received = 0;
 
@@ -148,7 +146,8 @@ struct ExchangeFailure {
 
 /// Communication/computation overlap callback of exchange(): invoked exactly
 /// once per exchange, on the calling rank's thread, after the stage-0 frames
-/// have been posted and before the rank blocks on its stage-0 receives. The
+/// have been posted and the rank has arrived at its stage-0 group, and
+/// before it waits for that group's other members. The
 /// caller runs communication-independent work (e.g. the interior rows of an
 /// SpMV) inside it, hiding peer skew behind local compute. An empty hook is
 /// equivalent to the plain overload.
@@ -184,8 +183,10 @@ public:
   const core::Vpt& vpt() const noexcept { return vpt_; }
 
   /// Executes Algorithm 1 across all ranks; returns the messages addressed
-  /// to this rank, sorted by source. Collective: every rank must call it.
-  /// Assumes a reliable transport (no fault injector on the faulted tags).
+  /// to this rank, sorted by source. Collective: every rank must call it,
+  /// and every rank must make its plain exchanges, on all communicators of
+  /// the run, in the same order. Needs a reliable transport: it throws
+  /// core::Error when the cluster's fault injector faults messages.
   ///
   /// Repeated calls with an identical send pattern (same (dest, size)
   /// sequence) transparently replay a recorded ExchangePlan instead of
@@ -198,7 +199,7 @@ public:
   std::vector<InboundMessage> exchange(std::span<const OutboundMessage> sends);
 
   /// Overlap variant: identical exchange, but `overlap` runs once between
-  /// posting the stage-0 frames and blocking on the stage-0 receives — the
+  /// arriving at stage 0 and waiting for the stage-0 group — the
   /// window where communication-independent compute hides peer skew. The
   /// result is byte-identical to the plain overload.
   std::vector<InboundMessage> exchange(std::span<const OutboundMessage> sends,
@@ -283,9 +284,9 @@ public:
   bool validation_enabled() const noexcept { return validate_; }
   void set_validation(bool on) noexcept { validate_ = on; }
 
-  /// Hang guard of the plain exchange's dependency waits: each per-stage
-  /// wait (and the validator's collectives) gets this budget before throwing
-  /// core::TimeoutError naming the missing neighbor. Defaults to the
+  /// Hang guard of the plain exchange's stage waits: each per-stage group
+  /// arrival (and the validator's collectives) gets this budget before
+  /// throwing core::TimeoutError naming the members that did not arrive. Defaults to the
   /// STFW_EXCHANGE_DEADLINE_MS environment variable (strict parse), falling
   /// back to 30 s; 0 waits forever (the pre-deadline behaviour).
   [[nodiscard]] std::chrono::milliseconds exchange_deadline() const noexcept {
@@ -294,7 +295,7 @@ public:
   void set_exchange_deadline(std::chrono::milliseconds d) noexcept { exchange_deadline_ = d; }
 
 private:
-  friend struct PlanCacheProbe;  // test access to the cache and the exchange epoch
+  friend struct PlanCacheProbe;  // test access to the cache and the resilient epoch
 
   struct PlanCacheEntry {
     std::shared_ptr<runtime::ExchangePlan> plan;
@@ -329,8 +330,9 @@ private:
 
   runtime::Comm* comm_;
   core::Vpt vpt_;
-  // Exchange counter: plain stage tags derive from it, resilient frames
-  // carry it in their header. Wraps modulo 2^32.
+  // Resilient exchange counter, carried in every resilient frame header.
+  // Wraps modulo 2^32. Plain exchanges take their tags from
+  // Comm::reserve_tags instead.
   std::uint32_t epoch_ = 0;
   bool validate_;
   std::chrono::milliseconds exchange_deadline_;

@@ -14,6 +14,8 @@ struct Message {
 struct Comm {
   Message recv(int source, int tag);
   Message recv(int source, int tag, Deadline deadline);
+  void await_arrival(const std::vector<int>& group, int tag);
+  void await_arrival(const std::vector<int>& group, int tag, Deadline deadline);
   bool wait_message(Deadline deadline);
   void barrier();
   void barrier(Deadline deadline);
@@ -31,10 +33,15 @@ void exchange_resilient_epilogue(Comm& comm) {
   (void)blobs;
 }
 
+void recover_stage_group(Comm& comm, const std::vector<int>& group) {
+  comm.await_arrival(group, 4);  // lint-expect: l3-deadline
+}
+
 // Near-miss: the same calls with Deadline overloads are correct.
 void settle_with_deadlines(Comm& comm, int peer, Deadline stage_deadline) {
   Message m = comm.recv(peer, 7, stage_deadline);
   (void)m;
+  comm.await_arrival({peer}, 4, stage_deadline);
   if (comm.wait_message(Deadline::in(50))) return;
   comm.barrier(stage_deadline);
 }
@@ -43,5 +50,6 @@ void settle_with_deadlines(Comm& comm, int peer, Deadline stage_deadline) {
 void plain_exchange_stage(Comm& comm, int peer) {
   Message m = comm.recv(peer, 3);
   (void)m;
+  comm.await_arrival({peer}, 3);
   comm.barrier();
 }

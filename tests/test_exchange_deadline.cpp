@@ -81,8 +81,8 @@ TEST(ExchangeDeadline, NonSurvivableCrashMidExchangeRaisesNamedError) {
 
 /// A rank that never joins the exchange (returned early; in a real
 /// deployment: wedged or dead without membership noticing) must surface as
-/// core::TimeoutError naming the missing source — this hung forever before
-/// the stage waits carried deadlines.
+/// core::TimeoutError naming the member that never arrived at its stage
+/// group — this hung forever before the stage waits carried deadlines.
 TEST(ExchangeDeadline, LostRankSurfacesAsTimeoutNotHang) {
   constexpr Rank K = 8;
   const Vpt vpt({4, 2});
@@ -97,11 +97,14 @@ TEST(ExchangeDeadline, LostRankSurfacesAsTimeoutNotHang) {
       (void)communicator.exchange(ring_sends(me, K));
     });
   } catch (const core::MultiRankError& e) {
-    timed_out = std::string(e.what()).find("timeout") != std::string::npos;
+    timed_out = std::string(e.what()).find("[timeout:await_arrival]") != std::string::npos;
     EXPECT_TRUE(timed_out) << e.what();
+    EXPECT_NE(std::string(e.what()).find("group member(s) 0 did not arrive"), std::string::npos)
+        << e.what();
   } catch (const core::TimeoutError& e) {
     timed_out = true;
-    EXPECT_NE(std::string(e.what()).find("recv_from_each"), std::string::npos) << e.what();
+    EXPECT_EQ(e.op(), "await_arrival") << e.what();
+    EXPECT_EQ(e.peer(), 0) << e.what();
   }
   EXPECT_TRUE(timed_out) << "the exchange completed despite a lost rank";
 }

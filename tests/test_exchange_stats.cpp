@@ -1,10 +1,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "core/analysis.hpp"
+#include "core/sync.hpp"
 #include "core/vpt.hpp"
 #include "runtime/comm.hpp"
 #include "runtime/stfw_communicator.hpp"
@@ -106,13 +109,24 @@ TEST_P(ExchangeStatsBounds, CompleteExchangeRespectsPaperBounds) {
 /// Satellite (barrier-free stats audit): three back-to-back exchanges on one
 /// communicator — a sparse ring (recording), the same ring again (cached
 /// replay), then a complete exchange (different pattern, recording again).
-/// Counters must reset per exchange, filler frames must never be counted as
-/// real messages, and real + filler frames must add up to the regularized
-/// per-rank total sum_d (k_d - 1) on every path.
-TEST(ExchangeStatsReset, BackToBackExchangesResetCountersAndSplitFillers) {
+/// Counters must reset per exchange, and on every path messages_sent and
+/// messages_received must count exactly the stage frames on the wire: a
+/// stage closes on its group's arrival, so no filler frame is sent.
+TEST(ExchangeStatsReset, BackToBackExchangesResetCountersAndSendOnlyRealFrames) {
   constexpr Rank K = 8;
   const Vpt vpt({4, 2});
+  const int n = vpt.dim();
   runtime::Cluster cluster(K);
+  // Stage frames seen by the wire tap, per exchange: [x][rank] sent/received.
+  std::array<std::array<std::int64_t, K>, 3> tapped_sent{}, tapped_received{};
+  core::Mutex mu;
+  cluster.set_wire_tap([&](int source, int dest, int tag, std::span<const std::byte>) {
+    const int x = tag / n;  // each exchange reserves dim() consecutive tags
+    if (tag < 0 || x > 2) return;
+    core::MutexLock lock(mu);
+    ++tapped_sent[static_cast<std::size_t>(x)][static_cast<std::size_t>(source)];
+    ++tapped_received[static_cast<std::size_t>(x)][static_cast<std::size_t>(dest)];
+  });
   std::vector<LocalExchangeStats> ring_first(K), ring_replay(K), complete(K);
   cluster.run([&](runtime::Comm& comm) {
     const auto me = static_cast<Rank>(comm.rank());
@@ -131,45 +145,38 @@ TEST(ExchangeStatsReset, BackToBackExchangesResetCountersAndSplitFillers) {
     communicator.exchange(all);
     complete[static_cast<std::size_t>(me)] = communicator.last_stats();
   });
+  cluster.set_wire_tap(nullptr);
 
   const std::int64_t frames = vpt.max_message_count_bound();  // sum_d (k_d - 1) = 4
-  std::int64_t sent = 0, received = 0, filler_sent = 0, filler_received = 0;
+  std::int64_t ring_frames = 0;
   for (Rank r = 0; r < K; ++r) {
-    const LocalExchangeStats& f = ring_first[static_cast<std::size_t>(r)];
-    const LocalExchangeStats& p = ring_replay[static_cast<std::size_t>(r)];
-    const LocalExchangeStats& c = complete[static_cast<std::size_t>(r)];
-    // Regularization: every (stage, neighbor) slot carries exactly one
-    // frame, real or filler, on both the recording and the replay path.
-    EXPECT_EQ(f.messages_sent + f.filler_frames_sent, frames) << "rank " << r;
-    EXPECT_EQ(f.messages_received + f.filler_frames_received, frames) << "rank " << r;
-    EXPECT_EQ(p.messages_sent + p.filler_frames_sent, frames) << "rank " << r;
-    EXPECT_EQ(p.messages_received + p.filler_frames_received, frames) << "rank " << r;
-    EXPECT_EQ(c.messages_sent + c.filler_frames_sent, frames) << "rank " << r;
-    EXPECT_EQ(c.messages_received + c.filler_frames_received, frames) << "rank " << r;
-    // The ring is sparse, so some slots must be fillers cluster-wide; the
-    // complete exchange saturates every slot with a real frame.
+    const auto ri = static_cast<std::size_t>(r);
+    const LocalExchangeStats* runs[] = {&ring_first[ri], &ring_replay[ri], &complete[ri]};
+    for (std::size_t x = 0; x < 3; ++x) {
+      const LocalExchangeStats& s = *runs[x];
+      EXPECT_EQ(s.filler_frames_sent, 0) << "rank " << r << " exchange " << x;
+      EXPECT_EQ(s.filler_frames_received, 0) << "rank " << r << " exchange " << x;
+      EXPECT_EQ(s.messages_sent, tapped_sent[x][ri]) << "rank " << r << " exchange " << x;
+      EXPECT_EQ(s.messages_received, tapped_received[x][ri]) << "rank " << r << " exchange " << x;
+    }
+    const LocalExchangeStats& f = ring_first[ri];
+    const LocalExchangeStats& p = ring_replay[ri];
+    const LocalExchangeStats& c = complete[ri];
+    // The ring is sparse: it leaves (stage, neighbor) slots empty that a
+    // filler used to occupy. The complete exchange fills every slot.
+    EXPECT_LT(f.messages_sent, frames) << "rank " << r;
     EXPECT_EQ(c.messages_sent, frames) << "rank " << r;
-    EXPECT_EQ(c.filler_frames_sent, 0) << "rank " << r;
-    EXPECT_EQ(c.filler_frames_received, 0) << "rank " << r;
+    EXPECT_EQ(c.messages_received, frames) << "rank " << r;
     // Replay reproduces the recorded exchange's counters exactly — a
     // counter that survived the first exchange would break these.
     EXPECT_EQ(p.messages_sent, f.messages_sent) << "rank " << r;
     EXPECT_EQ(p.messages_received, f.messages_received) << "rank " << r;
-    EXPECT_EQ(p.filler_frames_sent, f.filler_frames_sent) << "rank " << r;
-    EXPECT_EQ(p.filler_frames_received, f.filler_frames_received) << "rank " << r;
     EXPECT_EQ(f.plan_builds, 1) << "rank " << r;
     EXPECT_EQ(p.plan_hits, 1) << "rank " << r;
     EXPECT_EQ(c.plan_builds, 1) << "rank " << r;
-    sent += f.messages_sent;
-    received += f.messages_received;
-    filler_sent += f.filler_frames_sent;
-    filler_received += f.filler_frames_received;
+    ring_frames += f.messages_sent;
   }
-  // Cluster-wide conservation: every frame sent is received exactly once and
-  // demuxed into exactly one bucket (no double count of fillers as recvs).
-  EXPECT_EQ(sent, received);
-  EXPECT_EQ(filler_sent, filler_received);
-  EXPECT_GT(filler_sent, 0);
+  EXPECT_GT(ring_frames, 0);
 }
 
 std::string shape_name(const ::testing::TestParamInfo<ShapeCase>& info) {

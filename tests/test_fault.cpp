@@ -342,6 +342,65 @@ std::vector<std::vector<InboundMessage>> fault_free_baseline(const core::Vpt& vp
   return delivered;
 }
 
+/// Plain exchange closes a stage on its group's arrival, not on a frame
+/// count, so a lost frame would silently go missing. Every plain entry
+/// point refuses an injector that faults messages, on every rank before it
+/// takes a tag, while stall and crash sites stay allowed.
+TEST(PlainExchange, RefusesAnInjectorThatFaultsMessages) {
+  const core::Vpt vpt({2, 2});
+  const Rank K = vpt.size();
+  const auto baseline = fault_free_baseline(vpt);
+  Cluster cluster(K);
+  std::vector<std::shared_ptr<runtime::ExchangePlan>> plans(static_cast<std::size_t>(K));
+  cluster.run([&](Comm& comm) {
+    StfwCommunicator stfw(comm, vpt);
+    plans[static_cast<std::size_t>(comm.rank())] =
+        stfw.plan(all_to_all_sends(K, static_cast<Rank>(comm.rank())));
+  });
+
+  FaultConfig drops;
+  drops.drop_prob = 0.01;
+  cluster.set_fault_injector(std::make_shared<FaultInjector>(drops));
+  cluster.run([&](Comm& comm) {
+    const auto me = static_cast<Rank>(comm.rank());
+    StfwCommunicator stfw(comm, vpt);
+    const auto sends = all_to_all_sends(K, me);
+    runtime::ExchangePlan& plan = *plans[static_cast<std::size_t>(me)];
+    const auto expect_refused = [](const char* label, const auto& call) {
+      try {
+        call();
+        ADD_FAILURE() << label << " ran under a dropping injector";
+      } catch (const core::Error& e) {
+        const std::string what = e.what();
+        EXPECT_NE(what.find("plain exchange needs a reliable transport"), std::string::npos)
+            << label << ": " << what;
+        EXPECT_NE(what.find("use exchange_resilient()"), std::string::npos) << label << ": " << what;
+      }
+    };
+    expect_refused("exchange", [&] { (void)stfw.exchange(sends); });
+    expect_refused("plan", [&] { (void)stfw.plan(sends); });
+    expect_refused("exchange(plan)", [&] { (void)stfw.exchange(plan, sends); });
+    expect_refused("exchange_views", [&] {
+      std::vector<std::span<const std::byte>> payloads;
+      for (const OutboundMessage& s : sends) payloads.emplace_back(s.bytes);
+      (void)stfw.exchange_views(plan, payloads);
+    });
+  });
+
+  FaultConfig stalls;
+  stalls.stall_rank = 1;
+  stalls.stall_duration = 5ms;
+  cluster.set_fault_injector(std::make_shared<FaultInjector>(stalls));
+  cluster.run([&](Comm& comm) {
+    const auto me = static_cast<Rank>(comm.rank());
+    StfwCommunicator stfw(comm, vpt);
+    auto got = stfw.exchange(all_to_all_sends(K, me));
+    sort_by_source(got);
+    EXPECT_EQ(got, baseline[static_cast<std::size_t>(me)]);
+  });
+  cluster.set_fault_injector(nullptr);
+}
+
 TEST(ResilientExchange, CleanTransportMatchesPlainExchange) {
   // Back to back in one run: a rank that leaves an exchange's epilogue first
   // posts the next exchange's frames while slower peers still drain the

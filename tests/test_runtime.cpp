@@ -153,6 +153,20 @@ TEST(Runtime, SendValidatesDestination) {
   EXPECT_THROW(cluster.run([](Comm& comm) { comm.send(5, 0, {}); }), core::Error);
 }
 
+TEST(Runtime, ArriveRejectsAMalformedGroupOrTag) {
+  Cluster cluster(1);
+  cluster.run([](Comm& comm) {
+    const std::vector<std::vector<int>> bad_groups{{}, {0, 1}, {-1, 0}, {1}, {0, 0}};
+    for (const auto& group : bad_groups) EXPECT_THROW(comm.arrive(group, 0), core::Error);
+    const std::vector<int> alone{0};
+    EXPECT_THROW(comm.arrive(alone, -1), core::Error);
+    EXPECT_THROW(comm.arrive(alone, 1 << 29), core::Error);
+    // A well-formed round of one completes at once.
+    comm.arrive(alone, 7);
+    comm.await_arrival(alone, 7, Deadline::in(10s));
+  });
+}
+
 TEST(Runtime, ReusableAcrossRuns) {
   Cluster cluster(4);
   for (int round = 0; round < 3; ++round) {
@@ -299,6 +313,23 @@ TEST(Runtime, DrainUnderConcurrentMultiSenderLoadKeepsPerSourceOrder) {
   });
 }
 
+TEST(Runtime, ReserveTagsAlignsEachBlockAndWrapsBelowTwoToThe28) {
+  Cluster cluster(1);
+  cluster.run([](Comm& comm) {
+    EXPECT_EQ(comm.reserve_tags(3), 0);
+    EXPECT_EQ(comm.reserve_tags(2), 4);  // aligned up past the first block
+    EXPECT_EQ(comm.reserve_tags(3), 6);
+    EXPECT_EQ(comm.reserve_tags(1), 9);
+    // A block that no longer fits below 1 << 28 wraps to 0.
+    EXPECT_EQ(comm.reserve_tags((1 << 28) - 4), 0);
+    EXPECT_EQ(comm.reserve_tags(4), (1 << 28) - 4);
+    EXPECT_EQ(comm.reserve_tags(4), 0);
+    EXPECT_THROW((void)comm.reserve_tags(0), core::Error);
+  });
+  // Every run starts from tag 0 again.
+  cluster.run([](Comm& comm) { EXPECT_EQ(comm.reserve_tags(5), 0); });
+}
+
 TEST(Runtime, SingleRankClusterWorks) {
   Cluster cluster(1);
   cluster.run([](Comm& comm) {
@@ -311,122 +342,170 @@ TEST(Runtime, SingleRankClusterWorks) {
 
 // --- Mailbox wait protocol ---------------------------------------------------
 // A post wakes a blocked receiver only when its message completes the wait
-// the receiver recorded; Cluster::mailbox_wakeups() counts those posts. A lost
+// the receiver recorded; Cluster::mailbox_wakeups() counts those posts. A
+// stage arrival releases each waiting member with one such post. A lost
 // wakeup would surface as a TimeoutError at the generous deadlines below, a
-// premature one as an extra counted wakeup. Senders sleep briefly first so
-// the receiver is most likely asleep when their frames arrive.
+// premature one as an extra counted wakeup. Late members sleep briefly
+// first so the early ones are most likely asleep when the round completes.
 
 constexpr int kGoTag = 99;
 
-TEST(Runtime, WakeupRepeatedSourceCountsOnceAndItsLaterFramesStayQueued) {
+TEST(Runtime, WakeupArrivalReleasesEachWaitingMemberOnce) {
   Cluster cluster(4);
-  cluster.run([](Comm& comm) {
-    if (comm.rank() == 0) {
-      const std::vector<int> sources{1, 2, 3};
-      const auto got = comm.recv_from_each(sources, 5, Deadline::in(10s));
-      ASSERT_EQ(got.size(), 3u);
-      EXPECT_EQ(value_of(got[0]), 10);
-      EXPECT_EQ(value_of(got[1]), 20);
-      EXPECT_EQ(value_of(got[2]), 30);
-      // Rank 1's later frames belong to later waits, still in send order.
-      EXPECT_EQ(value_of(comm.recv(1, 5)), 11);
-      EXPECT_EQ(value_of(comm.recv(1, 5)), 12);
-    } else if (comm.rank() == 1) {
-      std::this_thread::sleep_for(20ms);
-      for (const int v : {10, 11, 12}) comm.send(0, 5, payload(v));
-      comm.send(2, kGoTag, {});
-      comm.send(3, kGoTag, {});
-    } else {
-      comm.recv(1, kGoTag);
-      comm.send(0, 5, payload(comm.rank() * 10));
-    }
+  const std::vector<int> group{0, 1, 2, 3};
+  cluster.run([&](Comm& comm) {
+    const int me = comm.rank();
+    if (me != 0) std::this_thread::sleep_for(std::chrono::milliseconds(10 * me));
+    for (const int d : group)
+      if (d != me) comm.send(d, 5, payload(me * 10 + d));
+    comm.arrive(group, 5);
+    comm.await_arrival(group, 5, Deadline::in(10s));
+    const auto msgs = comm.drain(5);
+    ASSERT_EQ(msgs.size(), 3u);
+    for (const Message& m : msgs) EXPECT_EQ(value_of(m), m.source * 10 + me);
   });
-  // Rank 0 wakes once, for the last of its three sources; ranks 2 and 3 at
-  // most once each, for their go signal.
+  // Every member but the last to arrive wakes at most once, on its
+  // release; the last one completes the round and never sleeps.
   EXPECT_LE(cluster.mailbox_wakeups(), 3u);
 }
 
-TEST(Runtime, WakeupIgnoresLaterTagsAndSourcesNotAwaited) {
+TEST(Runtime, WakeupArrivalIgnoresStageFramesAndOtherGroups) {
   Cluster cluster(4);
   cluster.run([](Comm& comm) {
     switch (comm.rank()) {
       case 0: {
-        const std::vector<int> sources{1, 2};
-        const auto got = comm.recv_from_each(sources, 5, Deadline::in(10s));
-        ASSERT_EQ(got.size(), 2u);
-        EXPECT_EQ(value_of(got[0]), 1);
-        EXPECT_EQ(value_of(got[1]), 2);
-        // Neither stray frame was taken by the wait.
+        const std::vector<int> group{0, 1, 2};
+        comm.arrive(group, 5);
+        comm.await_arrival(group, 5, Deadline::in(10s));
+        const auto msgs = comm.drain(5);
+        ASSERT_EQ(msgs.size(), 3u);
+        EXPECT_EQ(value_of(msgs[0]), 1);
+        EXPECT_EQ(value_of(msgs[1]), 2);
+        EXPECT_EQ(value_of(msgs[2]), 35);
+        // The later-tag frame was not taken by the drain.
         EXPECT_EQ(value_of(comm.recv(1, 6)), 16);
-        EXPECT_EQ(value_of(comm.recv(3, 5)), 35);
         break;
       }
-      case 1:
+      case 1: {
         std::this_thread::sleep_for(20ms);
-        comm.send(0, 6, payload(16));  // an awaited source, but a later tag
+        comm.send(0, 5, payload(1));
+        comm.send(0, 6, payload(16));  // a member's frame, but a later tag
         comm.send(3, kGoTag, {});
         comm.recv(3, kGoTag);
-        comm.send(0, 5, payload(1));
         comm.send(2, kGoTag, {});
+        const std::vector<int> group{0, 1, 2};
+        comm.arrive(group, 5);
+        comm.await_arrival(group, 5, Deadline::in(10s));
         break;
-      case 2:
+      }
+      case 2: {
         comm.recv(1, kGoTag);
         comm.send(0, 5, payload(2));
+        const std::vector<int> group{0, 1, 2};
+        comm.arrive(group, 5);
+        comm.await_arrival(group, 5, Deadline::in(10s));
         break;
-      default:
+      }
+      default: {
         comm.recv(1, kGoTag);
-        comm.send(0, 5, payload(35));  // the awaited tag, but not an awaited source
+        // The awaited tag, from a rank outside the group, in a round of its
+        // own: neither its frame nor its round may release rank 0.
+        comm.send(0, 5, payload(35));
+        const std::vector<int> alone{3};
+        comm.arrive(alone, 5);
+        comm.await_arrival(alone, 5, Deadline::in(10s));
         comm.send(1, kGoTag, {});
         break;
+      }
     }
   });
-  // Rank 0 wakes once, for rank 2's frame; ranks 1, 2 and 3 at most once each.
-  EXPECT_LE(cluster.mailbox_wakeups(), 4u);
+  // At most one wakeup per blocking wait: rank 0's release, the go signals
+  // of ranks 1, 2 and 3, and the release of whichever of ranks 1 and 2
+  // arrives first. The frames tagged 5 woke nobody.
+  EXPECT_LE(cluster.mailbox_wakeups(), 5u);
 }
 
-TEST(Runtime, WakeupSurvivesInjectedReorderToFront) {
+TEST(Runtime, WakeupArrivalSurvivesInjectedReorderToFront) {
   Cluster cluster(4);
   fault::FaultConfig cfg;
   cfg.reorder_prob = 1.0;  // every post jumps ahead of queued traffic
   cluster.set_fault_injector(std::make_shared<fault::FaultInjector>(cfg));
-  cluster.run([](Comm& comm) {
-    if (comm.rank() == 0) {
-      const std::vector<int> sources{1, 2, 3};
-      const auto got = comm.recv_from_each(sources, 5, Deadline::in(10s));
-      ASSERT_EQ(got.size(), 3u);
-      EXPECT_EQ(value_of(got[0]), 1);
-      EXPECT_EQ(value_of(got[1]), 2);
-      EXPECT_EQ(value_of(got[2]), 3);
+  const std::vector<int> group{0, 1, 2, 3};
+  cluster.run([&](Comm& comm) {
+    const int me = comm.rank();
+    if (me != 0) std::this_thread::sleep_for(20ms);
+    for (const int d : group)
+      if (d != me) comm.send(d, 5, payload(me));
+    if (me == 3) comm.send(0, 6, payload(7));
+    comm.arrive(group, 5);
+    comm.await_arrival(group, 5, Deadline::in(10s));
+    const auto msgs = comm.drain(5);
+    ASSERT_EQ(msgs.size(), 3u);
+    int want = 0;
+    for (const Message& m : msgs) {
+      if (want == me) ++want;
+      EXPECT_EQ(m.source, want);
+      EXPECT_EQ(value_of(m), want);
+      ++want;
+    }
+    if (me == 0) {
       EXPECT_EQ(value_of(comm.recv(kAnySource, 6, Deadline::in(10s))), 7);
-    } else {
-      std::this_thread::sleep_for(20ms);
-      comm.send(0, 5, payload(comm.rank()));
-      if (comm.rank() == 3) comm.send(0, 6, payload(7));
     }
   });
   cluster.set_fault_injector(nullptr);
 }
 
-TEST(Runtime, WakeupReportsADeadAwaitedSourceAsTimeout) {
+TEST(Runtime, WakeupArrivalReportsADeadAbsentMemberAsTimeout) {
   Cluster cluster(3);
+  const std::vector<int> group{0, 1, 2};
   try {
-    cluster.run([](Comm& comm) {
+    cluster.run([&](Comm& comm) {
       if (comm.rank() == 0) {
-        const std::vector<int> sources{1, 2};
-        (void)comm.recv_from_each(sources, 5, Deadline::in(10s));
+        comm.arrive(group, 5);
+        comm.await_arrival(group, 5, Deadline::in(10s));
       } else if (comm.rank() == 1) {
-        comm.send(0, 5, payload(1));
+        comm.arrive(group, 5);  // arrives, then leaves without waiting
       } else {
         std::this_thread::sleep_for(20ms);
-        throw fault::RankCrashedError("rank 2 crashed before sending");
+        throw fault::RankCrashedError("rank 2 crashed before arriving");
       }
     });
-    FAIL() << "the wait outlived its dead source";
+    FAIL() << "the wait outlived its dead member";
   } catch (const core::TimeoutError& e) {
-    EXPECT_EQ(e.op(), "recv_from_each");
+    EXPECT_EQ(e.op(), "await_arrival");
     EXPECT_EQ(e.peer(), 2);
+    EXPECT_NE(std::string(e.what()).find("group member 2 died"), std::string::npos) << e.what();
     EXPECT_LT(e.waited_ms(), 5000) << "woken by the death, not by the deadline";
   }
+}
+
+TEST(Runtime, WakeupArrivalNamesEveryAbsentMemberAtTheDeadline) {
+  Cluster cluster(4);
+  const std::vector<int> group{0, 1, 2, 3};
+  try {
+    cluster.run([&](Comm& comm) {
+      // Ranks 1 and 3 are lost: they never arrive.
+      if (comm.rank() == 0) {
+        comm.arrive(group, 5);
+        comm.await_arrival(group, 5, Deadline::in(200ms));
+      } else if (comm.rank() == 2) {
+        comm.arrive(group, 5);
+      }
+    });
+    FAIL() << "the round completed without two of its members";
+  } catch (const core::TimeoutError& e) {
+    EXPECT_EQ(e.op(), "await_arrival");
+    EXPECT_EQ(e.rank(), 0);
+    EXPECT_EQ(e.peer(), 1);
+    EXPECT_NE(std::string(e.what()).find("group member(s) 1, 3 did not arrive"),
+              std::string::npos)
+        << e.what();
+  }
+  // The open round is reset by the next run: the same round completes.
+  cluster.run([&](Comm& comm) {
+    comm.arrive(group, 5);
+    comm.await_arrival(group, 5, Deadline::in(10s));
+  });
 }
 
 TEST(Runtime, WakeupWaitMessageWakesOnAnyTag) {
@@ -508,27 +587,35 @@ TEST_P(RuntimeSizes, DrainAfterBarrierReturnsEverySendSortedBySource) {
   });
 }
 
-TEST_P(RuntimeSizes, RecvFromEachTakesTheFirstFramePerSourceInOrder) {
+TEST_P(RuntimeSizes, ArrivalDrainsEveryFramePostedBeforeArrivingAndNothingLater) {
   const int size = GetParam();
   Cluster cluster(size);
   cluster.run([size](Comm& comm) {
     const int me = comm.rank();
-    std::vector<int> sources;
-    for (int s = 0; s < size; ++s)
-      if (s != me) sources.push_back(s);
-    // Two frames per (source, tag): each wait takes the earlier one and
-    // leaves the later one queued for the next wait.
-    for (const int d : sources) {
-      comm.send(d, 5, payload(cell(me, d, size)));
-      comm.send(d, 5, payload(-cell(me, d, size) - 1));
-    }
-    for (const bool first : {true, false}) {
-      const auto msgs = comm.recv_from_each(sources, 5, Deadline::in(30s));
-      ASSERT_EQ(msgs.size(), sources.size());
-      for (std::size_t i = 0; i < msgs.size(); ++i) {
-        EXPECT_EQ(msgs[i].source, sources[i]);
-        const int v = cell(sources[i], me, size);
-        EXPECT_EQ(value_of(msgs[i]), first ? v : -v - 1);
+    // Even and odd ranks form two groups that share every tag; a round
+    // completes only on its own members' arrivals.
+    std::vector<int> group;
+    for (int r = me % 2; r < size; r += 2) group.push_back(r);
+    // Round t drains the frames posted before arriving at it; each rank
+    // posts round t + 1's frames only after arriving at round t, so they
+    // must wait for round t + 1's drain.
+    auto post = [&](int tag) {
+      for (const int d : group)
+        if (d != me) comm.send(d, tag, payload(cell(me, d, size) * tag));
+    };
+    post(5);
+    for (const int tag : {5, 6, 7}) {
+      comm.arrive(group, tag);
+      if (tag < 7) post(tag + 1);
+      comm.await_arrival(group, tag, Deadline::in(30s));
+      const auto msgs = comm.drain(tag);
+      ASSERT_EQ(msgs.size(), group.size() - 1);
+      std::size_t i = 0;
+      for (const int src : group) {
+        if (src == me) continue;
+        EXPECT_EQ(msgs[i].source, src);
+        EXPECT_EQ(value_of(msgs[i]), cell(src, me, size) * tag);
+        ++i;
       }
     }
   });

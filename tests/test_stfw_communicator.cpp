@@ -15,7 +15,7 @@
 
 namespace stfw {
 
-/// Test access to StfwCommunicator's exchange epoch.
+/// Test access to StfwCommunicator's resilient exchange epoch.
 struct PlanCacheProbe {
   static void set_epoch(StfwCommunicator& stfw, std::uint32_t epoch) {
     stfw.epoch_ = epoch;
@@ -273,25 +273,23 @@ TEST(Communicator, BaselineEqualsDirectSends) {
   });
 }
 
-// The exchange epoch is one 32-bit counter behind both the plain stage tags
-// ((epoch mod 2^23) * dim + stage) and the resilient frame headers. Started
-// just below each point where the counter or a derived tag wraps or leaves
-// its range, plain and resilient exchanges in turn must keep delivering the
-// reference result without a single retransmit: no plain tag may overflow
-// int or reach the resilient protocol's fixed tags (1 << 28), and a
-// resilient exchange must still carry a faster peer's next-exchange frames
-// across the 2^32 wrap rather than drop them.
+// Two counters name an exchange on the wire. Each plain exchange reserves
+// dim() consecutive stage tags from the rank's Comm, all below the resilient
+// protocol's fixed tags (1 << 28); the resilient epoch is a 32-bit counter
+// carried in every resilient frame header. Started just below each point
+// where the epoch wraps or leaves int, and with the tag range about to wrap,
+// plain and resilient exchanges in turn must keep delivering the reference
+// result without a single retransmit; a resilient exchange must still carry
+// a faster peer's next-exchange frames across the 2^32 wrap rather than
+// drop them.
 TEST(Communicator, ExchangeEpochWrapsCleanly) {
   const Vpt vpt({2, 2, 2});
   const Rank K = vpt.size();
-  const auto dim = static_cast<std::uint32_t>(vpt.dim());
+  const int dim = vpt.dim();
   const SendSets sets = random_sendsets(K, 0.6, 2718);
   const std::uint32_t starts[] = {
-      static_cast<std::uint32_t>(INT32_MAX) / dim - 1,  // epoch * dim leaves int
-      static_cast<std::uint32_t>(INT32_MAX) - 1,        // the epoch leaves int
-      UINT32_MAX - 1,                                   // the counter wraps
-      (1u << 23) - 2,                                   // the plain tag window wraps
-      (1u << 28) / dim - 2,  // epoch * dim reaches the resilient tags
+      static_cast<std::uint32_t>(INT32_MAX) - 1,  // the epoch leaves int
+      UINT32_MAX - 1,                             // the counter wraps
   };
   ResilienceOptions opt;
   opt.retransmit_timeout = std::chrono::milliseconds(1000);
@@ -302,6 +300,9 @@ TEST(Communicator, ExchangeEpochWrapsCleanly) {
     const std::vector<InboundMessage> reference = communicator.exchange(sets[me]);
     for (const std::uint32_t start : starts) {
       PlanCacheProbe::set_epoch(communicator, start);
+      // The next plain exchange takes the three highest tags below 1 << 28
+      // and the one after it wraps to 0.
+      (void)comm.reserve_tags((1 << 28) - 2 * dim);
       for (int round = 0; round < 2; ++round) {
         EXPECT_EQ(communicator.exchange(sets[me]), reference)
             << "rank " << me << " start " << start << " round " << round;

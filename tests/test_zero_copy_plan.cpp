@@ -193,8 +193,9 @@ void expect_same_layout(const core::ExchangePlanLayout& a, const core::ExchangeP
 
 // Golden wire frames: for the same pattern and payloads, a planned replay
 // (exchange_views) posts byte-for-byte the frames the recording exchange
-// serialized with core::serialize — real frames and fillers alike, stage by
-// stage — and plan() freezes the very layout that exchange cached.
+// serialized with core::serialize, stage by stage, and plan() freezes the
+// very layout that exchange cached. Both post exactly their real frames:
+// the wire carries no fillers, and messages_sent counts every frame.
 TEST(ZeroCopyPlan, ReplayPostsTheRecordingExchangesWireFrames) {
   const Vpt vpt({4, 2, 2});
   const Rank K = vpt.size();
@@ -202,35 +203,58 @@ TEST(ZeroCopyPlan, ReplayPostsTheRecordingExchangesWireFrames) {
   // frames[0]: the recording exchange (epoch 1); frames[1]: the replay
   // (epoch 2). Keyed by (source, dest, stage).
   std::array<std::map<std::tuple<int, int, int>, std::vector<std::byte>>, 2> frames;
+  std::array<std::int64_t, 2> posts{};
   core::Mutex mu;
   Cluster cluster(K);
   cluster.set_wire_tap([&](int source, int dest, int tag, std::span<const std::byte> bytes) {
-    const int epoch = tag / n;  // plain-exchange tags are epoch * dim + stage
+    // Each plain exchange reserves dim() consecutive tags, starting at a
+    // multiple of dim(): tag / dim is the exchange, tag % dim the stage.
+    const int epoch = tag / n;
     if (tag < 0 || epoch < 1 || epoch > 2) return;
     core::MutexLock lock(mu);
+    ++posts[static_cast<std::size_t>(epoch - 1)];
     frames[static_cast<std::size_t>(epoch - 1)].emplace(
         std::tuple{source, dest, tag % n}, std::vector<std::byte>(bytes.begin(), bytes.end()));
   });
+  std::array<std::vector<LocalExchangeStats>, 2> stats;
+  stats[0].resize(static_cast<std::size_t>(K));
+  stats[1].resize(static_cast<std::size_t>(K));
   cluster.run([&](Comm& comm) {
     const auto me = static_cast<Rank>(comm.rank());
     StfwCommunicator stfw(comm, vpt);
     const auto sends = sends_for(me, K, 3, 700);
     const auto planned = stfw.plan(sends);  // epoch 0
     (void)stfw.exchange(sends);             // epoch 1: cache miss, records
+    stats[0][static_cast<std::size_t>(me)] = stfw.last_stats();
     const auto cached = PlanCacheProbe::find(stfw, sends);
     ASSERT_NE(cached, nullptr);
     expect_same_layout(planned->layout(), cached->layout(), me);
     std::vector<std::span<const std::byte>> payloads;
     for (const OutboundMessage& s : sends) payloads.emplace_back(s.bytes);
     (void)stfw.exchange_views(*planned, payloads);  // epoch 2
+    stats[1][static_cast<std::size_t>(me)] = stfw.last_stats();
   });
   cluster.set_wire_tap(nullptr);
 
-  // One frame per (stage, neighbor) in both exchanges.
-  const auto expected = static_cast<std::size_t>(K) *
-                        static_cast<std::size_t>(vpt.max_message_count_bound());
-  ASSERT_EQ(frames[0].size(), expected);
-  ASSERT_EQ(frames[1].size(), expected);
+  for (std::size_t x = 0; x < 2; ++x) {
+    std::int64_t sent = 0;
+    std::int64_t received = 0;
+    for (const LocalExchangeStats& s : stats[x]) {
+      EXPECT_EQ(s.filler_frames_sent, 0);
+      EXPECT_EQ(s.filler_frames_received, 0);
+      sent += s.messages_sent;
+      received += s.messages_received;
+    }
+    // Every tapped frame is a real one, each (source, dest, stage) once.
+    EXPECT_EQ(posts[x], sent) << "exchange " << x;
+    EXPECT_EQ(received, sent) << "exchange " << x;
+    ASSERT_EQ(frames[x].size(), static_cast<std::size_t>(sent)) << "exchange " << x;
+    for (const auto& [key, bytes] : frames[x]) EXPECT_GT(bytes.size(), 4u) << "a filler-sized frame";
+  }
+  // Sparse enough that some (stage, neighbor) slots stay empty.
+  EXPECT_LT(frames[0].size(), static_cast<std::size_t>(K) *
+                                  static_cast<std::size_t>(vpt.max_message_count_bound()));
+  ASSERT_EQ(frames[1].size(), frames[0].size());
   for (const auto& [key, bytes] : frames[0]) {
     const auto& [source, dest, stage] = key;
     const auto it = frames[1].find(key);

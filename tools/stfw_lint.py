@@ -12,10 +12,10 @@ directly above it — the reason is mandatory):
   l2-wire-reserve  no reserve()/resize() sized from a freshly-deserialized
                    wire field before a bounds check — the exact bug class of
                    the fuzz-found wire.cpp over-allocation (PR 3).
-  l3-deadline      no recv / wait_message / barrier / allgather call inside a
-                   resilient / settlement / watchdog / timeout code path
-                   without a Deadline argument; a lost peer must not hang
-                   recovery.
+  l3-deadline      no recv / await_arrival / wait_message / barrier /
+                   allgather call inside a resilient / settlement /
+                   watchdog / timeout code path without a Deadline
+                   argument; a lost peer must not hang recovery.
   l4-catch-all     `catch (...)` only at the sanctioned Cluster::run worker
                    sites (src/runtime/comm.cpp), where per-rank failures are
                    aggregated; anywhere else it swallows protocol errors.
@@ -114,7 +114,7 @@ RAW_SYNC_EXEMPT_FILES = {"src/core/sync.hpp", "src/core/verify_hooks.hpp"}
 RAW_SYNC_EXEMPT_PREFIXES = ("src/verify/",)
 
 L3_FUNCTION_RE = re.compile(r"resilient|settle|watchdog|timeout|deadlock|recover")
-L3_CALL_RE = re.compile(r"\b(recv|wait_message|barrier|allgather)\s*\(")
+L3_CALL_RE = re.compile(r"\b(recv|await_arrival|wait_message|barrier|allgather)\s*\(")
 L5_TYPE_SUFFIXES = r"(?:Stats|Result|Counters|Failure|Totals|Decision)"
 
 SCAN_DIRS = ("src", "tests", "tools", "bench", "examples")
