@@ -1,16 +1,15 @@
-// Planned-vs-unplanned exchange() on repeated identical patterns.
+// Recording miss vs cached replay of exchange() on one send pattern.
 //
 // The iterative-solver loop (spmv::run_distributed) re-issues the same send
-// pattern every iteration; the persistent-plan layer trades the per-exchange
+// pattern every iteration; exchange()'s plan cache trades the per-exchange
 // route derivation and frame assembly for a one-time recording. This harness
 // measures that trade at several K on one skewed pattern per K:
 //
-//   unplanned  plan cache disabled (capacity 0) — Algorithm 1 every time
-//   cached     transparent plan cache: one warm-up records, timed iterations
-//              replay (plain exchange(), no API change)
-//   planned    explicit plan() + barrier-free replay through
-//              exchange_views() — gather out, views in — i.e. the
-//              full zero-copy hot path
+//   unplanned  a fresh StfwCommunicator per timed iteration, so every
+//              exchange is a cache miss that runs Algorithm 1 and records a
+//              plan — what a pattern that never repeats pays
+//   cached     one communicator: a warm-up records, the timed iterations
+//              replay the cached plan
 //
 // Rows land in BENCH_micro_exchange.json (schema: docs/performance.md) for
 // tools/compare_bench.py. Knobs: STFW_BENCH_MICRO_KMAX (default 512),
@@ -22,8 +21,6 @@
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
-#include <memory>
-#include <span>
 #include <string>
 #include <vector>
 
@@ -83,13 +80,12 @@ std::vector<std::vector<stfw::OutboundMessage>> build_pattern(Rank num_ranks,
   return sends;
 }
 
-enum class Mode { kUnplanned, kCached, kPlanned };
+enum class Mode { kUnplanned, kCached };
 
 const char* mode_name(Mode m) {
   switch (m) {
     case Mode::kUnplanned: return "unplanned";
     case Mode::kCached: return "cached";
-    case Mode::kPlanned: return "planned";
   }
   return "?";
 }
@@ -109,28 +105,22 @@ ModeResult run_mode(stfw::runtime::Cluster& cluster, const stfw::core::Vpt& vpt,
   cluster.run([&](stfw::runtime::Comm& comm) {
     stfw::StfwCommunicator communicator(comm, vpt);
     const auto& sends = pattern[static_cast<std::size_t>(comm.rank())];
-    std::shared_ptr<stfw::runtime::ExchangePlan> plan;
-    switch (mode) {
-      case Mode::kUnplanned: communicator.set_plan_cache_capacity(0); break;
-      case Mode::kCached: (void)communicator.exchange(sends); break;  // warm-up records
-      case Mode::kPlanned: plan = communicator.plan(sends); break;
-    }
-    std::vector<std::span<const std::byte>> payloads;
-    payloads.reserve(sends.size());
-    for (const auto& s : sends) payloads.emplace_back(s.bytes);
+    if (mode == Mode::kCached) (void)communicator.exchange(sends);  // warm-up records
     comm.barrier();
     const auto t0 = std::chrono::steady_clock::now();
     std::uint64_t received = 0;
     std::int64_t my_hits = 0;
+    const auto exchange_once = [&](stfw::StfwCommunicator& c) {
+      for (const stfw::InboundMessage& m : c.exchange(sends)) received += m.bytes.size();
+      my_hits += c.last_stats().plan_hits;
+    };
     for (int it = 0; it < iters; ++it) {
-      if (plan) {
-        for (const stfw::runtime::InboundView& v : communicator.exchange_views(*plan, payloads))
-          received += v.bytes.size();
+      if (mode == Mode::kUnplanned) {
+        stfw::StfwCommunicator fresh(comm, vpt);
+        exchange_once(fresh);
       } else {
-        for (const stfw::InboundMessage& m : communicator.exchange(sends))
-          received += m.bytes.size();
+        exchange_once(communicator);
       }
-      my_hits += communicator.last_stats().plan_hits;
     }
     comm.barrier();
     const auto t1 = std::chrono::steady_clock::now();
@@ -169,7 +159,7 @@ int main() {
                                           stfw::bench::bench_seed()))));
   Json results = Json::array();
 
-  std::printf("planned vs unplanned exchange, %d timed iterations per mode\n", iters);
+  std::printf("recording miss vs cached replay, %d timed iterations per mode\n", iters);
   std::printf("%6s %10s %6s %12s %14s %9s %9s\n", "K", "mode", "mmax", "volume_B",
               "ns/exchange", "hit_rate", "speedup");
   stfw::bench::print_rule(74);
@@ -189,7 +179,7 @@ int main() {
 
     stfw::runtime::Cluster cluster(num_ranks);
     double unplanned_ns = 0.0;
-    for (const Mode mode : {Mode::kUnplanned, Mode::kCached, Mode::kPlanned}) {
+    for (const Mode mode : {Mode::kUnplanned, Mode::kCached}) {
       const ModeResult r = run_mode(cluster, vpt, pattern, iters, mode);
       if (mode == Mode::kUnplanned) unplanned_ns = r.ns_per_exchange;
       const double speedup =

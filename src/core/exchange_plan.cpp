@@ -22,34 +22,11 @@ void put_i32(std::vector<std::byte>& out, std::int32_t v) {
   std::memcpy(out.data() + pos, &v, sizeof(v));
 }
 
-void hash_u64(std::uint64_t& h, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    h ^= (v >> (8 * i)) & 0xffu;
-    h *= 1099511628211ull;
-  }
-}
-
 }  // namespace
-
-PatternSignature PatternSignature::of(
-    std::span<const std::pair<Rank, std::uint32_t>> seq) {
-  PatternSignature sig;
-  sig.sequence.assign(seq.begin(), seq.end());
-  std::vector<std::pair<Rank, std::uint32_t>> sorted = sig.sequence;
-  std::sort(sorted.begin(), sorted.end());
-  std::uint64_t h = 14695981039346656037ull;
-  hash_u64(h, sorted.size());
-  for (const auto& [dest, size] : sorted) {
-    hash_u64(h, static_cast<std::uint64_t>(static_cast<std::uint32_t>(dest)));
-    hash_u64(h, size);
-  }
-  sig.key = h;
-  return sig;
-}
 
 PlanRecorder::PlanRecorder(const Vpt& vpt, Rank me,
                            std::span<const std::pair<Rank, std::uint32_t>> pattern) {
-  layout_.signature = PatternSignature::of(pattern);
+  layout_.pattern.assign(pattern.begin(), pattern.end());
   layout_.vpt_dims = vpt.dim_sizes();
   layout_.rank = me;
   const int n = vpt.dim();
@@ -154,9 +131,9 @@ void validate_plan_layout(const ExchangePlanLayout& layout) {
     // PayloadSrc for empty submessages); no byte is ever read through them.
     if (src.bytes == 0) return;
     if (src.kind == PayloadSrc::Kind::kSeed) {
-      if (src.index >= layout.signature.sequence.size())
+      if (src.index >= layout.pattern.size())
         bad(stage, std::string(where) + ": seed index out of range");
-      if (src.bytes != layout.signature.sequence[src.index].second)
+      if (src.bytes != layout.pattern[src.index].second)
         bad(stage, std::string(where) + ": seed slot size disagrees with the pattern");
       return;
     }

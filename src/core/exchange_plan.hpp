@@ -35,21 +35,6 @@
 
 namespace stfw::core {
 
-/// Identity of a send pattern: an order-preserving copy of the caller's
-/// (dest, size) sequence plus an order-insensitive FNV-1a key over the
-/// sorted pairs for cheap cache lookup. Two patterns are equal only if the
-/// exact sequences match — the hash alone is never trusted.
-struct PatternSignature {
-  std::uint64_t key = 0;
-  std::vector<std::pair<Rank, std::uint32_t>> sequence;
-
-  static PatternSignature of(std::span<const std::pair<Rank, std::uint32_t>> seq);
-
-  friend bool operator==(const PatternSignature& a, const PatternSignature& b) {
-    return a.key == b.key && a.sequence == b.sequence;
-  }
-};
-
 /// Where the bytes of one planned payload slot come from at replay time:
 /// either the caller's seed payload number `index`, or `bytes` bytes at
 /// `offset` inside inbound raw frame `frame` of stage `stage`.
@@ -95,7 +80,10 @@ struct PlanDelivery {
 
 /// The complete frozen exchange, one rank's view. Immutable once built.
 struct ExchangePlanLayout {
-  PatternSignature signature;
+  /// The recorded send pattern: the caller's (dest, size) sequence, in send
+  /// order. A replay needs exactly this sequence, since payload slots are
+  /// positional.
+  std::vector<std::pair<Rank, std::uint32_t>> pattern;
   std::vector<int> vpt_dims;
   Rank rank = -1;
 
@@ -123,9 +111,9 @@ struct ExchangePlanLayout {
   }
 };
 
-/// Builds an ExchangePlanLayout from a stream of per-stage events, fed by a
-/// recording Algorithm 1 run: StfwCommunicator::plan() or the transparent
-/// cache's miss path, which run the same code and so freeze the same layout.
+/// Builds an ExchangePlanLayout from a stream of per-stage events, fed by
+/// the recording Algorithm 1 run of a plan-cache miss in
+/// StfwCommunicator::exchange().
 class PlanRecorder {
 public:
   PlanRecorder(const Vpt& vpt, Rank me,

@@ -48,8 +48,11 @@ struct FaultConfig {
   std::uint64_t seed = 1;
 
   // Per-message fault probabilities in [0, 1]; evaluated independently at
-  // every post. Truncation and delay compose with delivery; drop, duplicate
-  // and reorder are mutually exclusive (first match wins).
+  // every post of a non-negative tag. Exchange traffic uses non-negative
+  // tags and the runtime's own collectives negative ones, so control
+  // collectives are never faulted (the loss model of a transport with a
+  // reliable side channel). Truncation and delay compose with delivery;
+  // drop, duplicate and reorder are mutually exclusive (first match wins).
   double drop_prob = 0.0;
   double duplicate_prob = 0.0;
   double reorder_prob = 0.0;   // delivered ahead of queued same-tag traffic
@@ -57,13 +60,6 @@ struct FaultConfig {
   double delay_prob = 0.0;     // held back, delivered by the monitor thread
   std::chrono::milliseconds delay_min{1};
   std::chrono::milliseconds delay_max{5};
-
-  /// Only messages with tag >= min_tag are candidates. Exchange stage
-  /// traffic uses non-negative tags while the runtime's own collectives use
-  /// negative tags, so the default faults the exchange but leaves control
-  /// collectives reliable (the loss model of a transport with a reliable
-  /// side channel).
-  int min_tag = 0;
 
   // Rank-level faults, triggered at the stage sites the exchange announces
   // via at_stage(). stage == -1 means "any stage".
@@ -124,6 +120,7 @@ public:
   /// on the sender's thread; decisions for a given sender form one
   /// deterministic stream. The decision must be consumed — dropping it on
   /// the floor delivers a message the injector already counted as faulted.
+  /// A negative tag is never faulted.
   [[nodiscard]] MessageDecision on_post(int source, int dest, int tag,
                                         std::size_t size_bytes);
 

@@ -30,9 +30,9 @@ using core::Submessage;
 
 namespace {
 
-// Fixed tags of the resilient frame protocol, far above any plain-exchange
-// stage tag (epoch * dim + stage); the exchange epoch travels inside the
-// frame header instead of the tag.
+// Fixed tags of the resilient frame protocol, above every plain-exchange
+// stage tag (Comm::reserve_tags hands those out in [0, 2^28)); the exchange
+// epoch travels inside the frame header instead of the tag.
 constexpr int kResilientDataTag = 1 << 28;
 constexpr int kResilientAckTag = (1 << 28) + 1;
 

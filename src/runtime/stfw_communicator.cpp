@@ -23,8 +23,6 @@ using core::Submessage;
 
 namespace {
 
-constexpr std::size_t kDefaultPlanCacheCapacity = 4;
-
 // Hang guard of the plain exchange's stage waits: generous against real
 // schedules (stages complete in microseconds) yet finite, so a lost rank
 // surfaces as core::TimeoutError instead of an untimed hang.
@@ -100,7 +98,7 @@ bool roster_matches(std::span<const runtime::Message> msgs,
 // payload gaps) are interleaved with payload memcpys straight from the seed
 // views / parked inbound frames. Every byte of the buffer is written exactly
 // once — no image pre-copy, no double-written payload bytes. Slot offsets
-// were audited by validate_plan_layout at plan construction, so the
+// were audited by validate_plan_layout when the plan was cached, so the
 // arithmetic here can trust them.
 std::vector<std::byte> gather_planned_frame(const core::PlanOutFrame& frame,
                                             std::span<const std::span<const std::byte>> seeds,
@@ -121,12 +119,12 @@ std::vector<std::byte> gather_planned_frame(const core::PlanOutFrame& frame,
   return wire;
 }
 
-std::vector<InboundMessage> copies_of(std::span<const runtime::InboundView> views) {
-  std::vector<InboundMessage> result;
-  result.reserve(views.size());
-  for (const runtime::InboundView& v : views)
-    result.push_back(InboundMessage{v.source, {v.bytes.begin(), v.bytes.end()}});
-  return result;
+// True when `sends` has exactly the recorded (dest, size) sequence.
+bool same_pattern(std::span<const std::pair<core::Rank, std::uint32_t>> pattern,
+                  std::span<const OutboundMessage> sends) {
+  return std::ranges::equal(pattern, sends, [](const auto& p, const OutboundMessage& s) {
+    return p.first == s.dest && p.second == s.bytes.size();
+  });
 }
 
 std::vector<std::span<const std::byte>> seed_views_of(std::span<const OutboundMessage> sends) {
@@ -140,7 +138,7 @@ std::vector<std::span<const std::byte>> seed_views_of(std::span<const OutboundMe
 
 /// The stage engine of every plain exchange (paper Algorithm 1, lines 8-18).
 /// step() runs one stage for either frame source — Algorithm1 below, or a
-/// frozen plan's replay (replay_stages) — which hands its frames to step()
+/// cached plan's replay — which hands its frames to step()
 /// through a template callback, so a frame costs no indirect call. The
 /// driver claims the exchange's stage tags up front and owns the validator,
 /// engaged only when validation is on in a validator build.
@@ -237,22 +235,25 @@ private:
 /// slice), so the finished layout replays the routing with plain memcpys.
 class StfwCommunicator::Algorithm1 {
 public:
-  Algorithm1(StageDriver& drv, std::span<const OutboundMessage> sends,
-             const core::PatternSignature* record_as)
+  Algorithm1(StageDriver& drv, std::span<const OutboundMessage> sends, bool record)
       : drv_(drv), state_(drv.vpt(), drv.me()) {
-    if (record_as != nullptr) recorder_.emplace(drv.vpt(), drv.me(), record_as->sequence);
+    std::vector<std::pair<core::Rank, std::uint32_t>> pattern;
     for (std::size_t i = 0; i < sends.size(); ++i) {
       const std::vector<std::byte>& bytes = sends[i].bytes;
       const std::uint64_t off = arena_.add(bytes);
       state_.add_send(sends[i].dest, off, static_cast<std::uint32_t>(bytes.size()));
-      if (recorder_ && !bytes.empty()) {
-        core::PayloadSrc src;
-        src.index = static_cast<std::uint32_t>(i);
-        src.bytes = static_cast<std::uint32_t>(bytes.size());
-        provenance_.insert_or_assign(off, src);
+      if (record) {
+        pattern.emplace_back(sends[i].dest, static_cast<std::uint32_t>(bytes.size()));
+        if (!bytes.empty()) {
+          core::PayloadSrc src;
+          src.index = static_cast<std::uint32_t>(i);
+          src.bytes = static_cast<std::uint32_t>(bytes.size());
+          provenance_.insert_or_assign(off, src);
+        }
       }
       seed_bytes_ += bytes.size();
     }
+    if (record) recorder_.emplace(drv.vpt(), drv.me(), pattern);
   }
 
   /// Runs stages [first, n), then finishes the exchange.
@@ -271,7 +272,7 @@ public:
     finish();
   }
 
-  /// Drift resume: rebuilds the state a plan replay reached by `stage` from
+  /// Drift resume: rebuilds the state a cached replay reached by `stage` from
   /// the frames it parked for the earlier stages, accepts the frames that
   /// arrived at `stage`, and runs the rest. The replay already sent this
   /// stage's frames and those of every earlier one, all determined by this
@@ -381,81 +382,9 @@ StfwCommunicator::StfwCommunicator(runtime::Comm& comm, core::Vpt vpt)
       // silently leaving the validator on. Not read without a validator.
       validate_(validation_available() && core::env_flag("STFW_VALIDATE", true)),
       exchange_deadline_(std::chrono::milliseconds(
-          core::env_u64("STFW_EXCHANGE_DEADLINE_MS", kDefaultExchangeDeadlineMs))),
-      plan_cache_capacity_(kDefaultPlanCacheCapacity) {
+          core::env_u64("STFW_EXCHANGE_DEADLINE_MS", kDefaultExchangeDeadlineMs))) {
   core::require(vpt_.size() == comm.size(),
                 "StfwCommunicator: VPT size must equal communicator size");
-}
-
-core::PatternSignature StfwCommunicator::signature_of(std::span<const OutboundMessage> sends) {
-  std::vector<std::pair<core::Rank, std::uint32_t>> pattern;
-  pattern.reserve(sends.size());
-  for (const OutboundMessage& s : sends)
-    pattern.emplace_back(s.dest, static_cast<std::uint32_t>(s.bytes.size()));
-  return core::PatternSignature::of(pattern);
-}
-
-std::size_t StfwCommunicator::plan_cache_capacity() const {
-  core::MutexLock lock(plan_cache_mu_);
-  return plan_cache_capacity_;
-}
-
-std::size_t StfwCommunicator::plan_cache_size() const {
-  core::MutexLock lock(plan_cache_mu_);
-  return plan_cache_.size();
-}
-
-void StfwCommunicator::set_plan_cache_capacity(std::size_t capacity) {
-  core::MutexLock lock(plan_cache_mu_);
-  plan_cache_capacity_ = capacity;
-  plan_cache_evict_to(capacity);
-}
-
-void StfwCommunicator::plan_cache_evict_to(std::size_t capacity) {
-  while (plan_cache_.size() > capacity) {
-    std::size_t lru = 0;
-    for (std::size_t i = 1; i < plan_cache_.size(); ++i)
-      if (plan_cache_[i].last_use < plan_cache_[lru].last_use) lru = i;
-    plan_cache_[lru] = std::move(plan_cache_.back());
-    plan_cache_.pop_back();
-  }
-}
-
-std::shared_ptr<runtime::ExchangePlan> StfwCommunicator::plan_cache_find(
-    const core::PatternSignature& sig) {
-  core::MutexLock lock(plan_cache_mu_);
-  for (PlanCacheEntry& e : plan_cache_) {
-    if (e.plan->signature() == sig) {
-      e.last_use = ++plan_cache_tick_;
-      return e.plan;
-    }
-  }
-  return nullptr;
-}
-
-void StfwCommunicator::plan_cache_insert(std::shared_ptr<runtime::ExchangePlan> plan) {
-  core::MutexLock lock(plan_cache_mu_);
-  if (plan_cache_capacity_ == 0) return;
-  for (PlanCacheEntry& e : plan_cache_) {
-    if (e.plan->signature() == plan->signature()) {
-      e.plan = std::move(plan);
-      e.last_use = ++plan_cache_tick_;
-      return;
-    }
-  }
-  plan_cache_evict_to(plan_cache_capacity_ - 1);
-  plan_cache_.push_back(PlanCacheEntry{std::move(plan), ++plan_cache_tick_});
-}
-
-void StfwCommunicator::plan_cache_erase(const core::PatternSignature& sig) {
-  core::MutexLock lock(plan_cache_mu_);
-  for (std::size_t i = 0; i < plan_cache_.size(); ++i) {
-    if (plan_cache_[i].plan->signature() == sig) {
-      plan_cache_[i] = std::move(plan_cache_.back());
-      plan_cache_.pop_back();
-      return;
-    }
-  }
 }
 
 std::vector<InboundMessage> StfwCommunicator::exchange(std::span<const OutboundMessage> sends) {
@@ -474,156 +403,89 @@ std::vector<InboundMessage> StfwCommunicator::exchange(std::span<const OutboundM
     core::require(s.dest >= 0 && s.dest < comm_->size(), "exchange: destination out of range");
   StageDriver drv(*this, stats_, &overlap);
   drv.seed(sends);
-  std::optional<core::PatternSignature> sig;
-  if (plan_cache_capacity() > 0) {
-    sig = signature_of(sends);
-    // The shared_ptr pins the plan for the call: a drift fallback erases the
-    // cache entry while the plan's parked frames are still in use.
-    if (const std::shared_ptr<runtime::ExchangePlan> hit = plan_cache_find(*sig))
-      return exchange_cached(drv, *hit, sends);
-  }
+  for (CachedPlan& plan : plan_cache_)
+    if (same_pattern(plan.layout.pattern, sends)) return replay(drv, plan, sends);
   // Algorithm 1 from stage 0; a cache miss records itself as the next plan.
-  Algorithm1 alg(drv, sends, sig ? &*sig : nullptr);
+  Algorithm1 alg(drv, sends, true);
   alg.run(0);
-  if (sig) {
-    plan_cache_insert(std::make_shared<runtime::ExchangePlan>(alg.layout()));
-    stats_.plan_builds = 1;
-  }
+  remember(alg.layout());
+  stats_.plan_builds = 1;
   return alg.inbox();
 }
 
-std::vector<InboundMessage> StfwCommunicator::exchange_cached(
-    StageDriver& drv, runtime::ExchangePlan& plan, std::span<const OutboundMessage> sends) {
+void StfwCommunicator::remember(core::ExchangePlanLayout layout) {
+  // Audit the frozen offsets once, before any replay memcpys through them:
+  // a corrupt layout dies here as core::ValidationError ("plan-layout").
+  core::validate_plan_layout(layout);
+  CachedPlan plan{std::move(layout), {}, ++plan_cache_tick_};
+  plan.in_raw.resize(plan.layout.in_frames.size());
+  for (std::size_t s = 0; s < plan.in_raw.size(); ++s)
+    plan.in_raw[s].resize(plan.layout.in_frames[s].size());
+  if (plan_cache_.size() < kPlanCacheCapacity)
+    plan_cache_.push_back(std::move(plan));
+  else
+    *std::ranges::min_element(plan_cache_, {}, &CachedPlan::last_use) = std::move(plan);
+}
+
+std::vector<InboundMessage> StfwCommunicator::replay(StageDriver& drv, CachedPlan& plan,
+                                                     std::span<const OutboundMessage> sends) {
+  plan.last_use = ++plan_cache_tick_;
+  stats_.plan_hits = 1;
+  const core::ExchangePlanLayout& layout = plan.layout;
   const std::vector<std::span<const std::byte>> seeds = seed_views_of(sends);
-  std::vector<runtime::Message> drifted;
-  const int stage = replay_stages(drv, plan, seeds, &drifted);
-  if (stage == vpt_.dim()) return copies_of(plan.views_);
-  // A peer's pattern drifted since the plan was recorded: carry on as
-  // Algorithm 1 from the drifted stage. Peers that missed the cache, hit it
-  // or fell back at another stage all close each stage on the same group
-  // arrival, so the cluster stays deadlock-free without a barrier.
-  stats_.plan_fallbacks = 1;
-  plan_cache_erase(plan.signature());
-  Algorithm1 alg(drv, sends, nullptr);
-  alg.resume(stage, plan.in_raw_, drifted);
-  return alg.inbox();
-}
-
-int StfwCommunicator::replay_stages(StageDriver& drv, runtime::ExchangePlan& plan,
-                                    std::span<const std::span<const std::byte>> seeds,
-                                    std::vector<runtime::Message>* drifted) {
-  const core::ExchangePlanLayout& layout = plan.layout();
   const int n = vpt_.dim();
-  drv.stats().plan_hits = 1;
-  // Any replay recycles the plan's parked frames, so views handed out by an
-  // earlier replay stop being valid here; clearing them first leaves an
-  // empty span behind a throw, never a dangling one.
-  plan.views_.clear();
-  int stage = 0;
-  for (; stage < n; ++stage) {
+  for (int stage = 0; stage < n; ++stage) {
     const auto si = static_cast<std::size_t>(stage);
     std::vector<runtime::Message> msgs = drv.step(stage, [&](auto&& post) {
       for (const core::PlanOutFrame& f : layout.out_frames[si])
-        post(f.to, f.subs, gather_planned_frame(f, seeds, plan.in_raw_), f.payload_bytes);
+        post(f.to, f.subs, gather_planned_frame(f, seeds, plan.in_raw), f.payload_bytes);
     });
     if (!roster_matches(msgs, layout.in_frames[si])) {
-      core::require(drifted != nullptr,
-                    "exchange(plan): inbound frames deviate from the plan; the send pattern "
-                    "changed since plan() (use plain exchange() for iteration-varying "
-                    "patterns)");
-      *drifted = std::move(msgs);
-      break;
+      // A peer's pattern drifted since the plan was recorded: carry on as
+      // Algorithm 1 from this stage. Peers that missed the cache, hit it or
+      // fell back at another stage all close each stage on the same group
+      // arrival, so the cluster stays deadlock-free without a barrier. The
+      // resume reads the parked frames, so the entry goes only after it.
+      stats_.plan_fallbacks = 1;
+      Algorithm1 alg(drv, sends, false);
+      alg.resume(stage, plan.in_raw, msgs);
+      plan_cache_.erase(plan_cache_.begin() + (&plan - plan_cache_.data()));
+      return alg.inbox();
     }
     // Park the frames; the buffer each one displaces is freed.
     for (std::size_t fi = 0; fi < msgs.size(); ++fi) {
       const core::PlanInFrame& expected = layout.in_frames[si][fi];
       if (drv.validator) drv.validator->on_stage_recv(stage, expected.source, expected.subs);
-      plan.in_raw_[si][fi] = std::move(msgs[fi].data);
+      plan.in_raw[si][fi] = std::move(msgs[fi].data);
     }
     if (drv.validator)
       drv.validator->on_stage_complete(stage, layout.stage_buffered_bytes[si],
                                        layout.stage_buffered_subs[si]);
   }
-  if (stage < n) return stage;
 
-  drv.stats().peak_buffer_bytes = layout.peak_buffer_bytes();
-  for (const core::PlanDelivery& d : layout.deliveries)
-    plan.views_.push_back(runtime::InboundView{d.source, payload_of(d.src, seeds, plan.in_raw_)});
+  stats_.peak_buffer_bytes = layout.peak_buffer_bytes();
+  std::vector<InboundMessage> result;
+  result.reserve(layout.deliveries.size());
+  for (const core::PlanDelivery& d : layout.deliveries) {
+    const std::span<const std::byte> bytes = payload_of(d.src, seeds, plan.in_raw);
+    result.push_back(InboundMessage{d.source, {bytes.begin(), bytes.end()}});
+  }
   if (drv.validator) {
-    // The verdict covers exactly the bytes the views hand out.
+    // The verdict covers exactly the bytes handed out.
     PayloadArena arena;
     std::vector<Submessage> delivered;
-    for (const runtime::InboundView& v : plan.views_) {
+    delivered.reserve(result.size());
+    for (const InboundMessage& m : result) {
       Submessage s;
-      s.source = v.source;
+      s.source = m.source;
       s.dest = drv.me();
-      s.size_bytes = static_cast<std::uint32_t>(v.bytes.size());
-      s.offset = arena.add(v.bytes);
+      s.size_bytes = static_cast<std::uint32_t>(m.bytes.size());
+      s.offset = arena.add(m.bytes);
       delivered.push_back(s);
     }
     drv.finish(delivered, arena);
   }
-  return n;
-}
-
-std::shared_ptr<runtime::ExchangePlan> StfwCommunicator::plan(
-    std::span<const OutboundMessage> sends) {
-  core::require(!comm_->membership().any_failed(),
-                "plan: cluster is degraded (a rank died); the planning collective "
-                "cannot survive rank failure — use exchange_resilient()");
-  // A recording Algorithm 1 run. Its stats go to a scratch record and its
-  // plan to the caller, so last_stats() and the cache stay as they were.
-  LocalExchangeStats scratch;
-  StageDriver drv(*this, scratch, nullptr);
-  drv.seed(sends);
-  const core::PatternSignature sig = signature_of(sends);
-  Algorithm1 alg(drv, sends, &sig);
-  alg.run(0);
-  return std::make_shared<runtime::ExchangePlan>(alg.layout());
-}
-
-std::vector<InboundMessage> StfwCommunicator::exchange(
-    runtime::ExchangePlan& plan, std::span<const std::span<const std::byte>> payloads) {
-  return copies_of(exchange_views(plan, payloads));
-}
-
-std::span<const runtime::InboundView> StfwCommunicator::exchange_views(
-    runtime::ExchangePlan& plan, std::span<const std::span<const std::byte>> payloads) {
-  core::require(!comm_->membership().any_failed(),
-                "exchange(plan): cluster is degraded (a rank died); planned replay "
-                "cannot survive rank failure — use exchange_resilient()");
-  const core::ExchangePlanLayout& layout = plan.layout();
-  core::require(layout.rank == static_cast<core::Rank>(comm_->rank()),
-                "exchange(plan): plan belongs to another rank");
-  core::require(layout.vpt_dims == vpt_.dim_sizes(),
-                "exchange(plan): plan was built for a different VPT");
-  const auto& sequence = layout.signature.sequence;
-  core::require(payloads.size() == sequence.size(),
-                "exchange(plan): payload count differs from the planned pattern");
-  for (std::size_t i = 0; i < payloads.size(); ++i)
-    core::require(payloads[i].size() == sequence[i].second,
-                  "exchange(plan): payload size differs from the planned pattern");
-
-  StageDriver drv(*this, stats_, nullptr);
-  if (drv.validator)
-    for (std::size_t i = 0; i < payloads.size(); ++i)
-      drv.validator->on_seed(sequence[i].first, payloads[i]);
-  // Strict: every rank replays the same collective plan, so drift throws.
-  (void)replay_stages(drv, plan, payloads, nullptr);
-  return plan.views_;
-}
-
-std::vector<InboundMessage> StfwCommunicator::exchange(runtime::ExchangePlan& plan,
-                                                       std::span<const OutboundMessage> sends) {
-  const auto& sequence = plan.layout().signature.sequence;
-  core::require(sends.size() == sequence.size(),
-                "exchange(plan): send count differs from the planned pattern");
-  for (std::size_t i = 0; i < sends.size(); ++i)
-    core::require(sends[i].dest == sequence[i].first &&
-                      sends[i].bytes.size() == sequence[i].second,
-                  "exchange(plan): send pattern differs from the planned pattern");
-  const std::vector<std::span<const std::byte>> views = seed_views_of(sends);
-  return exchange(plan, views);
+  return result;
 }
 
 }  // namespace stfw

@@ -4,17 +4,15 @@
 #include <chrono>
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <span>
 #include <string>
 #include <vector>
 
+#include "core/exchange_plan.hpp"
 #include "core/metrics.hpp"
 #include "core/rank_state.hpp"
-#include "core/sync.hpp"
 #include "core/vpt.hpp"
 #include "runtime/comm.hpp"
-#include "runtime/exchange_plan.hpp"
 
 /// \file stfw_communicator.hpp
 /// The paper's black-box operation (Section 2.2): every process passes the
@@ -189,13 +187,12 @@ public:
   /// core::Error when the cluster's fault injector faults messages.
   ///
   /// Repeated calls with an identical send pattern (same (dest, size)
-  /// sequence) transparently replay a recorded ExchangePlan instead of
-  /// re-deriving routes and frame layouts — the persistent-collective fast
-  /// path for iterative workloads. The cache is pattern-keyed and bounded
-  /// (set_plan_cache_capacity); a replay that detects mid-flight pattern
-  /// drift on a peer falls back to the unplanned path with identical
-  /// results. LocalExchangeStats.plan_{builds,hits,fallbacks} report what
-  /// happened.
+  /// sequence) transparently replay a recorded plan instead of re-deriving
+  /// routes and frame layouts — the persistent-collective fast path for
+  /// iterative workloads. The cache holds the four most recently used
+  /// patterns; a replay that detects mid-flight pattern drift on a peer
+  /// falls back to Algorithm 1 with identical results.
+  /// LocalExchangeStats.plan_{builds,hits,fallbacks} report what happened.
   std::vector<InboundMessage> exchange(std::span<const OutboundMessage> sends);
 
   /// Overlap variant: identical exchange, but `overlap` runs once between
@@ -204,50 +201,6 @@ public:
   /// result is byte-identical to the plain overload.
   std::vector<InboundMessage> exchange(std::span<const OutboundMessage> sends,
                                        const OverlapHook& overlap);
-
-  /// Builds an ExchangePlan for `sends`' pattern by running one recording
-  /// exchange of Algorithm 1 — the same run a cache-missing exchange() makes,
-  /// so both freeze the same layout. The payload bytes travel but do not
-  /// affect the plan; only the (dest, size) sequence does. Collective: all
-  /// ranks must call plan() together, like an exchange. Leaves last_stats()
-  /// and the transparent cache untouched. The plan is bound to this rank and
-  /// VPT.
-  std::shared_ptr<runtime::ExchangePlan> plan(std::span<const OutboundMessage> sends);
-
-  /// Replays `plan` with fresh payload bytes — the explicit persistent-
-  /// exchange API. `payloads[i]` supplies the bytes of the i-th send of the
-  /// planned pattern and must match its planned size. Collective, and
-  /// *barrier-free*: every rank must replay a plan of the same collective
-  /// plan() / recorded exchange, every time. Pattern drift is a contract
-  /// violation (throws core::Error); use plain exchange() when the pattern
-  /// may change between iterations.
-  std::vector<InboundMessage> exchange(runtime::ExchangePlan& plan,
-                                       std::span<const std::span<const std::byte>> payloads);
-
-  /// Convenience overload: replays `plan` taking payload bytes from `sends`,
-  /// whose (dest, size) sequence must equal the planned pattern.
-  std::vector<InboundMessage> exchange(runtime::ExchangePlan& plan,
-                                       std::span<const OutboundMessage> sends);
-
-  /// Zero-copy replay: identical collective to exchange(plan, payloads), but
-  /// the deliveries come back as views aliasing the plan's parked inbound
-  /// frames (self-sends alias the caller's payload buffers) instead of
-  /// freshly copied InboundMessages. Views are invalidated when the next
-  /// exchange on `plan` begins or the plan is destroyed; copy out anything
-  /// that must outlive the iteration. The returned span is empty after a
-  /// throw (drift, validation), never dangling. Delivery order and bytes are
-  /// byte-identical to exchange(plan, payloads).
-  std::span<const runtime::InboundView> exchange_views(
-      runtime::ExchangePlan& plan, std::span<const std::span<const std::byte>> payloads);
-
-  /// Transparent plan cache bound (LRU, default 4 plans). 0 disables
-  /// transparent caching entirely; explicit plan()/exchange(plan, ...)
-  /// still work. The cache has its own
-  /// mutex so a configuration thread may resize/inspect it while the owning
-  /// rank is mid-exchange; the exchange itself stays single-threaded.
-  [[nodiscard]] std::size_t plan_cache_capacity() const STFW_EXCLUDES(plan_cache_mu_);
-  void set_plan_cache_capacity(std::size_t capacity) STFW_EXCLUDES(plan_cache_mu_);
-  [[nodiscard]] std::size_t plan_cache_size() const STFW_EXCLUDES(plan_cache_mu_);
 
   /// Executes Algorithm 1 over the resilient frame protocol: per-stage
   /// ack/retransmit with bounded exponential backoff, duplicate suppression,
@@ -297,36 +250,34 @@ public:
 private:
   friend struct PlanCacheProbe;  // test access to the cache and the resilient epoch
 
-  struct PlanCacheEntry {
-    std::shared_ptr<runtime::ExchangePlan> plan;
+  /// Plans the transparent cache keeps; the least recently used one makes
+  /// room for a new pattern.
+  static constexpr std::size_t kPlanCacheCapacity = 4;
+
+  /// One recorded plan plus the scratch its replays reuse: the raw inbound
+  /// frames of each stage are parked here, so the next replay gathers from
+  /// them instead of rebuilding a StfwRankState and a PayloadArena.
+  struct CachedPlan {
+    core::ExchangePlanLayout layout;
+    // in_raw[stage][frame]: the raw wire bytes received in the most recent
+    // replay. Buffers arrive by ownership transfer from Comm; the buffer a
+    // new frame displaces is freed.
+    std::vector<std::vector<std::vector<std::byte>>> in_raw;
     std::uint64_t last_use = 0;
   };
 
   class StageDriver;
   class Algorithm1;
 
-  /// A cache hit: replays `plan`, resuming Algorithm 1 where a peer drifted.
-  std::vector<InboundMessage> exchange_cached(StageDriver& drv, runtime::ExchangePlan& plan,
-                                              std::span<const OutboundMessage> sends);
-  /// The plan-replay frame source of both the cached and the strict path:
-  /// gathers each stage's frames from `seeds` and the frozen layout, checks
-  /// the inbound frames against it and parks them in `plan`. Returns dim()
-  /// with the deliveries in plan.views_, or the first stage whose inbound
-  /// frames drifted, moved into `*drifted` (a null `drifted` throws).
-  int replay_stages(StageDriver& drv, runtime::ExchangePlan& plan,
-                    std::span<const std::span<const std::byte>> seeds,
-                    std::vector<runtime::Message>* drifted);
-  /// The plan-cache key of a send list: its (dest, size) sequence.
-  static core::PatternSignature signature_of(std::span<const OutboundMessage> sends);
-  // Self-locking cache helpers: each takes plan_cache_mu_ only for its own
-  // body, so the mutex is never held across Comm calls (no ordering edge
-  // between the cache mutex and any mailbox/barrier mutex can form).
-  std::shared_ptr<runtime::ExchangePlan> plan_cache_find(const core::PatternSignature& sig)
-      STFW_EXCLUDES(plan_cache_mu_);
-  void plan_cache_insert(std::shared_ptr<runtime::ExchangePlan> plan)
-      STFW_EXCLUDES(plan_cache_mu_);
-  void plan_cache_erase(const core::PatternSignature& sig) STFW_EXCLUDES(plan_cache_mu_);
-  void plan_cache_evict_to(std::size_t capacity) STFW_REQUIRES(plan_cache_mu_);
+  /// A cache hit: gathers each stage's frames from `sends` and the frozen
+  /// layout, checks the inbound frames against it and parks them in `plan`.
+  /// Where a peer drifted, resumes Algorithm 1 from the parked frames and
+  /// drops `plan` from the cache.
+  std::vector<InboundMessage> replay(StageDriver& drv, CachedPlan& plan,
+                                     std::span<const OutboundMessage> sends);
+  /// Caches a freshly recorded layout, evicting the least recently used
+  /// plan when the cache is full.
+  void remember(core::ExchangePlanLayout layout);
 
   runtime::Comm* comm_;
   core::Vpt vpt_;
@@ -342,10 +293,9 @@ private:
   // started the next call. [0] data tag, [1] ack tag. Thread-confined like
   // stats_; the next exchange_resilient handles them before anything else.
   std::array<std::vector<runtime::Message>, 2> carried_frames_;
-  mutable core::Mutex plan_cache_mu_;
-  std::vector<PlanCacheEntry> plan_cache_ STFW_GUARDED_BY(plan_cache_mu_);
-  std::size_t plan_cache_capacity_ STFW_GUARDED_BY(plan_cache_mu_);
-  std::uint64_t plan_cache_tick_ STFW_GUARDED_BY(plan_cache_mu_) = 0;
+  // Thread-confined like stats_: only the owning rank's exchanges touch it.
+  std::vector<CachedPlan> plan_cache_;
+  std::uint64_t plan_cache_tick_ = 0;
 };
 
 }  // namespace stfw

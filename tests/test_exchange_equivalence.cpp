@@ -1,15 +1,15 @@
-// Differential test of every exchange implementation (ISSUE 4 satellite):
-// the planned fast path, the unplanned Algorithm 1, the resilient frame
-// protocol and the BL/direct baseline must deliver byte-identical multisets
-// of InboundMessages for the same send pattern. Any divergence between the
-// recorded-plan replay and the paths it shortcuts is a routing bug.
+// Differential test of every exchange implementation: the cached-replay
+// fast path, the recording Algorithm 1 run of a cache miss, the resilient
+// frame protocol and the BL/direct baseline must deliver byte-identical
+// multisets of InboundMessages for the same send pattern. Any divergence
+// between the recorded-plan replay and the paths it shortcuts is a routing
+// bug.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
 #include <cstring>
-#include <memory>
 #include <random>
 #include <string>
 #include <vector>
@@ -65,13 +65,12 @@ void sort_inbox(std::vector<InboundMessage>& inbox) {
   });
 }
 
-enum class Mode { kUnplanned, kCachedReplay, kExplicitPlan, kResilient };
+enum class Mode { kUnplanned, kCachedReplay, kResilient };
 
 const char* mode_name(Mode m) {
   switch (m) {
     case Mode::kUnplanned: return "unplanned";
     case Mode::kCachedReplay: return "cached-replay";
-    case Mode::kExplicitPlan: return "explicit-plan";
     case Mode::kResilient: return "resilient";
   }
   return "?";
@@ -85,8 +84,7 @@ Inboxes run_mode(runtime::Cluster& cluster, const Vpt& vpt, const SendSets& sets
     const auto& sends = sets[static_cast<std::size_t>(comm.rank())];
     std::vector<InboundMessage> inbox;
     switch (mode) {
-      case Mode::kUnplanned:
-        communicator.set_plan_cache_capacity(0);
+      case Mode::kUnplanned:  // a fresh communicator's first exchange misses
         inbox = communicator.exchange(sends);
         break;
       case Mode::kCachedReplay:
@@ -94,11 +92,6 @@ Inboxes run_mode(runtime::Cluster& cluster, const Vpt& vpt, const SendSets& sets
         inbox = communicator.exchange(sends);
         EXPECT_EQ(communicator.last_stats().plan_hits, 1);
         break;
-      case Mode::kExplicitPlan: {
-        const auto plan = communicator.plan(sends);
-        inbox = communicator.exchange(*plan, sends);
-        break;
-      }
       case Mode::kResilient: {
         ResilientExchangeResult r = communicator.exchange_resilient(sends);
         EXPECT_TRUE(r.fully_recovered);
@@ -143,8 +136,7 @@ TEST_P(ExchangeEquivalence, AllModesDeliverIdenticalMultisets) {
   runtime::Cluster cluster(param.num_ranks);
   const Inboxes reference = run_mode(cluster, Vpt::direct(param.num_ranks), sets,
                                      Mode::kUnplanned);  // BL baseline
-  for (const Mode mode :
-       {Mode::kUnplanned, Mode::kCachedReplay, Mode::kExplicitPlan, Mode::kResilient}) {
+  for (const Mode mode : {Mode::kUnplanned, Mode::kCachedReplay, Mode::kResilient}) {
     const Inboxes got = run_mode(cluster, vpt, sets, mode);
     expect_same_inboxes(reference, got, mode_name(mode));
   }
@@ -255,6 +247,57 @@ TEST(ExchangeEquivalence, DriftAtLastStageResumesFromParkedFrames) {
   }
   EXPECT_EQ(sent, received);
   EXPECT_GE(fallbacks, n) << "one fallback per hop of the drifted route";
+}
+
+/// A drift fallback drops the plan it fell back from. Rank 0 changes its
+/// pattern once and keeps the new one; every other rank keeps its own. The
+/// peers that fell back miss on their unchanged pattern in the next
+/// exchange and record it afresh, the rest hit, and from then on every
+/// rank hits without drift.
+TEST(ExchangeEquivalence, PatternMissesAndRecordsAfterItsDriftFallback) {
+  constexpr Rank kRanks = 8;
+  const Vpt vpt({2, 2, 2});
+  const SendSets first = skewed_sendsets(kRanks, 2468, 1024);
+  SendSets second = first;
+  second[0][0].bytes.resize(second[0][0].bytes.size() + 5, std::byte{0x3c});
+
+  constexpr int kExchanges = 4;  // first, then second three times
+  runtime::Cluster cluster(kRanks);
+  std::vector<Inboxes> got(kExchanges, Inboxes(kRanks));
+  std::vector<std::vector<LocalExchangeStats>> stats(
+      kExchanges, std::vector<LocalExchangeStats>(kRanks));
+  cluster.run([&](runtime::Comm& comm) {
+    const auto me = static_cast<std::size_t>(comm.rank());
+    StfwCommunicator communicator(comm, vpt);
+    for (int x = 0; x < kExchanges; ++x) {
+      auto inbox = communicator.exchange(x == 0 ? first[me] : second[me]);
+      stats[static_cast<std::size_t>(x)][me] = communicator.last_stats();
+      sort_inbox(inbox);
+      got[static_cast<std::size_t>(x)][me] = std::move(inbox);
+    }
+  });
+
+  const Inboxes reference = run_mode(cluster, Vpt::direct(kRanks), second, Mode::kUnplanned);
+  int fell_back = 0;
+  for (std::size_t r = 0; r < kRanks; ++r) {
+    const bool drifted = stats[1][r].plan_fallbacks == 1;
+    fell_back += drifted ? 1 : 0;
+    if (r == 0) {
+      EXPECT_EQ(stats[1][r].plan_builds, 1);  // rank 0's new pattern records
+      EXPECT_EQ(stats[2][r].plan_hits, 1);
+    } else {
+      EXPECT_EQ(stats[1][r].plan_hits, 1) << "rank " << r;
+      // A rank that fell back lost its plan: it misses and records again.
+      EXPECT_EQ(stats[2][r].plan_builds, drifted ? 1 : 0) << "rank " << r;
+      EXPECT_EQ(stats[2][r].plan_hits, drifted ? 0 : 1) << "rank " << r;
+    }
+    EXPECT_EQ(stats[2][r].plan_fallbacks, 0) << "rank " << r;
+    EXPECT_EQ(stats[3][r].plan_hits, 1) << "rank " << r;
+    EXPECT_EQ(stats[3][r].plan_fallbacks, 0) << "rank " << r;
+  }
+  EXPECT_GE(fell_back, 1);
+  for (int x = 1; x < kExchanges; ++x)
+    expect_same_inboxes(reference, got[static_cast<std::size_t>(x)], "after drift");
 }
 
 /// The overlap hook must not change what is delivered. Runs with and

@@ -343,20 +343,14 @@ std::vector<std::vector<InboundMessage>> fault_free_baseline(const core::Vpt& vp
 }
 
 /// Plain exchange closes a stage on its group's arrival, not on a frame
-/// count, so a lost frame would silently go missing. Every plain entry
-/// point refuses an injector that faults messages, on every rank before it
+/// count, so a lost frame would silently go missing. Plain exchange()
+/// refuses an injector that faults messages, on every rank before it
 /// takes a tag, while stall and crash sites stay allowed.
 TEST(PlainExchange, RefusesAnInjectorThatFaultsMessages) {
   const core::Vpt vpt({2, 2});
   const Rank K = vpt.size();
   const auto baseline = fault_free_baseline(vpt);
   Cluster cluster(K);
-  std::vector<std::shared_ptr<runtime::ExchangePlan>> plans(static_cast<std::size_t>(K));
-  cluster.run([&](Comm& comm) {
-    StfwCommunicator stfw(comm, vpt);
-    plans[static_cast<std::size_t>(comm.rank())] =
-        stfw.plan(all_to_all_sends(K, static_cast<Rank>(comm.rank())));
-  });
 
   FaultConfig drops;
   drops.drop_prob = 0.01;
@@ -365,7 +359,6 @@ TEST(PlainExchange, RefusesAnInjectorThatFaultsMessages) {
     const auto me = static_cast<Rank>(comm.rank());
     StfwCommunicator stfw(comm, vpt);
     const auto sends = all_to_all_sends(K, me);
-    runtime::ExchangePlan& plan = *plans[static_cast<std::size_t>(me)];
     const auto expect_refused = [](const char* label, const auto& call) {
       try {
         call();
@@ -378,13 +371,6 @@ TEST(PlainExchange, RefusesAnInjectorThatFaultsMessages) {
       }
     };
     expect_refused("exchange", [&] { (void)stfw.exchange(sends); });
-    expect_refused("plan", [&] { (void)stfw.plan(sends); });
-    expect_refused("exchange(plan)", [&] { (void)stfw.exchange(plan, sends); });
-    expect_refused("exchange_views", [&] {
-      std::vector<std::span<const std::byte>> payloads;
-      for (const OutboundMessage& s : sends) payloads.emplace_back(s.bytes);
-      (void)stfw.exchange_views(plan, payloads);
-    });
   });
 
   FaultConfig stalls;
