@@ -145,7 +145,6 @@ std::vector<std::byte> encode_frame(FrameHeader header, std::span<const std::byt
   put<std::uint32_t>(out, kFrameMagic);
   put<std::uint16_t>(out, static_cast<std::uint16_t>(header.kind));
   put<std::uint16_t>(out, header.stage);
-  put<std::uint32_t>(out, header.epoch);
   put<std::uint32_t>(out, header.member_epoch);
   put<std::uint32_t>(out, header.seq);
   put<std::int32_t>(out, header.sender);
@@ -164,11 +163,10 @@ std::optional<DecodedFrame> decode_frame(std::span<const std::byte> wire) noexce
   DecodedFrame f;
   const auto kind = get<std::uint16_t>(wire, pos);
   if (kind < static_cast<std::uint16_t>(FrameKind::kData) ||
-      kind > static_cast<std::uint16_t>(FrameKind::kFailureNotice))
+      kind > static_cast<std::uint16_t>(FrameKind::kRelay))
     return std::nullopt;
   f.header.kind = static_cast<FrameKind>(kind);
   f.header.stage = get<std::uint16_t>(wire, pos);
-  f.header.epoch = get<std::uint32_t>(wire, pos);
   f.header.member_epoch = get<std::uint32_t>(wire, pos);
   f.header.seq = get<std::uint32_t>(wire, pos);
   f.header.sender = get<std::int32_t>(wire, pos);
@@ -180,30 +178,6 @@ std::optional<DecodedFrame> decode_frame(std::span<const std::byte> wire) noexce
   const std::uint64_t sum = digest64(f.body, digest64(wire.first(checksum_pos)));
   if (sum != claimed) return std::nullopt;
   return f;
-}
-
-std::vector<std::byte> encode_failure_notice(std::uint32_t membership_epoch,
-                                             std::span<const std::int32_t> dead) {
-  std::vector<std::byte> out;
-  out.reserve(8 + 4 * dead.size());
-  put<std::uint32_t>(out, membership_epoch);
-  put<std::uint32_t>(out, static_cast<std::uint32_t>(dead.size()));
-  for (const std::int32_t r : dead) put<std::int32_t>(out, r);
-  return out;
-}
-
-std::optional<FailureNotice> decode_failure_notice(std::span<const std::byte> body) noexcept {
-  if (body.size() < 8) return std::nullopt;
-  std::size_t pos = 0;
-  FailureNotice n;
-  n.membership_epoch = get<std::uint32_t>(body, pos);
-  const auto count = get<std::uint32_t>(body, pos);
-  // Bound the count by the bytes actually present before reserving, as the
-  // submessage deserializers do: a corrupt count must not demand gigabytes.
-  if (static_cast<std::uint64_t>(count) * 4 != body.size() - pos) return std::nullopt;
-  n.dead.reserve(count);
-  for (std::uint32_t i = 0; i < count; ++i) n.dead.push_back(get<std::int32_t>(body, pos));
-  return n;
 }
 
 }  // namespace stfw::core

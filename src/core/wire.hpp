@@ -51,12 +51,13 @@ std::vector<Submessage> deserialize_tracked(std::span<const std::byte> wire, Pay
 // --- resilient frame layer -------------------------------------------------
 //
 // Frame layout (little-endian, packed):
-//   u32 magic  u16 kind  u16 stage  u32 epoch  u32 member_epoch  u32 seq
-//   i32 sender  u32 body_len  u64 checksum  u8 body[body_len]
+//   u32 magic  u16 kind  u16 stage  u32 member_epoch  u32 seq  i32 sender
+//   u32 body_len  u64 checksum  u8 body[body_len]
 //
-// `seq` is monotonically increasing per sender within one exchange, so every
-// frame a rank emits is globally identified by (sender, epoch, seq); acks
-// echo the seq they acknowledge. `member_epoch` is the cluster membership
+// `seq` is monotonically increasing per sender within one exchange, and each
+// exchange posts its frames under tags of its own (Comm::reserve_tags), so
+// every frame a rank emits is identified by (tag, sender, seq); acks echo the
+// seq they acknowledge. `member_epoch` is the cluster membership
 // version the sender believed in when it built the frame: receivers whose
 // membership has advanced past it nack the frame, forcing the sender to
 // observe the failure and re-route before retrying (docs/fault_model.md,
@@ -66,7 +67,7 @@ std::vector<Submessage> deserialize_tracked(std::span<const std::byte> wire, Pay
 // header or the body, which covers every single-bit and single-byte fault.
 
 inline constexpr std::uint32_t kFrameMagic = 0x53544652u;  // "STFR"
-inline constexpr std::uint64_t kFrameOverheadBytes = 36;
+inline constexpr std::uint64_t kFrameOverheadBytes = 32;
 
 enum class FrameKind : std::uint16_t {
   kData = 1,    // a serialized StageMessage routed between stage neighbors
@@ -78,14 +79,11 @@ enum class FrameKind : std::uint16_t {
   kRelay = 5,   // degraded-mode re-homing: tracked submessages detoured
                 // around a dead rank; receivers deliver their own and
                 // forward the rest along surviving dimension-order hops
-  kFailureNotice = 6,  // membership change announcement; body is the
-                       // failure-notice codec below
 };
 
 struct FrameHeader {
   FrameKind kind = FrameKind::kData;
   std::uint16_t stage = 0;  // sending stage; unused for kAck/kDirect
-  std::uint32_t epoch = 0;  // exchange number on the communicator
   std::uint32_t member_epoch = 0;  // sender's membership version
   std::uint32_t seq = 0;    // per-sender frame counter (acked seq for kAck)
   std::int32_t sender = -1; // authoritative origin of the frame
@@ -118,28 +116,5 @@ std::vector<std::byte> encode_frame(FrameHeader header, std::span<const std::byt
 /// frame is indistinguishable from a lost one and is recovered the same way
 /// (sender retransmission), so it is dropped rather than raised.
 std::optional<DecodedFrame> decode_frame(std::span<const std::byte> wire) noexcept;
-
-// --- failure-notice body codec ---------------------------------------------
-//
-// Body layout (little-endian, packed):
-//   u32 membership_epoch  u32 dead_count  i32 dead[dead_count]
-//
-// Carried by kFailureNotice frames. The notice is a wake-up, not the source
-// of truth: receivers compare `membership_epoch` against their own observed
-// membership and re-snapshot from the cluster when the notice is newer; a
-// stale or corrupt notice is ignored.
-
-struct FailureNotice {
-  std::uint32_t membership_epoch = 0;
-  std::vector<std::int32_t> dead;
-};
-
-std::vector<std::byte> encode_failure_notice(std::uint32_t membership_epoch,
-                                             std::span<const std::int32_t> dead);
-
-/// Parse a failure-notice body. Returns std::nullopt — never throws — on a
-/// truncated buffer, a dead-rank count that exceeds the bytes present, or
-/// trailing garbage, so a corrupt notice can never crash a survivor.
-std::optional<FailureNotice> decode_failure_notice(std::span<const std::byte> body) noexcept;
 
 }  // namespace stfw::core

@@ -60,7 +60,9 @@ int Comm::reserve_tags(int count) {
 
 bool Comm::probe(int source, int tag) { return cluster_->probe(rank_, source, tag); }
 
-bool Comm::wait_message(Deadline deadline) { return cluster_->wait_message(rank_, deadline); }
+bool Comm::wait_message(Deadline deadline, std::uint32_t seen_epoch) {
+  return cluster_->wait_message(rank_, deadline, seen_epoch);
+}
 
 void Comm::barrier() { cluster_->barrier_wait(rank_, Deadline::never()); }
 
@@ -135,6 +137,8 @@ void Cluster::run(const std::function<void(Comm&)>& fn) {
   // Decided once per run, quiescently, before any rank thread exists.
   watchdog_run_ = watchdog_window_.count() > 0;
   wakeups_.store(0, std::memory_order_relaxed);
+  arrival_waiters_.store(0);  // the waiter records are reset below
+  returned_count_.store(0);
   for (int r = 0; r < num_ranks_; ++r) {
     const auto& mb = mailboxes_[static_cast<std::size_t>(r)];
     {
@@ -143,7 +147,7 @@ void Cluster::run(const std::function<void(Comm&)>& fn) {
       MutexLock lock(mb->rounds_mu);
       STFW_VERIFY_WRITE(&mb->rounds, "Cluster::run arrival reset");
       mb->rounds.clear();
-      mb->latest_arrival.store(-1);
+      mb->returned.store(false);
     }
     // No rank threads are alive here, but the previous run's monitor could
     // in principle have raced this check before TSA made the lock mandatory.
@@ -202,7 +206,7 @@ void Cluster::run(const std::function<void(Comm&)>& fn) {
         errors[static_cast<std::size_t>(r)] = std::current_exception();
         abort_all();  // unblock peers stuck in recv() or barrier()
       }
-      set_block_state(r, BlockInfo::Kind::kDone);
+      mark_returned(r);
       STFW_VERIFY_HOOK(thread_end());
     }));
   }
@@ -305,13 +309,31 @@ void Cluster::rank_died(int me) {
     MutexLock lock(barrier_mu_);
     maybe_release_barrier();
   }
-  // Wake every blocked thread so it re-evaluates against the new membership
-  // (the resilient exchange polls the epoch at each wakeup). A death is
-  // progress, not silence — it must not trip the deadlock watchdog.
+  // Wake every blocked thread so it re-evaluates against the new membership:
+  // wait_message returns on the epoch change, and an arrival wait fails on
+  // a dead absent member. A death is progress, not silence — it must not
+  // trip the deadlock watchdog.
   note_progress();
   for (const auto& mb : mailboxes_) {
     MutexLock lock(mb->mu);
     mb->cv.notify_all();
+  }
+}
+
+void Cluster::mark_returned(int me) {
+  Mailbox& own = *mailboxes_[static_cast<std::size_t>(me)];
+  own.returned.store(true);
+  returned_count_.fetch_add(1);
+  if (arrival_waiters_.load() == 0) return;  // see blocking_recv
+  // Only a wait on a round that is still open can be stranded; that skips
+  // the members still waking from the last stage's release posts.
+  for (int r = 0; r < num_ranks_; ++r) {
+    Mailbox& mb = *mailboxes_[static_cast<std::size_t>(r)];
+    MutexLock lock(mb.mu);
+    const Waiter& w = mb.waiter;
+    if (w.kind == Waiter::Kind::kRecv && !w.group.empty() &&
+        stranded(r, w.group, w.tag ^ kReleaseBit, false, 0))
+      mb.cv.notify_one();
   }
 }
 
@@ -421,6 +443,15 @@ bool matches(const Message& m, int source, int tag) {
   return m.tag == tag && (source == kAnySource || m.source == source);
 }
 
+/// The open round (tag, group) in a shard's list, or rounds.end().
+template <class Rounds>
+auto find_round(Rounds& rounds, int tag, std::span<const int> group) {
+  return std::find_if(rounds.begin(), rounds.end(), [&](const auto& r) {
+    return r.tag == tag && std::equal(r.members.begin(), r.members.end(), group.begin(),
+                                      group.end());
+  });
+}
+
 }  // namespace
 
 // Each primitive scans the queue, checks teardown and its deadline, then
@@ -428,7 +459,7 @@ bool matches(const Message& m, int source, int tag) {
 // written under the same hold of mu as the scan, so no post falls between
 // "nothing matched" and "asleep". After any wakeup the record is cleared
 // and the queue rescanned: a completing post, a spurious wakeup and the
-// teardown/membership broadcasts (notify_all) all take the same path.
+// teardown/death/return broadcasts all take the same path.
 
 bool Cluster::Waiter::completed_by(const Message& m) const {
   return kind == Kind::kAny || (kind == Kind::kRecv && matches(m, source, tag));
@@ -449,6 +480,16 @@ Message Cluster::blocking_recv(int me, int source, int tag, Deadline deadline,
   Mailbox& mb = *mailboxes_[static_cast<std::size_t>(me)];
   const auto entered = verify::verify_now();
   bool registered = false;
+  // An arrival wait is counted before it first looks for returned members:
+  // mark_returned visits the mailboxes of counted waits, so a member that
+  // returns after that look still wakes this one.
+  const int counted = group.empty() ? 0 : 1;
+  arrival_waiters_.fetch_add(counted);
+  const struct Uncount {
+    std::atomic<int>& n;
+    int k;
+    ~Uncount() { n.fetch_sub(k); }
+  } uncount{arrival_waiters_, counted};
   MutexLock lock(mb.mu);
   for (;;) {
     STFW_VERIFY_READ(&mb.queue, "Cluster::blocking_recv scan");
@@ -465,7 +506,7 @@ Message Cluster::blocking_recv(int me, int source, int tag, Deadline deadline,
     }
     throw_if_torn_down(me, op);
     const bool expired = deadline.expired();
-    if (!group.empty() && (expired || membership_.any_failed())) {
+    if (!group.empty() && (expired || membership_.any_failed() || returned_count_.load() > 0)) {
       if (auto error = stranded(me, group, round, expired, ms_since(entered))) {
         if (registered) set_block_state(me, BlockInfo::Kind::kRunning);
         throw *error;
@@ -482,9 +523,7 @@ Message Cluster::blocking_recv(int me, int source, int tag, Deadline deadline,
                       source, round);
       registered = true;
     }
-    mb.waiter.kind = Waiter::Kind::kRecv;
-    mb.waiter.source = source;
-    mb.waiter.tag = tag;
+    mb.waiter = Waiter{Waiter::Kind::kRecv, source, tag, group};
     sleep_on(mb, lock, deadline);
   }
 }
@@ -495,25 +534,23 @@ void Cluster::arrive(int me, std::span<const int> group, int tag) {
               std::binary_search(group.begin(), group.end(), me) && group.front() >= 0 &&
               group.back() < num_ranks_,
           "Comm::arrive: the group must be ascending ranks that include the caller");
-  mailboxes_[static_cast<std::size_t>(me)]->latest_arrival.store(tag);
-  {
+  if (group.size() > 1) {
+    const auto slot =
+        static_cast<std::size_t>(std::lower_bound(group.begin(), group.end(), me) - group.begin());
     Mailbox& shard = *mailboxes_[static_cast<std::size_t>(group.front())];
     MutexLock lock(shard.rounds_mu);
     STFW_VERIFY_WRITE(&shard.rounds, "Cluster::arrive count");
     auto& rounds = shard.rounds;
-    const auto it = std::find_if(rounds.begin(), rounds.end(), [&](const ArrivalRound& r) {
-      return r.tag == tag && std::equal(r.members.begin(), r.members.end(), group.begin(),
-                                        group.end());
-    });
-    if (it == rounds.end() && group.size() > 1) {
-      rounds.push_back(ArrivalRound{tag, {group.begin(), group.end()}, 1});
-      return;  // the first arrival opens the round
+    auto it = find_round(rounds, tag, group);
+    if (it == rounds.end()) {  // the first arrival opens the round
+      rounds.push_back(ArrivalRound{tag, {group.begin(), group.end()},
+                                    std::vector<std::uint8_t>(group.size(), 0), 0});
+      it = rounds.end() - 1;
     }
-    if (it != rounds.end()) {
-      if (++it->arrived < group.size()) return;
-      *it = std::move(rounds.back());  // the last arrival closes it
-      rounds.pop_back();
-    }
+    it->arrived[slot] = 1;
+    if (++it->count < group.size()) return;
+    *it = std::move(rounds.back());  // the last arrival closes it
+    rounds.pop_back();
   }
   // The last arrival releases every member, itself included, with one
   // post each, so a waiting member wakes once. The post bypasses the
@@ -522,23 +559,41 @@ void Cluster::arrive(int me, std::span<const int> group, int tag) {
 }
 
 std::optional<core::TimeoutError> Cluster::stranded(int me, std::span<const int> group, int tag,
-                                                    bool expired, long long waited_ms) const {
-  std::string absent;
-  int first = kAnySource;
-  for (const int m : group) {
-    // Liveness first: a member's death is published after its last arrive(),
-    // so a dead member that did arrive reads as arrived below.
-    const bool dead = !membership_.alive(m);
-    if (mailboxes_[static_cast<std::size_t>(m)]->latest_arrival.load() == tag) continue;
-    if (dead)
-      return core::TimeoutError("await_arrival", me, m, tag, waited_ms,
-                                "group member " + std::to_string(m) + " died before arriving");
-    absent += (first == kAnySource ? "" : ", ") + std::to_string(m);
-    if (first == kAnySource) first = m;
+                                                    bool expired, long long waited_ms) {
+  std::vector<int> absent;
+  std::vector<int> left;  // absent members that returned: they can never arrive
+  {
+    Mailbox& shard = *mailboxes_[static_cast<std::size_t>(group.front())];
+    MutexLock lock(shard.rounds_mu);
+    STFW_VERIFY_READ(&shard.rounds, "Cluster::stranded");
+    const auto it = find_round(shard.rounds, tag, group);
+    // Closed: every member arrived, and the release posts are on their way.
+    if (it == shard.rounds.end()) return std::nullopt;
+    // Death and return are read under the round's lock, so a member that
+    // arrives later cannot have done either yet.
+    for (std::size_t i = 0; i < it->members.size(); ++i) {
+      if (it->arrived[i] != 0) continue;
+      const int m = it->members[i];
+      if (membership_.any_failed() && !membership_.alive(m))
+        return core::TimeoutError("await_arrival", me, m, tag, waited_ms,
+                                  "group member " + std::to_string(m) + " died before arriving");
+      absent.push_back(m);
+      if (mailboxes_[static_cast<std::size_t>(m)]->returned.load()) left.push_back(m);
+    }
   }
-  if (!expired || first == kAnySource) return std::nullopt;
-  return core::TimeoutError("await_arrival", me, first, tag, waited_ms,
-                            "group member(s) " + absent + " did not arrive before the deadline");
+  const auto names = [](const std::vector<int>& ranks) {
+    std::string out;
+    for (const int m : ranks) out += (out.empty() ? "" : ", ") + std::to_string(m);
+    return out;
+  };
+  if (!left.empty())
+    return core::TimeoutError("await_arrival", me, left.front(), tag, waited_ms,
+                              "group member(s) " + names(left) +
+                                  " did not arrive and returned from the run function");
+  if (!expired || absent.empty()) return std::nullopt;
+  return core::TimeoutError("await_arrival", me, absent.front(), tag, waited_ms,
+                            "group member(s) " + names(absent) +
+                                " did not arrive before the deadline");
 }
 
 std::vector<Message> Cluster::drain(int me, int tag) {
@@ -571,7 +626,7 @@ bool Cluster::probe(int me, int source, int tag) {
                      [&](const Message& m) { return matches(m, source, tag); });
 }
 
-bool Cluster::wait_message(int me, Deadline deadline) {
+bool Cluster::wait_message(int me, Deadline deadline, std::uint32_t seen_epoch) {
   Mailbox& mb = *mailboxes_[static_cast<std::size_t>(me)];
   bool registered = false;
   MutexLock lock(mb.mu);
@@ -582,7 +637,9 @@ bool Cluster::wait_message(int me, Deadline deadline) {
       return true;
     }
     throw_if_torn_down(me, "wait_message");
-    if (deadline.expired()) {
+    // Read under mu before every sleep: rank_died bumps the epoch and then
+    // takes mu to notify, so a death after this read still wakes us.
+    if (deadline.expired() || membership_.epoch() != seen_epoch) {
       if (registered) set_block_state(me, BlockInfo::Kind::kRunning);
       return false;
     }
@@ -655,41 +712,26 @@ void Cluster::barrier_wait(int me, Deadline deadline) {
 // --- monitor thread: watchdog + delayed-message pump ------------------------
 
 void Cluster::monitor_loop() {
-  std::uint32_t seen_epoch = membership_.epoch();
   while (!monitor_stop_.load()) {
     const auto now = verify::verify_now();
 
-    // Heartbeat piggyback: the watchdog thread doubles as the failure
-    // detector's wake-up path. When the membership epoch advances, every
-    // blocked survivor is notified so it re-snapshots membership promptly
-    // instead of sleeping out its full timeout against a dead peer.
-    const std::uint32_t ep = membership_.epoch();
-    if (ep != seen_epoch) {
-      seen_epoch = ep;
-      for (const auto& mb : mailboxes_) {
-        MutexLock lock(mb->mu);
-        mb->cv.notify_all();
-      }
-      MutexLock lock(barrier_mu_);
-      maybe_release_barrier();
-    }
-
-    // Pump injector-delayed messages whose release time has passed.
-    std::vector<DelayedMessage> due;
     {
+      // Pump injector-delayed messages whose release time has passed. They
+      // are posted under delayed_mu_, which flush_delayed also takes, so
+      // once a flush returns no message the pump took earlier is still
+      // unposted: an epilogue's drain after its flush and barrier sees it.
       MutexLock lock(delayed_mu_);
       STFW_VERIFY_WRITE(&delayed_, "Cluster::monitor_loop delayed pump");
       auto it = delayed_.begin();
       while (it != delayed_.end()) {
         if (it->release <= now) {
-          due.push_back(std::move(*it));
+          post_raw(it->dest, std::move(it->msg));
           it = delayed_.erase(it);
         } else {
           ++it;
         }
       }
     }
-    for (DelayedMessage& d : due) post_raw(d.dest, std::move(d.msg));
 
     if (watchdog_run_ && !deadlocked_.load() && !aborted_.load()) check_deadlock(now);
 
@@ -727,7 +769,7 @@ void Cluster::check_deadlock(std::chrono::steady_clock::time_point now) {
     bool any_active = false;
     for (int r = 0; r < num_ranks_; ++r) {
       const BlockInfo& b = block_state_[static_cast<std::size_t>(r)];
-      if (b.kind == BlockInfo::Kind::kDone) continue;
+      if (mailboxes_[static_cast<std::size_t>(r)]->returned.load()) continue;
       any_active = true;
       const bool blocked = b.kind == BlockInfo::Kind::kRecv ||
                            b.kind == BlockInfo::Kind::kArrival ||
@@ -749,6 +791,11 @@ void Cluster::check_deadlock(std::chrono::steady_clock::time_point now) {
     for (int r = 0; r < num_ranks_; ++r) {
       const BlockInfo& b = block_state_[static_cast<std::size_t>(r)];
       report += " rank " + std::to_string(r) + ": ";
+      if (mailboxes_[static_cast<std::size_t>(r)]->returned.load()) {
+        report += "finished";
+        report += (r + 1 < num_ranks_) ? ";" : "";
+        continue;
+      }
       switch (b.kind) {
         case BlockInfo::Kind::kRecv:
           report += "blocked in recv(source=" +
@@ -764,9 +811,6 @@ void Cluster::check_deadlock(std::chrono::steady_clock::time_point now) {
           break;
         case BlockInfo::Kind::kWait:
           report += "blocked in wait_message";
-          break;
-        case BlockInfo::Kind::kDone:
-          report += "finished";
           break;
         case BlockInfo::Kind::kRunning:
           report += "running";

@@ -50,6 +50,10 @@
 ///
 ///  * every blocking primitive has a deadline overload that throws
 ///    core::TimeoutError instead of hanging, naming the peer waited for;
+///  * Comm is the only source of two facts the resilient exchange needs:
+///    who died (membership(), and a death ends every wait_message() made
+///    under the older epoch) and which exchange a frame belongs to (each
+///    exchange posts under tags of its own from reserve_tags());
 ///  * an optional per-cluster watchdog detects the all-ranks-blocked
 ///    deadlock and reports which rank/tag each thread is stuck on;
 ///  * a fault::FaultInjector can be plugged in to drop, delay, duplicate,
@@ -122,10 +126,11 @@ public:
   /// Stage arrival, a non-blocking barrier over `group` (NBX's ibarrier).
   /// Every member passes the same ascending group, itself included, and the
   /// same tag in [0, 2^29), unused by the group's earlier rounds in this
-  /// run. arrive() returns at once; await_arrival() blocks until every
-  /// member has arrived at that (tag, group) round, and throws
-  /// core::TimeoutError naming every absent member when the deadline
-  /// expires, or as soon as one of them is dead. run() resets the rounds.
+  /// run. arrive() returns at once; await_arrival(), called after the
+  /// caller's own arrive(), blocks until every member has arrived at that
+  /// (tag, group) round, and throws core::TimeoutError naming every absent
+  /// member when the deadline expires, or as soon as an absent member is
+  /// dead or has returned from its run function. run() resets the rounds.
   void arrive(std::span<const int> group, int tag);
   void await_arrival(std::span<const int> group, int tag,
                      Deadline deadline = Deadline::never());
@@ -140,11 +145,13 @@ public:
   /// True iff a message matching (source, tag) is queued.
   bool probe(int source, int tag);
 
-  /// Blocks until any message is queued in this rank's mailbox or the
-  /// deadline expires; returns whether the mailbox is non-empty. Poll
-  /// primitive for protocols that multiplex several tags (the resilient
-  /// exchange's event loop).
-  bool wait_message(Deadline deadline);
+  /// Blocks until any message is queued in this rank's mailbox, the
+  /// deadline expires, or membership().epoch() differs from `seen_epoch`
+  /// (at once if it already does); returns whether the mailbox is
+  /// non-empty. A caller that re-reads membership whenever this returns
+  /// cannot sleep through a death. Poll primitive for protocols that
+  /// multiplex several tags (the resilient exchange's event loop).
+  bool wait_message(Deadline deadline, std::uint32_t seen_epoch);
 
   /// Collective synchronization over all ranks of the cluster. The deadline
   /// overload throws core::TimeoutError when the barrier does not complete
@@ -227,7 +234,7 @@ public:
 
   /// Test-support counter: posts during the current or last run() that
   /// woke a blocked receiver because they completed its wait. Wakeups for
-  /// abort, rank death, membership change and the watchdog are not counted.
+  /// abort, rank death, a rank's return and the watchdog are not counted.
   [[nodiscard]] std::uint64_t mailbox_wakeups() const noexcept {
     return wakeups_.load(std::memory_order_relaxed);
   }
@@ -254,22 +261,25 @@ private:
     Kind kind = Kind::kNone;
     int source = kAnySource;  // kRecv
     int tag = 0;              // kRecv
+    /// kRecv of an await_arrival(): the round's members (the caller's
+    /// span, alive while it waits); empty for every other wait.
+    std::span<const int> group;
 
     /// True iff `m`, just queued, completes the wait.
     bool completed_by(const Message& m) const;
   };
 
-  /// An open stage-arrival round: its key and how many members arrived.
+  /// An open stage-arrival round: its key and which members arrived.
   struct ArrivalRound {
     int tag = 0;
-    std::vector<int> members;  // ascending
-    std::size_t arrived = 0;
+    std::vector<int> members;           // ascending
+    std::vector<std::uint8_t> arrived;  // per member
+    std::size_t count = 0;
   };
 
-  /// A rank's mailbox, and the arrival state sharded by rank: the open
-  /// rounds of the groups whose lowest rank it is, under their own mutex,
-  /// and the tag of its latest arrive() this run (-1 before the first),
-  /// which names the absent members when an arrival wait fails.
+  /// A rank's mailbox, the open arrival rounds of the groups whose lowest
+  /// rank it is (under their own mutex), and whether its run function has
+  /// returned this run.
   struct Mailbox {
     core::Mutex mu;
     core::CondVar cv;
@@ -277,12 +287,12 @@ private:
     Waiter waiter STFW_GUARDED_BY(mu);
     core::Mutex rounds_mu;
     std::vector<ArrivalRound> rounds STFW_GUARDED_BY(rounds_mu);
-    std::atomic<int> latest_arrival{-1};
+    std::atomic<bool> returned{false};
   };
 
   /// What a rank's thread is doing, as seen by the watchdog.
   struct BlockInfo {
-    enum class Kind : std::uint8_t { kRunning, kRecv, kArrival, kBarrier, kWait, kDone };
+    enum class Kind : std::uint8_t { kRunning, kRecv, kArrival, kBarrier, kWait };
     Kind kind = Kind::kRunning;
     int source = 0;
     int tag = 0;
@@ -302,19 +312,21 @@ private:
   Message blocking_recv(int me, int source, int tag, Deadline deadline,
                         std::span<const int> group = {});
   void arrive(int me, std::span<const int> group, int tag);
-  /// The error an arrival wait fails with: a dead absent member, or once
-  /// `expired` every absent member; nullopt while the round can complete.
+  /// The error rank `me`'s wait on the (tag, group) round fails with: an
+  /// absent member that died or returned, or once `expired` every absent
+  /// member; nullopt while the round can complete or once it closed. The
+  /// waiter has arrived, so the round is open or closed.
   std::optional<core::TimeoutError> stranded(int me, std::span<const int> group, int tag,
-                                             bool expired, long long waited_ms) const;
+                                             bool expired, long long waited_ms);
   std::vector<Message> drain(int me, int tag);
   bool probe(int me, int source, int tag);
-  bool wait_message(int me, Deadline deadline);
+  bool wait_message(int me, Deadline deadline, std::uint32_t seen_epoch);
   void barrier_wait(int me, Deadline deadline);
   void abort_all();
   void flush_delayed();
 
   /// Sleeps until a post completes the wait the caller just recorded in
-  /// mb.waiter, a teardown/membership broadcast, or the deadline; then
+  /// mb.waiter, a teardown/death/return broadcast, or the deadline; then
   /// clears the record. The caller rescans the queue either way.
   static void sleep_on(Mailbox& mb, core::MutexLock& lock, Deadline deadline)
       STFW_REQUIRES(mb.mu);
@@ -323,6 +335,9 @@ private:
   /// dead, discards its mailbox, releases any barrier now satisfied by the
   /// survivors alone, and wakes every blocked thread to re-evaluate.
   void rank_died(int me);
+  /// Records that rank `me`'s run function returned, and wakes every
+  /// arrival wait it may have stranded: a rank that left can never arrive.
+  void mark_returned(int me);
   /// Release the barrier if every *alive* rank has arrived. Dead ranks never
   /// arrive, so the release target is the live count, re-evaluated on every
   /// arrival and on every death.
@@ -351,6 +366,12 @@ private:
   Membership membership_;
 
   std::atomic<std::uint64_t> wakeups_{0};
+  // Ranks inside await_arrival() and ranks whose run function returned,
+  // this run. mark_returned skips its wake pass while no rank waits for an
+  // arrival, and an arrival wait reads the returned ranks only once one
+  // exists: a healthy run pays for either only at its end.
+  std::atomic<int> arrival_waiters_{0};
+  std::atomic<int> returned_count_{0};
 
   // Reusable two-phase barrier.
   core::Mutex barrier_mu_;

@@ -11,7 +11,6 @@
 #include <map>
 #include <optional>
 #include <set>
-#include <unordered_map>
 #include <utility>
 
 #include "core/error.hpp"
@@ -30,11 +29,12 @@ using core::Submessage;
 
 namespace {
 
-// Fixed tags of the resilient frame protocol, above every plain-exchange
-// stage tag (Comm::reserve_tags hands those out in [0, 2^28)); the exchange
-// epoch travels inside the frame header instead of the tag.
-constexpr int kResilientDataTag = 1 << 28;
-constexpr int kResilientAckTag = (1 << 28) + 1;
+// Each exchange_resilient posts its data and ack frames under a pair of
+// tags from Comm::reserve_tags, lifted by this offset above every plain
+// stage tag ([0, 2^28)) and kept below the arrival release bit (2^29). The
+// tags tell exchanges apart, so a faster peer's next-exchange frames wait
+// in the mailbox under their own tags.
+constexpr int kResilientTagBase = 1 << 28;
 
 // Settlement control traffic of exchange_resilient, on the reliable negative
 // tags: reports and wave replies flow to the root on kSettleReportTag, wave
@@ -135,21 +135,22 @@ ResilientExchangeResult StfwCommunicator::exchange_resilient(
   ResilientExchangeResult result;
 
   // The membership view this exchange acts on. The epoch is polled every
-  // event-loop iteration (one relaxed atomic load); a change re-snapshots
-  // the bitmap and re-homes in-flight traffic (on_membership_change below).
+  // event-loop iteration (one atomic load), and a death ends the loop's
+  // wait_message; a change re-snapshots the bitmap and re-homes in-flight
+  // traffic (on_membership_change below).
   runtime::MembershipSnapshot mem = comm_->membership().snapshot();
   bool degraded = mem.alive_count < world;
-  std::uint32_t announced_epoch = mem.epoch;  // deaths known at entry need no notice
   stats_.membership_epoch = mem.epoch;
 
   // A bad destination is the caller's error in healthy and degraded mode
-  // alike; reject it before the epoch is claimed, never report it as a loss.
+  // alike; reject it before the tags are claimed, never report it as a loss.
   for (const OutboundMessage& s : sends)
     core::require(s.dest >= 0 && s.dest < world, "exchange_resilient: destination out of range");
 
-  // Claim the epoch up front so a thrown exchange cannot leave stale frames
-  // that a retry under the same epoch would mistake for its own.
-  const std::uint32_t epoch = epoch_++;
+  // Claim the tags up front so a thrown exchange cannot leave stale frames
+  // that a retry would mistake for its own.
+  const int data_tag = kResilientTagBase + comm_->reserve_tags(2);
+  const int ack_tag = data_tag + 1;
   fault::FaultInjector* injector = comm_->fault_injector();
 
   std::optional<validate::ExchangeValidator> validator;
@@ -183,11 +184,10 @@ ResilientExchangeResult StfwCommunicator::exchange_resilient(
   }
 
   // --- sender side: every frame we emitted and still track -----------------
+  // A frame's seq is its index here: acks find it without a lookup table.
   struct OutFrame {
-    core::FrameKind kind = core::FrameKind::kData;
-    int stage = -1;  // -1 for kDirect
+    int stage = -1;  // -1 for kDirect and kRelay
     core::Rank dest = -1;
-    std::uint32_t seq = 0;
     // No retained wire image: the tracker holds only the frame header and
     // the submessage headers (payload bytes stay in `arena`), and every
     // transmission — first send and retransmit alike — re-gathers the wire
@@ -204,28 +204,19 @@ ResilientExchangeResult StfwCommunicator::exchange_resilient(
     bool failed = false;
   };
   std::vector<OutFrame> frames;
-  std::unordered_map<std::uint32_t, std::size_t> frame_by_seq;
-  std::uint32_t next_seq = 0;
 
   auto make_frame = [&](core::FrameKind kind, int stage, core::Rank dest, StageMessage msg) {
-    core::FrameHeader h;
-    h.kind = kind;
-    h.stage = static_cast<std::uint16_t>(stage < 0 ? 0 : stage);
-    h.epoch = epoch;
-    h.member_epoch = mem.epoch;  // the view this frame's routing was decided under
-    h.seq = next_seq;
-    h.sender = me;
     OutFrame f;
-    f.kind = kind;
     f.stage = stage;
     f.dest = dest;
-    f.seq = next_seq;
-    f.header = h;
+    f.header.kind = kind;
+    f.header.stage = static_cast<std::uint16_t>(stage < 0 ? 0 : stage);
+    f.header.member_epoch = mem.epoch;  // the view this frame's routing was decided under
+    f.header.seq = static_cast<std::uint32_t>(frames.size());
+    f.header.sender = me;
     f.msg = std::move(msg);
     f.backoff = opt.retransmit_timeout;
-    frame_by_seq.emplace(next_seq, frames.size());
     frames.push_back(std::move(f));
-    ++next_seq;
   };
 
   auto transmit = [&](OutFrame& f, clock::time_point now) {
@@ -233,7 +224,7 @@ ResilientExchangeResult StfwCommunicator::exchange_resilient(
     ++f.attempts;
     auto wire = core::encode_frame(f.header, core::serialize_tracked(f.msg, arena));
     stats_.wire_bytes_sent += wire.size();
-    comm_->send(static_cast<int>(f.dest), kResilientDataTag, std::move(wire));
+    comm_->send(static_cast<int>(f.dest), data_tag, std::move(wire));
     f.next_retry = now + f.backoff;
     f.backoff = next_backoff(f.backoff, opt.retransmit_timeout, opt.stage_deadline);
   };
@@ -244,7 +235,7 @@ ResilientExchangeResult StfwCommunicator::exchange_resilient(
   // so callers must not hold references into `frames` across the call.
   auto fail_frame = [&](std::size_t i) {
     frames[i].failed = true;
-    const core::FrameKind kind = frames[i].kind;
+    const core::FrameKind kind = frames[i].header.kind;
     const int fstage = frames[i].stage;
     std::vector<Submessage> subs = std::move(frames[i].msg.subs);
     // kRelay carries final-destination submessages just like kData, so a
@@ -279,16 +270,13 @@ ResilientExchangeResult StfwCommunicator::exchange_resilient(
     core::FrameHeader a;
     a.kind = kind;
     a.stage = of.stage;
-    a.epoch = epoch;
+    a.member_epoch = mem.epoch;
     a.seq = of.seq;  // acks/nacks echo the seq they answer
     a.sender = me;
     auto w = core::encode_frame(a, {});
     if (kind == core::FrameKind::kAck) ++stats_.acks_sent;
     stats_.wire_bytes_sent += w.size();
-    comm_->send(static_cast<int>(to), kResilientAckTag, std::move(w));
-  };
-  auto send_ack = [&](core::Rank to, const core::FrameHeader& of) {
-    send_control(core::FrameKind::kAck, to, of);
+    comm_->send(static_cast<int>(to), ack_tag, std::move(w));
   };
 
   // Out-of-band deliveries: submessages for this rank that arrived via
@@ -327,46 +315,21 @@ ResilientExchangeResult StfwCommunicator::exchange_resilient(
     }
   };
 
-  // Membership transition: re-snapshot, announce the deaths to survivors,
-  // pull every tracked frame off dead destinations (re-homing its payload
-  // over the relay lane), and restamp the surviving in-flight frames with
-  // the new epoch so receivers don't refuse them as stale.
+  // Membership transition: re-snapshot, pull every tracked frame off dead
+  // destinations (re-homing its payload over the relay lane), and restamp
+  // the surviving in-flight frames with the new epoch so receivers don't
+  // refuse them as stale. Comm's membership is the only source of deaths.
   auto on_membership_change = [&] {
     const runtime::MembershipSnapshot ns = comm_->membership().snapshot();
     if (ns.epoch == mem.epoch) return;
     mem = ns;
     degraded = mem.alive_count < world;
     ++stats_.epoch_transitions;
-    if (announced_epoch < mem.epoch) {
-      // One kFailureNotice per epoch per peer, fire-and-forget on the control
-      // tag. In-process the shared Membership is the detection authority and
-      // every rank's poll already sees the bump; the notice is the portable
-      // wire signal a distributed transport would rely on (and what the
-      // fuzz/replay tests exercise).
-      announced_epoch = mem.epoch;
-      std::vector<std::int32_t> dead;
-      for (int r = 0; r < world; ++r)
-        if (!mem.is_alive(r)) dead.push_back(r);
-      core::FrameHeader nh;
-      nh.kind = core::FrameKind::kFailureNotice;
-      nh.epoch = epoch;
-      nh.member_epoch = mem.epoch;
-      nh.seq = next_seq++;
-      nh.sender = me;
-      const auto body = core::encode_failure_notice(mem.epoch, dead);
-      for (int r = 0; r < world; ++r) {
-        if (r == static_cast<int>(me) || !mem.is_alive(r)) continue;
-        auto w = core::encode_frame(nh, body);
-        stats_.wire_bytes_sent += w.size();
-        comm_->send(r, kResilientAckTag, std::move(w));
-        ++stats_.failure_notices_sent;
-      }
-    }
     const std::size_t tracked = frames.size();  // route_relayed appends; don't revisit
     for (std::size_t i = 0; i < tracked; ++i) {
       if (frames[i].failed || mem.is_alive(frames[i].dest)) continue;
       const bool was_acked = frames[i].acked;
-      const core::FrameKind kind = frames[i].kind;
+      const core::FrameKind kind = frames[i].header.kind;
       frames[i].failed = true;  // its receiver no longer exists; stop the pump
       std::vector<Submessage> subs = std::move(frames[i].msg.subs);
       if (kind == core::FrameKind::kDirect) {
@@ -407,7 +370,7 @@ ResilientExchangeResult StfwCommunicator::exchange_resilient(
         // kDirect frames are exempt from the attempt budget: they are the
         // last resort, exhausting one is a permanent loss, and the
         // settlement valve already bounds how long they may keep trying.
-        if (frames[i].kind != core::FrameKind::kDirect &&
+        if (frames[i].header.kind != core::FrameKind::kDirect &&
             frames[i].attempts >= opt.max_attempts) {
           ++stats_.timeouts;
           fail_frame(i);
@@ -446,145 +409,105 @@ ResilientExchangeResult StfwCommunicator::exchange_resilient(
     stage_got[static_cast<std::size_t>(stage)].insert(sender);
   };
 
-  const auto carried_frames = [this](int tag) -> std::vector<runtime::Message>& {
-    return carried_frames_[tag == kResilientDataTag ? 0u : 1u];
-  };
-  // One protocol tag's traffic: frames the previous call's epilogue carried
-  // over arrived first, then whatever is queued now.
-  auto incoming = [&](int tag) {
-    std::vector<runtime::Message> msgs = comm_->drain(tag);
-    std::vector<runtime::Message>& carried = carried_frames(tag);
-    if (carried.empty()) return msgs;
-    carried.insert(carried.end(), std::make_move_iterator(msgs.begin()),
-                   std::make_move_iterator(msgs.end()));
-    return std::exchange(carried, {});
-  };
   auto process_incoming = [&] {
-    for (runtime::Message& m : incoming(kResilientAckTag)) {
-      const auto dec = core::decode_frame(m.data);
-      if (!dec || (dec->header.kind != core::FrameKind::kAck &&
-                   dec->header.kind != core::FrameKind::kNack &&
-                   dec->header.kind != core::FrameKind::kFailureNotice)) {
-        ++stats_.corrupt_frames_discarded;
-        continue;
-      }
-      if (dec->header.epoch != epoch) continue;  // stale, not corrupt
-      if (dec->header.kind == core::FrameKind::kFailureNotice) {
-        const auto notice = core::decode_failure_notice(dec->body);
-        if (!notice) {
-          ++stats_.corrupt_frames_discarded;  // mutated body: reject outright
+    for (const int tag : {ack_tag, data_tag}) {
+      for (runtime::Message& m : comm_->drain(tag)) {
+        const auto dec = core::decode_frame(m.data);
+        const bool control = dec && (dec->header.kind == core::FrameKind::kAck ||
+                                     dec->header.kind == core::FrameKind::kNack);
+        if (!dec || control != (tag == ack_tag)) {
+          ++stats_.corrupt_frames_discarded;  // truncated / bit-rotted / mis-tagged
           continue;
         }
-        ++stats_.failure_notices_received;
-        // Epoch gate: compare the announced epoch against our current
-        // membership before acting. The shared Membership is the in-process
-        // authority on *who* died, so a newer notice triggers a re-snapshot
-        // rather than trusting the announced dead list — a corrupt or forged
-        // notice can therefore never kill a healthy rank.
-        if (notice->membership_epoch > mem.epoch) on_membership_change();
-        continue;
-      }
-      const auto it = frame_by_seq.find(dec->header.seq);
-      if (it == frame_by_seq.end()) continue;
-      const std::size_t idx = it->second;
-      if (static_cast<core::Rank>(dec->header.sender) != frames[idx].dest) continue;
-      if (dec->header.kind == core::FrameKind::kAck) {
-        if (!frames[idx].acked && !frames[idx].failed) {
-          frames[idx].acked = true;
-          ++stats_.acks_received;
+        const core::FrameHeader& h = dec->header;
+        // Sent under a membership view that predates a death we already
+        // observed. Only stage frames are refused for it (below); acks and
+        // nacks answer our own frames, whatever view their sender holds.
+        const bool stale = h.member_epoch < mem.epoch;
+        if (control) {
+          if (h.seq >= frames.size()) continue;  // seq is the frame's index
+          OutFrame& f = frames[h.seq];
+          if (static_cast<core::Rank>(h.sender) != f.dest || f.acked || f.failed) continue;
+          if (h.kind == core::FrameKind::kAck) {
+            f.acked = true;
+            ++stats_.acks_received;
+          } else {
+            // The receiver refused this frame (it moved past the frame's
+            // stage); retrying cannot succeed, so degrade right away instead
+            // of burning the remaining attempts against a closed door.
+            fail_frame(h.seq);
+          }
+          continue;
         }
-      } else if (!frames[idx].acked && !frames[idx].failed) {
-        // The receiver refused this frame (it moved past the frame's stage);
-        // retrying cannot succeed, so degrade right away instead of burning
-        // the remaining attempts against a closed door.
-        fail_frame(idx);
-      }
-    }
-    for (runtime::Message& m : incoming(kResilientDataTag)) {
-      const auto dec = core::decode_frame(m.data);
-      if (!dec || (dec->header.kind != core::FrameKind::kData &&
-                   dec->header.kind != core::FrameKind::kDirect &&
-                   dec->header.kind != core::FrameKind::kRelay)) {
-        ++stats_.corrupt_frames_discarded;  // truncated / bit-rotted / mis-tagged
-        continue;
-      }
-      const core::FrameHeader& h = dec->header;
-      if (h.epoch != epoch) continue;
-      const auto sender = static_cast<core::Rank>(h.sender);
-      if (sender < 0 || sender >= vpt_.size()) {
-        ++stats_.corrupt_frames_discarded;
-        continue;
-      }
-      const auto key = std::make_pair(h.sender, h.seq);
-      if (h.kind == core::FrameKind::kDirect) {
-        send_ack(sender, h);  // re-ack duplicates: our earlier ack may have died
-        if (!seen.insert(key).second) {
+        const auto sender = static_cast<core::Rank>(h.sender);
+        if (sender < 0 || sender >= vpt_.size()) {
+          ++stats_.corrupt_frames_discarded;
+          continue;
+        }
+        const auto key = std::make_pair(h.sender, h.seq);
+        if (h.kind != core::FrameKind::kData) {  // kDirect or kRelay, at any stage
+          // Re-ack duplicates too: our earlier ack may have died.
+          send_control(core::FrameKind::kAck, sender, h);
+          if (!seen.insert(key).second) {
+            ++stats_.duplicate_frames_discarded;
+            continue;
+          }
+          std::vector<Submessage> subs = core::deserialize_tracked(dec->body, arena);
+          ++stats_.messages_received;
+          if (h.kind == core::FrameKind::kRelay) {
+            // Deliver our own submessages; forward the rest one greedy-alive
+            // hop closer to their destinations under our *current* view.
+            route_relayed(std::move(subs), /*count_as_relay=*/true);
+            continue;
+          }
+          if (validator) validator->on_direct_recv(sender, subs);
+          for (const Submessage& s : subs) {
+            core::require(s.dest == me, "exchange_resilient: direct frame not addressed to me");
+            direct_delivered.push_back(s);
+            direct_bytes += s.size_bytes;
+          }
+          continue;
+        }
+        // kData
+        const int fstage = static_cast<int>(h.stage);
+        if (fstage >= n ||
+            !(vpt_.are_neighbors(sender, me) && vpt_.first_diff_dim(sender, me) == fstage)) {
+          ++stats_.corrupt_frames_discarded;
+          continue;
+        }
+        if (seen.count(key) != 0) {
+          send_control(core::FrameKind::kAck, sender, h);
           ++stats_.duplicate_frames_discarded;
           continue;
         }
-        const std::vector<Submessage> subs = core::deserialize_tracked(dec->body, arena);
-        if (validator) validator->on_direct_recv(sender, subs);
-        for (const Submessage& s : subs) {
-          core::require(s.dest == me, "exchange_resilient: direct frame not addressed to me");
-          direct_delivered.push_back(s);
-          direct_bytes += s.size_bytes;
-        }
-        ++stats_.messages_received;
-        continue;
-      }
-      if (h.kind == core::FrameKind::kRelay) {
-        send_ack(sender, h);  // re-ack duplicates: our earlier ack may have died
-        if (!seen.insert(key).second) {
-          ++stats_.duplicate_frames_discarded;
+        if (stale) {
+          // The sender's forwarding decisions are suspect. Nack so it
+          // re-decides now rather than after its retry budget. The nacked
+          // sender demotes the frame's submessages to kDirect and never
+          // resends a stage frame, so its slot counts as heard from;
+          // waiting for it would stall until the stage deadline.
+          ++stats_.stale_epoch_frames_refused;
+          send_control(core::FrameKind::kNack, sender, h);
+          stage_got[static_cast<std::size_t>(fstage)].insert(sender);
           continue;
         }
-        std::vector<Submessage> subs = core::deserialize_tracked(dec->body, arena);
-        ++stats_.messages_received;
-        // Deliver our own submessages; forward the rest one greedy-alive hop
-        // closer to their destinations under our *current* membership view.
-        route_relayed(std::move(subs), /*count_as_relay=*/true);
-        continue;
+        if (fstage < cur_stage) {
+          // We gave up on this stage and moved on; accepting now would strand
+          // submessages whose forwarding stages already ran. Nack so the
+          // sender switches to its direct-routing fallback immediately.
+          ++stats_.late_frames_refused;
+          send_control(core::FrameKind::kNack, sender, h);
+          continue;
+        }
+        send_control(core::FrameKind::kAck, sender, h);
+        seen.insert(key);
+        if (fstage > cur_stage) {
+          // Neighbor is ahead of us; park the frame until we enter its stage.
+          early.push_back({fstage, sender, {dec->body.begin(), dec->body.end()}});
+          continue;
+        }
+        accept_stage_subs(cur_stage, sender, dec->body);
       }
-      // kData
-      const int fstage = static_cast<int>(h.stage);
-      if (fstage >= n ||
-          !(vpt_.are_neighbors(sender, me) && vpt_.first_diff_dim(sender, me) == fstage)) {
-        ++stats_.corrupt_frames_discarded;
-        continue;
-      }
-      if (seen.count(key) != 0) {
-        send_ack(sender, h);
-        ++stats_.duplicate_frames_discarded;
-        continue;
-      }
-      if (h.member_epoch < mem.epoch) {
-        // The sender routed this frame under a membership view that predates
-        // a death we already observed; its forwarding decisions are suspect.
-        // Nack so the sender re-decides now rather than after its retry
-        // budget. The nacked sender demotes the frame's submessages to
-        // kDirect and never resends a stage frame, so its slot counts as
-        // heard from; waiting for it would stall until the stage deadline.
-        ++stats_.stale_epoch_frames_refused;
-        send_control(core::FrameKind::kNack, sender, h);
-        stage_got[static_cast<std::size_t>(fstage)].insert(sender);
-        continue;
-      }
-      if (fstage < cur_stage) {
-        // We gave up on this stage and moved on; accepting now would strand
-        // submessages whose forwarding stages already ran. Nack so the
-        // sender switches to its direct-routing fallback immediately.
-        ++stats_.late_frames_refused;
-        send_control(core::FrameKind::kNack, sender, h);
-        continue;
-      }
-      send_ack(sender, h);
-      seen.insert(key);
-      if (fstage > cur_stage) {
-        // Neighbor is ahead of us; park the frame until we enter its stage.
-        early.push_back({fstage, sender, {dec->body.begin(), dec->body.end()}});
-        continue;
-      }
-      accept_stage_subs(cur_stage, sender, dec->body);
     }
   };
 
@@ -678,7 +601,7 @@ ResilientExchangeResult StfwCommunicator::exchange_resilient(
             result.failure.missing.push_back({cur_stage, nbr});
         break;
       }
-      comm_->wait_message(runtime::Deadline{std::min(next_event, stage_end)});
+      comm_->wait_message(runtime::Deadline{std::min(next_event, stage_end)}, mem.epoch);
     }
 
     transit_peak = std::max(transit_peak, state.buffered_payload_bytes());
@@ -859,7 +782,7 @@ ResilientExchangeResult StfwCommunicator::exchange_resilient(
       }
       if (!done) {
         const auto tick = verify::verify_now() + opt.retransmit_timeout;
-        comm_->wait_message(runtime::Deadline{std::min(next_event, tick)});
+        comm_->wait_message(runtime::Deadline{std::min(next_event, tick)}, mem.epoch);
       }
     }
   }
@@ -882,18 +805,10 @@ ResilientExchangeResult StfwCommunicator::exchange_resilient(
   comm_->barrier(epilogue_deadline());
   comm_->flush_delayed();
   comm_->barrier(epilogue_deadline());
-  // A peer that left the barrier first may already have sent its first
-  // stage of the next exchange under the same fixed tags. Drop only frames
-  // of this exchange or older and carry the rest into the next call:
-  // dropping them would cost one retransmit timeout each.
-  for (const int tag : {kResilientDataTag, kResilientAckTag}) {
-    for (runtime::Message& m : comm_->drain(tag)) {
-      const auto dec = core::decode_frame(m.data);
-      // Wrap-aware "newer than this exchange": the epoch counter is 32-bit.
-      if (dec && static_cast<std::int32_t>(dec->header.epoch - epoch) > 0)
-        carried_frames(tag).push_back(std::move(m));
-    }
-  }
+  // Only this exchange's tags: a peer that left the barrier first may
+  // already have sent its next exchange's first stage under the next tags.
+  (void)comm_->drain(data_tag);
+  (void)comm_->drain(ack_tag);
   (void)comm_->drain(kSettleReportTag);  // should already be empty
   (void)comm_->drain(kSettleDoneTag);
 

@@ -221,8 +221,8 @@ private:
   const core::Rank me_;
   fault::FaultInjector* const injector_;  // checked before tag_base_ claims the tags
   // The exchange's dim() stage tags from Comm::reserve_tags: a base that is
-  // a multiple of dim(), below exchange_resilient's fixed tags at 1 << 28,
-  // and shared with no other plain exchange of the run until the range
+  // a multiple of dim(), below 1 << 28, where exchange_resilient lifts its
+  // own reserved pair, and shared with no other plain exchange of the run until the range
   // wraps. Neighbor dependencies keep each rank within a few exchanges of
   // its peers, so the wrap never reuses a tag still in flight.
   const int tag_base_;

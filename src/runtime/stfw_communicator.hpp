@@ -1,6 +1,5 @@
 #pragma once
 
-#include <array>
 #include <chrono>
 #include <cstdint>
 #include <functional>
@@ -90,8 +89,6 @@ struct LocalExchangeStats {
   // this rank finished the exchange at; the counters are per-exchange.
   std::uint32_t membership_epoch = 0;
   std::int64_t epoch_transitions = 0;    // membership changes observed mid-exchange
-  std::int64_t failure_notices_sent = 0;
-  std::int64_t failure_notices_received = 0;
   std::int64_t stale_epoch_frames_refused = 0;  // nacked: sender's view predates a death
   std::int64_t relay_submessages = 0;      // subs carried over the relay lane
   std::int64_t reinjected_submessages = 0;  // subs re-homed off frames to dead ranks
@@ -182,9 +179,10 @@ public:
 
   /// Executes Algorithm 1 across all ranks; returns the messages addressed
   /// to this rank, sorted by source. Collective: every rank must call it,
-  /// and every rank must make its plain exchanges, on all communicators of
-  /// the run, in the same order. Needs a reliable transport: it throws
-  /// core::Error when the cluster's fault injector faults messages.
+  /// and every rank must make its exchanges, plain and resilient, on all
+  /// communicators of the run, in the same order. Needs a reliable
+  /// transport: it throws core::Error when the cluster's fault injector
+  /// faults messages.
   ///
   /// Repeated calls with an identical send pattern (same (dest, size)
   /// sequence) transparently replay a recorded plan instead of re-deriving
@@ -206,17 +204,19 @@ public:
   /// ack/retransmit with bounded exponential backoff, duplicate suppression,
   /// checksum rejection, direct-routing fallback and a per-rank failure
   /// report. Collective among the *alive* ranks; all must pass equal
-  /// options. No foreign traffic may share the communicator's tags while it
-  /// runs. It neither reads nor fills the plan cache: every send is routed
-  /// from the membership view the exchange polls.
+  /// options, and it takes its tags from the rank's Comm, ordered with the
+  /// plain exchanges as exchange() says. It neither reads nor fills the
+  /// plan cache: every send is routed from the membership view the exchange
+  /// polls.
   ///
   /// Unlike plain exchange(), this mode survives rank failure: when a rank
-  /// dies (fault::RankCrashedError) the membership epoch advances, survivors
-  /// announce the death with kFailureNotice frames, re-home traffic stranded
-  /// at the dead rank over the relay lane (kRelay frames, greedy-alive next
-  /// hops), and complete the exchange among themselves with exactly-once
-  /// delivery — frames are epoch-stamped and stale-epoch stage traffic is
-  /// nacked. See docs/fault_model.md, "Membership epochs and degraded mode".
+  /// dies (fault::RankCrashedError) the membership epoch advances and ends
+  /// every survivor's wait, survivors re-home traffic stranded at the dead
+  /// rank over the relay lane (kRelay frames, greedy-alive next hops), and
+  /// complete the exchange among themselves with exactly-once delivery —
+  /// frames are stamped with their sender's membership epoch and
+  /// stale-epoch stage traffic is nacked. See docs/fault_model.md,
+  /// "Membership epochs and degraded mode".
   [[nodiscard]] ResilientExchangeResult exchange_resilient(
       std::span<const OutboundMessage> sends, const ResilienceOptions& options = {});
 
@@ -248,7 +248,7 @@ public:
   void set_exchange_deadline(std::chrono::milliseconds d) noexcept { exchange_deadline_ = d; }
 
 private:
-  friend struct PlanCacheProbe;  // test access to the cache and the resilient epoch
+  friend struct PlanCacheProbe;  // test access to the plan cache
 
   /// Plans the transparent cache keeps; the least recently used one makes
   /// room for a new pattern.
@@ -281,18 +281,9 @@ private:
 
   runtime::Comm* comm_;
   core::Vpt vpt_;
-  // Resilient exchange counter, carried in every resilient frame header.
-  // Wraps modulo 2^32. Plain exchanges take their tags from
-  // Comm::reserve_tags instead.
-  std::uint32_t epoch_ = 0;
   bool validate_;
   std::chrono::milliseconds exchange_deadline_;
   LocalExchangeStats stats_;
-  // Resilient frames of the next exchange that reached this rank before its
-  // previous exchange_resilient finished draining: a faster peer had already
-  // started the next call. [0] data tag, [1] ack tag. Thread-confined like
-  // stats_; the next exchange_resilient handles them before anything else.
-  std::array<std::vector<runtime::Message>, 2> carried_frames_;
   // Thread-confined like stats_: only the owning rank's exchanges touch it.
   std::vector<CachedPlan> plan_cache_;
   std::uint64_t plan_cache_tick_ = 0;

@@ -211,7 +211,7 @@ TEST(DegradedExchange, StaleEpochStageFrameIsNackedAndCountsItsSlot) {
     }
     if (me == 0) {
       // Nothing but rank 1's stage-0 frame can reach rank 0 before the death.
-      const bool queued = comm.wait_message(runtime::Deadline::in(10s));
+      const bool queued = comm.wait_message(runtime::Deadline::in(10s), epoch_before);
       frame_queued = true;
       frame_queued.notify_all();
       ASSERT_TRUE(queued) << "rank 1's stage-0 frame never reached rank 0";
@@ -229,6 +229,43 @@ TEST(DegradedExchange, StaleEpochStageFrameIsNackedAndCountsItsSlot) {
   EXPECT_EQ(cluster.membership().epoch(), epoch_before + 1);
   EXPECT_GE(stats[0].stale_epoch_frames_refused, 1);
   check_survivor_delivery(K, kDead, results, "stale-epoch stage frame");
+}
+
+TEST(DegradedExchange, BlockedSurvivorWakesOnANeighboursDeath) {
+  // Retransmit and stage timers far beyond the test: no timer can wake a
+  // survivor blocked on the dead rank, only the death itself (Comm ends
+  // every wait_message made under the older membership epoch). Rank 3 dies
+  // without entering the exchange, once the survivors are waiting for it.
+  const Vpt vpt({2, 2});
+  const Rank K = vpt.size();
+  constexpr Rank kDead = 3;
+  ResilienceOptions opt;
+  opt.retransmit_timeout = 30s;
+  opt.stage_deadline = 30s;
+  std::vector<ResilientExchangeResult> results(static_cast<std::size_t>(K));
+  std::vector<LocalExchangeStats> stats(static_cast<std::size_t>(K));
+  Cluster cluster(K);
+  const auto t0 = std::chrono::steady_clock::now();
+  cluster.run([&](Comm& comm) {
+    const Rank me = comm.rank();
+    if (me == kDead) {
+      std::this_thread::sleep_for(100ms);
+      throw fault::RankCrashedError("rank 3 died while its neighbors waited for it");
+    }
+    StfwCommunicator stfw(comm, vpt);
+    const auto i = static_cast<std::size_t>(me);
+    results[i] = stfw.exchange_resilient(all_to_all_sends(K, me), opt);
+    stats[i] = stfw.last_stats();
+  });
+  EXPECT_LT(std::chrono::steady_clock::now() - t0, 10s) << "a survivor slept out a timer";
+  ASSERT_EQ(cluster.membership().failed(), std::vector<std::int32_t>{kDead});
+  for (Rank r = 0; r < K; ++r) {
+    if (r == kDead) continue;
+    const auto& st = stats[static_cast<std::size_t>(r)];
+    EXPECT_EQ(st.timeouts, 0) << "survivor " << r;
+    EXPECT_TRUE(results[static_cast<std::size_t>(r)].degraded) << "survivor " << r;
+  }
+  check_survivor_delivery(K, kDead, results, "death wakes blocked survivors");
 }
 
 TEST(DegradedExchange, BackToBackDegradedExchangesDeliverAlivePairs) {

@@ -344,7 +344,7 @@ TEST(PlanCache, ResilientExchangeLeavesThePlanCacheAlone) {
 }
 
 TEST(PlanCache, PlainExchangeAfterAResilientOneStillReplaysItsPlan) {
-  // A resilient exchange in between advances the shared exchange epoch but
+  // A resilient exchange in between reserves tags from the same Comm but
   // leaves the recorded plan in place: the next plain exchange of the same
   // pattern replays it and delivers what the recording exchange did.
   constexpr Rank kRanks = 8;

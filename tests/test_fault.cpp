@@ -688,7 +688,7 @@ TEST(ResilientExchange, RetransmittedFramesAreByteIdenticalToOriginals) {
   // Zero-copy PR pin: the resilient path no longer retains each frame's wire
   // image — a retransmit re-gathers it from the kept (header, StageMessage).
   // Serialization is deterministic, so every transmission of a given
-  // (sender, seq, epoch, member_epoch) data frame must be byte-for-byte
+  // (tag, sender, seq, member_epoch) data frame must be byte-for-byte
   // identical. The cluster wire tap fires before the injector rules, so the
   // dropped originals are captured alongside their retransmits.
   const auto vpt = core::Vpt({2, 2});
@@ -702,15 +702,14 @@ TEST(ResilientExchange, RetransmittedFramesAreByteIdenticalToOriginals) {
   Cluster cluster(K);
   cluster.set_fault_injector(injector);
 
-  using Key = std::tuple<std::int32_t, std::uint32_t, std::uint32_t, std::uint32_t>;
+  using Key = std::tuple<int, std::int32_t, std::uint32_t, std::uint32_t>;
   core::Mutex mu;
   std::map<Key, std::vector<std::vector<std::byte>>> frames;
-  cluster.set_wire_tap([&](int, int, int, std::span<const std::byte> bytes) {
+  cluster.set_wire_tap([&](int, int, int tag, std::span<const std::byte> bytes) {
     // Control collectives and acks are not data frames; decode filters them.
     const auto dec = core::decode_frame(bytes);
     if (!dec.has_value() || dec->header.kind != core::FrameKind::kData) return;
-    const Key key{dec->header.sender, dec->header.seq, dec->header.epoch,
-                  dec->header.member_epoch};
+    const Key key{tag, dec->header.sender, dec->header.seq, dec->header.member_epoch};
     core::MutexLock lock(mu);
     frames[key].emplace_back(bytes.begin(), bytes.end());
   });
@@ -732,8 +731,8 @@ TEST(ResilientExchange, RetransmittedFramesAreByteIdenticalToOriginals) {
     for (std::size_t i = 1; i < copies.size(); ++i) {
       ++retransmissions;
       EXPECT_EQ(copies[i], copies[0])
-          << "retransmit " << i << " of frame (sender " << std::get<0>(key) << ", seq "
-          << std::get<1>(key) << ") differs from the original";
+          << "retransmit " << i << " of frame (sender " << std::get<1>(key) << ", seq "
+          << std::get<2>(key) << ") differs from the original";
     }
   }
   EXPECT_GT(retransmissions, 0u) << "no frame was ever retransmitted";

@@ -259,7 +259,7 @@ TEST(Runtime, ProbeUnderConcurrentLoadMatchesRecv) {
       int got = 0;
       std::vector<int> next_seq(kRanks, 0);
       while (got < (kRanks - 1) * kBurst) {
-        comm.wait_message(Deadline::never());
+        comm.wait_message(Deadline::never(), comm.membership().epoch());
         while (comm.probe(kAnySource, 3)) {
           const Message m = comm.recv(kAnySource, 3);
           const auto src = static_cast<std::size_t>(m.source);
@@ -479,17 +479,45 @@ TEST(Runtime, WakeupArrivalReportsADeadAbsentMemberAsTimeout) {
   }
 }
 
+TEST(Runtime, WakeupArrivalFailsFastOnAMemberThatReturnedWithoutArriving) {
+  Cluster cluster(2);
+  const std::vector<int> group{0, 1};
+  const auto t0 = std::chrono::steady_clock::now();
+  try {
+    cluster.run([&](Comm& comm) {
+      if (comm.rank() == 0) {
+        std::this_thread::sleep_for(50ms);  // rank 1 is asleep in its wait by now
+        return;                             // ... and rank 0 leaves without arriving
+      }
+      comm.arrive(group, 5);
+      comm.await_arrival(group, 5, Deadline::in(10s));
+    });
+    FAIL() << "the round completed without one of its members";
+  } catch (const core::TimeoutError& e) {
+    EXPECT_EQ(e.op(), "await_arrival");
+    EXPECT_EQ(e.rank(), 1);
+    EXPECT_EQ(e.peer(), 0);
+    EXPECT_NE(std::string(e.what()).find("group member(s) 0 did not arrive"), std::string::npos)
+        << e.what();
+  }
+  EXPECT_LT(std::chrono::steady_clock::now() - t0, 1s) << "woken by the return, not the deadline";
+}
+
 TEST(Runtime, WakeupArrivalNamesEveryAbsentMemberAtTheDeadline) {
   Cluster cluster(4);
   const std::vector<int> group{0, 1, 2, 3};
   try {
     cluster.run([&](Comm& comm) {
-      // Ranks 1 and 3 are lost: they never arrive.
+      // Ranks 1 and 3 are lost: they never arrive, and they stay in the run
+      // (a member that returned would fail the wait at once) until rank 0's
+      // timeout aborts it.
       if (comm.rank() == 0) {
         comm.arrive(group, 5);
         comm.await_arrival(group, 5, Deadline::in(200ms));
       } else if (comm.rank() == 2) {
         comm.arrive(group, 5);
+      } else {
+        comm.barrier();
       }
     });
     FAIL() << "the round completed without two of its members";
@@ -513,7 +541,7 @@ TEST(Runtime, WakeupWaitMessageWakesOnAnyTag) {
   cluster.run([](Comm& comm) {
     if (comm.rank() == 0) {
       const auto t0 = std::chrono::steady_clock::now();
-      EXPECT_TRUE(comm.wait_message(Deadline::in(10s)));
+      EXPECT_TRUE(comm.wait_message(Deadline::in(10s), comm.membership().epoch()));
       EXPECT_LT(std::chrono::steady_clock::now() - t0, 5s) << "slept out the deadline";
       EXPECT_EQ(value_of(comm.recv(1, 12345)), 42);
     } else {
@@ -522,6 +550,29 @@ TEST(Runtime, WakeupWaitMessageWakesOnAnyTag) {
     }
   });
   EXPECT_LE(cluster.mailbox_wakeups(), 1u);
+}
+
+TEST(Runtime, WaitMessageReturnsAtOnceOnAStaleEpoch) {
+  Cluster cluster(3);
+  const std::uint32_t before = cluster.membership().epoch();
+  cluster.run([](Comm& comm) {
+    if (comm.rank() == 2) throw fault::RankCrashedError("rank 2 crashed");
+  });
+  ASSERT_NE(cluster.membership().epoch(), before);
+  cluster.run([&](Comm& comm) {
+    // `before` predates the death of the previous run: nothing to wait for.
+    const auto t0 = std::chrono::steady_clock::now();
+    EXPECT_FALSE(comm.wait_message(Deadline::in(10s), before));
+    EXPECT_LT(std::chrono::steady_clock::now() - t0, 1s) << "slept despite a stale epoch";
+    // A queued message is still reported first.
+    comm.barrier();
+    if (comm.rank() == 1) comm.send(0, 7, payload(1));
+    comm.barrier();
+    if (comm.rank() == 0) {
+      EXPECT_TRUE(comm.wait_message(Deadline::in(10s), before));
+      EXPECT_EQ(value_of(comm.recv(1, 7)), 1);
+    }
+  });
 }
 
 TEST(Runtime, WakeupsStayWithinOnePerRankPerStageOverBlExchanges) {
@@ -637,6 +688,26 @@ void expect_personalized_inbox(std::vector<InboundMessage> inbox, int me, int si
   for (int i = 0; i < size; ++i)
     if (me != (i + 1) % size) want.push_back({i, payload(cell(i, me, size))});
   EXPECT_EQ(inbox, want) << "rank " << me;
+}
+
+TEST_P(RuntimeSizes, WaitMessageReturnsWhenAPeerDies) {
+  // The last rank dies; every other rank waits for a message that never
+  // comes, under the epoch from before the run, and must be woken by the
+  // death rather than by its deadline.
+  const int size = GetParam();
+  Cluster cluster(size);
+  const std::uint32_t before = cluster.membership().epoch();
+  cluster.run([&](Comm& comm) {
+    if (comm.rank() == size - 1) {
+      std::this_thread::sleep_for(20ms);
+      throw fault::RankCrashedError("the last rank crashed");
+    }
+    const auto t0 = std::chrono::steady_clock::now();
+    EXPECT_FALSE(comm.wait_message(Deadline::in(10s), before));
+    EXPECT_LT(std::chrono::steady_clock::now() - t0, 5s) << "slept out the deadline";
+    EXPECT_NE(comm.membership().epoch(), before);
+  });
+  EXPECT_EQ(cluster.membership().failed(), std::vector<std::int32_t>{size - 1});
 }
 
 TEST_P(RuntimeSizes, BlExchangeIsAPersonalizedAllToAll) {

@@ -8,19 +8,14 @@
 #include <map>
 #include <mutex>
 #include <random>
+#include <set>
+#include <span>
 
 #include "core/analysis.hpp"
 #include "core/error.hpp"
 #include "core/wire.hpp"
 
 namespace stfw {
-
-/// Test access to StfwCommunicator's resilient exchange epoch.
-struct PlanCacheProbe {
-  static void set_epoch(StfwCommunicator& stfw, std::uint32_t epoch) {
-    stfw.epoch_ = epoch;
-  }
-};
 
 namespace {
 
@@ -273,49 +268,114 @@ TEST(Communicator, BaselineEqualsDirectSends) {
   });
 }
 
-// Two counters name an exchange on the wire. Each plain exchange reserves
-// dim() consecutive stage tags from the rank's Comm, all below the resilient
-// protocol's fixed tags (1 << 28); the resilient epoch is a 32-bit counter
-// carried in every resilient frame header. Started just below each point
-// where the epoch wraps or leaves int, and with the tag range about to wrap,
-// plain and resilient exchanges in turn must keep delivering the reference
-// result without a single retransmit; a resilient exchange must still carry
-// a faster peer's next-exchange frames across the 2^32 wrap rather than
-// drop them.
-TEST(Communicator, ExchangeEpochWrapsCleanly) {
+// Tags name an exchange on the wire. Each plain exchange reserves dim()
+// consecutive stage tags from the rank's Comm, and each resilient exchange a
+// pair that it lifts by 1 << 28, above every plain tag; both come from one
+// cursor that wraps to 0 at 1 << 28. Started just below the top of the
+// range, once where a plain block takes the top tags and the next resilient
+// pair wraps and once where a resilient pair takes the top two and the next
+// plain block wraps, plain and resilient exchanges in turn must keep
+// delivering the reference result without a single retransmit: a faster
+// peer's next-exchange frames wait under their own tags.
+TEST(Communicator, ExchangeTagsWrapCleanly) {
   const Vpt vpt({2, 2, 2});
   const Rank K = vpt.size();
   const int dim = vpt.dim();
+  constexpr int kTagRange = 1 << 28;
   const SendSets sets = random_sendsets(K, 0.6, 2718);
-  const std::uint32_t starts[] = {
-      static_cast<std::uint32_t>(INT32_MAX) - 1,  // the epoch leaves int
-      UINT32_MAX - 1,                             // the counter wraps
-  };
   ResilienceOptions opt;
   opt.retransmit_timeout = std::chrono::milliseconds(1000);
   runtime::Cluster cluster(K);
+  // Tags rank 0 posted on; the tap runs on the posting rank's thread.
+  std::set<int> rank0_tags;
+  cluster.set_wire_tap([&](int source, int, int tag, std::span<const std::byte>) {
+    if (source == 0) rank0_tags.insert(tag);
+  });
   cluster.run([&](runtime::Comm& comm) {
     const auto me = static_cast<std::size_t>(comm.rank());
     StfwCommunicator communicator(comm, vpt);
     const std::vector<InboundMessage> reference = communicator.exchange(sets[me]);
-    for (const std::uint32_t start : starts) {
-      PlanCacheProbe::set_epoch(communicator, start);
-      // The next plain exchange takes the three highest tags below 1 << 28
-      // and the one after it wraps to 0.
-      (void)comm.reserve_tags((1 << 28) - 2 * dim);
+    for (const int cursor : {kTagRange - 2 * dim, kTagRange - 2 * dim - 1}) {
+      // A block this large cannot fit above the cursor, so it wraps to 0 and
+      // leaves the cursor at its own size.
+      (void)comm.reserve_tags(cursor);
       for (int round = 0; round < 2; ++round) {
         EXPECT_EQ(communicator.exchange(sets[me]), reference)
-            << "rank " << me << " start " << start << " round " << round;
+            << "rank " << me << " cursor " << cursor << " round " << round;
         for (int r = 0; r < 2; ++r) {
           const ResilientExchangeResult res = communicator.exchange_resilient(sets[me], opt);
           EXPECT_TRUE(res.fully_recovered) << res.failure.to_string();
-          EXPECT_EQ(res.delivered, reference) << "rank " << me << " start " << start;
+          EXPECT_EQ(res.delivered, reference) << "rank " << me << " cursor " << cursor;
           EXPECT_EQ(communicator.last_stats().retransmits, 0)
-              << "rank " << me << " start " << start;
+              << "rank " << me << " cursor " << cursor;
         }
       }
     }
   });
+  cluster.set_wire_tap(nullptr);
+  EXPECT_NE(rank0_tags.lower_bound(kTagRange - 2 * dim - 1), rank0_tags.lower_bound(kTagRange))
+      << "no plain block sat at the top of the tag range";
+  EXPECT_EQ(rank0_tags.count(kTagRange), 1u) << "no resilient pair wrapped to base 0";
+  EXPECT_EQ(rank0_tags.count(2 * kTagRange - 1), 1u) << "no resilient pair took the top tags";
+}
+
+// Every resilient exchange posts its frames and acks under a pair of tags
+// of its own in [1 << 28, 1 << 29), shared by all ranks, and plain
+// exchanges in between stay below 1 << 28. Negative tags are the reliable
+// control channel (settlement, the validator's collectives) and are fixed.
+TEST(Communicator, ResilientExchangesPostOnTagsOfTheirOwn) {
+  const Vpt vpt({2, 2});
+  const Rank K = vpt.size();
+  constexpr int kTagRange = 1 << 28;
+  const SendSets sets = random_sendsets(K, 0.8, 31);
+  const std::vector<bool> resilient = {true, true, false, true, false, true};
+  const std::size_t X = resilient.size();
+  // tags[rank][x]: the non-negative tags rank posted on in exchange x, and
+  // tags[rank][X] those of the reference exchange. The tap runs on the
+  // posting rank's thread, which also sets current[rank].
+  std::vector<std::vector<std::set<int>>> tags(static_cast<std::size_t>(K),
+                                               std::vector<std::set<int>>(X + 1));
+  std::vector<std::size_t> current(static_cast<std::size_t>(K), X);
+  runtime::Cluster cluster(K);
+  cluster.set_wire_tap([&](int source, int, int tag, std::span<const std::byte>) {
+    const auto r = static_cast<std::size_t>(source);
+    if (tag >= 0) tags[r][current[r]].insert(tag);
+  });
+  cluster.run([&](runtime::Comm& comm) {
+    const auto me = static_cast<std::size_t>(comm.rank());
+    StfwCommunicator communicator(comm, vpt);
+    const std::vector<InboundMessage> reference = communicator.exchange(sets[me]);
+    for (std::size_t x = 0; x < X; ++x) {
+      current[me] = x;
+      if (!resilient[x]) {
+        EXPECT_EQ(communicator.exchange(sets[me]), reference) << "rank " << me << " x " << x;
+        continue;
+      }
+      const ResilientExchangeResult res = communicator.exchange_resilient(sets[me]);
+      EXPECT_TRUE(res.fully_recovered) << res.failure.to_string();
+      EXPECT_EQ(res.delivered, reference) << "rank " << me << " x " << x;
+      EXPECT_EQ(communicator.last_stats().retransmits, 0) << "rank " << me << " x " << x;
+    }
+  });
+  cluster.set_wire_tap(nullptr);
+
+  std::set<int> used;  // resilient tags of the exchanges checked so far
+  for (std::size_t x = 0; x < X; ++x) {
+    std::set<int> all;
+    for (const auto& per_rank : tags) all.insert(per_rank[x].begin(), per_rank[x].end());
+    ASSERT_FALSE(all.empty()) << "exchange " << x << " posted nothing";
+    if (!resilient[x]) {
+      EXPECT_LT(*all.rbegin(), kTagRange) << "plain exchange " << x;
+      continue;
+    }
+    // Data and ack frames: one aligned pair, the same on every rank.
+    EXPECT_EQ(all.size(), 2u) << "resilient exchange " << x;
+    EXPECT_GE(*all.begin(), kTagRange) << "resilient exchange " << x;
+    EXPECT_LT(*all.rbegin(), 2 * kTagRange) << "resilient exchange " << x;
+    for (const int tag : all)
+      EXPECT_TRUE(used.insert(tag).second)
+          << "resilient exchange " << x << " reused tag " << tag;
+  }
 }
 
 }  // namespace

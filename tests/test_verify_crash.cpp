@@ -140,7 +140,7 @@ TEST(VerifyCrash, ExhaustiveScheduleSweepAtOneCrashSite) {
   // The anchor sweep: K=4 with a real forwarding dimension, rank 1 dying at
   // stage 0, schedules enumerated exhaustively under a preemption bound. The
   // resilient path branches far more than the plain one (timers, acks,
-  // failure notices), so the cap may truncate the space — every schedule
+  // nacks, relay frames), so the cap may truncate the space — every schedule
   // actually run must still be clean.
   CrashHarness h(Vpt({2, 2}), /*crash_rank=*/1, /*crash_stage=*/0);
   verify::ExploreConfig cfg;

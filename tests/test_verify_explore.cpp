@@ -234,10 +234,11 @@ TEST(VerifyExplore, ResilientModeLosesNoFramesUnderDrops) {
 
 TEST(VerifyExplore, BackToBackResilientExchangesNeverRetransmit) {
   // Two resilient exchanges per schedule, no injector. A rank that leaves the
-  // first exchange's epilogue early posts second-exchange frames under the
-  // same fixed tags while slower peers still drain the first. Were those
-  // frames discarded there, the logical clock would run into the retransmit
-  // timeout; on a clean transport nothing may ever be retransmitted.
+  // first exchange's epilogue early posts second-exchange frames while
+  // slower peers still drain the first; they wait under the second
+  // exchange's own tags. Were they discarded there, the logical clock would
+  // run into the retransmit timeout; on a clean transport nothing may ever
+  // be retransmitted.
   const Vpt vpt({2, 2});
   const Rank K = vpt.size();
   const auto sends = two_message_sendsets(K);

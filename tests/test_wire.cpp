@@ -148,7 +148,7 @@ TEST(Frame, RoundTripPreservesHeaderAndBody) {
   FrameHeader h;
   h.kind = FrameKind::kData;
   h.stage = 3;
-  h.epoch = 17;
+  h.member_epoch = 17;
   h.seq = 12345;
   h.sender = 42;
   const auto wire = encode_frame(h, body);
@@ -158,7 +158,7 @@ TEST(Frame, RoundTripPreservesHeaderAndBody) {
   ASSERT_TRUE(dec.has_value());
   EXPECT_EQ(dec->header.kind, FrameKind::kData);
   EXPECT_EQ(dec->header.stage, 3);
-  EXPECT_EQ(dec->header.epoch, 17u);
+  EXPECT_EQ(dec->header.member_epoch, 17u);
   EXPECT_EQ(dec->header.seq, 12345u);
   EXPECT_EQ(dec->header.sender, 42);
   EXPECT_EQ(dec->header.body_len, 5u);
@@ -192,7 +192,7 @@ TEST(Frame, DetectsTruncationAnywhere) {
 TEST(Frame, DetectsSingleBitCorruptionAnywhere) {
   FrameHeader h;
   h.kind = FrameKind::kDirect;
-  h.epoch = 3;
+  h.member_epoch = 3;
   h.seq = 7;
   h.sender = 5;
   // Lengths on both sides of the digest's word (8) and lane-block (32)
@@ -222,10 +222,13 @@ TEST(Frame, RejectsWrongMagicAndBadKind) {
   bad_magic[0] = std::byte{0};
   EXPECT_FALSE(decode_frame(bad_magic).has_value());
   // Kind lives at offset 4; an out-of-range value must be rejected even if
-  // someone recomputed the checksum over it.
-  FrameHeader weird = h;
-  weird.kind = static_cast<FrameKind>(99);
-  EXPECT_FALSE(decode_frame(encode_frame(weird, {})).has_value());
+  // someone recomputed the checksum over it. 6 was the retired failure
+  // notice's kind.
+  for (const int kind : {0, 6, 99}) {
+    FrameHeader weird = h;
+    weird.kind = static_cast<FrameKind>(kind);
+    EXPECT_FALSE(decode_frame(encode_frame(weird, {})).has_value()) << "kind " << kind;
+  }
 }
 
 TEST(Frame, ChecksumCoversHeaderNotJustBody) {
@@ -240,8 +243,8 @@ TEST(Frame, ChecksumCoversHeaderNotJustBody) {
   b.seq = 2;
   const auto wa = encode_frame(a, body);
   const auto wb = encode_frame(b, body);
-  const std::span<const std::byte> ca(wa.data() + 28, 8);
-  const std::span<const std::byte> cb(wb.data() + 28, 8);
+  const std::span<const std::byte> ca(wa.data() + 24, 8);
+  const std::span<const std::byte> cb(wb.data() + 24, 8);
   EXPECT_FALSE(std::equal(ca.begin(), ca.end(), cb.begin(), cb.end()));
 }
 
@@ -250,7 +253,6 @@ TEST(Frame, MemberEpochRoundTripsAndIsChecksummed) {
   FrameHeader h;
   h.kind = FrameKind::kRelay;
   h.stage = 1;
-  h.epoch = 4;
   h.member_epoch = 6;
   h.seq = 11;
   h.sender = 2;
@@ -265,45 +267,9 @@ TEST(Frame, MemberEpochRoundTripsAndIsChecksummed) {
   FrameHeader h2 = h;
   h2.member_epoch = 7;
   const auto wire2 = encode_frame(h2, body);
-  const std::span<const std::byte> ca(wire.data() + 28, 8);
-  const std::span<const std::byte> cb(wire2.data() + 28, 8);
+  const std::span<const std::byte> ca(wire.data() + 24, 8);
+  const std::span<const std::byte> cb(wire2.data() + 24, 8);
   EXPECT_FALSE(std::equal(ca.begin(), ca.end(), cb.begin(), cb.end()));
-}
-
-TEST(FailureNoticeCodec, RoundTripsDeadList) {
-  const std::vector<std::int32_t> dead{3, 7, 11};
-  const auto body = encode_failure_notice(42, dead);
-  const auto notice = decode_failure_notice(body);
-  ASSERT_TRUE(notice.has_value());
-  EXPECT_EQ(notice->membership_epoch, 42u);
-  EXPECT_EQ(notice->dead, dead);
-
-  const auto empty = decode_failure_notice(encode_failure_notice(1, {}));
-  ASSERT_TRUE(empty.has_value());
-  EXPECT_EQ(empty->membership_epoch, 1u);
-  EXPECT_TRUE(empty->dead.empty());
-}
-
-TEST(FailureNoticeCodec, RejectsTruncationAndTrailingGarbage) {
-  const std::vector<std::int32_t> dead{0, 2};
-  const auto body = encode_failure_notice(5, dead);
-  for (std::size_t len = 0; len < body.size(); ++len) {
-    const std::span<const std::byte> prefix(body.data(), len);
-    EXPECT_FALSE(decode_failure_notice(prefix).has_value())
-        << "accepted a " << len << "-byte prefix";
-  }
-  auto padded = body;
-  padded.push_back(std::byte{0});
-  EXPECT_FALSE(decode_failure_notice(padded).has_value());
-}
-
-TEST(FailureNoticeCodec, RejectsOverstatedDeadCount) {
-  // A notice claiming more dead ranks than the bytes it carries must be
-  // dropped, not read past the end.
-  auto body = encode_failure_notice(3, std::vector<std::int32_t>{1});
-  body[4] = std::byte{0xff};  // dead_count lives at offset 4
-  body[5] = std::byte{0xff};
-  EXPECT_FALSE(decode_failure_notice(body).has_value());
 }
 
 TEST(Frame, DigestIsStable) {

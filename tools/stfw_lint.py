@@ -89,9 +89,8 @@ RULES = {
     ),
     "l7-epoch-check": (
         "decode_frame() on a recovery path with no epoch comparison",
-        "compare frame.header.member_epoch (or the notice's membership_epoch) "
-        "against the current membership epoch — nack or ignore stale frames — "
-        "before consuming the frame",
+        "compare frame.header.member_epoch against the current membership "
+        "epoch — nack or ignore stale frames — before consuming the frame",
     ),
     "suppression": (
         "malformed suppression comment",
