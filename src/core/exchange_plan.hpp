@@ -9,35 +9,24 @@
 #include "vpt.hpp"
 
 /// \file exchange_plan.hpp
-/// Frozen layout of one store-and-forward exchange.
-///
-/// The paper's flagship workload (iterative SpMV, §5) performs the *same*
-/// exchange every iteration: identical send pattern, identical VPT, only the
-/// payload bytes change. Deriving the dimension-order routes, the per-stage
-/// coalesced frame layouts, and all intermediate Submessage bookkeeping from
-/// scratch each time is pure overhead — the store-and-forward analogue of
-/// MPI persistent collectives is to record the schedule once and replay it.
-///
-/// ExchangePlanLayout is that record, from one rank's point of view:
-///
-///   - for every stage, the exact wire frames this rank sends (a prebuilt
-///     wire image with payload gaps plus an offset table saying which bytes
-///     fill each gap), and
-///   - the exact frames it receives (source, size, and where inside the raw
-///     frame every forwarded payload sits), and
-///   - the delivery list (which seed payload / which received-frame slice
-///     becomes each InboundMessage).
-///
-/// Replaying a plan therefore needs no StfwRankState, no PayloadArena, no
-/// per-submessage vectors — only memcpys through the offset tables. The
-/// layout is pure data (core has no runtime dependency); the executor lives
-/// in runtime::StfwCommunicator.
+/// Frozen layout of one store-and-forward exchange. Iterative SpMV (§5)
+/// repeats the same send pattern every iteration, so — as MPI persistent
+/// collectives do — the routes and frame layouts are recorded once and
+/// replayed. ExchangePlanLayout is that record, one rank's view, in a few
+/// flat tables: every frame this rank sends (a range of the submessage table
+/// `out_subs`, whose headers the replay writes onto the wire, and of the
+/// parallel `out_srcs`, naming each payload's bytes), every frame it
+/// receives (source, wire size, a range of `in_subs`), and the delivery
+/// list. Frames are PODs, so recording one allocates nothing of its own, and
+/// a replay needs no StfwRankState, no PayloadArena — only header writes and
+/// payload memcpys. The executor lives in runtime::StfwCommunicator.
 
 namespace stfw::core {
 
-/// Where the bytes of one planned payload slot come from at replay time:
-/// either the caller's seed payload number `index`, or `bytes` bytes at
-/// `offset` inside inbound raw frame `frame` of stage `stage`.
+/// Where the bytes of one planned payload come from at replay time: either
+/// the caller's seed payload number `index`, or `bytes` bytes at `offset`
+/// inside inbound frame `frame` of stage `stage`. Empty submessages carry a
+/// default PayloadSrc, through which no byte is read.
 struct PayloadSrc {
   enum class Kind : std::uint8_t { kSeed, kRecv };
   Kind kind = Kind::kSeed;
@@ -50,26 +39,24 @@ struct PayloadSrc {
   friend bool operator==(const PayloadSrc&, const PayloadSrc&) = default;
 };
 
-/// One outgoing coalesced frame: the complete wire image with every payload
-/// gap zeroed, and parallel offset/source tables for filling the gaps.
-/// Zero-size payloads need no slot; `subs` keeps the full headers (offsets
-/// meaningless) for the debug validator.
+/// One outgoing coalesced frame: its submessages are
+/// `out_subs[first, first + count)`, their sources the same range of
+/// `out_srcs`, and `payload_bytes` the sum of their sizes.
 struct PlanOutFrame {
   Rank to = -1;
-  std::vector<std::byte> image;
-  std::vector<std::uint32_t> slot_offsets;  // image offset of each payload gap
-  std::vector<PayloadSrc> slots;            // what fills each gap
-  std::vector<Submessage> subs;
+  std::uint32_t first = 0;
+  std::uint32_t count = 0;
   std::uint64_t payload_bytes = 0;
 };
 
-/// One expected incoming frame: who sends it, how big it must be, and the
-/// decoded headers with Submessage::offset repurposed as the payload's byte
-/// offset *within the frame* (so replay never copies into an arena).
+/// One expected incoming frame: who sends it, how big it must be, and its
+/// submessages `in_subs[first, first + count)`, whose Submessage::offset is
+/// the payload's byte offset *within the frame*.
 struct PlanInFrame {
   Rank source = -1;
   std::uint64_t wire_size = 0;
-  std::vector<Submessage> subs;
+  std::uint32_t first = 0;
+  std::uint32_t count = 0;
 };
 
 /// One delivery: the InboundMessage's source rank and where its bytes live.
@@ -81,78 +68,116 @@ struct PlanDelivery {
 /// The complete frozen exchange, one rank's view. Immutable once built.
 struct ExchangePlanLayout {
   /// The recorded send pattern: the caller's (dest, size) sequence, in send
-  /// order. A replay needs exactly this sequence, since payload slots are
+  /// order. A replay needs exactly this sequence, since payload sources are
   /// positional.
   std::vector<std::pair<Rank, std::uint32_t>> pattern;
-  std::vector<int> vpt_dims;
   Rank rank = -1;
 
-  std::vector<std::vector<PlanOutFrame>> out_frames;  // [stage][frame]
-  std::vector<std::vector<PlanInFrame>> in_frames;    // [stage][frame]
-  std::vector<PlanDelivery> deliveries;               // sorted by source
+  /// Frames in stage order: stage s owns out_frames[out_stage_begin[s],
+  /// out_stage_begin[s + 1]), likewise in_frames; dim() + 1 begins each.
+  std::vector<PlanOutFrame> out_frames;
+  std::vector<std::uint32_t> out_stage_begin;
+  std::vector<Submessage> out_subs;
+  std::vector<PayloadSrc> out_srcs;  // parallel to out_subs
+  std::vector<PlanInFrame> in_frames;  // drain (ascending-source) order
+  std::vector<std::uint32_t> in_stage_begin;
+  std::vector<Submessage> in_subs;
+  std::vector<PlanDelivery> deliveries;  // sorted by source
 
-  /// Forward-buffer residency after each stage, frozen for the validator's
-  /// on_stage_complete hook.
-  std::vector<std::uint64_t> stage_buffered_bytes;
-  std::vector<std::uint64_t> stage_buffered_subs;
+  /// Forward-buffer residency (bytes, submessages) after each stage, frozen
+  /// for the validator's on_stage_complete hook.
+  std::vector<std::pair<std::uint64_t, std::uint64_t>> stage_buffered;
 
-  /// Frozen per-exchange stats (identical every replay by construction).
-  std::int64_t messages_sent = 0;
-  std::int64_t messages_received = 0;
-  std::uint64_t payload_bytes_sent = 0;
-  std::uint64_t wire_bytes_sent = 0;
-  std::uint64_t seed_payload_bytes = 0;
-  std::uint64_t delivered_payload_bytes = 0;
-  std::uint64_t transit_peak_bytes = 0;
+  /// The paper's buffer metric (§6.2): seed plus delivered payload bytes
+  /// plus the forward-buffer peak, identical every replay by construction.
+  std::uint64_t peak_buffer_bytes = 0;
 
-  int dim() const noexcept { return static_cast<int>(vpt_dims.size()); }
-  std::uint64_t peak_buffer_bytes() const noexcept {
-    return seed_payload_bytes + delivered_payload_bytes + transit_peak_bytes;
+  int dim() const noexcept {
+    return out_stage_begin.empty() ? 0 : static_cast<int>(out_stage_begin.size()) - 1;
+  }
+
+  // Views of an audited layout (validate_plan_layout).
+  std::span<const PlanOutFrame> out_stage(int s) const {
+    return stage_of(out_frames, out_stage_begin, s);
+  }
+  std::span<const PlanInFrame> in_stage(int s) const {
+    return stage_of(in_frames, in_stage_begin, s);
+  }
+  std::span<const Submessage> subs_of(const PlanOutFrame& f) const { return range(out_subs, f); }
+  std::span<const PayloadSrc> srcs_of(const PlanOutFrame& f) const { return range(out_srcs, f); }
+  std::span<const Submessage> subs_of(const PlanInFrame& f) const { return range(in_subs, f); }
+  /// in_frames position of the frame a kRecv source reads.
+  std::size_t in_frame_of(const PayloadSrc& src) const {
+    return in_stage_begin[src.stage] + std::size_t{src.frame};
+  }
+
+private:
+  template <class T, class F>
+  static std::span<const T> range(const std::vector<T>& table, const F& f) {
+    return std::span(table).subspan(f.first, f.count);
+  }
+  template <class T>
+  static std::span<const T> stage_of(const std::vector<T>& frames,
+                                     const std::vector<std::uint32_t>& begin, int s) {
+    const auto i = static_cast<std::size_t>(s);
+    return std::span(frames).subspan(begin[i], begin[i + 1] - begin[i]);
   }
 };
 
-/// Builds an ExchangePlanLayout from a stream of per-stage events, fed by
-/// the recording Algorithm 1 run of a plan-cache miss in
-/// StfwCommunicator::exchange().
+/// Builds an ExchangePlanLayout from the recording Algorithm 1 run of a
+/// plan-cache miss in StfwCommunicator::exchange(), in stage order: a
+/// stage's sends and receives, then its on_stage_complete. Every Submessage
+/// handed in carries its payload's offset in the run's append-only
+/// PayloadArena; the recorder maps each nonempty payload's offset to where a
+/// replay finds the same bytes.
 class PlanRecorder {
 public:
-  PlanRecorder(const Vpt& vpt, Rank me,
-               std::span<const std::pair<Rank, std::uint32_t>> pattern);
+  /// `seeds` is a capacity hint: the number of on_seed calls to come.
+  PlanRecorder(const Vpt& vpt, Rank me, std::size_t seeds);
 
-  /// Record one outgoing stage frame. `srcs[k]` is the provenance of
-  /// `subs[k]`'s payload (entries for zero-size submessages are ignored).
-  void on_stage_send(int stage, Rank to, std::span<const Submessage> subs,
-                     std::span<const PayloadSrc> srcs);
+  /// Record the caller's next send, whose payload sits at `arena_offset`.
+  void on_seed(Rank dest, std::uint64_t arena_offset, std::uint32_t bytes);
 
-  /// Record one incoming stage frame (frames are appended in drain order).
-  /// Returns the recorded frame; its subs carry the in-frame payload offsets
-  /// the caller needs to register provenance for forwarded bytes.
-  const PlanInFrame& on_stage_recv(int stage, Rank source,
-                                   std::span<const Submessage> subs);
+  /// Record one outgoing frame of the current stage. Throws
+  /// ValidationError ("plan-layout") when a nonempty payload's arena offset
+  /// was never recorded as a seed or a received payload.
+  void on_stage_send(int stage, Rank to, std::span<const Submessage> subs);
 
-  /// Record forward-buffer residency at the end of `stage`.
+  /// Record one incoming frame of the current stage, in drain order; its
+  /// payloads become sources for later stages and deliveries.
+  void on_stage_recv(int stage, Rank source, std::span<const Submessage> subs);
+
+  /// Record forward-buffer residency at the end of `stage`, closing it.
   void on_stage_complete(int stage, std::uint64_t buffered_bytes,
                          std::uint64_t buffered_subs);
 
-  /// Finish with the delivery list (already sorted by source) and each
-  /// delivery's provenance. Invalidates the recorder.
+  /// Finish, after every stage completed, with the delivery list (already
+  /// sorted by source) and the run's buffer metric. Invalidates the recorder.
   ExchangePlanLayout finish(std::span<const Submessage> delivered,
-                            std::span<const PayloadSrc> delivered_srcs);
+                            std::uint64_t peak_buffer_bytes);
 
 private:
+  void note(std::uint64_t arena_offset, const PayloadSrc& src);
+  PayloadSrc source_of(const Submessage& s) const;
+
   ExchangePlanLayout layout_;
+  int stage_ = 0;  // the stage being recorded
+  // (arena offset, source) of every nonempty payload, ascending by offset:
+  // the arena only grows, so appends arrive in order.
+  std::vector<std::pair<std::uint64_t, PayloadSrc>> provenance_;
 };
 
 /// Structural audit of a frozen layout, throwing core::ValidationError
-/// ("plan-layout") on the first inconsistency. The zero-copy gather path
-/// trusts the slot tables blindly on every replay — a mutated or corrupted
-/// layout must be rejected here, before a single byte is read from caller
-/// buffers, never discovered as an out-of-bounds memcpy. Checks: slot
-/// offset/source tables agree in size; payload slots are ordered,
-/// non-overlapping and inside their frame image; every seed reference is in
-/// pattern range with the pattern's size; every recv reference points at a
-/// recorded inbound frame and stays inside its wire size (deliveries
-/// included); inbound submessage offsets stay inside their frame.
+/// ("plan-layout") on the first inconsistency. The gather trusts the tables
+/// on every replay — it sizes each frame buffer from `payload_bytes` — so a
+/// corrupt layout must die here, never as an out-of-bounds memcpy. Checks:
+/// the stage begin tables agree on dim() and cover their frame tables
+/// contiguously; out_srcs matches out_subs in size; frame ranges tile their
+/// submessage table in order; each source's size is its submessage's; each
+/// payload_bytes is its frame's sum; each inbound wire_size is
+/// 4 + Σ(12 + size), with every payload offset where that puts it; seed
+/// references match the pattern; recv references name a recorded frame of
+/// an earlier stage (any stage, for deliveries) and stay inside it.
 void validate_plan_layout(const ExchangePlanLayout& layout);
 
 }  // namespace stfw::core

@@ -26,28 +26,29 @@ T get(std::span<const std::byte> in, std::size_t& pos) {
   return v;
 }
 
-}  // namespace
-
-std::vector<std::byte> serialize(const StageMessage& msg, const PayloadArena& arena) {
-  std::vector<std::byte> out;
-  out.reserve(wire_size_bytes(msg.subs.size(), msg.payload_bytes()));
-  put<std::uint32_t>(out, static_cast<std::uint32_t>(msg.subs.size()));
+// The plain and the tracked formats differ only in the tracked one's u32 id
+// between dest and len.
+std::vector<std::byte> serialize_as(const StageMessage& msg, const PayloadArena& arena,
+                                    bool tracked) {
+  std::vector<std::byte> out(wire_size_bytes(msg.subs.size(), msg.payload_bytes()) +
+                             (tracked ? 4 * msg.subs.size() : 0));
+  std::byte* pos = write_count(out.data(), static_cast<std::uint32_t>(msg.subs.size()));
   for (const Submessage& s : msg.subs) {
-    put<std::int32_t>(out, s.source);
-    put<std::int32_t>(out, s.dest);
-    put<std::uint32_t>(out, s.size_bytes);
-    const auto payload = arena.view(s);
-    out.insert(out.end(), payload.begin(), payload.end());
+    pos = write_sub_header(pos, s, tracked);
+    if (s.size_bytes > 0) std::memcpy(pos, arena.view(s).data(), s.size_bytes);
+    pos += s.size_bytes;
   }
   return out;
 }
 
-std::vector<Submessage> deserialize(std::span<const std::byte> wire, PayloadArena& arena) {
+std::vector<Submessage> deserialize_as(std::span<const std::byte> wire, PayloadArena& arena,
+                                       bool tracked) {
   std::size_t pos = 0;
   const auto count = get<std::uint32_t>(wire, pos);
-  // Every submessage needs at least its 12-byte header; checking before the
-  // reserve keeps a corrupt count from demanding gigabytes up front.
-  require(static_cast<std::uint64_t>(count) * 12 <= wire.size() - pos,
+  // Every submessage needs at least its header; checking before the reserve
+  // keeps a corrupt count from demanding gigabytes up front.
+  require(static_cast<std::uint64_t>(count) * (kSubHeaderBytes + (tracked ? 4 : 0)) <=
+              wire.size() - pos,
           "deserialize: submessage count exceeds buffer");
   std::vector<Submessage> subs;
   subs.reserve(count);
@@ -55,6 +56,7 @@ std::vector<Submessage> deserialize(std::span<const std::byte> wire, PayloadAren
     Submessage s;
     s.source = get<std::int32_t>(wire, pos);
     s.dest = get<std::int32_t>(wire, pos);
+    if (tracked) s.id = get<std::uint32_t>(wire, pos);
     s.size_bytes = get<std::uint32_t>(wire, pos);
     require(pos + s.size_bytes <= wire.size(), "deserialize: truncated payload");
     s.offset = arena.add(std::span<const std::byte>(wire.data() + pos, s.size_bytes));
@@ -65,43 +67,23 @@ std::vector<Submessage> deserialize(std::span<const std::byte> wire, PayloadAren
   return subs;
 }
 
+}  // namespace
+
+std::vector<std::byte> serialize(const StageMessage& msg, const PayloadArena& arena) {
+  return serialize_as(msg, arena, false);
+}
+
+std::vector<Submessage> deserialize(std::span<const std::byte> wire, PayloadArena& arena) {
+  return deserialize_as(wire, arena, false);
+}
+
 std::vector<std::byte> serialize_tracked(const StageMessage& msg, const PayloadArena& arena) {
-  std::vector<std::byte> out;
-  out.reserve(wire_size_bytes(msg.subs.size(), msg.payload_bytes()) + 4 * msg.subs.size());
-  put<std::uint32_t>(out, static_cast<std::uint32_t>(msg.subs.size()));
-  for (const Submessage& s : msg.subs) {
-    put<std::int32_t>(out, s.source);
-    put<std::int32_t>(out, s.dest);
-    put<std::uint32_t>(out, s.id);
-    put<std::uint32_t>(out, s.size_bytes);
-    const auto payload = arena.view(s);
-    out.insert(out.end(), payload.begin(), payload.end());
-  }
-  return out;
+  return serialize_as(msg, arena, true);
 }
 
 std::vector<Submessage> deserialize_tracked(std::span<const std::byte> wire,
                                             PayloadArena& arena) {
-  std::size_t pos = 0;
-  const auto count = get<std::uint32_t>(wire, pos);
-  // As above, but the tracked format carries a 16-byte per-sub header.
-  require(static_cast<std::uint64_t>(count) * 16 <= wire.size() - pos,
-          "deserialize: submessage count exceeds buffer");
-  std::vector<Submessage> subs;
-  subs.reserve(count);
-  for (std::uint32_t i = 0; i < count; ++i) {
-    Submessage s;
-    s.source = get<std::int32_t>(wire, pos);
-    s.dest = get<std::int32_t>(wire, pos);
-    s.id = get<std::uint32_t>(wire, pos);
-    s.size_bytes = get<std::uint32_t>(wire, pos);
-    require(pos + s.size_bytes <= wire.size(), "deserialize: truncated payload");
-    s.offset = arena.add(std::span<const std::byte>(wire.data() + pos, s.size_bytes));
-    pos += s.size_bytes;
-    subs.push_back(s);
-  }
-  require(pos == wire.size(), "deserialize: trailing bytes");
-  return subs;
+  return deserialize_as(wire, arena, true);
 }
 
 std::uint64_t digest64(std::span<const std::byte> bytes, std::uint64_t seed) noexcept {

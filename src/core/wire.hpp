@@ -2,6 +2,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <cstring>
 #include <optional>
 #include <span>
 #include <vector>
@@ -26,10 +27,32 @@
 
 namespace stfw::core {
 
+/// Bytes of the u32 count that opens a stage message and of each
+/// submessage header {i32 source, i32 dest, u32 len}.
+inline constexpr std::uint64_t kCountBytes = 4;
+inline constexpr std::uint64_t kSubHeaderBytes = 12;
+
 /// Bytes the wire format needs for a stage message with `count` submessages
 /// totalling `payload_bytes` of payload.
 constexpr std::uint64_t wire_size_bytes(std::uint64_t count, std::uint64_t payload_bytes) {
-  return 4 + count * 12 + payload_bytes;
+  return kCountBytes + count * kSubHeaderBytes + payload_bytes;
+}
+
+/// The one writer of the stage-message framing, shared by both serializers
+/// and the plan replay's gather. Each writes at `out` and returns the
+/// position past what it wrote; a submessage's payload follows its header,
+/// which in the `tracked` format (below) carries the id before the length.
+inline std::byte* write_count(std::byte* out, std::uint32_t count) noexcept {
+  std::memcpy(out, &count, kCountBytes);
+  return out + kCountBytes;
+}
+inline std::byte* write_sub_header(std::byte* out, const Submessage& s,
+                                   bool tracked = false) noexcept {
+  std::memcpy(out, &s.source, 4);
+  std::memcpy(out + 4, &s.dest, 4);
+  if (tracked) std::memcpy(out + 8, &s.id, 4);
+  std::memcpy(out + (tracked ? 12 : 8), &s.size_bytes, 4);
+  return out + kSubHeaderBytes + (tracked ? 4 : 0);
 }
 
 /// Serialize `msg`, pulling payload bytes from `arena`.

@@ -602,6 +602,7 @@ std::vector<Message> Cluster::drain(int me, int tag) {
   {
     MutexLock lock(mb.mu);
     STFW_VERIFY_WRITE(&mb.queue, "Cluster::drain sweep");
+    out.reserve(static_cast<std::size_t>(std::ranges::count(mb.queue, tag, &Message::tag)));
     auto it = mb.queue.begin();
     while (it != mb.queue.end()) {
       if (it->tag == tag) {

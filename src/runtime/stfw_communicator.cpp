@@ -1,9 +1,9 @@
 #include "stfw_communicator.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cstring>
 #include <optional>
-#include <unordered_map>
 #include <utility>
 
 #include "core/env.hpp"
@@ -44,78 +44,72 @@ fault::FaultInjector* reliable_injector(const runtime::Comm& comm) {
   return injector;
 }
 
-// in_raw[stage][frame]: the inbound frames a plan replay parked.
-using ParkedFrames = std::vector<std::vector<std::vector<std::byte>>>;
+// The inbound frames a plan replay parked, by global in-frame number.
+using ParkedFrames = std::vector<std::vector<std::byte>>;
 
 // The bytes a frozen PayloadSrc names: one of the caller's seed payloads or
 // a slice of a parked inbound frame.
 std::span<const std::byte> payload_of(const core::PayloadSrc& src,
-                                      std::span<const std::span<const std::byte>> seeds,
+                                      std::span<const OutboundMessage> seeds,
+                                      const core::ExchangePlanLayout& layout,
                                       const ParkedFrames& in_raw) {
   if (src.bytes == 0) return {};
   const std::byte* from = src.kind == core::PayloadSrc::Kind::kSeed
-                              ? seeds[src.index].data()
-                              : in_raw[src.stage][src.frame].data() + src.offset;
+                              ? seeds[src.index].bytes.data()
+                              : in_raw[layout.in_frame_of(src)].data() + src.offset;
   return {from, src.bytes};
 }
 
-// True when a received wire frame has exactly the submessage headers the
-// plan expects at the planned offsets.
-bool frame_headers_match(std::span<const std::byte> raw, const core::PlanInFrame& f) {
-  if (raw.size() != f.wire_size || raw.size() < 4) return false;
-  std::uint32_t count = 0;
-  std::memcpy(&count, raw.data(), 4);
-  if (count != f.subs.size()) return false;
-  for (const Submessage& s : f.subs) {
-    const std::byte* h = raw.data() + s.offset - 12;
-    std::int32_t source = -1;
-    std::int32_t dest = -1;
-    std::uint32_t len = 0;
-    std::memcpy(&source, h, 4);
-    std::memcpy(&dest, h + 4, 4);
-    std::memcpy(&len, h + 8, 4);
-    if (source != s.source || dest != s.dest || len != s.size_bytes) return false;
-  }
-  return true;
-}
-
 // True when one stage's inbound frames (ascending source) are the frozen
-// roster: each expected frame from its planned source with its planned
-// headers, and nothing else. A missing or extra frame means a peer's
-// pattern drifted since the plan was recorded.
+// roster: each expected frame from its planned source, of its planned size,
+// with its planned submessage headers, and nothing else. A missing or extra
+// frame means a peer's pattern drifted since the plan was recorded. The
+// audited layout puts every header inside wire_size, so the comparison
+// stays inside a frame of that size.
 bool roster_matches(std::span<const runtime::Message> msgs,
+                    const core::ExchangePlanLayout& layout,
                     std::span<const core::PlanInFrame> expected) {
   if (msgs.size() != expected.size()) return false;
-  for (std::size_t i = 0; i < msgs.size(); ++i)
+  std::array<std::byte, core::kSubHeaderBytes> want{};
+  for (std::size_t i = 0; i < msgs.size(); ++i) {
+    const std::vector<std::byte>& raw = msgs[i].data;
+    std::uint32_t count = 0;
     if (msgs[i].source != static_cast<int>(expected[i].source) ||
-        !frame_headers_match(msgs[i].data, expected[i]))
+        raw.size() != expected[i].wire_size || raw.size() < core::kCountBytes)
       return false;
+    std::memcpy(&count, raw.data(), sizeof count);
+    if (count != expected[i].count) return false;
+    for (const Submessage& s : layout.subs_of(expected[i])) {
+      core::write_sub_header(want.data(), s);
+      if (std::memcmp(raw.data() + s.offset - want.size(), want.data(), want.size()) != 0)
+        return false;
+    }
+  }
   return true;
 }
 
 // Scatter/gather assembly of one planned frame into a fresh wire buffer:
-// template segments of the frozen image (the submessage headers between the
-// payload gaps) are interleaved with payload memcpys straight from the seed
-// views / parked inbound frames. Every byte of the buffer is written exactly
-// once — no image pre-copy, no double-written payload bytes. Slot offsets
-// were audited by validate_plan_layout when the plan was cached, so the
-// arithmetic here can trust them.
-std::vector<std::byte> gather_planned_frame(const core::PlanOutFrame& frame,
-                                            std::span<const std::span<const std::byte>> seeds,
+// the count and each submessage header are written from the frozen
+// submessage table (core::write_sub_header, the writer serialize uses),
+// each followed by a payload memcpy straight from the caller's sends or the
+// parked inbound frames. Every byte of the buffer is written exactly once. The
+// tables were audited by validate_plan_layout when the plan was cached —
+// payload_bytes is the sum of the frame's sizes, and each source holds as
+// many bytes as its submessage — so the buffer holds every write.
+std::vector<std::byte> gather_planned_frame(const core::ExchangePlanLayout& layout,
+                                            const core::PlanOutFrame& frame,
+                                            std::span<const OutboundMessage> seeds,
                                             const ParkedFrames& in_raw) {
-  std::vector<std::byte> wire(frame.image.size());
-  const std::byte* img = frame.image.data();
-  std::byte* out = wire.data();
-  std::size_t cursor = 0;
-  for (std::size_t i = 0; i < frame.slots.size(); ++i) {
-    const core::PayloadSrc& src = frame.slots[i];
-    const std::size_t off = frame.slot_offsets[i];
-    if (off > cursor) std::memcpy(out + cursor, img + cursor, off - cursor);
-    std::memcpy(out + off, payload_of(src, seeds, in_raw).data(), src.bytes);
-    cursor = off + src.bytes;
+  std::vector<std::byte> wire(core::wire_size_bytes(frame.count, frame.payload_bytes));
+  std::byte* pos = core::write_count(wire.data(), frame.count);
+  const core::PayloadSrc* src = layout.srcs_of(frame).data();
+  for (const Submessage& s : layout.subs_of(frame)) {
+    pos = core::write_sub_header(pos, s);
+    if (s.size_bytes > 0)
+      std::memcpy(pos, payload_of(*src, seeds, layout, in_raw).data(), s.size_bytes);
+    pos += s.size_bytes;
+    ++src;
   }
-  if (cursor < frame.image.size())
-    std::memcpy(out + cursor, img + cursor, frame.image.size() - cursor);
   return wire;
 }
 
@@ -125,13 +119,6 @@ bool same_pattern(std::span<const std::pair<core::Rank, std::uint32_t>> pattern,
   return std::ranges::equal(pattern, sends, [](const auto& p, const OutboundMessage& s) {
     return p.first == s.dest && p.second == s.bytes.size();
   });
-}
-
-std::vector<std::span<const std::byte>> seed_views_of(std::span<const OutboundMessage> sends) {
-  std::vector<std::span<const std::byte>> views;
-  views.reserve(sends.size());
-  for (const OutboundMessage& s : sends) views.emplace_back(s.bytes);
-  return views;
 }
 
 }  // namespace
@@ -188,14 +175,10 @@ public:
       stats_.wire_bytes_sent += wire.size();
       c_.comm_->send(static_cast<int>(to), tag, std::move(wire));
     });
-    // This rank's dimension-`stage` group, itself included, ascending:
-    // with_coord over ascending digit values yields ascending ranks.
-    group_.clear();
-    for (int v = 0; v < c_.vpt_.dim_size(stage); ++v)
-      group_.push_back(static_cast<int>(c_.vpt_.with_coord(me_, stage, v)));
-    c_.comm_->arrive(group_, tag);
+    const std::vector<int>& group = c_.stage_groups_[static_cast<std::size_t>(stage)];
+    c_.comm_->arrive(group, tag);
     if (stage == 0 && overlap_ != nullptr && *overlap_) (*overlap_)();
-    c_.comm_->await_arrival(group_, tag, deadline());
+    c_.comm_->await_arrival(group, tag, deadline());
     std::vector<runtime::Message> msgs = c_.comm_->drain(tag);
     stats_.messages_received += static_cast<std::int64_t>(msgs.size());
     return msgs;
@@ -226,34 +209,26 @@ private:
   // wraps. Neighbor dependencies keep each rank within a few exchanges of
   // its peers, so the wrap never reuses a tag still in flight.
   const int tag_base_;
-  std::vector<int> group_;
 };
 
 /// Algorithm 1's frame source: the rank's routing state and payload arena.
-/// A recording run also feeds a PlanRecorder, tracking per arena offset
-/// where each payload comes from at replay time (seed index or inbound-frame
-/// slice), so the finished layout replays the routing with plain memcpys.
+/// A recording run also feeds a PlanRecorder every seed, frame and delivery
+/// with its arena offsets; the recorder maps each offset to where the bytes
+/// come from at replay time (seed index or inbound-frame slice), so the
+/// finished layout replays the routing with plain memcpys.
 class StfwCommunicator::Algorithm1 {
 public:
   Algorithm1(StageDriver& drv, std::span<const OutboundMessage> sends, bool record)
       : drv_(drv), state_(drv.vpt(), drv.me()) {
-    std::vector<std::pair<core::Rank, std::uint32_t>> pattern;
-    for (std::size_t i = 0; i < sends.size(); ++i) {
-      const std::vector<std::byte>& bytes = sends[i].bytes;
-      const std::uint64_t off = arena_.add(bytes);
-      state_.add_send(sends[i].dest, off, static_cast<std::uint32_t>(bytes.size()));
-      if (record) {
-        pattern.emplace_back(sends[i].dest, static_cast<std::uint32_t>(bytes.size()));
-        if (!bytes.empty()) {
-          core::PayloadSrc src;
-          src.index = static_cast<std::uint32_t>(i);
-          src.bytes = static_cast<std::uint32_t>(bytes.size());
-          provenance_.insert_or_assign(off, src);
-        }
-      }
-      seed_bytes_ += bytes.size();
+    if (record) recorder_.emplace(drv.vpt(), drv.me(), sends.size());
+    outbox_.reserve(static_cast<std::size_t>(*std::ranges::max_element(drv.vpt().dim_sizes())));
+    for (const OutboundMessage& send : sends) {
+      const auto size = static_cast<std::uint32_t>(send.bytes.size());
+      const std::uint64_t off = arena_.add(send.bytes);
+      state_.add_send(send.dest, off, size);
+      if (recorder_) recorder_->on_seed(send.dest, off, size);
+      seed_bytes_ += size;
     }
-    if (record) recorder_.emplace(drv.vpt(), drv.me(), pattern);
   }
 
   /// Runs stages [first, n), then finishes the exchange.
@@ -263,7 +238,7 @@ public:
         outbox_.clear();
         state_.make_stage_outbox(stage, outbox_);
         for (const StageMessage& m : outbox_) {
-          if (recorder_) recorder_->on_stage_send(stage, m.to, m.subs, provenance(m.subs));
+          if (recorder_) recorder_->on_stage_send(stage, m.to, m.subs);
           post(m.to, m.subs, core::serialize(m, arena_), m.payload_bytes());
         }
       });
@@ -277,12 +252,14 @@ public:
   /// arrived at `stage`, and runs the rest. The replay already sent this
   /// stage's frames and those of every earlier one, all determined by this
   /// rank's own (unchanged) pattern, so the rebuilt outboxes are discarded.
-  void resume(int stage, const ParkedFrames& parked, std::span<const runtime::Message> arrived) {
+  void resume(int stage, const CachedPlan& plan, std::span<const runtime::Message> arrived) {
     for (int s = 0; s < stage; ++s) {
       outbox_.clear();
       state_.make_stage_outbox(s, outbox_);
-      for (const std::vector<std::byte>& raw : parked[static_cast<std::size_t>(s)])
-        state_.accept(s, core::deserialize(raw, arena_));
+      const auto si = static_cast<std::size_t>(s);
+      for (std::size_t f = plan.layout.in_stage_begin[si]; f < plan.layout.in_stage_begin[si + 1];
+           ++f)
+        state_.accept(s, core::deserialize(plan.in_raw[f], arena_));
       transit_peak_ = std::max(transit_peak_, state_.buffered_payload_bytes());
     }
     outbox_.clear();
@@ -304,38 +281,17 @@ public:
 
   /// The recorded layout (recording runs only).
   core::ExchangePlanLayout layout() {
-    return recorder_->finish(delivered_, provenance(delivered_));
+    return recorder_->finish(delivered_, drv_.stats().peak_buffer_bytes);
   }
 
 private:
-  std::span<const core::PayloadSrc> provenance(std::span<const Submessage> subs) {
-    srcs_.clear();
-    for (const Submessage& s : subs)
-      srcs_.push_back(s.size_bytes == 0 ? core::PayloadSrc{} : provenance_.at(s.offset));
-    return srcs_;
-  }
-
   void accept(int stage, std::span<const runtime::Message> msgs) {
-    std::uint16_t frame_index = 0;
     for (const runtime::Message& m : msgs) {
       const auto source = static_cast<core::Rank>(m.source);
       const std::vector<Submessage> subs = core::deserialize(m.data, arena_);
       if (drv_.validator) drv_.validator->on_stage_recv(stage, source, subs);
-      if (recorder_) {
-        const core::PlanInFrame& frame = recorder_->on_stage_recv(stage, source, subs);
-        for (std::size_t k = 0; k < subs.size(); ++k) {
-          if (subs[k].size_bytes == 0) continue;
-          core::PayloadSrc src;
-          src.kind = core::PayloadSrc::Kind::kRecv;
-          src.stage = static_cast<std::uint8_t>(stage);
-          src.frame = frame_index;
-          src.offset = static_cast<std::uint32_t>(frame.subs[k].offset);
-          src.bytes = subs[k].size_bytes;
-          provenance_.insert_or_assign(subs[k].offset, src);
-        }
-      }
+      if (recorder_) recorder_->on_stage_recv(stage, source, subs);
       state_.accept(stage, subs);
-      ++frame_index;
     }
     const std::uint64_t bytes = state_.buffered_payload_bytes();
     const std::uint64_t count = state_.buffered_submessage_count();
@@ -359,9 +315,7 @@ private:
   StfwRankState state_;
   PayloadArena arena_;
   std::optional<core::PlanRecorder> recorder_;
-  std::unordered_map<std::uint64_t, core::PayloadSrc> provenance_;
   std::vector<StageMessage> outbox_;
-  std::vector<core::PayloadSrc> srcs_;
   std::vector<Submessage> delivered_;
   std::uint64_t seed_bytes_ = 0;
   std::uint64_t transit_peak_ = 0;
@@ -385,6 +339,13 @@ StfwCommunicator::StfwCommunicator(runtime::Comm& comm, core::Vpt vpt)
           core::env_u64("STFW_EXCHANGE_DEADLINE_MS", kDefaultExchangeDeadlineMs))) {
   core::require(vpt_.size() == comm.size(),
                 "StfwCommunicator: VPT size must equal communicator size");
+  // Each stage's group, this rank included, ascending: with_coord over
+  // ascending digit values yields ascending ranks.
+  for (int d = 0; d < vpt_.dim(); ++d) {
+    std::vector<int>& group = stage_groups_.emplace_back();
+    for (int v = 0; v < vpt_.dim_size(d); ++v)
+      group.push_back(static_cast<int>(vpt_.with_coord(comm.rank(), d, v)));
+  }
 }
 
 std::vector<InboundMessage> StfwCommunicator::exchange(std::span<const OutboundMessage> sends) {
@@ -419,8 +380,6 @@ void StfwCommunicator::remember(core::ExchangePlanLayout layout) {
   core::validate_plan_layout(layout);
   CachedPlan plan{std::move(layout), {}, ++plan_cache_tick_};
   plan.in_raw.resize(plan.layout.in_frames.size());
-  for (std::size_t s = 0; s < plan.in_raw.size(); ++s)
-    plan.in_raw[s].resize(plan.layout.in_frames[s].size());
   if (plan_cache_.size() < kPlanCacheCapacity)
     plan_cache_.push_back(std::move(plan));
   else
@@ -432,15 +391,16 @@ std::vector<InboundMessage> StfwCommunicator::replay(StageDriver& drv, CachedPla
   plan.last_use = ++plan_cache_tick_;
   stats_.plan_hits = 1;
   const core::ExchangePlanLayout& layout = plan.layout;
-  const std::vector<std::span<const std::byte>> seeds = seed_views_of(sends);
   const int n = vpt_.dim();
   for (int stage = 0; stage < n; ++stage) {
     const auto si = static_cast<std::size_t>(stage);
     std::vector<runtime::Message> msgs = drv.step(stage, [&](auto&& post) {
-      for (const core::PlanOutFrame& f : layout.out_frames[si])
-        post(f.to, f.subs, gather_planned_frame(f, seeds, plan.in_raw), f.payload_bytes);
+      for (const core::PlanOutFrame& f : layout.out_stage(stage))
+        post(f.to, layout.subs_of(f), gather_planned_frame(layout, f, sends, plan.in_raw),
+             f.payload_bytes);
     });
-    if (!roster_matches(msgs, layout.in_frames[si])) {
+    const std::span<const core::PlanInFrame> expected = layout.in_stage(stage);
+    if (!roster_matches(msgs, layout, expected)) {
       // A peer's pattern drifted since the plan was recorded: carry on as
       // Algorithm 1 from this stage. Peers that missed the cache, hit it or
       // fell back at another stage all close each stage on the same group
@@ -448,26 +408,26 @@ std::vector<InboundMessage> StfwCommunicator::replay(StageDriver& drv, CachedPla
       // resume reads the parked frames, so the entry goes only after it.
       stats_.plan_fallbacks = 1;
       Algorithm1 alg(drv, sends, false);
-      alg.resume(stage, plan.in_raw, msgs);
+      alg.resume(stage, plan, msgs);
       plan_cache_.erase(plan_cache_.begin() + (&plan - plan_cache_.data()));
       return alg.inbox();
     }
     // Park the frames; the buffer each one displaces is freed.
     for (std::size_t fi = 0; fi < msgs.size(); ++fi) {
-      const core::PlanInFrame& expected = layout.in_frames[si][fi];
-      if (drv.validator) drv.validator->on_stage_recv(stage, expected.source, expected.subs);
-      plan.in_raw[si][fi] = std::move(msgs[fi].data);
+      if (drv.validator)
+        drv.validator->on_stage_recv(stage, expected[fi].source, layout.subs_of(expected[fi]));
+      plan.in_raw[layout.in_stage_begin[si] + fi] = std::move(msgs[fi].data);
     }
     if (drv.validator)
-      drv.validator->on_stage_complete(stage, layout.stage_buffered_bytes[si],
-                                       layout.stage_buffered_subs[si]);
+      drv.validator->on_stage_complete(stage, layout.stage_buffered[si].first,
+                                       layout.stage_buffered[si].second);
   }
 
-  stats_.peak_buffer_bytes = layout.peak_buffer_bytes();
+  stats_.peak_buffer_bytes = layout.peak_buffer_bytes;
   std::vector<InboundMessage> result;
   result.reserve(layout.deliveries.size());
   for (const core::PlanDelivery& d : layout.deliveries) {
-    const std::span<const std::byte> bytes = payload_of(d.src, seeds, plan.in_raw);
+    const std::span<const std::byte> bytes = payload_of(d.src, sends, layout, plan.in_raw);
     result.push_back(InboundMessage{d.source, {bytes.begin(), bytes.end()}});
   }
   if (drv.validator) {
@@ -475,14 +435,9 @@ std::vector<InboundMessage> StfwCommunicator::replay(StageDriver& drv, CachedPla
     PayloadArena arena;
     std::vector<Submessage> delivered;
     delivered.reserve(result.size());
-    for (const InboundMessage& m : result) {
-      Submessage s;
-      s.source = m.source;
-      s.dest = drv.me();
-      s.size_bytes = static_cast<std::uint32_t>(m.bytes.size());
-      s.offset = arena.add(m.bytes);
-      delivered.push_back(s);
-    }
+    for (const InboundMessage& m : result)
+      delivered.push_back(Submessage{m.source, drv.me(), arena.add(m.bytes),
+                                     static_cast<std::uint32_t>(m.bytes.size())});
     drv.finish(delivered, arena);
   }
   return result;

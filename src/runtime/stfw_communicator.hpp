@@ -259,10 +259,10 @@ private:
   /// them instead of rebuilding a StfwRankState and a PayloadArena.
   struct CachedPlan {
     core::ExchangePlanLayout layout;
-    // in_raw[stage][frame]: the raw wire bytes received in the most recent
-    // replay. Buffers arrive by ownership transfer from Comm; the buffer a
-    // new frame displaces is freed.
-    std::vector<std::vector<std::vector<std::byte>>> in_raw;
+    // in_raw[f]: the raw wire bytes of layout.in_frames[f] received in the
+    // most recent replay. Buffers arrive by ownership transfer from Comm; the
+    // buffer a new frame displaces is freed.
+    std::vector<std::vector<std::byte>> in_raw;
     std::uint64_t last_use = 0;
   };
 
@@ -284,6 +284,9 @@ private:
   bool validate_;
   std::chrono::milliseconds exchange_deadline_;
   LocalExchangeStats stats_;
+  // stage_groups_[d]: this rank's dimension-d group, itself included,
+  // ascending — the members each stage's arrival waits for.
+  std::vector<std::vector<int>> stage_groups_;
   // Thread-confined like stats_: only the owning rank's exchanges touch it.
   std::vector<CachedPlan> plan_cache_;
   std::uint64_t plan_cache_tick_ = 0;

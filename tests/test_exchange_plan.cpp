@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "core/error.hpp"
+#include "core/exchange_plan.hpp"
 #include "core/vpt.hpp"
 #include "partition/partitioner.hpp"
 #include "runtime/comm.hpp"
@@ -363,6 +364,26 @@ TEST(PlanCache, PlainExchangeAfterAResilientOneStillReplaysItsPlan) {
     EXPECT_EQ(communicator.last_stats().plan_builds, 0);
     EXPECT_EQ(replayed, recorded) << "rank " << me;
   });
+}
+
+// The recorder maps each payload's arena offset to its replay source. A
+// payload it was never told about — an offset no seed or received frame
+// produced, or a known offset with another size — must surface as the named
+// plan-layout error, not as a library exception escaping the exchange.
+TEST(PlanRecorder, UnrecordedPayloadSourceIsAPlanLayoutError) {
+  const Vpt vpt = Vpt::direct(4);
+  const core::Submessage unknown_offset{1, 2, 4, 8, 0};
+  const core::Submessage wrong_size{1, 2, 0, 6, 0};
+  for (const core::Submessage& sub : {unknown_offset, wrong_size}) {
+    core::PlanRecorder rec(vpt, /*me=*/1, 1);
+    rec.on_seed(2, 0, 8);
+    try {
+      rec.on_stage_send(0, 2, {&sub, 1});
+      ADD_FAILURE() << "sub at offset " << sub.offset << " accepted";
+    } catch (const core::ValidationError& e) {
+      EXPECT_EQ(e.check(), "plan-layout");
+    }
+  }
 }
 
 }  // namespace

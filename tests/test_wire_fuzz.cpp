@@ -8,6 +8,7 @@
 #include <cstdint>
 #include <optional>
 #include <random>
+#include <string>
 #include <vector>
 
 #include "core/error.hpp"
@@ -202,126 +203,190 @@ TEST(WireFuzz, PatchedMemberEpochFailsChecksum) {
 }
 
 // ---------------------------------------------------------------------------
-// Plan-layout fuzzing. The gather path trusts a frozen layout's slot tables
-// blindly — memcpys straight through them with no per-replay checks — so
+// Plan-layout fuzzing. The gather path trusts a frozen layout's tables
+// blindly — it sizes each frame buffer from payload_bytes and writes headers
+// and payloads through the submessage ranges with no per-replay checks — so
 // validate_plan_layout (run once when exchange() caches a recorded plan) is
 // the only thing standing between a corrupted layout and an out-of-bounds
-// read. Every mutation class it promises to reject is pinned
-// here, plus a random sweep proving the validator itself never crashes.
+// access. Every mutation class it promises to reject is pinned here, plus a
+// random sweep proving the validator itself never crashes and never accepts
+// a layout whose ranges leave their tables.
 
-/// A small but fully featured recorded layout: one out-frame with two seed
-/// slots, one inbound frame, one forwarded delivery out of that frame.
+/// A small but fully featured recorded layout at rank 1 of BL(4): seeds of
+/// 8, 4 and 0 bytes at arena offsets 0, 8 and 12; one out-frame per
+/// destination (the second carries the empty submessage); one inbound frame
+/// whose 6-byte payload (arena offset 12) is delivered out of that frame.
 ExchangePlanLayout recorded_layout() {
-  const Vpt vpt = Vpt::direct(4);
-  const std::vector<std::pair<Rank, std::uint32_t>> pattern = {{2, 8}, {3, 4}};
-  PlanRecorder rec(vpt, /*me=*/1, pattern);
-
-  std::vector<Submessage> outs(2);
-  outs[0].source = 1;
-  outs[0].dest = 2;
-  outs[0].size_bytes = 8;
-  outs[1].source = 1;
-  outs[1].dest = 3;
-  outs[1].size_bytes = 4;
-  outs[1].id = 1;
-  std::vector<PayloadSrc> srcs(2);
-  srcs[0].index = 0;
-  srcs[0].bytes = 8;
-  srcs[1].index = 1;
-  srcs[1].bytes = 4;
-  rec.on_stage_send(0, 2, outs, srcs);
-
-  Submessage in{};
-  in.source = 0;
-  in.dest = 1;
-  in.size_bytes = 6;
-  const PlanInFrame& inf = rec.on_stage_recv(0, 0, {&in, 1});
+  PlanRecorder rec(Vpt::direct(4), /*me=*/1, 3);
+  rec.on_seed(2, 0, 8);
+  rec.on_seed(3, 8, 4);
+  rec.on_seed(3, 12, 0);
+  const Submessage to2{1, 2, 0, 8, 0};
+  const Submessage to3[] = {{1, 3, 8, 4, 1}, {1, 3, 12, 0, 2}};
+  rec.on_stage_send(0, 2, {&to2, 1});
+  rec.on_stage_send(0, 3, to3);
+  const Submessage in{0, 1, 12, 6, 0};
+  rec.on_stage_recv(0, 0, {&in, 1});
   rec.on_stage_complete(0, 0, 0);
+  return rec.finish({&in, 1}, 26);
+}
 
-  Submessage del{};
-  del.source = 0;
-  del.dest = 1;
-  del.size_bytes = 6;
-  PayloadSrc del_src;
-  del_src.kind = PayloadSrc::Kind::kRecv;
-  del_src.stage = 0;
-  del_src.frame = 0;
-  del_src.offset = static_cast<std::uint32_t>(inf.subs[0].offset);
-  del_src.bytes = 6;
-  return rec.finish({&del, 1}, {&del_src, 1});
+/// Reads every span a replay of `l` would read — frame ranges, sources,
+/// parked-frame slices — so ASan turns an accepted out-of-table range into
+/// a failure.
+std::uint64_t walk_like_a_replay(const ExchangePlanLayout& l) {
+  std::uint64_t sum = 0;
+  const auto read = [&](const PayloadSrc& src) {
+    if (src.bytes == 0) return;
+    if (src.kind == PayloadSrc::Kind::kSeed) {
+      sum += l.pattern.at(src.index).second;
+    } else {
+      sum += l.in_frames[l.in_frame_of(src)].wire_size - src.offset - src.bytes;
+    }
+  };
+  for (int s = 0; s < l.dim(); ++s) {
+    for (const PlanOutFrame& f : l.out_stage(s)) {
+      for (const Submessage& sub : l.subs_of(f)) sum += sub.size_bytes;
+      for (const PayloadSrc& src : l.srcs_of(f)) read(src);
+    }
+    for (const PlanInFrame& f : l.in_stage(s))
+      for (const Submessage& sub : l.subs_of(f)) sum += sub.offset;
+  }
+  for (const PlanDelivery& d : l.deliveries) read(d.src);
+  return sum;
 }
 
 TEST(PlanLayoutFuzz, BaselineRecordedLayoutValidates) {
   const ExchangePlanLayout layout = recorded_layout();
   EXPECT_NO_THROW(validate_plan_layout(layout));
+  ASSERT_EQ(layout.out_frames.size(), 2u);
+  EXPECT_EQ(layout.out_subs.size(), 3u);
+  EXPECT_EQ(layout.out_srcs[2], PayloadSrc{});  // the empty submessage's placeholder
+  EXPECT_EQ(layout.in_frames[0].wire_size, 22u);
+  EXPECT_EQ(layout.deliveries[0].src.offset, 16u);
 }
 
-TEST(PlanLayoutFuzz, EveryTargetedSlotTableMutationIsRejected) {
+TEST(PlanLayoutFuzz, EveryTargetedTableMutationIsRejected) {
   using Mutator = void (*)(ExchangePlanLayout&);
-  const std::pair<const char*, Mutator> mutations[] = {
-      {"stage count mismatch", [](ExchangePlanLayout& l) { l.in_frames.clear(); }},
-      {"slot table size mismatch",
-       [](ExchangePlanLayout& l) { l.out_frames[0][0].slot_offsets.pop_back(); }},
-      {"slot past frame image",
-       [](ExchangePlanLayout& l) {
-         l.out_frames[0][0].slot_offsets[1] =
-             static_cast<std::uint32_t>(l.out_frames[0][0].image.size());
-       }},
-      {"overlapping slots",
-       [](ExchangePlanLayout& l) {
-         l.out_frames[0][0].slot_offsets[1] = l.out_frames[0][0].slot_offsets[0];
-       }},
-      {"seed index out of range",
-       [](ExchangePlanLayout& l) { l.out_frames[0][0].slots[0].index = 99; }},
-      {"seed size disagrees with pattern",
-       [](ExchangePlanLayout& l) { l.pattern[0].second = 7; }},
-      {"recv stage out of range",
-       [](ExchangePlanLayout& l) { l.deliveries[0].src.stage = 7; }},
-      {"recv frame out of range",
-       [](ExchangePlanLayout& l) { l.deliveries[0].src.frame = 9; }},
-      {"recv slot past inbound frame",
-       [](ExchangePlanLayout& l) {
-         l.deliveries[0].src.offset =
-             static_cast<std::uint32_t>(l.in_frames[0][0].wire_size);
-       }},
-      {"inbound submessage past frame",
-       [](ExchangePlanLayout& l) { l.in_frames[0][0].subs[0].size_bytes = 1000; }},
+  struct Case {
+    const char* what;
+    Mutator mutate;
+    const char* expect;  // fragment of the ValidationError message
   };
-  for (const auto& [what, mutate] : mutations) {
+  const Case cases[] = {
+      {"stage count mismatch", [](ExchangePlanLayout& l) { l.in_stage_begin.pop_back(); },
+       "stage begin tables disagree"},
+      {"source table size mismatch", [](ExchangePlanLayout& l) { l.out_srcs.pop_back(); },
+       "out_srcs/out_subs size mismatch"},
+      {"out-frame range past its table", [](ExchangePlanLayout& l) { l.out_frames[1].count = 3; },
+       "out-frame submessage range is outside its table"},
+      {"overlapping out-frame ranges", [](ExchangePlanLayout& l) { l.out_frames[1].first = 0; },
+       "out-frame submessage range is outside its table or out of order"},
+      {"seed index out of range", [](ExchangePlanLayout& l) { l.out_srcs[0].index = 99; },
+       "seed index out of range"},
+      {"seed size disagrees with pattern", [](ExchangePlanLayout& l) { l.pattern[0].second = 7; },
+       "seed size disagrees with the pattern"},
+      {"recv stage out of range", [](ExchangePlanLayout& l) { l.deliveries[0].src.stage = 7; },
+       "recv stage out of range"},
+      {"recv frame out of range", [](ExchangePlanLayout& l) { l.deliveries[0].src.frame = 9; },
+       "recv frame index out of range"},
+      {"recv source past inbound frame",
+       [](ExchangePlanLayout& l) {
+         l.deliveries[0].src.offset = static_cast<std::uint32_t>(l.in_frames[0].wire_size);
+       },
+       "recv source reads past its inbound frame"},
+      {"inbound submessage past frame",
+       [](ExchangePlanLayout& l) { l.in_subs[0].size_bytes = 1000; },
+       "inbound wire_size disagrees with its submessages"},
+      {"in-frame range past its table", [](ExchangePlanLayout& l) { l.in_frames[0].count = 2; },
+       "in-frame submessage range is outside its table"},
+      {"payload_bytes mismatch", [](ExchangePlanLayout& l) { l.out_frames[0].payload_bytes = 9; },
+       "payload_bytes disagrees with its submessages"},
+      {"source/submessage size mismatch",
+       [](ExchangePlanLayout& l) { l.out_subs[0].size_bytes = 7; },
+       "payload source size disagrees with its submessage"},
+      {"stage ranges not contiguous", [](ExchangePlanLayout& l) { l.out_stage_begin[1] = 1; },
+       "out-frame stage ranges are not contiguous"},
+      {"inbound wire_size mismatch", [](ExchangePlanLayout& l) { l.in_frames[0].wire_size += 1; },
+       "inbound wire_size disagrees with its submessages"},
+      {"inbound payload offset moved", [](ExchangePlanLayout& l) { l.in_subs[0].offset = 4; },
+       "inbound payload offset disagrees with its frame"},
+      {"out-frame reads a frame not yet parked",
+       [](ExchangePlanLayout& l) {
+         l.out_subs[0].size_bytes = 6;
+         l.out_frames[0].payload_bytes = 6;
+         l.out_srcs[0] = l.deliveries[0].src;
+       },
+       "out-frame source: recv stage out of range"},
+      {"residency table stage count", [](ExchangePlanLayout& l) { l.stage_buffered.clear(); },
+       "stage residency table disagrees"},
+      {"submessage no frame covers",
+       [](ExchangePlanLayout& l) {
+         l.out_subs.push_back(l.out_subs[0]);
+         l.out_srcs.push_back(l.out_srcs[0]);
+       },
+       "submessage table has entries no frame covers"},
+  };
+  for (const Case& c : cases) {
     ExchangePlanLayout mutated = recorded_layout();
-    mutate(mutated);
-    EXPECT_THROW(validate_plan_layout(mutated), ValidationError) << what;
+    c.mutate(mutated);
+    try {
+      validate_plan_layout(mutated);
+      ADD_FAILURE() << c.what << ": accepted";
+    } catch (const ValidationError& e) {
+      EXPECT_EQ(e.check(), "plan-layout") << c.what;
+      EXPECT_NE(std::string(e.what()).find(c.expect), std::string::npos)
+          << c.what << ": " << e.what();
+    }
   }
 }
 
-/// Random numeric corruption: the validator must either accept (a mutation
-/// can be semantically harmless) or throw ValidationError — never crash or
-/// read out of bounds (the asan-ubsan preset turns the latter into failures).
+/// Random numeric corruption of every table and index field: the validator
+/// must either accept (a mutation can be semantically harmless) or throw
+/// ValidationError — never crash or read out of bounds — and every layout it
+/// accepts must keep each replay read inside its table (the asan-ubsan
+/// preset turns a violation of either into a failure).
 TEST(PlanLayoutFuzz, RandomFieldCorruptionValidatesOrThrowsButNeverCrashes) {
   std::mt19937_64 rng(41);
   std::uniform_int_distribution<std::uint32_t> val_dist;
   const ExchangePlanLayout base = recorded_layout();
-  for (int trial = 0; trial < 500; ++trial) {
+  int accepted = 0;
+  for (int trial = 0; trial < 2000; ++trial) {
     ExchangePlanLayout l = base;
     for (int hit = 1 + static_cast<int>(val_dist(rng) % 3); hit > 0; --hit) {
       const std::uint32_t v = val_dist(rng);
-      switch (val_dist(rng) % 8) {
-        case 0: l.out_frames[0][0].slot_offsets[v % 2] = v; break;
-        case 1: l.out_frames[0][0].slots[v % 2].bytes = v % 64; break;
-        case 2: l.out_frames[0][0].slots[v % 2].index = v % 8; break;
-        case 3: l.deliveries[0].src.offset = v % 64; break;
-        case 4: l.deliveries[0].src.bytes = v % 64; break;
-        case 5: l.deliveries[0].src.frame = static_cast<std::uint16_t>(v % 4); break;
-        case 6: l.deliveries[0].src.stage = static_cast<std::uint8_t>(v % 4); break;
-        case 7: l.in_frames[0][0].subs[0].size_bytes = v % 128; break;
+      PlanOutFrame& out = l.out_frames[v % 2];
+      switch (val_dist(rng) % 16) {
+        case 0: out.first = v % 5; break;
+        case 1: out.count = v % 5; break;
+        case 2: out.payload_bytes = v % 32; break;
+        case 3: l.out_srcs[v % 3].bytes = v % 16; break;
+        case 4: l.out_srcs[v % 3].index = v % 8; break;
+        case 5: l.out_subs[v % 3].size_bytes = v % 16; break;
+        case 6: l.out_stage_begin[v % 2] = v % 4; break;
+        case 7: l.in_stage_begin[v % 2] = v % 3; break;
+        case 8: l.in_frames[0].first = v % 3; break;
+        case 9: l.in_frames[0].count = v % 3; break;
+        case 10: l.in_frames[0].wire_size = v % 40; break;
+        case 11: l.in_subs[0].size_bytes = v % 32; break;
+        case 12: l.in_subs[0].offset = v % 32; break;
+        case 13: l.deliveries[0].src.offset = v % 64; break;
+        case 14: l.deliveries[0].src.bytes = v % 64; break;
+        case 15:
+          l.deliveries[0].src.frame = static_cast<std::uint16_t>(v % 4);
+          l.deliveries[0].src.stage = static_cast<std::uint8_t>((v >> 8) % 4);
+          break;
       }
     }
     try {
       validate_plan_layout(l);
     } catch (const ValidationError&) {
-      // Rejected loudly — the contract.
+      continue;  // rejected loudly — the contract
     }
+    ++accepted;
+    (void)walk_like_a_replay(l);
   }
+  EXPECT_GT(accepted, 0);  // some corruption is harmless (e.g. a rewritten equal value)
 }
 
 TEST(WireFuzz, TruncatedStageMessagesThrowOrDecodeSafely) {

@@ -7,9 +7,11 @@
 // replays. This suite pins that:
 //
 //  * golden wire frames: a hit posts exactly the frames the recording miss
-//    serialized;
+//    serialized, over T_3(4,2,2), BL(16) with a hub that sends to every rank
+//    (the shape of the dynamic workload) and T_3(4,4,4);
 //  * differential (cache hit vs a fresh communicator's miss) at K in
-//    {4, 16, 64, 256} over a skewed pseudo-random pattern;
+//    {4, 16, 64, 256} over T_2 and a skewed pseudo-random pattern, plus the
+//    BL hub and T_3 shapes;
 //  * mixed payload sizes including zero-length sends and a max-slot payload
 //    dwarfing the rest of its frame;
 //  * aliasing: one source buffer sent to every rank, self-send included,
@@ -48,8 +50,9 @@ std::uint64_t mix(std::uint64_t x) {
 /// Skewed pattern with deliberate extremes: ~half the ranks send to a few
 /// pseudo-random peers; sizes cycle through zero-length, tiny, and one
 /// max-slot payload; every rank also self-sends, and rank 0 fans out wide.
+/// With `hub`, rank 0 also sends a payload to every rank, itself included.
 std::vector<OutboundMessage> sends_for(Rank me, Rank num_ranks, int iter,
-                                       std::uint32_t big_bytes) {
+                                       std::uint32_t big_bytes, bool hub = false) {
   std::vector<OutboundMessage> sends;
   auto payload = [&](Rank dest, std::uint32_t size) {
     std::vector<std::byte> bytes(size);
@@ -76,6 +79,9 @@ std::vector<OutboundMessage> sends_for(Rank me, Rank num_ranks, int iter,
                : (j % 3 == 0 ? 0u : 16u + static_cast<std::uint32_t>(me % 5) * 7u);
     sends.push_back({dest, payload(dest, size)});
   }
+  if (hub && me == 0)
+    for (Rank dest = 0; dest < num_ranks; ++dest)
+      sends.push_back({dest, payload(dest, 8 + static_cast<std::uint32_t>(dest % 7) * 9)});
   return sends;
 }
 
@@ -84,15 +90,15 @@ std::vector<OutboundMessage> sends_for(Rank me, Rank num_ranks, int iter,
 /// the same bytes. The pattern is iteration-independent; only the payload
 /// bytes change. Deliveries must match exactly, order included: the replay
 /// hands out the recording's frozen delivery order.
-void run_sweep(Rank num_ranks, int iters, std::uint32_t big_bytes) {
-  const Vpt vpt = Vpt::balanced(num_ranks, 2);
+void run_sweep(const Vpt& vpt, int iters, std::uint32_t big_bytes, bool hub = false) {
+  const Rank num_ranks = vpt.size();
   Cluster cluster(num_ranks);
   cluster.run([&](Comm& comm) {
     const auto me = static_cast<Rank>(comm.rank());
     StfwCommunicator cached(comm, vpt);
-    (void)cached.exchange(sends_for(me, num_ranks, iters, big_bytes));  // records
+    (void)cached.exchange(sends_for(me, num_ranks, iters, big_bytes, hub));  // records
     for (int iter = 0; iter < iters; ++iter) {
-      const auto sends = sends_for(me, num_ranks, iter, big_bytes);
+      const auto sends = sends_for(me, num_ranks, iter, big_bytes, hub);
       StfwCommunicator fresh(comm, vpt);
       const std::vector<InboundMessage> want = fresh.exchange(sends);
       EXPECT_EQ(fresh.last_stats().plan_builds, 1);
@@ -107,8 +113,7 @@ void run_sweep(Rank num_ranks, int iters, std::uint32_t big_bytes) {
 // byte-for-byte the frames the recording miss serialized with
 // core::serialize, stage by stage. Both post exactly their real frames: the
 // wire carries no fillers, and messages_sent counts every frame.
-TEST(ZeroCopyPlan, ReplayPostsTheRecordingExchangesWireFrames) {
-  const Vpt vpt({4, 2, 2});
+void check_replayed_wire_frames(const Vpt& vpt, bool hub) {
   const Rank K = vpt.size();
   const int n = vpt.dim();
   // frames[0]: the recording miss (exchange 0); frames[1]: the hit
@@ -133,7 +138,7 @@ TEST(ZeroCopyPlan, ReplayPostsTheRecordingExchangesWireFrames) {
   cluster.run([&](Comm& comm) {
     const auto me = static_cast<std::size_t>(comm.rank());
     StfwCommunicator stfw(comm, vpt);
-    const auto sends = sends_for(static_cast<Rank>(me), K, 3, 700);
+    const auto sends = sends_for(static_cast<Rank>(me), K, 3, 700, hub);
     for (std::size_t x = 0; x < 2; ++x) {
       (void)stfw.exchange(sends);
       stats[x][me] = stfw.last_stats();
@@ -170,10 +175,22 @@ TEST(ZeroCopyPlan, ReplayPostsTheRecordingExchangesWireFrames) {
   }
 }
 
-TEST(ZeroCopyPlan, DifferentialK4) { run_sweep(4, 4, 512); }
-TEST(ZeroCopyPlan, DifferentialK16) { run_sweep(16, 4, 2048); }
-TEST(ZeroCopyPlan, DifferentialK64) { run_sweep(64, 3, 4096); }
-TEST(ZeroCopyPlan, DifferentialK256) { run_sweep(256, 2, 1024); }
+TEST(ZeroCopyPlan, ReplayPostsTheRecordingExchangesWireFrames) {
+  check_replayed_wire_frames(Vpt({4, 2, 2}), false);
+}
+TEST(ZeroCopyPlan, ReplayPostsTheRecordingExchangesWireFramesBlHub) {
+  check_replayed_wire_frames(Vpt::direct(16), true);
+}
+TEST(ZeroCopyPlan, ReplayPostsTheRecordingExchangesWireFramesT3K64) {
+  check_replayed_wire_frames(Vpt::balanced(64, 3), false);
+}
+
+TEST(ZeroCopyPlan, DifferentialK4) { run_sweep(Vpt::balanced(4, 2), 4, 512); }
+TEST(ZeroCopyPlan, DifferentialK16) { run_sweep(Vpt::balanced(16, 2), 4, 2048); }
+TEST(ZeroCopyPlan, DifferentialK64) { run_sweep(Vpt::balanced(64, 2), 3, 4096); }
+TEST(ZeroCopyPlan, DifferentialK256) { run_sweep(Vpt::balanced(256, 2), 2, 1024); }
+TEST(ZeroCopyPlan, DifferentialBlK16Hub) { run_sweep(Vpt::direct(16), 4, 2048, true); }
+TEST(ZeroCopyPlan, DifferentialT3K64) { run_sweep(Vpt::balanced(64, 3), 3, 4096); }
 
 // One source buffer feeding a payload slot per destination, every rank
 // included (the self-send is delivered straight from the seed on a hit):
