@@ -58,15 +58,17 @@ BENCHMARK(BM_SendSetSeeding)->Arg(2)->Arg(5)->Arg(10);
 
 void BM_WireSerializeRoundTrip(benchmark::State& state) {
   core::PayloadArena arena;
-  core::StageMessage msg{0, 1, {}};
+  std::vector<core::Submessage> msg;
   const std::vector<std::byte> payload(static_cast<std::size_t>(state.range(0)));
   for (int i = 0; i < 64; ++i)
-    msg.subs.push_back(core::Submessage{i, i + 1, arena.add(payload),
-                                        static_cast<std::uint32_t>(payload.size())});
+    msg.push_back(core::Submessage{i, i + 1, arena.add(payload),
+                                   static_cast<std::uint32_t>(payload.size())});
+  std::vector<core::Submessage> parsed;
   for (auto _ : state) {
     const auto wire = core::serialize(msg, arena);
     core::PayloadArena scratch;
-    benchmark::DoNotOptimize(core::deserialize(wire, scratch));
+    parsed.clear();
+    benchmark::DoNotOptimize(core::deserialize(wire, scratch, parsed).data());
   }
   state.SetBytesProcessed(state.iterations() *
                           static_cast<std::int64_t>(core::wire_size_bytes(

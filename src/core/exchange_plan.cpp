@@ -43,6 +43,18 @@ void PlanRecorder::on_seed(Rank dest, std::uint64_t arena_offset, std::uint32_t 
   layout_.pattern.emplace_back(dest, bytes);
 }
 
+void PlanRecorder::reserve_sends(std::size_t frames, std::size_t subs) {
+  layout_.out_frames.reserve(layout_.out_frames.size() + frames);
+  layout_.out_subs.reserve(layout_.out_subs.size() + subs);
+  layout_.out_srcs.reserve(layout_.out_srcs.size() + subs);
+}
+
+void PlanRecorder::reserve_recvs(std::size_t frames, std::size_t subs) {
+  layout_.in_frames.reserve(layout_.in_frames.size() + frames);
+  layout_.in_subs.reserve(layout_.in_subs.size() + subs);
+  provenance_.reserve(provenance_.size() + subs);
+}
+
 void PlanRecorder::on_stage_send(int stage, Rank to, std::span<const Submessage> subs) {
   STFW_ASSERT(stage == stage_ && stage < layout_.dim(), "plan: send outside the open stage");
   PlanOutFrame frame{to, static_cast<std::uint32_t>(layout_.out_subs.size()),

@@ -138,6 +138,13 @@ public:
   /// Record the caller's next send, whose payload sits at `arena_offset`.
   void on_seed(Rank dest, std::uint64_t arena_offset, std::uint32_t bytes);
 
+  /// Capacity hints, once per stage: the current stage is about to record
+  /// `frames` outgoing (reserve_sends) or incoming (reserve_recvs) frames
+  /// carrying `subs` submessages in all, so the tables grow once per stage
+  /// instead of by doubling.
+  void reserve_sends(std::size_t frames, std::size_t subs);
+  void reserve_recvs(std::size_t frames, std::size_t subs);
+
   /// Record one outgoing frame of the current stage. Throws
   /// ValidationError ("plan-layout") when a nonempty payload's arena offset
   /// was never recorded as a seed or a received payload.

@@ -60,17 +60,24 @@ private:
   std::vector<std::byte> bytes_;
 };
 
-/// A coalesced stage message: all submessages a process sends to one
-/// dimension-d neighbor in one stage (the paper's M_ij).
-struct StageMessage {
-  Rank from = -1;
-  Rank to = -1;
-  std::vector<Submessage> subs;
+/// One stage's coalesced messages (the paper's M_ij: all submessages a
+/// process sends to one dimension-d neighbor in one stage) in flat form:
+/// frame f carries `subs[f.first, f.first + f.count)` to neighbor `f.to`,
+/// `f.payload_bytes` being their total size. Frames ascend by neighbor, and
+/// a frame's submessages keep the order in which they were stashed.
+struct StageOutbox {
+  struct Frame {
+    Rank to = -1;
+    std::uint32_t first = 0;
+    std::uint32_t count = 0;
+    std::uint64_t payload_bytes = 0;
+  };
 
-  std::uint64_t payload_bytes() const noexcept {
-    std::uint64_t b = 0;
-    for (const Submessage& s : subs) b += s.size_bytes;
-    return b;
+  std::vector<Submessage> subs;
+  std::vector<Frame> frames;
+
+  std::span<const Submessage> subs_of(const Frame& f) const {
+    return std::span(subs).subspan(f.first, f.count);
   }
 };
 

@@ -33,35 +33,41 @@ void StfwRankState::stash(int stage_from, const Submessage& s) {
     return;
   }
   STFW_ASSERT(d >= stages_consumed_, "stash: routing targets an already-consumed stage buffer");
-  const int x = vpt_->coord(s.dest, d);
-  fwbuf_[static_cast<std::size_t>(d)][x].push_back(s);
+  std::vector<Parked>& parked = fwbuf_[static_cast<std::size_t>(d)];
+  const auto digit = static_cast<std::uint64_t>(vpt_->coord(s.dest, d));
+  parked.push_back(Parked{digit << 32 | parked.size(), s});
   buffered_bytes_ += s.size_bytes;
   ++buffered_count_;
   peak_buffered_bytes_ = std::max(peak_buffered_bytes_, buffered_bytes_);
 }
 
-void StfwRankState::make_stage_outbox(int stage, std::vector<StageMessage>& out) {
+void StfwRankState::make_stage_outbox(int stage, StageOutbox& out) {
   require(stage == stages_consumed_, "make_stage_outbox: stages must run in order");
   require(stage < vpt_->dim(), "make_stage_outbox: stage out of range");
-  auto& slots = fwbuf_[static_cast<std::size_t>(stage)];
+  std::vector<Parked>& parked = fwbuf_[static_cast<std::size_t>(stage)];
+  std::sort(parked.begin(), parked.end(),
+            [](const Parked& a, const Parked& b) { return a.key < b.key; });
+  out.subs.clear();
+  out.frames.clear();
+  out.subs.reserve(parked.size());
   const int mine = vpt_->coord(me_, stage);
-  // Deterministic neighbor order regardless of hash-map iteration order.
-  std::vector<int> coords;
-  coords.reserve(slots.size());
-  for (const auto& [x, slot] : slots)
-    if (!slot.empty()) coords.push_back(x);
-  std::sort(coords.begin(), coords.end());
-  for (int x : coords) {
-    STFW_ASSERT(x != mine, "make_stage_outbox: own-coordinate slot must stay empty");
-    StageMessage m;
-    m.from = me_;
-    m.to = vpt_->with_coord(me_, stage, x);
-    m.subs = std::move(slots[x]);
-    buffered_bytes_ -= m.payload_bytes();
-    buffered_count_ -= m.subs.size();
-    out.push_back(std::move(m));
+  int digit = -1;
+  for (const Parked& p : parked) {
+    const auto x = static_cast<int>(p.key >> 32);
+    if (x != digit) {
+      STFW_ASSERT(x != mine, "make_stage_outbox: own-coordinate slot must stay empty");
+      digit = x;
+      out.frames.push_back(StageOutbox::Frame{vpt_->with_coord(me_, stage, x),
+                                              static_cast<std::uint32_t>(out.subs.size()), 0, 0});
+    }
+    StageOutbox::Frame& f = out.frames.back();
+    ++f.count;
+    f.payload_bytes += p.sub.size_bytes;
+    buffered_bytes_ -= p.sub.size_bytes;
+    out.subs.push_back(p.sub);
   }
-  slots.clear();
+  buffered_count_ -= parked.size();
+  parked.clear();
   ++stages_consumed_;
 }
 

@@ -1,7 +1,6 @@
 #pragma once
 
 #include <cstdint>
-#include <unordered_map>
 #include <vector>
 
 #include "message.hpp"
@@ -38,19 +37,21 @@ public:
   void add_send(Rank dest, std::uint64_t payload_offset, std::uint32_t payload_bytes,
                 std::uint32_t id = 0);
 
-  /// Algorithm 1 lines 9-12: move the non-empty dimension-d buffers out as
-  /// coalesced messages, one per neighbor coordinate. Buffers for stage d
-  /// are consumed by this call; routing guarantees nothing is scattered
-  /// into them afterwards (asserted). Appends to `out`.
-  void make_stage_outbox(int stage, std::vector<StageMessage>& out);
+  /// Algorithm 1 lines 9-12: move the dimension-`stage` buffers out as
+  /// coalesced messages, one frame per neighbor with something to forward,
+  /// replacing the contents of `out` (whose capacity is reused). Frames
+  /// ascend by neighbor; a frame's submessages keep their stash order.
+  /// Buffers for `stage` are consumed by this call; routing guarantees
+  /// nothing is scattered into them afterwards (asserted).
+  void make_stage_outbox(int stage, StageOutbox& out);
 
   /// Algorithm 1 lines 14-17: scatter submessages received in `stage` into
   /// the buffers of the first dimension > stage where we differ from the
   /// destination; submessages addressed to us are delivered.
   void accept(int stage, std::span<const Submessage> subs);
 
-  /// Algorithm 1 lines 18-21: the list L of submessages for this process.
-  /// Valid after all n stages have run; sorted by (source, arrival order).
+  /// Algorithm 1 lines 18-21: the list L of submessages for this process,
+  /// in arrival order. Complete after all n stages have run.
   const std::vector<Submessage>& delivered() const noexcept { return delivered_; }
   std::vector<Submessage> take_delivered() noexcept { return std::move(delivered_); }
 
@@ -68,21 +69,33 @@ public:
   /// Total payload bytes delivered to this process so far.
   std::uint64_t delivered_payload_bytes() const noexcept { return delivered_bytes_; }
 
-  /// Reset all buffers for a fresh exchange on the same VPT.
+  /// Reset all buffers for a fresh exchange on the same VPT. Capacity is
+  /// kept, so a reused state allocates only where an exchange outgrows the
+  /// ones before it.
   void reset();
 
 private:
+  /// A submessage parked for stage d: `key` is the neighbor's digit d in
+  /// the high half and the submessage's index in the stage's buffer in the
+  /// low half, so sorting by key groups a neighbor's submessages in stash
+  /// order without a stable sort.
+  struct Parked {
+    std::uint64_t key = 0;
+    Submessage sub;
+  };
+
   void stash(int stage_from, const Submessage& s);
 
   const Vpt* vpt_;
   Rank me_;
   int stages_consumed_ = 0;  // buffers for stages < this are gone
-  // fwbuf_[d][x]: submessages to forward in stage d to the neighbor whose
-  // digit d is x; slot x == our own digit d is unused (self-routing is
-  // resolved at delivery). Slots are stored sparsely — a dimension of size
-  // k_d would otherwise cost k_d empty vectors per rank, which is O(K^2)
-  // across ranks for the direct topology at large K.
-  std::vector<std::unordered_map<int, std::vector<Submessage>>> fwbuf_;
+  // fwbuf_[d]: the paper's fwbuf[d][x] for every x at once, one flat vector
+  // per dimension in stash order. Slot x == our own digit d never occurs
+  // (self-routing is resolved at delivery). Flat rather than one vector per
+  // x: a dimension of size k_d would otherwise cost up to k_d small vectors
+  // per rank and stage, which is O(K^2) across ranks for the direct
+  // topology at large K.
+  std::vector<std::vector<Parked>> fwbuf_;
   std::vector<Submessage> delivered_;
   std::uint64_t buffered_bytes_ = 0;
   std::uint64_t buffered_count_ = 0;

@@ -28,12 +28,14 @@ T get(std::span<const std::byte> in, std::size_t& pos) {
 
 // The plain and the tracked formats differ only in the tracked one's u32 id
 // between dest and len.
-std::vector<std::byte> serialize_as(const StageMessage& msg, const PayloadArena& arena,
+std::vector<std::byte> serialize_as(std::span<const Submessage> subs, const PayloadArena& arena,
                                     bool tracked) {
-  std::vector<std::byte> out(wire_size_bytes(msg.subs.size(), msg.payload_bytes()) +
-                             (tracked ? 4 * msg.subs.size() : 0));
-  std::byte* pos = write_count(out.data(), static_cast<std::uint32_t>(msg.subs.size()));
-  for (const Submessage& s : msg.subs) {
+  std::uint64_t payload_bytes = 0;
+  for (const Submessage& s : subs) payload_bytes += s.size_bytes;
+  std::vector<std::byte> out(wire_size_bytes(subs.size(), payload_bytes) +
+                             (tracked ? 4 * subs.size() : 0));
+  std::byte* pos = write_count(out.data(), static_cast<std::uint32_t>(subs.size()));
+  for (const Submessage& s : subs) {
     pos = write_sub_header(pos, s, tracked);
     if (s.size_bytes > 0) std::memcpy(pos, arena.view(s).data(), s.size_bytes);
     pos += s.size_bytes;
@@ -41,17 +43,15 @@ std::vector<std::byte> serialize_as(const StageMessage& msg, const PayloadArena&
   return out;
 }
 
-std::vector<Submessage> deserialize_as(std::span<const std::byte> wire, PayloadArena& arena,
-                                       bool tracked) {
+std::span<const Submessage> deserialize_as(std::span<const std::byte> wire, PayloadArena& arena,
+                                           std::vector<Submessage>& out, bool tracked) {
   std::size_t pos = 0;
   const auto count = get<std::uint32_t>(wire, pos);
-  // Every submessage needs at least its header; checking before the reserve
-  // keeps a corrupt count from demanding gigabytes up front.
+  // Every submessage needs at least its header.
   require(static_cast<std::uint64_t>(count) * (kSubHeaderBytes + (tracked ? 4 : 0)) <=
               wire.size() - pos,
           "deserialize: submessage count exceeds buffer");
-  std::vector<Submessage> subs;
-  subs.reserve(count);
+  const std::size_t first = out.size();
   for (std::uint32_t i = 0; i < count; ++i) {
     Submessage s;
     s.source = get<std::int32_t>(wire, pos);
@@ -61,29 +61,32 @@ std::vector<Submessage> deserialize_as(std::span<const std::byte> wire, PayloadA
     require(pos + s.size_bytes <= wire.size(), "deserialize: truncated payload");
     s.offset = arena.add(std::span<const std::byte>(wire.data() + pos, s.size_bytes));
     pos += s.size_bytes;
-    subs.push_back(s);
+    out.push_back(s);
   }
   require(pos == wire.size(), "deserialize: trailing bytes");
-  return subs;
+  return std::span<const Submessage>(out).subspan(first);
 }
 
 }  // namespace
 
-std::vector<std::byte> serialize(const StageMessage& msg, const PayloadArena& arena) {
-  return serialize_as(msg, arena, false);
+std::vector<std::byte> serialize(std::span<const Submessage> subs, const PayloadArena& arena) {
+  return serialize_as(subs, arena, false);
 }
 
-std::vector<Submessage> deserialize(std::span<const std::byte> wire, PayloadArena& arena) {
-  return deserialize_as(wire, arena, false);
+std::span<const Submessage> deserialize(std::span<const std::byte> wire, PayloadArena& arena,
+                                        std::vector<Submessage>& out) {
+  return deserialize_as(wire, arena, out, false);
 }
 
-std::vector<std::byte> serialize_tracked(const StageMessage& msg, const PayloadArena& arena) {
-  return serialize_as(msg, arena, true);
+std::vector<std::byte> serialize_tracked(std::span<const Submessage> subs,
+                                         const PayloadArena& arena) {
+  return serialize_as(subs, arena, true);
 }
 
-std::vector<Submessage> deserialize_tracked(std::span<const std::byte> wire,
-                                            PayloadArena& arena) {
-  return deserialize_as(wire, arena, true);
+std::span<const Submessage> deserialize_tracked(std::span<const std::byte> wire,
+                                                PayloadArena& arena,
+                                                std::vector<Submessage>& out) {
+  return deserialize_as(wire, arena, out, true);
 }
 
 std::uint64_t digest64(std::span<const std::byte> bytes, std::uint64_t seed) noexcept {

@@ -55,12 +55,16 @@ inline std::byte* write_sub_header(std::byte* out, const Submessage& s,
   return out + kSubHeaderBytes + (tracked ? 4 : 0);
 }
 
-/// Serialize `msg`, pulling payload bytes from `arena`.
-std::vector<std::byte> serialize(const StageMessage& msg, const PayloadArena& arena);
+/// Serialize one coalesced stage message carrying `subs`, pulling payload
+/// bytes from `arena`.
+std::vector<std::byte> serialize(std::span<const Submessage> subs, const PayloadArena& arena);
 
-/// Parse a wire buffer; payloads are appended to `arena` and the returned
-/// submessages reference it. Throws Error on malformed input.
-std::vector<Submessage> deserialize(std::span<const std::byte> wire, PayloadArena& arena);
+/// Parse a wire buffer: its payloads are appended to `arena` and its
+/// submessages, which reference them, to `out`, whose capacity a caller
+/// parsing frame after frame reuses. Returns the appended range of `out`.
+/// Throws Error on malformed input, possibly after appending a prefix.
+std::span<const Submessage> deserialize(std::span<const std::byte> wire, PayloadArena& arena,
+                                        std::vector<Submessage>& out);
 
 /// Variants of serialize/deserialize that additionally carry each
 /// submessage's per-source id (layout: u32 count, then per submessage
@@ -68,8 +72,19 @@ std::vector<Submessage> deserialize(std::span<const std::byte> wire, PayloadAren
 /// exchange uses these so final destinations can deduplicate a submessage
 /// that arrives both via store-and-forward and via the direct fallback; the
 /// plain exchange keeps the id-less paper format above.
-std::vector<std::byte> serialize_tracked(const StageMessage& msg, const PayloadArena& arena);
-std::vector<Submessage> deserialize_tracked(std::span<const std::byte> wire, PayloadArena& arena);
+std::vector<std::byte> serialize_tracked(std::span<const Submessage> subs,
+                                         const PayloadArena& arena);
+std::span<const Submessage> deserialize_tracked(std::span<const std::byte> wire,
+                                                PayloadArena& arena,
+                                                std::vector<Submessage>& out);
+
+/// The submessage count a stage message's header claims, in either format;
+/// 0 for a buffer too short to hold one. Unvalidated: deserialize checks it.
+inline std::uint32_t claimed_count(std::span<const std::byte> wire) noexcept {
+  std::uint32_t count = 0;
+  if (wire.size() >= kCountBytes) std::memcpy(&count, wire.data(), kCountBytes);
+  return count;
+}
 
 // --- resilient frame layer -------------------------------------------------
 //
@@ -93,7 +108,7 @@ inline constexpr std::uint32_t kFrameMagic = 0x53544652u;  // "STFR"
 inline constexpr std::uint64_t kFrameOverheadBytes = 32;
 
 enum class FrameKind : std::uint16_t {
-  kData = 1,    // a serialized StageMessage routed between stage neighbors
+  kData = 1,    // a serialized stage message routed between stage neighbors
   kAck = 2,     // acknowledges (sender, seq); empty body
   kDirect = 3,  // degradation fallback: submessages sent straight to dest
   kNack = 4,    // refuses (sender, seq): receiver moved past that stage or

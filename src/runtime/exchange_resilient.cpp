@@ -23,7 +23,7 @@
 namespace stfw {
 
 using core::PayloadArena;
-using core::StageMessage;
+using core::StageOutbox;
 using core::StfwRankState;
 using core::Submessage;
 
@@ -196,7 +196,7 @@ ResilientExchangeResult StfwCommunicator::exchange_resilient(
     // to the original frame while an unacked frame costs O(subs) to track
     // instead of a full wire copy.
     core::FrameHeader header;
-    StageMessage msg;  // subs double as the fallback / loss-reporting list
+    std::vector<Submessage> subs;  // double as the fallback / loss-reporting list
     int attempts = 0;
     clock::time_point next_retry{};
     std::chrono::milliseconds backoff{0};
@@ -205,7 +205,8 @@ ResilientExchangeResult StfwCommunicator::exchange_resilient(
   };
   std::vector<OutFrame> frames;
 
-  auto make_frame = [&](core::FrameKind kind, int stage, core::Rank dest, StageMessage msg) {
+  auto make_frame = [&](core::FrameKind kind, int stage, core::Rank dest,
+                        std::vector<Submessage> subs) {
     OutFrame f;
     f.stage = stage;
     f.dest = dest;
@@ -214,7 +215,7 @@ ResilientExchangeResult StfwCommunicator::exchange_resilient(
     f.header.member_epoch = mem.epoch;  // the view this frame's routing was decided under
     f.header.seq = static_cast<std::uint32_t>(frames.size());
     f.header.sender = me;
-    f.msg = std::move(msg);
+    f.subs = std::move(subs);
     f.backoff = opt.retransmit_timeout;
     frames.push_back(std::move(f));
   };
@@ -222,7 +223,7 @@ ResilientExchangeResult StfwCommunicator::exchange_resilient(
   auto transmit = [&](OutFrame& f, clock::time_point now) {
     if (f.attempts > 0) ++stats_.retransmits;
     ++f.attempts;
-    auto wire = core::encode_frame(f.header, core::serialize_tracked(f.msg, arena));
+    auto wire = core::encode_frame(f.header, core::serialize_tracked(f.subs, arena));
     stats_.wire_bytes_sent += wire.size();
     comm_->send(static_cast<int>(f.dest), data_tag, std::move(wire));
     f.next_retry = now + f.backoff;
@@ -237,7 +238,7 @@ ResilientExchangeResult StfwCommunicator::exchange_resilient(
     frames[i].failed = true;
     const core::FrameKind kind = frames[i].header.kind;
     const int fstage = frames[i].stage;
-    std::vector<Submessage> subs = std::move(frames[i].msg.subs);
+    std::vector<Submessage> subs = std::move(frames[i].subs);
     // kRelay carries final-destination submessages just like kData, so a
     // relay hop that stops answering (slow, nacking, or newly dead) degrades
     // the same way: straight to per-destination kDirect frames. Without this
@@ -257,8 +258,7 @@ ResilientExchangeResult StfwCommunicator::exchange_resilient(
       }
       for (auto& [gdest, gsubs] : groups) {
         stats_.direct_fallback_submessages += static_cast<std::int64_t>(gsubs.size());
-        make_frame(core::FrameKind::kDirect, -1, gdest,
-                   StageMessage{me, gdest, std::move(gsubs)});
+        make_frame(core::FrameKind::kDirect, -1, gdest, std::move(gsubs));
       }
     } else {
       for (const Submessage& s : subs)
@@ -293,7 +293,7 @@ ResilientExchangeResult StfwCommunicator::exchange_resilient(
   // delivers its own submessages and forwards the rest one greedy-alive hop
   // closer (strictly decreasing Hamming distance, so no cycles even under
   // stale membership views).
-  auto route_relayed = [&](std::vector<Submessage> subs, bool count_as_relay) {
+  auto route_relayed = [&](std::span<const Submessage> subs, bool count_as_relay) {
     std::map<core::Rank, std::vector<Submessage>> groups;
     for (const Submessage& s : subs) {
       if (s.dest == me) {
@@ -311,7 +311,7 @@ ResilientExchangeResult StfwCommunicator::exchange_resilient(
     for (auto& [hop, gsubs] : groups) {
       (count_as_relay ? stats_.relay_submessages : stats_.reinjected_submessages) +=
           static_cast<std::int64_t>(gsubs.size());
-      make_frame(core::FrameKind::kRelay, -1, hop, StageMessage{me, hop, std::move(gsubs)});
+      make_frame(core::FrameKind::kRelay, -1, hop, std::move(gsubs));
     }
   };
 
@@ -331,7 +331,7 @@ ResilientExchangeResult StfwCommunicator::exchange_resilient(
       const bool was_acked = frames[i].acked;
       const core::FrameKind kind = frames[i].header.kind;
       frames[i].failed = true;  // its receiver no longer exists; stop the pump
-      std::vector<Submessage> subs = std::move(frames[i].msg.subs);
+      const std::vector<Submessage> subs = std::move(frames[i].subs);
       if (kind == core::FrameKind::kDirect) {
         // An acked direct frame was delivered before the death — the copy
         // died with its owner, nothing to re-home. An unacked one is lost.
@@ -346,7 +346,7 @@ ResilientExchangeResult StfwCommunicator::exchange_resilient(
       // kData / kRelay: the dead rank's forward obligations die with it even
       // when it acked. Reinject everything bound elsewhere; end-to-end
       // (source, id) dedup absorbs whatever it managed to forward first.
-      route_relayed(std::move(subs), /*count_as_relay=*/false);
+      route_relayed(subs, /*count_as_relay=*/false);
     }
     // Frames are re-encoded from their tracked header on every transmit, so
     // advancing the membership claim is a header-field write: the next
@@ -400,9 +400,11 @@ ResilientExchangeResult StfwCommunicator::exchange_resilient(
     std::vector<std::byte> body;
   };
   std::vector<EarlyFrame> early;  // frames from neighbors already past us
+  std::vector<Submessage> parsed;  // the frame being accepted; capacity reused
 
   auto accept_stage_subs = [&](int stage, core::Rank sender, std::span<const std::byte> body) {
-    const std::vector<Submessage> subs = core::deserialize_tracked(body, arena);
+    parsed.clear();
+    const std::span<const Submessage> subs = core::deserialize_tracked(body, arena, parsed);
     if (validator) validator->on_stage_recv(stage, sender, subs);
     state.accept(stage, subs);
     ++stats_.messages_received;
@@ -452,12 +454,14 @@ ResilientExchangeResult StfwCommunicator::exchange_resilient(
             ++stats_.duplicate_frames_discarded;
             continue;
           }
-          std::vector<Submessage> subs = core::deserialize_tracked(dec->body, arena);
+          parsed.clear();
+          const std::span<const Submessage> subs =
+              core::deserialize_tracked(dec->body, arena, parsed);
           ++stats_.messages_received;
           if (h.kind == core::FrameKind::kRelay) {
             // Deliver our own submessages; forward the rest one greedy-alive
             // hop closer to their destinations under our *current* view.
-            route_relayed(std::move(subs), /*count_as_relay=*/true);
+            route_relayed(subs, /*count_as_relay=*/true);
             continue;
           }
           if (validator) validator->on_direct_recv(sender, subs);
@@ -514,9 +518,9 @@ ResilientExchangeResult StfwCommunicator::exchange_resilient(
   // --- the staged exchange -------------------------------------------------
   // Seeds whose canonical first hop died enter the relay lane now; the first
   // pump_sends transmits them alongside the stage frames.
-  if (!relay_seeds.empty()) route_relayed(std::move(relay_seeds), /*count_as_relay=*/true);
+  if (!relay_seeds.empty()) route_relayed(relay_seeds, /*count_as_relay=*/true);
   std::vector<core::Rank> nbrs;
-  std::vector<StageMessage> outbox;
+  StageOutbox outbox;
   std::uint64_t transit_peak = 0;
 
   // Settlement traffic (reliable control tags) can arrive before this rank
@@ -541,30 +545,35 @@ ResilientExchangeResult StfwCommunicator::exchange_resilient(
 
     // Build this stage's frames. Unlike plain exchange(), every dimension-d
     // neighbor gets a frame — an empty one if we have nothing to forward —
-    // so receivers can detect stage completeness by counting senders.
-    outbox.clear();
+    // so receivers can detect stage completeness by counting senders. The
+    // outbox's frames and the neighbor list both ascend, so one merge walk
+    // pairs them.
     state.make_stage_outbox(cur_stage, outbox);
-    std::map<core::Rank, std::size_t> outbox_by_dest;
-    for (std::size_t i = 0; i < outbox.size(); ++i) outbox_by_dest.emplace(outbox[i].to, i);
-    nbrs.clear();
     vpt_.neighbors(me, cur_stage, nbrs);
+    std::size_t next_frame = 0;
     for (const core::Rank nbr : nbrs) {
-      StageMessage msg{me, nbr, {}};
-      if (const auto it = outbox_by_dest.find(nbr); it != outbox_by_dest.end())
-        msg.subs = std::move(outbox[it->second].subs);
+      std::span<const Submessage> subs;
+      std::uint64_t payload_bytes = 0;
+      if (next_frame < outbox.frames.size() && outbox.frames[next_frame].to == nbr) {
+        subs = outbox.subs_of(outbox.frames[next_frame]);
+        payload_bytes = outbox.frames[next_frame++].payload_bytes;
+      }
       if (!mem.is_alive(nbr)) {
         // Dead neighbor: this rank is the pivot for whatever the stage would
         // have funneled through it, so it re-homes that traffic over the
         // relay lane. No empty frame either; receivers only count alive
         // senders.
-        route_relayed(std::move(msg.subs), /*count_as_relay=*/false);
+        route_relayed(subs, /*count_as_relay=*/false);
         continue;
       }
-      if (validator) validator->on_stage_send(cur_stage, msg);
+      if (validator) validator->on_stage_send(cur_stage, nbr, subs);
       ++stats_.messages_sent;
-      stats_.payload_bytes_sent += msg.payload_bytes();
-      make_frame(core::FrameKind::kData, cur_stage, nbr, std::move(msg));
+      stats_.payload_bytes_sent += payload_bytes;
+      make_frame(core::FrameKind::kData, cur_stage, nbr, {subs.begin(), subs.end()});
     }
+    // An unmatched frame would drop its submessages without a trace.
+    core::require(next_frame == outbox.frames.size(),
+                  "exchange_resilient: a stage frame matched no dimension neighbor");
 
     // Frames for this stage that arrived while we were still behind.
     for (auto it = early.begin(); it != early.end();) {
@@ -683,7 +692,7 @@ ResilientExchangeResult StfwCommunicator::exchange_resilient(
           if (f.acked || f.failed) continue;
           f.failed = true;
           ++stats_.timeouts;
-          for (const Submessage& s : f.msg.subs)
+          for (const Submessage& s : f.subs)
             result.failure.lost.push_back({s.source, s.dest, s.size_bytes, f.stage});
         }
       }

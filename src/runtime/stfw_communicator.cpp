@@ -17,7 +17,7 @@
 namespace stfw {
 
 using core::PayloadArena;
-using core::StageMessage;
+using core::StageOutbox;
 using core::StfwRankState;
 using core::Submessage;
 
@@ -73,12 +73,9 @@ bool roster_matches(std::span<const runtime::Message> msgs,
   std::array<std::byte, core::kSubHeaderBytes> want{};
   for (std::size_t i = 0; i < msgs.size(); ++i) {
     const std::vector<std::byte>& raw = msgs[i].data;
-    std::uint32_t count = 0;
     if (msgs[i].source != static_cast<int>(expected[i].source) ||
-        raw.size() != expected[i].wire_size || raw.size() < core::kCountBytes)
+        raw.size() != expected[i].wire_size || core::claimed_count(raw) != expected[i].count)
       return false;
-    std::memcpy(&count, raw.data(), sizeof count);
-    if (count != expected[i].count) return false;
     for (const Submessage& s : layout.subs_of(expected[i])) {
       core::write_sub_header(want.data(), s);
       if (std::memcmp(raw.data() + s.offset - want.size(), want.data(), want.size()) != 0)
@@ -168,8 +165,7 @@ public:
     const int tag = tag_base_ + stage;
     frames([&](core::Rank to, std::span<const Submessage> subs, std::vector<std::byte> wire,
                std::uint64_t payload_bytes) {
-      if (validator)
-        validator->on_stage_send(stage, StageMessage{me_, to, {subs.begin(), subs.end()}});
+      if (validator) validator->on_stage_send(stage, to, subs);
       ++stats_.messages_sent;
       stats_.payload_bytes_sent += payload_bytes;
       stats_.wire_bytes_sent += wire.size();
@@ -212,22 +208,28 @@ private:
 };
 
 /// Algorithm 1's frame source: the rank's routing state and payload arena.
-/// A recording run also feeds a PlanRecorder every seed, frame and delivery
-/// with its arena offsets; the recorder maps each offset to where the bytes
-/// come from at replay time (seed index or inbound-frame slice), so the
-/// finished layout replays the routing with plain memcpys.
+/// The routing tables come from the communicator's MissScratch, so a miss
+/// allocates per table and only where it outgrows earlier misses; the arena
+/// is the exchange's own, grown once up front for the seeds and once per
+/// stage by exactly the payload its frames carry. A recording run also
+/// feeds a PlanRecorder every seed, frame and delivery with its arena
+/// offsets; the recorder maps each offset to where the bytes come from at
+/// replay time (seed index or inbound-frame slice), so the finished layout
+/// replays the routing with plain memcpys.
 class StfwCommunicator::Algorithm1 {
 public:
-  Algorithm1(StageDriver& drv, std::span<const OutboundMessage> sends, bool record)
-      : drv_(drv), state_(drv.vpt(), drv.me()) {
+  Algorithm1(StageDriver& drv, MissScratch& scratch, std::span<const OutboundMessage> sends,
+             bool record)
+      : drv_(drv), s_(scratch) {
+    s_.state.reset();
     if (record) recorder_.emplace(drv.vpt(), drv.me(), sends.size());
-    outbox_.reserve(static_cast<std::size_t>(*std::ranges::max_element(drv.vpt().dim_sizes())));
+    for (const OutboundMessage& send : sends) seed_bytes_ += send.bytes.size();
+    arena_.reserve(seed_bytes_);
     for (const OutboundMessage& send : sends) {
       const auto size = static_cast<std::uint32_t>(send.bytes.size());
       const std::uint64_t off = arena_.add(send.bytes);
-      state_.add_send(send.dest, off, size);
+      s_.state.add_send(send.dest, off, size);
       if (recorder_) recorder_->on_seed(send.dest, off, size);
-      seed_bytes_ += size;
     }
   }
 
@@ -235,11 +237,13 @@ public:
   void run(int first) {
     for (int stage = first; stage < drv_.vpt().dim(); ++stage) {
       std::vector<runtime::Message> msgs = drv_.step(stage, [&](auto&& post) {
-        outbox_.clear();
-        state_.make_stage_outbox(stage, outbox_);
-        for (const StageMessage& m : outbox_) {
-          if (recorder_) recorder_->on_stage_send(stage, m.to, m.subs);
-          post(m.to, m.subs, core::serialize(m, arena_), m.payload_bytes());
+        const StageOutbox& out = s_.outbox;
+        s_.state.make_stage_outbox(stage, s_.outbox);
+        if (recorder_) recorder_->reserve_sends(out.frames.size(), out.subs.size());
+        for (const StageOutbox::Frame& f : out.frames) {
+          const std::span<const Submessage> subs = out.subs_of(f);
+          if (recorder_) recorder_->on_stage_send(stage, f.to, subs);
+          post(f.to, subs, core::serialize(subs, arena_), f.payload_bytes);
         }
       });
       accept(stage, msgs);
@@ -254,16 +258,16 @@ public:
   /// rank's own (unchanged) pattern, so the rebuilt outboxes are discarded.
   void resume(int stage, const CachedPlan& plan, std::span<const runtime::Message> arrived) {
     for (int s = 0; s < stage; ++s) {
-      outbox_.clear();
-      state_.make_stage_outbox(s, outbox_);
+      s_.state.make_stage_outbox(s, s_.outbox);
       const auto si = static_cast<std::size_t>(s);
       for (std::size_t f = plan.layout.in_stage_begin[si]; f < plan.layout.in_stage_begin[si + 1];
-           ++f)
-        state_.accept(s, core::deserialize(plan.in_raw[f], arena_));
-      transit_peak_ = std::max(transit_peak_, state_.buffered_payload_bytes());
+           ++f) {
+        s_.parsed.clear();
+        s_.state.accept(s, core::deserialize(plan.in_raw[f], arena_, s_.parsed));
+      }
+      transit_peak_ = std::max(transit_peak_, s_.state.buffered_payload_bytes());
     }
-    outbox_.clear();
-    state_.make_stage_outbox(stage, outbox_);
+    s_.state.make_stage_outbox(stage, s_.outbox);
     accept(stage, arrived);
     run(stage + 1);
   }
@@ -271,8 +275,8 @@ public:
   /// The deliveries, sorted by source.
   std::vector<InboundMessage> inbox() const {
     std::vector<InboundMessage> result;
-    result.reserve(delivered_.size());
-    for (const Submessage& s : delivered_) {
+    result.reserve(s_.delivered.size());
+    for (const Submessage& s : s_.delivered) {
       const auto payload = arena_.view(s);
       result.push_back(InboundMessage{s.source, {payload.begin(), payload.end()}});
     }
@@ -281,20 +285,35 @@ public:
 
   /// The recorded layout (recording runs only).
   core::ExchangePlanLayout layout() {
-    return recorder_->finish(delivered_, drv_.stats().peak_buffer_bytes);
+    return recorder_->finish(s_.delivered, drv_.stats().peak_buffer_bytes);
   }
 
 private:
   void accept(int stage, std::span<const runtime::Message> msgs) {
+    // Size the arena and the recorder's tables for the whole stage before
+    // parsing: a frame's payload is its bytes less its headers. A count the
+    // frame cannot hold is capped here; the parse rejects the frame.
+    std::uint64_t payload = 0;
+    std::uint64_t subs_in = 0;
+    for (const runtime::Message& m : msgs) {
+      const std::uint64_t size = m.data.size();
+      const std::uint64_t count =
+          std::min<std::uint64_t>(core::claimed_count(m.data), size / core::kSubHeaderBytes);
+      subs_in += count;
+      payload += size - std::min(size, core::wire_size_bytes(count, 0));
+    }
+    arena_.reserve(arena_.size_bytes() + payload);
+    if (recorder_) recorder_->reserve_recvs(msgs.size(), subs_in);
     for (const runtime::Message& m : msgs) {
       const auto source = static_cast<core::Rank>(m.source);
-      const std::vector<Submessage> subs = core::deserialize(m.data, arena_);
+      s_.parsed.clear();
+      const std::span<const Submessage> subs = core::deserialize(m.data, arena_, s_.parsed);
       if (drv_.validator) drv_.validator->on_stage_recv(stage, source, subs);
       if (recorder_) recorder_->on_stage_recv(stage, source, subs);
-      state_.accept(stage, subs);
+      s_.state.accept(stage, subs);
     }
-    const std::uint64_t bytes = state_.buffered_payload_bytes();
-    const std::uint64_t count = state_.buffered_submessage_count();
+    const std::uint64_t bytes = s_.state.buffered_payload_bytes();
+    const std::uint64_t count = s_.state.buffered_submessage_count();
     transit_peak_ = std::max(transit_peak_, bytes);
     if (recorder_) recorder_->on_stage_complete(stage, bytes, count);
     if (drv_.validator) drv_.validator->on_stage_complete(stage, bytes, count);
@@ -304,19 +323,17 @@ private:
     // Paper Section 6.2 buffer metric: original send + receive buffers plus
     // the store-and-forward transit residency.
     drv_.stats().peak_buffer_bytes =
-        seed_bytes_ + state_.delivered_payload_bytes() + transit_peak_;
-    delivered_ = state_.take_delivered();
-    drv_.finish(delivered_, arena_);
-    std::stable_sort(delivered_.begin(), delivered_.end(),
+        seed_bytes_ + s_.state.delivered_payload_bytes() + transit_peak_;
+    s_.delivered.assign(s_.state.delivered().begin(), s_.state.delivered().end());
+    drv_.finish(s_.delivered, arena_);
+    std::stable_sort(s_.delivered.begin(), s_.delivered.end(),
                      [](const Submessage& a, const Submessage& b) { return a.source < b.source; });
   }
 
   StageDriver& drv_;
-  StfwRankState state_;
+  MissScratch& s_;
   PayloadArena arena_;
   std::optional<core::PlanRecorder> recorder_;
-  std::vector<StageMessage> outbox_;
-  std::vector<Submessage> delivered_;
   std::uint64_t seed_bytes_ = 0;
   std::uint64_t transit_peak_ = 0;
 };
@@ -339,6 +356,7 @@ StfwCommunicator::StfwCommunicator(runtime::Comm& comm, core::Vpt vpt)
           core::env_u64("STFW_EXCHANGE_DEADLINE_MS", kDefaultExchangeDeadlineMs))) {
   core::require(vpt_.size() == comm.size(),
                 "StfwCommunicator: VPT size must equal communicator size");
+  miss_ = std::make_unique<MissScratch>(vpt_, static_cast<core::Rank>(comm.rank()));
   // Each stage's group, this rank included, ascending: with_coord over
   // ascending digit values yields ascending ranks.
   for (int d = 0; d < vpt_.dim(); ++d) {
@@ -367,7 +385,7 @@ std::vector<InboundMessage> StfwCommunicator::exchange(std::span<const OutboundM
   for (CachedPlan& plan : plan_cache_)
     if (same_pattern(plan.layout.pattern, sends)) return replay(drv, plan, sends);
   // Algorithm 1 from stage 0; a cache miss records itself as the next plan.
-  Algorithm1 alg(drv, sends, true);
+  Algorithm1 alg(drv, *miss_, sends, true);
   alg.run(0);
   remember(alg.layout());
   stats_.plan_builds = 1;
@@ -407,7 +425,7 @@ std::vector<InboundMessage> StfwCommunicator::replay(StageDriver& drv, CachedPla
       // arrival, so the cluster stays deadlock-free without a barrier. The
       // resume reads the parked frames, so the entry goes only after it.
       stats_.plan_fallbacks = 1;
-      Algorithm1 alg(drv, sends, false);
+      Algorithm1 alg(drv, *miss_, sends, false);
       alg.resume(stage, plan, msgs);
       plan_cache_.erase(plan_cache_.begin() + (&plan - plan_cache_.data()));
       return alg.inbox();

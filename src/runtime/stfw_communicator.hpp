@@ -3,6 +3,7 @@
 #include <chrono>
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <span>
 #include <string>
 #include <vector>
@@ -266,6 +267,20 @@ private:
     std::uint64_t last_use = 0;
   };
 
+  /// The routing scratch of a plan-cache miss, kept across exchanges so a
+  /// miss allocates only where it outgrows the misses before it: the rank
+  /// state, its stage outbox, the parse table of inbound frames and the
+  /// delivery list. Boxed with a Vpt of its own, which the state points at,
+  /// so moving the communicator leaves that pointer valid.
+  struct MissScratch {
+    MissScratch(const core::Vpt& v, core::Rank me) : vpt(v), state(vpt, me) {}
+    const core::Vpt vpt;
+    core::StfwRankState state;
+    core::StageOutbox outbox;
+    std::vector<core::Submessage> parsed;
+    std::vector<core::Submessage> delivered;
+  };
+
   class StageDriver;
   class Algorithm1;
 
@@ -290,6 +305,7 @@ private:
   // Thread-confined like stats_: only the owning rank's exchanges touch it.
   std::vector<CachedPlan> plan_cache_;
   std::uint64_t plan_cache_tick_ = 0;
+  std::unique_ptr<MissScratch> miss_;
 };
 
 }  // namespace stfw

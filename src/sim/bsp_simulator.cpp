@@ -9,7 +9,7 @@
 namespace stfw::sim {
 
 using core::Rank;
-using core::StageMessage;
+using core::StageOutbox;
 using core::StfwRankState;
 
 SimResult simulate_exchange(const core::Vpt& vpt, const CommPattern& pattern,
@@ -22,7 +22,7 @@ SimResult simulate_exchange(const core::Vpt& vpt, const CommPattern& pattern,
   const auto nK = static_cast<std::size_t>(K);
 
   // With a caller-provided scratch the per-rank states (and their forward-
-  // buffer hash maps) survive across calls; otherwise `own` serves one call.
+  // buffer capacity) survive across calls; otherwise `own` serves one call.
   SimScratch own;
   SimScratch& scratch = options.scratch != nullptr ? *options.scratch : own;
   if (!scratch.vpt_.has_value() || !(*scratch.vpt_ == vpt) || scratch.states_.size() != nK) {
@@ -47,11 +47,10 @@ SimResult simulate_exchange(const core::Vpt& vpt, const CommPattern& pattern,
   scratch.inbox_.resize(nK);
   scratch.send_cost_.resize(nK);
   scratch.recv_cost_.resize(nK);
-  std::vector<std::vector<StageMessage>>& inbox = scratch.inbox_;
+  std::vector<std::vector<core::Submessage>>& inbox = scratch.inbox_;
   std::vector<double>& send_cost = scratch.send_cost_;
   std::vector<double>& recv_cost = scratch.recv_cost_;
-  std::vector<StageMessage>& outbox = scratch.outbox_;
-  outbox.clear();
+  StageOutbox& outbox = scratch.outbox_;
   // Per-node NIC injection/ejection bottleneck: all off-node traffic of a
   // node's ranks serializes through its NIC.
   const bool model_injection =
@@ -74,17 +73,17 @@ SimResult simulate_exchange(const core::Vpt& vpt, const CommPattern& pattern,
       std::fill(node_out.begin(), node_out.end(), 0);
       std::fill(node_in.begin(), node_in.end(), 0);
     }
-    // Phase 1: every rank forms its stage outbox; messages are routed to
-    // the destinations' inboxes.
+    // Phase 1: every rank forms its stage outbox; each frame's submessages
+    // are appended to its destination's inbox, which thus holds a stage's
+    // frames in ascending-sender order.
     for (Rank r = 0; r < K; ++r) {
-      outbox.clear();
       states[static_cast<std::size_t>(r)].make_stage_outbox(stage, outbox);
-      for (StageMessage& m : outbox) {
-        const std::uint64_t payload = m.payload_bytes();
+      for (const StageOutbox::Frame& m : outbox.frames) {
+        const std::uint64_t payload = m.payload_bytes;
         result.metrics.record_send(r, payload);
         result.metrics.record_recv(m.to, payload);
         if (options.machine != nullptr) {
-          const std::uint64_t wire = core::wire_size_bytes(m.subs.size(), payload);
+          const std::uint64_t wire = core::wire_size_bytes(m.count, payload);
           send_cost[static_cast<std::size_t>(r)] += options.machine->send_cost_us(r, m.to, wire);
           recv_cost[static_cast<std::size_t>(m.to)] += options.machine->recv_cost_us(wire);
           const int src_node = options.machine->node_of(r);
@@ -94,14 +93,15 @@ SimResult simulate_exchange(const core::Vpt& vpt, const CommPattern& pattern,
             node_in[static_cast<std::size_t>(dst_node)] += wire;
           }
         }
-        inbox[static_cast<std::size_t>(m.to)].push_back(std::move(m));
+        const auto subs = outbox.subs_of(m);
+        std::vector<core::Submessage>& box = inbox[static_cast<std::size_t>(m.to)];
+        box.insert(box.end(), subs.begin(), subs.end());
       }
     }
     // Phase 2: every rank scatters what it received.
     for (Rank r = 0; r < K; ++r) {
       auto& box = inbox[static_cast<std::size_t>(r)];
-      for (const StageMessage& m : box)
-        states[static_cast<std::size_t>(r)].accept(stage, m.subs);
+      states[static_cast<std::size_t>(r)].accept(stage, box);
       box.clear();
       transit_peak[static_cast<std::size_t>(r)] =
           std::max(transit_peak[static_cast<std::size_t>(r)],

@@ -34,9 +34,9 @@ struct SimResult;
 
 /// Pooled per-rank state for repeated simulate_exchange calls. The sweep
 /// harnesses simulate many exchanges over the same (or equally-shaped) VPT;
-/// constructing K StfwRankStates — a vector of hash maps each — per call
-/// dominates small-pattern runs. A scratch passed via SimOptions keeps the
-/// states (and their bucket allocations) alive across calls: states are
+/// constructing K StfwRankStates — a vector of forward buffers each — per
+/// call dominates small-pattern runs. A scratch passed via SimOptions keeps
+/// the states (and their buffers' capacity) alive across calls: states are
 /// reset when the VPT matches and rebuilt only when it changes. Owns a copy
 /// of the VPT so pooled states never dangle on a caller-destroyed topology.
 class SimScratch {
@@ -48,8 +48,8 @@ private:
                                      const SimOptions& options);
   std::optional<core::Vpt> vpt_;
   std::vector<core::StfwRankState> states_;
-  std::vector<std::vector<core::StageMessage>> inbox_;
-  std::vector<core::StageMessage> outbox_;
+  std::vector<std::vector<core::Submessage>> inbox_;  // per rank, one stage's arrivals
+  core::StageOutbox outbox_;
   std::vector<std::uint64_t> transit_peak_;
   std::vector<double> send_cost_;
   std::vector<double> recv_cost_;

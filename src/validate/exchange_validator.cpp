@@ -10,7 +10,6 @@
 namespace stfw::validate {
 
 using core::Rank;
-using core::StageMessage;
 using core::Submessage;
 
 std::uint64_t payload_digest(std::span<const std::byte> payload) noexcept {
@@ -94,7 +93,7 @@ void ExchangeValidator::on_seed(Rank dest, std::span<const std::byte> payload) {
   }
 }
 
-void ExchangeValidator::on_stage_send(int stage, const StageMessage& msg) {
+void ExchangeValidator::on_stage_send(int stage, Rank to, std::span<const Submessage> subs) {
   if (stage < 0 || stage >= vpt_->dim())
     violation("stage-range", stage, "send in nonexistent stage");
   if (stage < last_send_stage_)
@@ -106,22 +105,18 @@ void ExchangeValidator::on_stage_send(int stage, const StageMessage& msg) {
     neighbor_seen_.assign(static_cast<std::size_t>(vpt_->dim_size(stage)), false);
   }
 
-  if (msg.from != me_)
-    violation("send-origin", stage,
-              "stage message claims origin " + std::to_string(msg.from) + ", sender is " +
-                  std::to_string(me_));
-  check_rank("neighbor-send", stage, msg.to, "stage-message destination");
-  if (msg.to == me_ || vpt_->first_diff_dim(me_, msg.to) != stage ||
-      vpt_->first_diff_dim_after(me_, msg.to, stage) != -1)
+  check_rank("neighbor-send", stage, to, "stage-message destination");
+  if (to == me_ || vpt_->first_diff_dim(me_, to) != stage ||
+      vpt_->first_diff_dim_after(me_, to, stage) != -1)
     violation("neighbor-send", stage,
-              "destination " + std::to_string(msg.to) + " is not a dimension-" +
+              "destination " + std::to_string(to) + " is not a dimension-" +
                   std::to_string(stage) + " neighbor of " + std::to_string(me_) + " in " +
                   vpt_->to_string());
 
-  const auto digit = static_cast<std::size_t>(vpt_->coord(msg.to, stage));
+  const auto digit = static_cast<std::size_t>(vpt_->coord(to, stage));
   if (neighbor_seen_[digit])
     violation("duplicate-stage-message", stage,
-              "second coalesced message to neighbor " + std::to_string(msg.to));
+              "second coalesced message to neighbor " + std::to_string(to));
   neighbor_seen_[digit] = true;
 
   ++stage_messages_;
@@ -135,12 +130,12 @@ void ExchangeValidator::on_stage_send(int stage, const StageMessage& msg) {
               std::to_string(messages_sent_) + " total messages exceed sum_d (k_d - 1) = " +
                   std::to_string(vpt_->max_message_count_bound()));
 
-  for (const Submessage& s : msg.subs) {
+  for (const Submessage& s : subs) {
     check_rank("header-rank", stage, s.source, "submessage source");
     check_rank("header-rank", stage, s.dest, "submessage destination");
     if (s.dest == me_)
       violation("self-addressed", stage, "submessage addressed to this rank is leaving it");
-    if (vpt_->coord(s.dest, stage) != vpt_->coord(msg.to, stage))
+    if (vpt_->coord(s.dest, stage) != vpt_->coord(to, stage))
       violation("routing-digit", stage,
                 "submessage for " + std::to_string(s.dest) +
                     " sent to neighbor with the wrong dimension-" + std::to_string(stage) +

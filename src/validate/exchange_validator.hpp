@@ -56,10 +56,11 @@ public:
   /// conservation accounting.
   void on_seed(core::Rank dest, std::span<const std::byte> payload);
 
-  /// Hook: a coalesced stage message about to be sent in `stage`
-  /// (Algorithm 1 lines 9-12). Checks neighbor discipline, per-stage and
-  /// total message-count bounds, and every submessage header.
-  void on_stage_send(int stage, const core::StageMessage& msg);
+  /// Hook: a coalesced stage message carrying `subs` about to be sent by
+  /// this rank to `to` in `stage` (Algorithm 1 lines 9-12). Checks neighbor
+  /// discipline, per-stage and total message-count bounds, and every
+  /// submessage header.
+  void on_stage_send(int stage, core::Rank to, std::span<const core::Submessage> subs);
 
   /// Hook: submessages received from `source` in `stage` (lines 14-17).
   /// Checks that the sender is a dimension-`stage` neighbor, that at most

@@ -685,8 +685,8 @@ TEST(ResilientExchange, TotalLossDegradesIntoFailureReport) {
 }
 
 TEST(ResilientExchange, RetransmittedFramesAreByteIdenticalToOriginals) {
-  // Zero-copy PR pin: the resilient path no longer retains each frame's wire
-  // image — a retransmit re-gathers it from the kept (header, StageMessage).
+  // Zero-copy pin: the resilient path no longer retains each frame's wire
+  // image — a retransmit re-gathers it from the kept (header, submessages).
   // Serialization is deterministic, so every transmission of a given
   // (tag, sender, seq, member_epoch) data frame must be byte-for-byte
   // identical. The cluster wire tap fires before the injector rules, so the

@@ -1,42 +1,18 @@
 // Allocation regression of plan recording. A PlanRecorder appends every
 // frame to a few shared tables, so recording 512 frames may cost only the
 // tables' geometric growth in extra heap blocks over recording one — not a
-// block (or four) per frame. This executable replaces the global operator
-// new to count allocations, gated by a flag so that only the recording is
-// counted.
+// block (or four) per frame. alloc_counter.hpp counts the heap blocks of the
+// recording alone.
 
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <cstdint>
-#include <cstdlib>
-#include <new>
 #include <vector>
 
+#include "alloc_counter.hpp"
 #include "core/exchange_plan.hpp"
 #include "core/message.hpp"
 #include "core/vpt.hpp"
-
-namespace {
-
-std::atomic<bool> g_counting{false};
-std::atomic<std::size_t> g_allocations{0};
-
-}  // namespace
-
-void* operator new(std::size_t n) {
-  if (g_counting.load(std::memory_order_relaxed))
-    g_allocations.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(n == 0 ? 1 : n)) return p;
-  throw std::bad_alloc();
-}
-void* operator new[](std::size_t n) { return ::operator new(n); }
-// Not inlined: gcc's -Wmismatched-new-delete would otherwise see the free()
-// of a pointer that came from operator new at every inlined delete.
-[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
-[[gnu::noinline]] void operator delete[](void* p) noexcept { std::free(p); }
-[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-[[gnu::noinline]] void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
 
 namespace stfw::core {
 namespace {
@@ -58,9 +34,7 @@ std::size_t heap_blocks_to_record(std::uint32_t frames) {
   for (std::uint32_t i = 0; i < frames; ++i)
     delivered[i] = Submessage{static_cast<Rank>(i % 4), 0, arena_offset(2, i), kPayload, i};
 
-  g_allocations = 0;
-  g_counting = true;
-  {
+  return count_heap_blocks([&] {
     PlanRecorder rec(vpt, /*me=*/0, frames);
     for (std::uint32_t i = 0; i < frames; ++i) rec.on_seed(3, arena_offset(0, i), kPayload);
     for (int stage = 0; stage < 2; ++stage) {
@@ -78,9 +52,7 @@ std::size_t heap_blocks_to_record(std::uint32_t frames) {
     const ExchangePlanLayout layout = rec.finish(delivered, 0);
     EXPECT_EQ(layout.out_frames.size(), 2 * std::size_t{frames});
     EXPECT_EQ(layout.deliveries.size(), std::size_t{frames});
-  }
-  g_counting = false;
-  return g_allocations;
+  });
 }
 
 TEST(PlanAlloc, RecordingAllocatesPerTableNotPerFrame) {

@@ -3,16 +3,33 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <random>
+#include <utility>
+#include <vector>
 
 #include "core/error.hpp"
 
 namespace stfw::core {
 namespace {
 
-std::vector<StageMessage> outbox_of(StfwRankState& state, int stage) {
-  std::vector<StageMessage> out;
+/// One outbox frame with its own copy of its submessages.
+struct Frame {
+  Rank to = -1;
+  std::vector<Submessage> subs;
+  std::uint64_t payload_bytes = 0;
+
+  friend bool operator==(const Frame&, const Frame&) = default;
+};
+
+std::vector<Frame> outbox_of(StfwRankState& state, int stage) {
+  StageOutbox out;
   state.make_stage_outbox(stage, out);
-  return out;
+  std::vector<Frame> frames;
+  for (const StageOutbox::Frame& f : out.frames) {
+    const auto subs = out.subs_of(f);
+    frames.push_back(Frame{f.to, {subs.begin(), subs.end()}, f.payload_bytes});
+  }
+  return frames;
 }
 
 TEST(RankState, SelfSendDeliversImmediately) {
@@ -34,7 +51,6 @@ TEST(RankState, DirectVptSendsEverythingInStageZero) {
   auto out = outbox_of(s, 0);
   EXPECT_EQ(out.size(), 7u);  // one message per destination
   for (const auto& m : out) {
-    EXPECT_EQ(m.from, 0);
     EXPECT_EQ(m.subs.size(), 1u);
     EXPECT_EQ(m.subs[0].dest, m.to);
   }
@@ -55,7 +71,7 @@ TEST(RankState, MessagesToSameNeighborCoalesce) {
   ASSERT_EQ(out.size(), 1u);
   EXPECT_EQ(out[0].to, 1);  // (1,0)
   EXPECT_EQ(out[0].subs.size(), 4u);
-  EXPECT_EQ(out[0].payload_bytes(), 32u);
+  EXPECT_EQ(out[0].payload_bytes, 32u);
 }
 
 TEST(RankState, SecondStageSeedsSkipStageZero) {
@@ -101,7 +117,7 @@ TEST(RankState, PaperFigure4Walkthrough) {
 
   // P_d receives M_ad in stage 1 and sorts the submessages out.
   StfwRankState d(t, pd);
-  std::vector<StageMessage> sink;
+  StageOutbox sink;
   d.make_stage_outbox(0, sink);
   d.accept(0, out0[0].subs);
   ASSERT_EQ(d.delivered().size(), 1u);  // m_ad is for P_d itself
@@ -127,9 +143,9 @@ TEST(RankState, ForwardingMergesStreamsForSameDestination) {
   // destinations go to different buffers and stay in distinct messages.
   const Vpt t({2, 2, 2});
   StfwRankState s(t, 0);  // intermediate process (0,0,0)
-  std::vector<StageMessage> sink;
+  StageOutbox sink;
   s.make_stage_outbox(0, sink);  // enter stage 0 (nothing of our own)
-  ASSERT_TRUE(sink.empty());
+  ASSERT_TRUE(sink.frames.empty());
 
   const int same_dest_coords[3] = {0, 1, 0};
   const int other_dest_coords[3] = {0, 0, 1};
@@ -156,7 +172,7 @@ TEST(RankState, ForwardingMergesStreamsForSameDestination) {
 TEST(RankState, AcceptScattersIntoLaterStages) {
   const Vpt t({2, 2, 2});
   StfwRankState s(t, 0);  // (0,0,0)
-  std::vector<StageMessage> sink;
+  StageOutbox sink;
   s.make_stage_outbox(0, sink);  // enter stage 0
 
   const int d1_coords[3] = {0, 1, 0};  // forwarded in stage 1
@@ -187,7 +203,7 @@ TEST(RankState, PeakBufferTracksHighWater) {
   s.add_send(1, 0, 100);
   s.add_send(2, 0, 50);
   EXPECT_EQ(s.peak_buffered_payload_bytes(), 150u);
-  std::vector<StageMessage> sink;
+  StageOutbox sink;
   s.make_stage_outbox(0, sink);
   EXPECT_EQ(s.buffered_payload_bytes(), 0u);
   EXPECT_EQ(s.peak_buffered_payload_bytes(), 150u);  // high water sticks
@@ -196,7 +212,7 @@ TEST(RankState, PeakBufferTracksHighWater) {
 TEST(RankState, StagesMustRunInOrder) {
   const Vpt t({2, 2});
   StfwRankState s(t, 0);
-  std::vector<StageMessage> sink;
+  StageOutbox sink;
   EXPECT_THROW(s.make_stage_outbox(1, sink), Error);
   s.make_stage_outbox(0, sink);
   EXPECT_THROW(s.make_stage_outbox(0, sink), Error);
@@ -213,7 +229,7 @@ TEST(RankState, AcceptRequiresMatchingStage) {
 TEST(RankState, AddSendAfterStartIsAnError) {
   const Vpt t({2, 2});
   StfwRankState s(t, 0);
-  std::vector<StageMessage> sink;
+  StageOutbox sink;
   s.make_stage_outbox(0, sink);
   EXPECT_THROW(s.add_send(1, 0, 8), Error);
 }
@@ -222,16 +238,138 @@ TEST(RankState, ResetAllowsReuse) {
   const Vpt t({2, 2});
   StfwRankState s(t, 0);
   s.add_send(3, 0, 8);
-  std::vector<StageMessage> sink;
+  StageOutbox sink;
   s.make_stage_outbox(0, sink);
   s.make_stage_outbox(1, sink);
   s.reset();
   EXPECT_EQ(s.delivered().size(), 0u);
   EXPECT_EQ(s.peak_buffered_payload_bytes(), 0u);
   s.add_send(1, 0, 8);  // no throw
-  sink.clear();
   s.make_stage_outbox(0, sink);
-  EXPECT_EQ(sink.size(), 1u);
+  EXPECT_EQ(sink.frames.size(), 1u);
+}
+
+TEST(RankState, OutboxFramesAscendByNeighbor) {
+  // Seeds stashed in scrambled destination order, some repeated: one frame
+  // per neighbor, in ascending neighbor order, the flat table tiled in order.
+  const Vpt t = Vpt::direct(16);
+  StfwRankState s(t, 5);
+  const Rank dests[] = {15, 3, 9, 0, 12, 3, 1, 15, 7, 14, 2, 9};
+  for (Rank d : dests) s.add_send(d, 0, 4);
+  StageOutbox out;
+  s.make_stage_outbox(0, out);
+  ASSERT_EQ(out.frames.size(), 9u);
+  std::uint32_t next = 0;
+  for (std::size_t i = 0; i < out.frames.size(); ++i) {
+    if (i > 0) {
+      EXPECT_LT(out.frames[i - 1].to, out.frames[i].to);
+    }
+    EXPECT_EQ(out.frames[i].first, next);
+    EXPECT_EQ(out.frames[i].payload_bytes, 4u * out.frames[i].count);
+    next += out.frames[i].count;
+  }
+  EXPECT_EQ(next, out.subs.size());
+}
+
+TEST(RankState, FrameKeepsStashOrderAcrossSeedsAndForwards) {
+  // T(4,4), rank 0 = (0,0). Destinations (0,2) and (0,3) leave in stage 1.
+  // Seeds for both are stashed first, then stage 0 forwards more for both;
+  // each stage-1 frame must list its submessages in exactly that order.
+  // Offsets tag the submessages.
+  const Vpt t({4, 4});
+  const int c02[2] = {0, 2};
+  const int c03[2] = {0, 3};
+  const Rank d02 = t.rank_of(c02);
+  const Rank d03 = t.rank_of(c03);
+  StfwRankState s(t, 0);
+  s.add_send(d03, 1, 8);
+  s.add_send(d02, 2, 8);
+  s.add_send(d03, 3, 8);
+  EXPECT_TRUE(outbox_of(s, 0).empty());
+  const Submessage forwarded[] = {
+      {1, d02, 4, 8}, {2, d03, 5, 8}, {3, d02, 6, 8}, {1, d03, 7, 8}};
+  s.accept(0, forwarded);
+  const auto out = outbox_of(s, 1);
+  ASSERT_EQ(out.size(), 2u);
+  EXPECT_EQ(out[0].to, d02);
+  EXPECT_EQ(out[1].to, d03);
+  const auto offsets = [](const Frame& f) {
+    std::vector<std::uint64_t> o;
+    for (const Submessage& sub : f.subs) o.push_back(sub.offset);
+    return o;
+  };
+  EXPECT_EQ(offsets(out[0]), (std::vector<std::uint64_t>{2, 4, 6}));
+  EXPECT_EQ(offsets(out[1]), (std::vector<std::uint64_t>{1, 3, 5, 7}));
+}
+
+/// Every rank's outbox frames stage by stage, then every rank's deliveries,
+/// of one whole exchange run over `states` in lock step.
+struct ExchangeTrace {
+  std::vector<std::pair<Rank, Frame>> frames;  // (sender, frame)
+  std::vector<std::vector<Submessage>> delivered;
+
+  friend bool operator==(const ExchangeTrace&, const ExchangeTrace&) = default;
+};
+
+ExchangeTrace run_exchange(const Vpt& vpt, std::vector<StfwRankState>& states,
+                           std::uint64_t seed) {
+  std::mt19937_64 rng(seed);
+  std::uniform_int_distribution<Rank> pick(0, vpt.size() - 1);
+  std::uniform_int_distribution<std::uint32_t> size(0, 64);
+  std::uniform_int_distribution<int> fanout(0, 2 * vpt.size());
+  std::uint64_t offset = 0;
+  for (Rank r = 0; r < vpt.size(); ++r)
+    for (int n = fanout(rng); n > 0; --n) {  // self-sends and repeats included
+      const std::uint32_t bytes = size(rng);
+      states[static_cast<std::size_t>(r)].add_send(pick(rng), offset, bytes);
+      offset += bytes;
+    }
+  ExchangeTrace trace;
+  StageOutbox out;
+  std::vector<std::vector<Submessage>> inbox(static_cast<std::size_t>(vpt.size()));
+  for (int stage = 0; stage < vpt.dim(); ++stage) {
+    for (Rank r = 0; r < vpt.size(); ++r) {
+      states[static_cast<std::size_t>(r)].make_stage_outbox(stage, out);
+      for (const StageOutbox::Frame& f : out.frames) {
+        const auto subs = out.subs_of(f);
+        trace.frames.emplace_back(r, Frame{f.to, {subs.begin(), subs.end()}, f.payload_bytes});
+        auto& box = inbox[static_cast<std::size_t>(f.to)];
+        box.insert(box.end(), subs.begin(), subs.end());
+      }
+    }
+    for (Rank r = 0; r < vpt.size(); ++r) {
+      auto& box = inbox[static_cast<std::size_t>(r)];
+      states[static_cast<std::size_t>(r)].accept(stage, box);
+      box.clear();
+    }
+  }
+  for (const StfwRankState& st : states) {
+    EXPECT_EQ(st.buffered_payload_bytes(), 0u);
+    trace.delivered.push_back(st.delivered());
+  }
+  return trace;
+}
+
+std::vector<StfwRankState> states_of(const Vpt& vpt) {
+  std::vector<StfwRankState> states;
+  for (Rank r = 0; r < vpt.size(); ++r) states.emplace_back(vpt, r);
+  return states;
+}
+
+TEST(RankState, ResetStateMatchesFreshState) {
+  // A reused state must route exactly like a fresh one: reset() keeps its
+  // buffers' capacity but nothing of their contents or counters.
+  for (const Vpt& vpt : {Vpt({2, 3, 4}), Vpt::direct(16)}) {
+    std::vector<StfwRankState> reused = states_of(vpt);
+    for (std::uint64_t seed = 1; seed <= 6; ++seed) {
+      std::vector<StfwRankState> fresh = states_of(vpt);
+      for (StfwRankState& st : reused) st.reset();
+      const ExchangeTrace want = run_exchange(vpt, fresh, seed);
+      EXPECT_FALSE(want.frames.empty());
+      EXPECT_TRUE(run_exchange(vpt, reused, seed) == want)
+          << vpt.to_string() << " seed " << seed;
+    }
+  }
 }
 
 TEST(RankState, RejectsOutOfRangeDestination) {

@@ -7,6 +7,7 @@
 #include <cstring>
 #include <map>
 #include <mutex>
+#include <optional>
 #include <random>
 #include <set>
 #include <span>
@@ -166,6 +167,34 @@ TEST(Communicator, RepeatedExchangesAreIndependent) {
   EXPECT_EQ(total2, sent2);
 }
 
+TEST(Communicator, MovedCommunicatorRoutesLikeAFreshOne) {
+  // A miss reuses routing scratch that points at the communicator's VPT;
+  // after a move, and with the moved-from object destroyed, a second miss
+  // must still deliver exactly what direct sends would.
+  const Vpt vpt({2, 2, 2});
+  const auto sets1 = random_sendsets(8, 0.4, 1);
+  const auto sets2 = random_sendsets(8, 0.4, 2);
+  runtime::Cluster cluster(8);
+  std::vector<std::vector<InboundMessage>> inbox2(8);
+  cluster.run([&](runtime::Comm& comm) {
+    const auto r = static_cast<std::size_t>(comm.rank());
+    std::optional<StfwCommunicator> first;
+    first.emplace(comm, vpt);
+    (void)first->exchange(sets1[r]);
+    StfwCommunicator moved = std::move(*first);
+    first.reset();
+    inbox2[r] = moved.exchange(sets2[r]);
+    EXPECT_EQ(moved.last_stats().plan_builds, 1);
+  });
+  for (Rank r = 0; r < 8; ++r) {
+    std::vector<InboundMessage> want;  // by source, then in send order
+    for (Rank i = 0; i < 8; ++i)
+      for (const OutboundMessage& m : sets2[static_cast<std::size_t>(i)])
+        if (m.dest == r) want.push_back(InboundMessage{i, m.bytes});
+    EXPECT_EQ(inbox2[static_cast<std::size_t>(r)], want) << "rank " << r;
+  }
+}
+
 TEST(Communicator, MaxMessageCountRespectsSection4Bound) {
   // Even under a complete exchange, no rank sends more than sum(k_d - 1)
   // messages — the Section 4 guarantee BL cannot give.
@@ -202,14 +231,13 @@ TEST(Communicator, ValidatorDetectsMisroutedMessage) {
         communicator.set_validation(true);
         if (comm.rank() == 1) {
           core::PayloadArena arena;
-          core::StageMessage forged;
-          forged.from = 1;
-          forged.to = 0;  // a legitimate dimension-0 neighbor of rank 1
+          std::vector<core::Submessage> forged;
           const std::vector<std::byte> payload(8, std::byte{0x5a});
           // Final destination 3 = (1,1): rank 0's dimension-0 digit cannot
           // match it, so the header is misrouted/corrupted.
-          forged.subs.push_back(core::Submessage{1, 3, arena.add(payload),
-                                                 static_cast<std::uint32_t>(payload.size())});
+          forged.push_back(core::Submessage{1, 3, arena.add(payload),
+                                            static_cast<std::uint32_t>(payload.size())});
+          // Rank 0 is a legitimate dimension-0 neighbor of rank 1.
           comm.send(0, /*tag=*/0, core::serialize(forged, arena));
         }
         communicator.exchange({});
@@ -229,12 +257,10 @@ TEST(Communicator, ValidatorDetectsLostPayload) {
         communicator.set_validation(true);
         if (comm.rank() == 1) {
           core::PayloadArena arena;
-          core::StageMessage forged;
-          forged.from = 1;
-          forged.to = 0;
+          std::vector<core::Submessage> forged;
           const std::vector<std::byte> payload(4, std::byte{0x7e});
-          forged.subs.push_back(core::Submessage{1, 0, arena.add(payload),
-                                                 static_cast<std::uint32_t>(payload.size())});
+          forged.push_back(core::Submessage{1, 0, arena.add(payload),
+                                            static_cast<std::uint32_t>(payload.size())});
           comm.send(0, /*tag=*/0, core::serialize(forged, arena));
         }
         communicator.exchange({});

@@ -17,7 +17,7 @@ namespace {
 
 using core::PayloadArena;
 using core::Rank;
-using core::StageMessage;
+using core::StageOutbox;
 using core::Submessage;
 using core::ValidationError;
 using core::Vpt;
@@ -72,7 +72,7 @@ void run_validated_exchange(const Vpt& vpt, double density, std::uint64_t seed,
       states[ii].add_send(j, off, static_cast<std::uint32_t>(payload.size()));
     }
 
-  std::vector<StageMessage> outbox;
+  StageOutbox outbox;
   for (int stage = 0; stage < vpt.dim(); ++stage) {
     struct Wire {
       Rank from, to;
@@ -81,17 +81,17 @@ void run_validated_exchange(const Vpt& vpt, double density, std::uint64_t seed,
     std::vector<Wire> in_flight;
     for (Rank r = 0; r < K; ++r) {
       const auto rr = static_cast<std::size_t>(r);
-      outbox.clear();
       states[rr].make_stage_outbox(stage, outbox);
-      for (const StageMessage& m : outbox) {
-        validators[rr].on_stage_send(stage, m);
+      for (const StageOutbox::Frame& f : outbox.frames) {
+        validators[rr].on_stage_send(stage, f.to, outbox.subs_of(f));
         ++sent_count[rr];
-        in_flight.push_back(Wire{m.from, m.to, core::serialize(m, arenas[rr])});
+        in_flight.push_back(Wire{r, f.to, core::serialize(outbox.subs_of(f), arenas[rr])});
       }
     }
     for (const Wire& w : in_flight) {
       const auto to = static_cast<std::size_t>(w.to);
-      const std::vector<Submessage> subs = core::deserialize(w.bytes, arenas[to]);
+      std::vector<Submessage> subs;
+      core::deserialize(w.bytes, arenas[to], subs);
       validators[to].on_stage_recv(stage, w.from, subs);
       states[to].accept(stage, subs);
     }
@@ -123,41 +123,25 @@ TEST(ExchangeValidator, CleanExchangesPass) {
 TEST(ExchangeValidator, RejectsNonNeighborStageSend) {
   const Vpt vpt({2, 2});
   ExchangeValidator v(vpt, 0);
-  StageMessage m;
-  m.from = 0;
-  m.to = 3;  // differs from rank 0 in both dimensions
-  expect_violation("neighbor-send", [&] { v.on_stage_send(0, m); });
-}
-
-TEST(ExchangeValidator, RejectsStageSendFromWrongOrigin) {
-  const Vpt vpt({2, 2});
-  ExchangeValidator v(vpt, 0);
-  StageMessage m;
-  m.from = 2;
-  m.to = 1;
-  expect_violation("send-origin", [&] { v.on_stage_send(0, m); });
+  // Rank 3 differs from rank 0 in both dimensions.
+  expect_violation("neighbor-send", [&] { v.on_stage_send(0, 3, {}); });
 }
 
 TEST(ExchangeValidator, RejectsWrongRoutingDigit) {
   const Vpt vpt({2, 2});
   ExchangeValidator v(vpt, 0);
-  StageMessage m;
-  m.from = 0;
-  m.to = 1;  // dimension-0 neighbor, digit 1
-  // Submessage for rank 2 = (0,1): its dimension-0 digit is 0, not 1 — it
-  // belongs in the buffer of another neighbor.
-  m.subs.push_back(Submessage{0, 2, 0, 0});
-  expect_violation("routing-digit", [&] { v.on_stage_send(0, m); });
+  // To rank 1, the dimension-0 neighbor with digit 1, a submessage for rank
+  // 2 = (0,1): its dimension-0 digit is 0, not 1 — it belongs in the buffer
+  // of another neighbor.
+  const Submessage sub{0, 2, 0, 0};
+  expect_violation("routing-digit", [&] { v.on_stage_send(0, 1, {&sub, 1}); });
 }
 
 TEST(ExchangeValidator, RejectsSelfAddressedSubmessageLeaving) {
   const Vpt vpt({2, 2});
   ExchangeValidator v(vpt, 0);
-  StageMessage m;
-  m.from = 0;
-  m.to = 1;
-  m.subs.push_back(Submessage{3, 0, 0, 0});  // addressed to the sender itself
-  expect_violation("self-addressed", [&] { v.on_stage_send(0, m); });
+  const Submessage sub{3, 0, 0, 0};  // addressed to the sender itself
+  expect_violation("self-addressed", [&] { v.on_stage_send(0, 1, {&sub, 1}); });
 }
 
 TEST(ExchangeValidator, RejectsDimensionOrderViolationOnSend) {
@@ -165,37 +149,26 @@ TEST(ExchangeValidator, RejectsDimensionOrderViolationOnSend) {
   // Rank 0 sends in stage 1 a submessage whose destination still differs
   // from it in dimension 0 — that hop should have happened in stage 0.
   ExchangeValidator v(vpt, 0);
-  StageMessage m;
-  m.from = 0;
-  m.to = 2;  // dimension-1 neighbor
-  m.subs.push_back(Submessage{0, 3, 0, 0});  // 3 = (1,1,0): differs in dim 0
-  expect_violation("dimension-order-send", [&] { v.on_stage_send(1, m); });
+  const Submessage sub{0, 3, 0, 0};  // 3 = (1,1,0): differs in dim 0
+  // Rank 2 is its dimension-1 neighbor.
+  expect_violation("dimension-order-send", [&] { v.on_stage_send(1, 2, {&sub, 1}); });
 }
 
 TEST(ExchangeValidator, RejectsDuplicateStageMessage) {
   const Vpt vpt({2, 2});
   ExchangeValidator v(vpt, 0);
-  StageMessage m;
-  m.from = 0;
-  m.to = 1;
-  m.subs.push_back(Submessage{0, 1, 0, 0});
-  EXPECT_NO_THROW(v.on_stage_send(0, m));
-  expect_violation("duplicate-stage-message", [&] { v.on_stage_send(0, m); });
+  const Submessage sub{0, 1, 0, 0};
+  EXPECT_NO_THROW(v.on_stage_send(0, 1, {&sub, 1}));
+  expect_violation("duplicate-stage-message", [&] { v.on_stage_send(0, 1, {&sub, 1}); });
 }
 
 TEST(ExchangeValidator, RejectsOutOfOrderStages) {
   const Vpt vpt({2, 2});
   ExchangeValidator v(vpt, 0);
-  StageMessage m1;
-  m1.from = 0;
-  m1.to = 2;  // dimension-1 neighbor
-  m1.subs.push_back(Submessage{0, 2, 0, 0});
-  EXPECT_NO_THROW(v.on_stage_send(1, m1));
-  StageMessage m0;
-  m0.from = 0;
-  m0.to = 1;
-  m0.subs.push_back(Submessage{0, 1, 0, 0});
-  expect_violation("stage-order", [&] { v.on_stage_send(0, m0); });
+  const Submessage to2{0, 2, 0, 0};  // for rank 2, its dimension-1 neighbor
+  EXPECT_NO_THROW(v.on_stage_send(1, 2, {&to2, 1}));
+  const Submessage to1{0, 1, 0, 0};
+  expect_violation("stage-order", [&] { v.on_stage_send(0, 1, {&to1, 1}); });
 }
 
 TEST(ExchangeValidator, RejectsNonNeighborReceive) {

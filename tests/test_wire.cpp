@@ -18,31 +18,42 @@ std::vector<std::byte> bytes_of(std::initializer_list<int> values) {
   return out;
 }
 
+// Parses `wire` into a fresh submessage table.
+std::vector<Submessage> parse(std::span<const std::byte> wire, PayloadArena& arena,
+                              bool tracked = false) {
+  std::vector<Submessage> out;
+  if (tracked)
+    deserialize_tracked(wire, arena, out);
+  else
+    deserialize(wire, arena, out);
+  return out;
+}
+
 TEST(Wire, EmptyMessageRoundTrip) {
   PayloadArena arena;
-  StageMessage m{0, 1, {}};
+  std::vector<Submessage> m;
   const auto wire = serialize(m, arena);
   EXPECT_EQ(wire.size(), wire_size_bytes(0, 0));
   PayloadArena arena2;
-  const auto subs = deserialize(wire, arena2);
+  const auto subs = parse(wire, arena2);
   EXPECT_TRUE(subs.empty());
 }
 
 TEST(Wire, RoundTripPreservesHeadersAndPayloads) {
   PayloadArena arena;
-  StageMessage m{3, 7, {}};
+  std::vector<Submessage> m;
   const auto p1 = bytes_of({1, 2, 3, 4});
   const auto p2 = bytes_of({});
   const auto p3 = bytes_of({0xde, 0xad, 0xbe, 0xef, 0x42});
-  m.subs.push_back(Submessage{2, 9, arena.add(p1), 4});
-  m.subs.push_back(Submessage{3, 5, arena.add(p2), 0});
-  m.subs.push_back(Submessage{11, 9, arena.add(p3), 5});
+  m.push_back(Submessage{2, 9, arena.add(p1), 4});
+  m.push_back(Submessage{3, 5, arena.add(p2), 0});
+  m.push_back(Submessage{11, 9, arena.add(p3), 5});
 
   const auto wire = serialize(m, arena);
   EXPECT_EQ(wire.size(), wire_size_bytes(3, 9));
 
   PayloadArena arena2;
-  const auto subs = deserialize(wire, arena2);
+  const auto subs = parse(wire, arena2);
   ASSERT_EQ(subs.size(), 3u);
   EXPECT_EQ(subs[0].source, 2);
   EXPECT_EQ(subs[0].dest, 9);
@@ -63,18 +74,18 @@ TEST(Wire, RandomizedRoundTrip) {
   std::uniform_int_distribution<int> byte_dist(0, 255);
   for (int trial = 0; trial < 50; ++trial) {
     PayloadArena arena;
-    StageMessage m{1, 2, {}};
+    std::vector<Submessage> m;
     const int count = count_dist(rng);
     std::vector<std::vector<std::byte>> payloads;
     for (int i = 0; i < count; ++i) {
       std::vector<std::byte> p(static_cast<std::size_t>(len_dist(rng)));
       for (auto& b : p) b = static_cast<std::byte>(byte_dist(rng));
-      m.subs.push_back(
+      m.push_back(
           Submessage{i, i + 1, arena.add(p), static_cast<std::uint32_t>(p.size())});
       payloads.push_back(std::move(p));
     }
     PayloadArena arena2;
-    const auto subs = deserialize(serialize(m, arena), arena2);
+    const auto subs = parse(serialize(m, arena), arena2);
     ASSERT_EQ(subs.size(), payloads.size());
     for (std::size_t i = 0; i < subs.size(); ++i) {
       const auto view = arena2.view(subs[i]);
@@ -83,46 +94,74 @@ TEST(Wire, RandomizedRoundTrip) {
   }
 }
 
+TEST(Wire, ParsesByAppendingToTheCallersTable) {
+  PayloadArena arena;
+  const auto p = bytes_of({7, 8, 9});
+  const std::vector<Submessage> first{Submessage{1, 2, arena.add(p), 3}};
+  const std::vector<Submessage> second{Submessage{4, 5, arena.add(p), 3},
+                                       Submessage{6, 7, arena.add(p), 3}};
+  PayloadArena arena2;
+  std::vector<Submessage> table;
+  const auto a = deserialize(serialize(first, arena), arena2, table);
+  ASSERT_EQ(a.size(), 1u);
+  EXPECT_EQ(a[0].source, 1);
+  const auto b = deserialize(serialize(second, arena), arena2, table);
+  ASSERT_EQ(table.size(), 3u);  // appended, not replaced
+  ASSERT_EQ(b.size(), 2u);      // the returned range is the new frame's
+  EXPECT_EQ(b.data(), table.data() + 1);
+  EXPECT_EQ(b[1].dest, 7);
+  const auto v = arena2.view(b[1]);
+  EXPECT_TRUE(std::equal(v.begin(), v.end(), p.begin(), p.end()));
+}
+
+TEST(Wire, ClaimedCountReadsTheHeader) {
+  PayloadArena arena;
+  const std::vector<Submessage> subs(5, Submessage{0, 1, 0, 0});
+  EXPECT_EQ(claimed_count(serialize(subs, arena)), 5u);
+  EXPECT_EQ(claimed_count(serialize_tracked(subs, arena)), 5u);
+  EXPECT_EQ(claimed_count(bytes_of({1, 0, 0})), 0u);  // shorter than the count
+}
+
 TEST(Wire, RejectsTruncatedHeader) {
   const auto wire = bytes_of({1, 0, 0});  // 3 bytes < u32 count
   PayloadArena arena;
-  EXPECT_THROW(deserialize(wire, arena), Error);
+  EXPECT_THROW(parse(wire, arena), Error);
 }
 
 TEST(Wire, RejectsTruncatedPayload) {
   PayloadArena arena;
-  StageMessage m{0, 1, {}};
+  std::vector<Submessage> m;
   const auto p = bytes_of({1, 2, 3, 4, 5, 6, 7, 8});
-  m.subs.push_back(Submessage{0, 1, arena.add(p), 8});
+  m.push_back(Submessage{0, 1, arena.add(p), 8});
   auto wire = serialize(m, arena);
   // erase, not resize(size() - 3): gcc 12 cannot see that size() >= 3 here and
   // flags the shrinking resize with a bogus -Wstringop-overflow under asan.
   wire.erase(wire.end() - 3, wire.end());
   PayloadArena arena2;
-  EXPECT_THROW(deserialize(wire, arena2), Error);
+  EXPECT_THROW(parse(wire, arena2), Error);
 }
 
 TEST(Wire, RejectsTrailingGarbage) {
   PayloadArena arena;
-  StageMessage m{0, 1, {}};
+  std::vector<Submessage> m;
   auto wire = serialize(m, arena);
   wire.push_back(std::byte{0});
   PayloadArena arena2;
-  EXPECT_THROW(deserialize(wire, arena2), Error);
+  EXPECT_THROW(parse(wire, arena2), Error);
 }
 
 TEST(Wire, TrackedRoundTripPreservesIds) {
   PayloadArena arena;
-  StageMessage m{3, 7, {}};
+  std::vector<Submessage> m;
   const auto p1 = bytes_of({1, 2, 3, 4});
   const auto p2 = bytes_of({});
-  m.subs.push_back(Submessage{2, 9, arena.add(p1), 4, 11});
-  m.subs.push_back(Submessage{3, 5, arena.add(p2), 0, 0xffffffffu});
+  m.push_back(Submessage{2, 9, arena.add(p1), 4, 11});
+  m.push_back(Submessage{3, 5, arena.add(p2), 0, 0xffffffffu});
   const auto wire = serialize_tracked(m, arena);
   // The tracked layout costs exactly 4 extra bytes per submessage.
   EXPECT_EQ(wire.size(), wire_size_bytes(2, 4) + 2 * 4);
   PayloadArena arena2;
-  const auto subs = deserialize_tracked(wire, arena2);
+  const auto subs = parse(wire, arena2, true);
   ASSERT_EQ(subs.size(), 2u);
   EXPECT_EQ(subs[0].source, 2);
   EXPECT_EQ(subs[0].dest, 9);
@@ -134,13 +173,13 @@ TEST(Wire, TrackedRoundTripPreservesIds) {
 
 TEST(Wire, TrackedRejectsTruncation) {
   PayloadArena arena;
-  StageMessage m{0, 1, {}};
+  std::vector<Submessage> m;
   const auto p = bytes_of({1, 2, 3, 4, 5, 6, 7, 8});
-  m.subs.push_back(Submessage{0, 1, arena.add(p), 8, 3});
+  m.push_back(Submessage{0, 1, arena.add(p), 8, 3});
   auto wire = serialize_tracked(m, arena);
   wire.erase(wire.end() - 3, wire.end());
   PayloadArena arena2;
-  EXPECT_THROW(deserialize_tracked(wire, arena2), Error);
+  EXPECT_THROW(parse(wire, arena2, true), Error);
 }
 
 TEST(Frame, RoundTripPreservesHeaderAndBody) {
