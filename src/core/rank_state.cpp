@@ -38,7 +38,6 @@ void StfwRankState::stash(int stage_from, const Submessage& s) {
   parked.push_back(Parked{digit << 32 | parked.size(), s});
   buffered_bytes_ += s.size_bytes;
   ++buffered_count_;
-  peak_buffered_bytes_ = std::max(peak_buffered_bytes_, buffered_bytes_);
 }
 
 void StfwRankState::make_stage_outbox(int stage, StageOutbox& out) {
@@ -87,7 +86,6 @@ void StfwRankState::reset() {
   stages_consumed_ = 0;
   buffered_bytes_ = 0;
   buffered_count_ = 0;
-  peak_buffered_bytes_ = 0;
   delivered_bytes_ = 0;
 }
 

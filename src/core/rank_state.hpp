@@ -62,10 +62,6 @@ public:
   /// residency count (≤ K-1 for single-message-per-pair patterns).
   std::uint64_t buffered_submessage_count() const noexcept { return buffered_count_; }
 
-  /// High-water mark of buffered_payload_bytes() over the exchange, the
-  /// store-and-forward part of the paper's buffer-size metric.
-  std::uint64_t peak_buffered_payload_bytes() const noexcept { return peak_buffered_bytes_; }
-
   /// Total payload bytes delivered to this process so far.
   std::uint64_t delivered_payload_bytes() const noexcept { return delivered_bytes_; }
 
@@ -99,7 +95,6 @@ private:
   std::vector<Submessage> delivered_;
   std::uint64_t buffered_bytes_ = 0;
   std::uint64_t buffered_count_ = 0;
-  std::uint64_t peak_buffered_bytes_ = 0;
   std::uint64_t delivered_bytes_ = 0;
 };
 

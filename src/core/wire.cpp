@@ -8,13 +8,10 @@ namespace stfw::core {
 
 namespace {
 
-// resize + memcpy rather than insert(end, p, p + sizeof(T)): gcc 12's
-// -Wstringop-overflow misfires on the 4-byte insert path at -O2.
 template <class T>
-void put(std::vector<std::byte>& out, T v) {
-  const std::size_t pos = out.size();
-  out.resize(pos + sizeof(T));
-  std::memcpy(out.data() + pos, &v, sizeof(T));
+std::byte* put(std::byte* out, T v) noexcept {
+  std::memcpy(out, &v, sizeof(T));
+  return out + sizeof(T);
 }
 
 template <class T>
@@ -26,21 +23,36 @@ T get(std::span<const std::byte> in, std::size_t& pos) {
   return v;
 }
 
-// The plain and the tracked formats differ only in the tracked one's u32 id
-// between dest and len.
-std::vector<std::byte> serialize_as(std::span<const Submessage> subs, const PayloadArena& arena,
-                                    bool tracked) {
+// `offset` leading bytes, then the stage message carrying `subs`; the
+// tracked format differs only in its u32 id between dest and len.
+std::vector<std::byte> with_body(std::size_t offset, std::span<const Submessage> subs,
+                                 const PayloadArena& arena, bool tracked) {
   std::uint64_t payload_bytes = 0;
   for (const Submessage& s : subs) payload_bytes += s.size_bytes;
-  std::vector<std::byte> out(wire_size_bytes(subs.size(), payload_bytes) +
+  std::vector<std::byte> out(offset + wire_size_bytes(subs.size(), payload_bytes) +
                              (tracked ? 4 * subs.size() : 0));
-  std::byte* pos = write_count(out.data(), static_cast<std::uint32_t>(subs.size()));
+  std::byte* pos = write_count(out.data() + offset, static_cast<std::uint32_t>(subs.size()));
   for (const Submessage& s : subs) {
     pos = write_sub_header(pos, s, tracked);
     if (s.size_bytes > 0) std::memcpy(pos, arena.view(s).data(), s.size_bytes);
     pos += s.size_bytes;
   }
   return out;
+}
+
+// `frame`, whose body follows kFrameOverheadBytes, with header and checksum.
+std::vector<std::byte> sealed(std::vector<std::byte> frame, FrameHeader h) noexcept {
+  std::byte* pos = put<std::uint32_t>(frame.data(), kFrameMagic);
+  pos = put<std::uint16_t>(pos, static_cast<std::uint16_t>(h.kind));
+  pos = put<std::uint16_t>(pos, h.stage);
+  pos = put<std::uint32_t>(pos, h.member_epoch);
+  pos = put<std::uint32_t>(pos, h.seq);
+  pos = put<std::int32_t>(pos, h.sender);
+  pos = put<std::uint32_t>(pos, static_cast<std::uint32_t>(frame.size() - kFrameOverheadBytes));
+  const std::span<const std::byte> all(frame);
+  const auto framed = static_cast<std::size_t>(pos - frame.data());
+  put<std::uint64_t>(pos, digest64(all.subspan(kFrameOverheadBytes), digest64(all.first(framed))));
+  return frame;
 }
 
 std::span<const Submessage> deserialize_as(std::span<const std::byte> wire, PayloadArena& arena,
@@ -70,17 +82,12 @@ std::span<const Submessage> deserialize_as(std::span<const std::byte> wire, Payl
 }  // namespace
 
 std::vector<std::byte> serialize(std::span<const Submessage> subs, const PayloadArena& arena) {
-  return serialize_as(subs, arena, false);
+  return with_body(0, subs, arena, false);
 }
 
 std::span<const Submessage> deserialize(std::span<const std::byte> wire, PayloadArena& arena,
                                         std::vector<Submessage>& out) {
   return deserialize_as(wire, arena, out, false);
-}
-
-std::vector<std::byte> serialize_tracked(std::span<const Submessage> subs,
-                                         const PayloadArena& arena) {
-  return serialize_as(subs, arena, true);
 }
 
 std::span<const Submessage> deserialize_tracked(std::span<const std::byte> wire,
@@ -124,21 +131,14 @@ std::uint64_t digest64(std::span<const std::byte> bytes, std::uint64_t seed) noe
 }
 
 std::vector<std::byte> encode_frame(FrameHeader header, std::span<const std::byte> body) {
-  header.body_len = static_cast<std::uint32_t>(body.size());
-  std::vector<std::byte> out;
-  out.reserve(kFrameOverheadBytes + body.size());
-  put<std::uint32_t>(out, kFrameMagic);
-  put<std::uint16_t>(out, static_cast<std::uint16_t>(header.kind));
-  put<std::uint16_t>(out, header.stage);
-  put<std::uint32_t>(out, header.member_epoch);
-  put<std::uint32_t>(out, header.seq);
-  put<std::int32_t>(out, header.sender);
-  put<std::uint32_t>(out, header.body_len);
-  // Checksum covers everything framed so far plus the body.
-  const std::uint64_t sum = digest64(body, digest64(out));
-  put<std::uint64_t>(out, sum);
-  out.insert(out.end(), body.begin(), body.end());
-  return out;
+  std::vector<std::byte> out(kFrameOverheadBytes + body.size());
+  if (!body.empty()) std::memcpy(out.data() + kFrameOverheadBytes, body.data(), body.size());
+  return sealed(std::move(out), header);
+}
+
+std::vector<std::byte> encode_frame(FrameHeader header, std::span<const Submessage> subs,
+                                    const PayloadArena& arena) {
+  return sealed(with_body(kFrameOverheadBytes, subs, arena, true), header);
 }
 
 std::optional<DecodedFrame> decode_frame(std::span<const std::byte> wire) noexcept {

@@ -15,6 +15,8 @@
 /// Layout (little-endian, packed):
 ///   u32 count
 ///   count times: { i32 source, i32 dest, u32 len, u8 bytes[len] }
+/// The *tracked* format, the body of the resilient exchange's frames, also
+/// carries each submessage's per-source id, between dest and len.
 ///
 /// The threaded runtime ships stage messages in this format (as a real MPI
 /// implementation would); the BSP simulator skips the byte copies but the
@@ -38,10 +40,9 @@ constexpr std::uint64_t wire_size_bytes(std::uint64_t count, std::uint64_t paylo
   return kCountBytes + count * kSubHeaderBytes + payload_bytes;
 }
 
-/// The one writer of the stage-message framing, shared by both serializers
-/// and the plan replay's gather. Each writes at `out` and returns the
-/// position past what it wrote; a submessage's payload follows its header,
-/// which in the `tracked` format (below) carries the id before the length.
+/// The one writer of the stage-message framing, shared by both encoders and
+/// the plan replay's gather. Each writes at `out` and returns the position
+/// past what it wrote; a submessage's payload follows its header.
 inline std::byte* write_count(std::byte* out, std::uint32_t count) noexcept {
   std::memcpy(out, &count, kCountBytes);
   return out + kCountBytes;
@@ -66,14 +67,9 @@ std::vector<std::byte> serialize(std::span<const Submessage> subs, const Payload
 std::span<const Submessage> deserialize(std::span<const std::byte> wire, PayloadArena& arena,
                                         std::vector<Submessage>& out);
 
-/// Variants of serialize/deserialize that additionally carry each
-/// submessage's per-source id (layout: u32 count, then per submessage
-/// { i32 source, i32 dest, u32 id, u32 len, u8 bytes[len] }). The resilient
-/// exchange uses these so final destinations can deduplicate a submessage
-/// that arrives both via store-and-forward and via the direct fallback; the
-/// plain exchange keeps the id-less paper format above.
-std::vector<std::byte> serialize_tracked(std::span<const Submessage> subs,
-                                         const PayloadArena& arena);
+/// deserialize for the tracked format: final destinations use the ids to
+/// drop a submessage that arrives both via store-and-forward and via the
+/// direct fallback.
 std::span<const Submessage> deserialize_tracked(std::span<const std::byte> wire,
                                                 PayloadArena& arena,
                                                 std::vector<Submessage>& out);
@@ -93,7 +89,7 @@ inline std::uint32_t claimed_count(std::span<const std::byte> wire) noexcept {
 //   u32 body_len  u64 checksum  u8 body[body_len]
 //
 // `seq` is monotonically increasing per sender within one exchange, and each
-// exchange posts its frames under tags of its own (Comm::reserve_tags), so
+// exchange posts its frames under a tag of its own (Comm::reserve_tags), so
 // every frame a rank emits is identified by (tag, sender, seq); acks echo the
 // seq they acknowledge. `member_epoch` is the cluster membership
 // version the sender believed in when it built the frame: receivers whose
@@ -146,8 +142,11 @@ std::uint64_t digest64(std::span<const std::byte> bytes,
                        std::uint64_t seed = 14695981039346656037ull) noexcept;
 
 /// Wrap `body` in a frame with `header` (its body_len is overwritten) and a
-/// freshly computed checksum.
+/// freshly computed checksum. The second form frames the tracked stage
+/// message carrying `subs`, written in place with payloads from `arena`.
 std::vector<std::byte> encode_frame(FrameHeader header, std::span<const std::byte> body);
+std::vector<std::byte> encode_frame(FrameHeader header, std::span<const Submessage> subs,
+                                    const PayloadArena& arena);
 
 /// Parse a frame. Returns std::nullopt — never throws — when the buffer is
 /// truncated, carries the wrong magic, or fails the checksum: a corrupt

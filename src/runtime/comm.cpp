@@ -607,15 +607,15 @@ std::vector<Message> Cluster::drain(int me, int tag) {
     while (it != mb.queue.end()) {
       if (it->tag == tag) {
         STFW_VERIFY_HOOK(mailbox_recv(me, it->source, it->tag, it->verify_id));
-        out.push_back(std::move(*it));
+        // Sorted by source, then arrival, by insertion: drains are short, and
+        // a stable sort would allocate a buffer on every one.
+        out.insert(std::ranges::upper_bound(out, it->source, {}, &Message::source), std::move(*it));
         it = mb.queue.erase(it);
       } else {
         ++it;
       }
     }
   }
-  std::stable_sort(out.begin(), out.end(),
-                   [](const Message& a, const Message& b) { return a.source < b.source; });
   return out;
 }
 

@@ -29,11 +29,11 @@ using core::Submessage;
 
 namespace {
 
-// Each exchange_resilient posts its data and ack frames under a pair of
-// tags from Comm::reserve_tags, lifted by this offset above every plain
-// stage tag ([0, 2^28)) and kept below the arrival release bit (2^29). The
-// tags tell exchanges apart, so a faster peer's next-exchange frames wait
-// in the mailbox under their own tags.
+// Each exchange_resilient posts all its frames, acks and nacks included,
+// under one tag from Comm::reserve_tags, lifted by this offset above every
+// plain stage tag ([0, 2^28)) and kept below the arrival release bit
+// (2^29). The tag tells exchanges apart, so a faster peer's next-exchange
+// frames wait in the mailbox under their own tag.
 constexpr int kResilientTagBase = 1 << 28;
 
 // Settlement control traffic of exchange_resilient, on the reliable negative
@@ -129,7 +129,13 @@ ResilientExchangeResult StfwCommunicator::exchange_resilient(
   const auto me = static_cast<core::Rank>(comm_->rank());
   const int n = vpt_.dim();
   const int world = comm_->size();
-  StfwRankState state(vpt_, me);
+  // Routing tables from the communicator's scratch, the arena our own.
+  // `delivered` gathers the side lanes' deliveries; the stage's join at the end.
+  MissScratch& scratch = *miss_;
+  scratch.reset();
+  StfwRankState& state = scratch.state;
+  std::vector<Submessage>& parsed = scratch.parsed;
+  std::vector<Submessage>& delivered = scratch.delivered;
   PayloadArena arena;
   stats_ = LocalExchangeStats{};
   ResilientExchangeResult result;
@@ -147,10 +153,9 @@ ResilientExchangeResult StfwCommunicator::exchange_resilient(
   for (const OutboundMessage& s : sends)
     core::require(s.dest >= 0 && s.dest < world, "exchange_resilient: destination out of range");
 
-  // Claim the tags up front so a thrown exchange cannot leave stale frames
+  // Claim the tag up front so a thrown exchange cannot leave stale frames
   // that a retry would mistake for its own.
-  const int data_tag = kResilientTagBase + comm_->reserve_tags(2);
-  const int ack_tag = data_tag + 1;
+  const int tag = kResilientTagBase + comm_->reserve_tags(1);
   fault::FaultInjector* injector = comm_->fault_injector();
 
   std::optional<validate::ExchangeValidator> validator;
@@ -163,13 +168,14 @@ ResilientExchangeResult StfwCommunicator::exchange_resilient(
   // exists below). Everything else is seeded as in Algorithm 1.
   std::vector<Submessage> relay_seeds;
   std::uint64_t seed_bytes = 0;
+  for (const OutboundMessage& s : sends) seed_bytes += s.bytes.size();
+  arena.reserve(seed_bytes);  // the seeds, in one block
   std::uint32_t next_sub_id = 0;
   for (const OutboundMessage& s : sends) {
     if (validator) validator->on_seed(s.dest, s.bytes);
     const std::uint64_t off = arena.add(s.bytes);
     const auto size = static_cast<std::uint32_t>(s.bytes.size());
     const std::uint32_t id = next_sub_id++;
-    seed_bytes += s.bytes.size();
     if (!degraded || s.dest == me) {
       state.add_send(s.dest, off, size, id);
     } else if (!mem.is_alive(s.dest)) {
@@ -188,13 +194,10 @@ ResilientExchangeResult StfwCommunicator::exchange_resilient(
   struct OutFrame {
     int stage = -1;  // -1 for kDirect and kRelay
     core::Rank dest = -1;
-    // No retained wire image: the tracker holds only the frame header and
-    // the submessage headers (payload bytes stay in `arena`), and every
-    // transmission — first send and retransmit alike — re-gathers the wire
-    // bytes from them. serialize_tracked and encode_frame are deterministic
-    // functions of (header, subs, arena), so a retransmit is byte-identical
-    // to the original frame while an unacked frame costs O(subs) to track
-    // instead of a full wire copy.
+    // No retained wire image: every transmission re-encodes the frame from
+    // its header and submessages (payloads stay in `arena`), so tracking it
+    // costs O(subs), and encode_frame is deterministic, so a retransmit is
+    // byte-identical to the original.
     core::FrameHeader header;
     std::vector<Submessage> subs;  // double as the fallback / loss-reporting list
     int attempts = 0;
@@ -223,17 +226,44 @@ ResilientExchangeResult StfwCommunicator::exchange_resilient(
   auto transmit = [&](OutFrame& f, clock::time_point now) {
     if (f.attempts > 0) ++stats_.retransmits;
     ++f.attempts;
-    auto wire = core::encode_frame(f.header, core::serialize_tracked(f.subs, arena));
+    auto wire = core::encode_frame(f.header, f.subs, arena);
     stats_.wire_bytes_sent += wire.size();
-    comm_->send(static_cast<int>(f.dest), data_tag, std::move(wire));
+    comm_->send(static_cast<int>(f.dest), tag, std::move(wire));
     f.next_retry = now + f.backoff;
     f.backoff = next_backoff(f.backoff, opt.retransmit_timeout, opt.stage_deadline);
   };
 
+  // Re-sends `subs` as `kind` frames, one per next hop `hop_of(dest)`, and
+  // returns how many it re-sent. Our own are delivered, and those for dead
+  // destinations reported lost at `stage`: a frame to a dead rank is never
+  // acked, and a direct one, being budget-exempt, would pin the settlement
+  // loop to its valve. May push new frames, so callers must not hold
+  // references into `frames` across the call.
+  auto regroup = [&](std::span<const Submessage> subs, core::FrameKind kind, int stage,
+                     auto&& hop_of) {
+    std::map<core::Rank, std::vector<Submessage>> groups;
+    for (const Submessage& s : subs) {
+      if (s.dest == me) {
+        delivered.push_back(s);
+      } else if (!mem.is_alive(s.dest)) {
+        ++stats_.dead_dest_submessages_dropped;
+        result.failure.lost.push_back({s.source, s.dest, s.size_bytes, stage});
+      } else {
+        groups[hop_of(s.dest)].push_back(s);
+      }
+    }
+    std::int64_t resent = 0;
+    for (auto& [hop, gsubs] : groups) {
+      resent += static_cast<std::int64_t>(gsubs.size());
+      make_frame(kind, -1, hop, std::move(gsubs));
+    }
+    return resent;
+  };
+
   // Give up on frame `i`: a dead kData frame degrades into kDirect frames
   // grouped by final destination (bypassing the remaining store-and-forward
-  // stages); a dead kDirect frame is a definite loss. May push new frames,
-  // so callers must not hold references into `frames` across the call.
+  // stages); a dead kDirect frame is a definite loss. Pushes frames, like
+  // regroup.
   auto fail_frame = [&](std::size_t i) {
     frames[i].failed = true;
     const core::FrameKind kind = frames[i].header.kind;
@@ -245,21 +275,8 @@ ResilientExchangeResult StfwCommunicator::exchange_resilient(
     // a survivable crash could turn into reported loss between live ranks
     // purely because the detour's first hop was congested.
     if ((kind == core::FrameKind::kData || kind == core::FrameKind::kRelay) && !subs.empty()) {
-      std::map<core::Rank, std::vector<Submessage>> groups;
-      for (const Submessage& s : subs) {
-        // A direct frame to a dead destination would never be acked and —
-        // being budget-exempt — would pin the settlement loop to its valve.
-        if (!mem.is_alive(s.dest)) {
-          ++stats_.dead_dest_submessages_dropped;
-          result.failure.lost.push_back({s.source, s.dest, s.size_bytes, fstage});
-          continue;
-        }
-        groups[s.dest].push_back(s);
-      }
-      for (auto& [gdest, gsubs] : groups) {
-        stats_.direct_fallback_submessages += static_cast<std::int64_t>(gsubs.size());
-        make_frame(core::FrameKind::kDirect, -1, gdest, std::move(gsubs));
-      }
+      stats_.direct_fallback_submessages +=
+          regroup(subs, core::FrameKind::kDirect, fstage, [](core::Rank dest) { return dest; });
     } else {
       for (const Submessage& s : subs)
         result.failure.lost.push_back({s.source, s.dest, s.size_bytes, fstage});
@@ -276,14 +293,8 @@ ResilientExchangeResult StfwCommunicator::exchange_resilient(
     auto w = core::encode_frame(a, {});
     if (kind == core::FrameKind::kAck) ++stats_.acks_sent;
     stats_.wire_bytes_sent += w.size();
-    comm_->send(static_cast<int>(to), ack_tag, std::move(w));
+    comm_->send(static_cast<int>(to), tag, std::move(w));
   };
-
-  // Out-of-band deliveries: submessages for this rank that arrived via
-  // kDirect or kRelay frames instead of the stage machinery. Merged with the
-  // staged deliveries at the end under (source, id) dedup.
-  std::vector<Submessage> direct_delivered;
-  std::uint64_t direct_bytes = 0;
 
   // --- the relay lane ------------------------------------------------------
   // Detoured traffic cannot re-enter the stage machinery: store-and-forward
@@ -294,25 +305,9 @@ ResilientExchangeResult StfwCommunicator::exchange_resilient(
   // closer (strictly decreasing Hamming distance, so no cycles even under
   // stale membership views).
   auto route_relayed = [&](std::span<const Submessage> subs, bool count_as_relay) {
-    std::map<core::Rank, std::vector<Submessage>> groups;
-    for (const Submessage& s : subs) {
-      if (s.dest == me) {
-        direct_delivered.push_back(s);
-        direct_bytes += s.size_bytes;
-        continue;
-      }
-      if (!mem.is_alive(s.dest)) {
-        ++stats_.dead_dest_submessages_dropped;
-        result.failure.lost.push_back({s.source, s.dest, s.size_bytes, -1});
-        continue;
-      }
-      groups[core::greedy_next_hop(vpt_, mem.alive, me, s.dest)].push_back(s);
-    }
-    for (auto& [hop, gsubs] : groups) {
-      (count_as_relay ? stats_.relay_submessages : stats_.reinjected_submessages) +=
-          static_cast<std::int64_t>(gsubs.size());
-      make_frame(core::FrameKind::kRelay, -1, hop, std::move(gsubs));
-    }
+    (count_as_relay ? stats_.relay_submessages : stats_.reinjected_submessages) +=
+        regroup(subs, core::FrameKind::kRelay, -1,
+                [&](core::Rank dest) { return core::greedy_next_hop(vpt_, mem.alive, me, dest); });
   };
 
   // Membership transition: re-snapshot, pull every tracked frame off dead
@@ -391,127 +386,132 @@ ResilientExchangeResult StfwCommunicator::exchange_resilient(
   };
 
   // --- receiver side -------------------------------------------------------
+  // A neighbor sends one kData frame per stage (retransmits reuse its seq;
+  // fallbacks are kDirect or kRelay frames), so its slot in scratch.heard
+  // serves dedup and stage completion. kDirect and kRelay frames, of which
+  // a sender may post several, dedupe by (sender, seq).
   int cur_stage = 0;
-  std::set<std::pair<std::int32_t, std::uint32_t>> seen;  // (sender, seq) dedup
-  std::vector<std::set<core::Rank>> stage_got(static_cast<std::size_t>(n));
+  std::set<std::pair<std::int32_t, std::uint32_t>> seen;
+  using Heard = MissScratch::Heard;
+  const auto heard = [&](int stage, core::Rank sender) -> Heard& {
+    return scratch.heard[static_cast<std::size_t>(stage)]
+                        [static_cast<std::size_t>(vpt_.coord(sender, stage))];
+  };
   struct EarlyFrame {
     int stage;
     core::Rank sender;
-    std::vector<std::byte> body;
+    std::vector<std::byte> frame;  // the buffer it arrived in
   };
   std::vector<EarlyFrame> early;  // frames from neighbors already past us
-  std::vector<Submessage> parsed;  // the frame being accepted; capacity reused
 
-  auto accept_stage_subs = [&](int stage, core::Rank sender, std::span<const std::byte> body) {
+  // Files the stage frame `frame`, already decoded.
+  auto accept_stage_subs = [&](int stage, core::Rank sender, std::span<const std::byte> frame) {
     parsed.clear();
-    const std::span<const Submessage> subs = core::deserialize_tracked(body, arena, parsed);
+    const std::span<const Submessage> subs =
+        core::deserialize_tracked(frame.subspan(core::kFrameOverheadBytes), arena, parsed);
     if (validator) validator->on_stage_recv(stage, sender, subs);
     state.accept(stage, subs);
     ++stats_.messages_received;
-    stage_got[static_cast<std::size_t>(stage)].insert(sender);
   };
 
   auto process_incoming = [&] {
-    for (const int tag : {ack_tag, data_tag}) {
-      for (runtime::Message& m : comm_->drain(tag)) {
-        const auto dec = core::decode_frame(m.data);
-        const bool control = dec && (dec->header.kind == core::FrameKind::kAck ||
-                                     dec->header.kind == core::FrameKind::kNack);
-        if (!dec || control != (tag == ack_tag)) {
-          ++stats_.corrupt_frames_discarded;  // truncated / bit-rotted / mis-tagged
-          continue;
+    for (runtime::Message& m : comm_->drain(tag)) {
+      const auto dec = core::decode_frame(m.data);
+      if (!dec) {
+        ++stats_.corrupt_frames_discarded;  // truncated / bit-rotted
+        continue;
+      }
+      const core::FrameHeader& h = dec->header;
+      // Sent under a membership view that predates a death we already
+      // observed. Only stage frames are refused for it (below); acks and
+      // nacks answer our own frames, whatever view their sender holds.
+      const bool stale = h.member_epoch < mem.epoch;
+      if (h.kind == core::FrameKind::kAck || h.kind == core::FrameKind::kNack) {
+        if (h.seq >= frames.size()) continue;  // seq is the frame's index
+        OutFrame& f = frames[h.seq];
+        if (static_cast<core::Rank>(h.sender) != f.dest || f.acked || f.failed) continue;
+        if (h.kind == core::FrameKind::kAck) {
+          f.acked = true;
+          ++stats_.acks_received;
+        } else {
+          // The receiver refused this frame (it moved past the frame's
+          // stage); retrying cannot succeed, so degrade right away instead
+          // of burning the remaining attempts against a closed door.
+          fail_frame(h.seq);
         }
-        const core::FrameHeader& h = dec->header;
-        // Sent under a membership view that predates a death we already
-        // observed. Only stage frames are refused for it (below); acks and
-        // nacks answer our own frames, whatever view their sender holds.
-        const bool stale = h.member_epoch < mem.epoch;
-        if (control) {
-          if (h.seq >= frames.size()) continue;  // seq is the frame's index
-          OutFrame& f = frames[h.seq];
-          if (static_cast<core::Rank>(h.sender) != f.dest || f.acked || f.failed) continue;
-          if (h.kind == core::FrameKind::kAck) {
-            f.acked = true;
-            ++stats_.acks_received;
-          } else {
-            // The receiver refused this frame (it moved past the frame's
-            // stage); retrying cannot succeed, so degrade right away instead
-            // of burning the remaining attempts against a closed door.
-            fail_frame(h.seq);
-          }
-          continue;
-        }
-        const auto sender = static_cast<core::Rank>(h.sender);
-        if (sender < 0 || sender >= vpt_.size()) {
-          ++stats_.corrupt_frames_discarded;
-          continue;
-        }
-        const auto key = std::make_pair(h.sender, h.seq);
-        if (h.kind != core::FrameKind::kData) {  // kDirect or kRelay, at any stage
-          // Re-ack duplicates too: our earlier ack may have died.
-          send_control(core::FrameKind::kAck, sender, h);
-          if (!seen.insert(key).second) {
-            ++stats_.duplicate_frames_discarded;
-            continue;
-          }
-          parsed.clear();
-          const std::span<const Submessage> subs =
-              core::deserialize_tracked(dec->body, arena, parsed);
-          ++stats_.messages_received;
-          if (h.kind == core::FrameKind::kRelay) {
-            // Deliver our own submessages; forward the rest one greedy-alive
-            // hop closer to their destinations under our *current* view.
-            route_relayed(subs, /*count_as_relay=*/true);
-            continue;
-          }
-          if (validator) validator->on_direct_recv(sender, subs);
-          for (const Submessage& s : subs) {
-            core::require(s.dest == me, "exchange_resilient: direct frame not addressed to me");
-            direct_delivered.push_back(s);
-            direct_bytes += s.size_bytes;
-          }
-          continue;
-        }
-        // kData
-        const int fstage = static_cast<int>(h.stage);
-        if (fstage >= n ||
-            !(vpt_.are_neighbors(sender, me) && vpt_.first_diff_dim(sender, me) == fstage)) {
-          ++stats_.corrupt_frames_discarded;
-          continue;
-        }
-        if (seen.count(key) != 0) {
-          send_control(core::FrameKind::kAck, sender, h);
+        continue;
+      }
+      const auto sender = static_cast<core::Rank>(h.sender);
+      if (sender < 0 || sender >= vpt_.size()) {
+        ++stats_.corrupt_frames_discarded;
+        continue;
+      }
+      if (h.kind != core::FrameKind::kData) {  // kDirect or kRelay, at any stage
+        // Re-ack duplicates too: our earlier ack may have died.
+        send_control(core::FrameKind::kAck, sender, h);
+        if (!seen.insert({h.sender, h.seq}).second) {
           ++stats_.duplicate_frames_discarded;
           continue;
         }
-        if (stale) {
-          // The sender's forwarding decisions are suspect. Nack so it
-          // re-decides now rather than after its retry budget. The nacked
-          // sender demotes the frame's submessages to kDirect and never
-          // resends a stage frame, so its slot counts as heard from;
-          // waiting for it would stall until the stage deadline.
-          ++stats_.stale_epoch_frames_refused;
-          send_control(core::FrameKind::kNack, sender, h);
-          stage_got[static_cast<std::size_t>(fstage)].insert(sender);
+        parsed.clear();
+        const std::span<const Submessage> subs =
+            core::deserialize_tracked(dec->body, arena, parsed);
+        ++stats_.messages_received;
+        if (h.kind == core::FrameKind::kRelay) {
+          // Deliver our own submessages; forward the rest one greedy-alive
+          // hop closer to their destinations under our *current* view.
+          route_relayed(subs, /*count_as_relay=*/true);
           continue;
         }
-        if (fstage < cur_stage) {
-          // We gave up on this stage and moved on; accepting now would strand
-          // submessages whose forwarding stages already ran. Nack so the
-          // sender switches to its direct-routing fallback immediately.
-          ++stats_.late_frames_refused;
-          send_control(core::FrameKind::kNack, sender, h);
-          continue;
-        }
-        send_control(core::FrameKind::kAck, sender, h);
-        seen.insert(key);
-        if (fstage > cur_stage) {
-          // Neighbor is ahead of us; park the frame until we enter its stage.
-          early.push_back({fstage, sender, {dec->body.begin(), dec->body.end()}});
-          continue;
-        }
-        accept_stage_subs(cur_stage, sender, dec->body);
+        if (validator) validator->on_direct_recv(sender, subs);
+        for (const Submessage& s : subs)
+          core::require(s.dest == me, "exchange_resilient: direct frame not addressed to me");
+        delivered.insert(delivered.end(), subs.begin(), subs.end());
+        continue;
       }
+      // kData
+      const int fstage = static_cast<int>(h.stage);
+      if (fstage >= n ||
+          !(vpt_.are_neighbors(sender, me) && vpt_.first_diff_dim(sender, me) == fstage)) {
+        ++stats_.corrupt_frames_discarded;
+        continue;
+      }
+      Heard& slot = heard(fstage, sender);
+      if (slot != Heard::kNothing) {
+        // A copy of a frame already decided: answer it the same way again,
+        // since our earlier answer may have died.
+        send_control(slot == Heard::kAccepted ? core::FrameKind::kAck : core::FrameKind::kNack,
+                     sender, h);
+        ++stats_.duplicate_frames_discarded;
+        continue;
+      }
+      if (stale) {
+        // The sender's forwarding decisions are suspect. Nack so it
+        // re-decides now rather than after its retry budget. The nacked
+        // sender demotes the frame's submessages to kDirect and never
+        // resends a stage frame, so its slot counts as heard from; waiting
+        // for it would stall until the stage deadline.
+        ++stats_.stale_epoch_frames_refused;
+        send_control(core::FrameKind::kNack, sender, h);
+        slot = Heard::kRefused;
+        continue;
+      }
+      if (fstage < cur_stage) {
+        // We gave up on this stage and moved on; accepting now would strand
+        // submessages whose forwarding stages already ran. Nack so the
+        // sender switches to its direct-routing fallback immediately.
+        ++stats_.late_frames_refused;
+        send_control(core::FrameKind::kNack, sender, h);
+        continue;
+      }
+      send_control(core::FrameKind::kAck, sender, h);
+      slot = Heard::kAccepted;
+      if (fstage > cur_stage) {
+        // Neighbor is ahead of us; park the frame until we enter its stage.
+        early.push_back({fstage, sender, std::move(m.data)});
+        continue;
+      }
+      accept_stage_subs(cur_stage, sender, m.data);
     }
   };
 
@@ -520,7 +520,7 @@ ResilientExchangeResult StfwCommunicator::exchange_resilient(
   // pump_sends transmits them alongside the stage frames.
   if (!relay_seeds.empty()) route_relayed(relay_seeds, /*count_as_relay=*/true);
   std::vector<core::Rank> nbrs;
-  StageOutbox outbox;
+  StageOutbox& outbox = scratch.outbox;
   std::uint64_t transit_peak = 0;
 
   // Settlement traffic (reliable control tags) can arrive before this rank
@@ -576,15 +576,16 @@ ResilientExchangeResult StfwCommunicator::exchange_resilient(
                   "exchange_resilient: a stage frame matched no dimension neighbor");
 
     // Frames for this stage that arrived while we were still behind.
-    for (auto it = early.begin(); it != early.end();) {
-      if (it->stage == cur_stage) {
-        accept_stage_subs(cur_stage, it->sender, it->body);
-        it = early.erase(it);
-      } else {
-        ++it;
-      }
-    }
+    for (const EarlyFrame& e : early)
+      if (e.stage == cur_stage) accept_stage_subs(cur_stage, e.sender, e.frame);
+    std::erase_if(early, [&](const EarlyFrame& e) { return e.stage == cur_stage; });
 
+    // The stage completes once every live neighbor's frame is decided. A
+    // neighbor dying mid-stage drops out of the wait instead of running out
+    // the deadline; one heard and then dead never stands in for a live one.
+    const auto unheard = [&](core::Rank nbr) {
+      return mem.is_alive(nbr) && heard(cur_stage, nbr) == Heard::kNothing;
+    };
     const auto stage_end = verify::verify_now() + opt.stage_deadline;
     for (;;) {
       if (comm_->membership().epoch() != mem.epoch) on_membership_change();
@@ -592,22 +593,13 @@ ResilientExchangeResult StfwCommunicator::exchange_resilient(
       absorb_settle_traffic();
       const auto now = verify::verify_now();
       const auto next_event = pump_sends(now);
-      // Recomputed every iteration: a neighbor dying mid-stage shrinks the
-      // expected sender count, so the stage completes among survivors
-      // instead of waiting out the full deadline for a frame that can never
-      // arrive.
-      std::size_t want = 0;
-      for (const core::Rank nbr : nbrs)
-        if (mem.is_alive(nbr)) ++want;
-      if (stage_got[static_cast<std::size_t>(cur_stage)].size() >= want) break;
+      if (std::ranges::none_of(nbrs, unheard)) break;
       if (now >= stage_end) {
         // Note the gap and move on: the silent senders will fail their
         // retries and re-route directly, or report the loss themselves.
         ++stats_.timeouts;
         for (const core::Rank nbr : nbrs)
-          if (mem.is_alive(nbr) &&
-              stage_got[static_cast<std::size_t>(cur_stage)].count(nbr) == 0)
-            result.failure.missing.push_back({cur_stage, nbr});
+          if (unheard(nbr)) result.failure.missing.push_back({cur_stage, nbr});
         break;
       }
       comm_->wait_message(runtime::Deadline{std::min(next_event, stage_end)}, mem.epoch);
@@ -814,30 +806,30 @@ ResilientExchangeResult StfwCommunicator::exchange_resilient(
   comm_->barrier(epilogue_deadline());
   comm_->flush_delayed();
   comm_->barrier(epilogue_deadline());
-  // Only this exchange's tags: a peer that left the barrier first may
-  // already have sent its next exchange's first stage under the next tags.
-  (void)comm_->drain(data_tag);
-  (void)comm_->drain(ack_tag);
+  // Only this exchange's tag: a peer that left the barrier first may
+  // already have sent its next exchange's first stage under the next tag.
+  (void)comm_->drain(tag);
   (void)comm_->drain(kSettleReportTag);  // should already be empty
   (void)comm_->drain(kSettleDoneTag);
 
+  // `delivered` holds the side lanes' deliveries, duplicates included.
+  std::uint64_t direct_bytes = 0;
+  for (const Submessage& s : delivered) direct_bytes += s.size_bytes;
   stats_.peak_buffer_bytes =
       seed_bytes + state.delivered_payload_bytes() + direct_bytes + transit_peak;
   stats_.membership_epoch = mem.epoch;  // final view this rank finished under
 
-  // Merge store-and-forward and direct deliveries, deduplicating by
-  // (source, id): when a sender exhausts its retries even though the
+  // One sort puts the deliveries in send order within each source, the
+  // plain exchange's order, and lines up the copies of a submessage that
+  // arrived twice: when a sender exhausts its retries even though the
   // receiver had in fact accepted the frame (all acks lost or too slow),
   // the fallback re-delivers submessages the stage path also delivers.
-  std::vector<Submessage> delivered = state.take_delivered();
-  std::set<std::pair<core::Rank, std::uint32_t>> delivered_keys;
-  for (const Submessage& s : delivered) delivered_keys.insert({s.source, s.id});
-  for (const Submessage& s : direct_delivered) {
-    if (delivered_keys.insert({s.source, s.id}).second)
-      delivered.push_back(s);
-    else
-      ++stats_.duplicate_submessages_discarded;
-  }
+  delivered.insert(delivered.end(), state.delivered().begin(), state.delivered().end());
+  const auto key = [](const Submessage& s) { return std::pair(s.source, s.id); };
+  std::ranges::sort(delivered, {}, key);
+  const auto repeats = std::ranges::unique(delivered, {}, key);
+  stats_.duplicate_submessages_discarded = static_cast<std::int64_t>(repeats.size());
+  delivered.erase(repeats.begin(), repeats.end());
 
   if (validator && result.fully_recovered && !result.degraded) {
     // The conservation check is collective and only meaningful when nothing
@@ -852,8 +844,6 @@ ResilientExchangeResult StfwCommunicator::exchange_resilient(
     validator->finish(delivered, arena, stats_.messages_sent, summaries);
   }
 
-  std::stable_sort(delivered.begin(), delivered.end(),
-                   [](const Submessage& a, const Submessage& b) { return a.source < b.source; });
   result.delivered.reserve(delivered.size());
   for (const Submessage& s : delivered) {
     const auto payload = arena.view(s);

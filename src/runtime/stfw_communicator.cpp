@@ -201,9 +201,9 @@ private:
   fault::FaultInjector* const injector_;  // checked before tag_base_ claims the tags
   // The exchange's dim() stage tags from Comm::reserve_tags: a base that is
   // a multiple of dim(), below 1 << 28, where exchange_resilient lifts its
-  // own reserved pair, and shared with no other plain exchange of the run until the range
-  // wraps. Neighbor dependencies keep each rank within a few exchanges of
-  // its peers, so the wrap never reuses a tag still in flight.
+  // own reserved tag, and shared with no other plain exchange of the run
+  // until the range wraps. Neighbor dependencies keep each rank within a few
+  // exchanges of its peers, so the wrap never reuses a tag still in flight.
   const int tag_base_;
 };
 
@@ -221,7 +221,7 @@ public:
   Algorithm1(StageDriver& drv, MissScratch& scratch, std::span<const OutboundMessage> sends,
              bool record)
       : drv_(drv), s_(scratch) {
-    s_.state.reset();
+    s_.reset();
     if (record) recorder_.emplace(drv.vpt(), drv.me(), sends.size());
     for (const OutboundMessage& send : sends) seed_bytes_ += send.bytes.size();
     arena_.reserve(seed_bytes_);
@@ -337,6 +337,14 @@ private:
   std::uint64_t seed_bytes_ = 0;
   std::uint64_t transit_peak_ = 0;
 };
+
+void StfwCommunicator::MissScratch::reset() {
+  state.reset();
+  delivered.clear();
+  heard.resize(vpt.dim_sizes().size());
+  for (std::size_t d = 0; d < heard.size(); ++d)
+    heard[d].assign(static_cast<std::size_t>(vpt.dim_sizes()[d]), Heard::kNothing);
+}
 
 bool StfwCommunicator::validation_available() noexcept {
 #if STFW_VALIDATE_ENABLED

@@ -229,13 +229,12 @@ public:
   /// (CMake option STFW_VALIDATE=ON; see docs/validation.md).
   static bool validation_available() noexcept;
 
-  /// Whether exchange() runs under the invariant validator. Defaults to ON
+  /// Whether exchanges run under the invariant validator. Defaults to ON
   /// in validator-enabled builds unless the STFW_VALIDATE environment
   /// variable parses false (core::env_flag: 0/false/off/no; a malformed
   /// value throws core::ValidationError). The validator's conservation check
   /// is collective, so all ranks must agree on this flag; without
   /// STFW_VALIDATE=ON in the build the flag has no effect.
-  bool validation_enabled() const noexcept { return validate_; }
   void set_validation(bool on) noexcept { validate_ = on; }
 
   /// Hang guard of the plain exchange's stage waits: each per-stage group
@@ -267,18 +266,24 @@ private:
     std::uint64_t last_use = 0;
   };
 
-  /// The routing scratch of a plan-cache miss, kept across exchanges so a
-  /// miss allocates only where it outgrows the misses before it: the rank
-  /// state, its stage outbox, the parse table of inbound frames and the
-  /// delivery list. Boxed with a Vpt of its own, which the state points at,
-  /// so moving the communicator leaves that pointer valid.
+  /// The routing scratch of a plan-cache miss and of exchange_resilient(),
+  /// kept across exchanges so either allocates only where it outgrows the
+  /// exchanges before it: the rank state, its stage outbox, the parse table
+  /// of inbound frames, the delivery list and the resilient exchange's
+  /// per-stage neighbor table. Boxed with a Vpt of its own, which the state
+  /// points at, so moving the communicator leaves that pointer valid.
   struct MissScratch {
+    /// A resilient receiver's decision on a neighbor's stage frame.
+    enum class Heard : std::uint8_t { kNothing, kAccepted, kRefused /* stale-epoch nack */ };
     MissScratch(const core::Vpt& v, core::Rank me) : vpt(v), state(vpt, me) {}
+    void reset();  // starts an exchange, keeping capacity
+
     const core::Vpt vpt;
     core::StfwRankState state;
     core::StageOutbox outbox;
     std::vector<core::Submessage> parsed;
     std::vector<core::Submessage> delivered;
+    std::vector<std::vector<Heard>> heard;  // [stage d][the neighbor's digit d]
   };
 
   class StageDriver;

@@ -105,7 +105,6 @@ public:
   /// The current ordinal path, e.g. "0,2,1" (for failure reports).
   std::string path_string() const;
 
-  void set_record_trace(bool on) { cfg_.record_trace = on; }
   const EngineConfig& config() const noexcept { return cfg_; }
 
   // --- Hooks ----------------------------------------------------------------

@@ -197,16 +197,15 @@ TEST(RankState, AcceptScattersIntoLaterStages) {
   EXPECT_EQ(s.buffered_payload_bytes(), 0u);
 }
 
-TEST(RankState, PeakBufferTracksHighWater) {
+TEST(RankState, BufferedBytesLeaveWithTheirStage) {
   const Vpt t = Vpt::direct(4);
   StfwRankState s(t, 0);
   s.add_send(1, 0, 100);
   s.add_send(2, 0, 50);
-  EXPECT_EQ(s.peak_buffered_payload_bytes(), 150u);
+  EXPECT_EQ(s.buffered_payload_bytes(), 150u);
   StageOutbox sink;
   s.make_stage_outbox(0, sink);
   EXPECT_EQ(s.buffered_payload_bytes(), 0u);
-  EXPECT_EQ(s.peak_buffered_payload_bytes(), 150u);  // high water sticks
 }
 
 TEST(RankState, StagesMustRunInOrder) {
@@ -243,7 +242,6 @@ TEST(RankState, ResetAllowsReuse) {
   s.make_stage_outbox(1, sink);
   s.reset();
   EXPECT_EQ(s.delivered().size(), 0u);
-  EXPECT_EQ(s.peak_buffered_payload_bytes(), 0u);
   s.add_send(1, 0, 8);  // no throw
   s.make_stage_outbox(0, sink);
   EXPECT_EQ(sink.frames.size(), 1u);

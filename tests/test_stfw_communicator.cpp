@@ -295,16 +295,17 @@ TEST(Communicator, BaselineEqualsDirectSends) {
 }
 
 // Tags name an exchange on the wire. Each plain exchange reserves dim()
-// consecutive stage tags from the rank's Comm, and each resilient exchange a
-// pair that it lifts by 1 << 28, above every plain tag; both come from one
-// cursor that wraps to 0 at 1 << 28. Started just below the top of the
+// consecutive stage tags from the rank's Comm, and each resilient exchange
+// one tag that it lifts by 1 << 28, above every plain tag; both come from
+// one cursor that wraps to 0 at 1 << 28. Started just below the top of the
 // range, once where a plain block takes the top tags and the next resilient
-// pair wraps and once where a resilient pair takes the top two and the next
+// tag wraps and once where a resilient tag takes the top one and the next
 // plain block wraps, plain and resilient exchanges in turn must keep
 // delivering the reference result without a single retransmit: a faster
-// peer's next-exchange frames wait under their own tags.
+// peer's next-exchange frames wait under their own tags. The VPT has two
+// dimensions so that a plain block can end exactly at the top.
 TEST(Communicator, ExchangeTagsWrapCleanly) {
-  const Vpt vpt({2, 2, 2});
+  const Vpt vpt({4, 2});
   const Rank K = vpt.size();
   const int dim = vpt.dim();
   constexpr int kTagRange = 1 << 28;
@@ -321,7 +322,11 @@ TEST(Communicator, ExchangeTagsWrapCleanly) {
     const auto me = static_cast<std::size_t>(comm.rank());
     StfwCommunicator communicator(comm, vpt);
     const std::vector<InboundMessage> reference = communicator.exchange(sets[me]);
-    for (const int cursor : {kTagRange - 2 * dim, kTagRange - 2 * dim - 1}) {
+    // From kTagRange - dim a plain block takes [kTagRange - dim, kTagRange)
+    // and the next resilient tag wraps to 0; from kTagRange - 2 * dim two
+    // resilient tags follow a plain block, the second takes kTagRange - 1,
+    // and the next round's plain block wraps.
+    for (const int cursor : {kTagRange - dim, kTagRange - 2 * dim}) {
       // A block this large cannot fit above the cursor, so it wraps to 0 and
       // leaves the cursor at its own size.
       (void)comm.reserve_tags(cursor);
@@ -339,13 +344,13 @@ TEST(Communicator, ExchangeTagsWrapCleanly) {
     }
   });
   cluster.set_wire_tap(nullptr);
-  EXPECT_NE(rank0_tags.lower_bound(kTagRange - 2 * dim - 1), rank0_tags.lower_bound(kTagRange))
+  EXPECT_NE(rank0_tags.lower_bound(kTagRange - dim), rank0_tags.lower_bound(kTagRange))
       << "no plain block sat at the top of the tag range";
-  EXPECT_EQ(rank0_tags.count(kTagRange), 1u) << "no resilient pair wrapped to base 0";
-  EXPECT_EQ(rank0_tags.count(2 * kTagRange - 1), 1u) << "no resilient pair took the top tags";
+  EXPECT_EQ(rank0_tags.count(kTagRange), 1u) << "no resilient tag wrapped to base 0";
+  EXPECT_EQ(rank0_tags.count(2 * kTagRange - 1), 1u) << "no resilient tag took the top tag";
 }
 
-// Every resilient exchange posts its frames and acks under a pair of tags
+// Every resilient exchange posts its frames, acks and nacks under one tag
 // of its own in [1 << 28, 1 << 29), shared by all ranks, and plain
 // exchanges in between stay below 1 << 28. Negative tags are the reliable
 // control channel (settlement, the validator's collectives) and are fixed.
@@ -394,8 +399,8 @@ TEST(Communicator, ResilientExchangesPostOnTagsOfTheirOwn) {
       EXPECT_LT(*all.rbegin(), kTagRange) << "plain exchange " << x;
       continue;
     }
-    // Data and ack frames: one aligned pair, the same on every rank.
-    EXPECT_EQ(all.size(), 2u) << "resilient exchange " << x;
+    // Data frames and acks: one tag, the same on every rank.
+    EXPECT_EQ(all.size(), 1u) << "resilient exchange " << x;
     EXPECT_GE(*all.begin(), kTagRange) << "resilient exchange " << x;
     EXPECT_LT(*all.rbegin(), 2 * kTagRange) << "resilient exchange " << x;
     for (const int tag : all)

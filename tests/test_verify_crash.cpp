@@ -19,8 +19,10 @@
 /// chosen stage of the resilient exchange, and every explored interleaving
 /// must leave the survivors with the degraded-mode contract intact —
 /// exactly-once delivery among live pairs (check_exchange_delivery_survivors),
-/// no fabricated or duplicated payloads even from the dead sender, and every
-/// survivor observing the membership-epoch transition in its stats.
+/// no fabricated or duplicated payloads even from the dead sender, every
+/// survivor observing the membership-epoch transition in its stats, and no
+/// survivor nacking a stage frame as late unless one of its stage deadlines
+/// expired.
 
 namespace stfw {
 namespace {
@@ -53,18 +55,22 @@ std::vector<std::vector<OutboundMessage>> two_message_sendsets(Rank K) {
 }
 
 /// Body + oracle pair: each schedule runs one resilient exchange over `vpt`
-/// with `crash_rank` crashing at `crash_stage`, then the oracle checks the
-/// survivor contract against what actually happened on that schedule.
+/// with `crash_rank` crashing at `crash_stage` (and every frame dropped with
+/// probability `drop_prob`), then the oracle checks the survivor contract
+/// against what actually happened on that schedule.
 struct CrashHarness {
   Vpt vpt;
   int crash_rank;
   int crash_stage;
+  double drop_prob = 0.0;
   std::vector<std::vector<OutboundMessage>> sends;
 
   verify::ExchangeObservation obs;
   std::vector<std::uint8_t> alive;
   std::vector<std::uint8_t> degraded;          // per rank: result.degraded
   std::vector<std::uint32_t> observed_epoch;   // per rank: stats.membership_epoch
+  std::vector<std::int64_t> late_refused;      // per rank: stats.late_frames_refused
+  std::vector<std::size_t> missing;            // per rank: failure.missing.size()
   std::uint32_t epoch_before = 0;
   std::uint32_t epoch_after = 0;
 
@@ -81,6 +87,8 @@ struct CrashHarness {
     alive.assign(static_cast<std::size_t>(K), 1);
     degraded.assign(static_cast<std::size_t>(K), 0);
     observed_epoch.assign(static_cast<std::size_t>(K), 0);
+    late_refused.assign(static_cast<std::size_t>(K), 0);
+    missing.assign(static_cast<std::size_t>(K), 0);
 
     runtime::Cluster cluster(K);
     epoch_before = cluster.membership().epoch();
@@ -88,6 +96,7 @@ struct CrashHarness {
     fc.crash_rank = crash_rank;
     fc.crash_stage = crash_stage;
     fc.crash_survivable = true;
+    fc.drop_prob = drop_prob;
     cluster.set_fault_injector(std::make_shared<fault::FaultInjector>(fc));
     cluster.run([&](runtime::Comm& comm) {
       const auto me = static_cast<std::size_t>(comm.rank());
@@ -101,6 +110,8 @@ struct CrashHarness {
       obs.delivered[me] = result.delivered;
       degraded[me] = result.degraded ? 1 : 0;
       observed_epoch[me] = communicator.last_stats().membership_epoch;
+      late_refused[me] = communicator.last_stats().late_frames_refused;
+      missing[me] = result.failure.missing.size();
     });
     for (const Rank dead : cluster.membership().failed())
       alive[static_cast<std::size_t>(dead)] = 0;
@@ -124,6 +135,11 @@ struct CrashHarness {
         return "survivor " + std::to_string(r) + " finished at epoch " +
                std::to_string(observed_epoch[i]) + ", cluster is at " +
                std::to_string(epoch_after);
+      // A stage closes early only on its deadline, which records the gap:
+      // otherwise it waits for every live neighbor's frame to be decided.
+      if (late_refused[i] > 0 && missing[i] == 0)
+        return "survivor " + std::to_string(r) + " nacked " + std::to_string(late_refused[i]) +
+               " stage frame(s) as late, but none of its stage deadlines expired";
     }
     return verify::check_exchange_delivery_survivors(obs, alive);
   }
@@ -183,6 +199,26 @@ TEST(VerifyCrash, TransitDeathAfterSettledReportIsReinjected) {
   cfg.schedules = 64;
   cfg.base_seed = 4242;
   cfg.label = "crash-random-k4-r2s1";
+  const verify::ExploreResult res = verify::explore(cfg, h.body(), h.oracle());
+  EXPECT_TRUE(res.clean()) << res.summary();
+}
+
+TEST(VerifyCrash, DeadNeighbourNeverStandsInForALiveOne) {
+  // Ranks 0, 1 and 2 form a stage-0 group of T(3,2); rank 0 dies on
+  // entering stage 1. Rank 1 may hear rank 0's stage-0 frame and then see
+  // it die before rank 2's frame arrives, dropped on its first transmission.
+  // Rank 1's stage 0 must still wait for rank 2: counting the heard, dead
+  // rank 0 in its place would close the stage early without recording a
+  // gap, and rank 2's retransmit, restamped with the new epoch, would be
+  // nacked as late and degrade to kDirect. Seed 26 of this sweep did that
+  // when completion counted heard senders against live neighbours.
+  CrashHarness h(Vpt({3, 2}), /*crash_rank=*/0, /*crash_stage=*/1);
+  h.drop_prob = 0.2;
+  verify::ExploreConfig cfg;
+  cfg.mode = verify::ExploreConfig::Mode::kRandom;
+  cfg.schedules = 16;
+  cfg.base_seed = 26;
+  cfg.label = "crash-random-k6-r0s1-drops";
   const verify::ExploreResult res = verify::explore(cfg, h.body(), h.oracle());
   EXPECT_TRUE(res.clean()) << res.summary();
 }

@@ -29,6 +29,13 @@ std::vector<Submessage> parse(std::span<const std::byte> wire, PayloadArena& are
   return out;
 }
 
+// The tracked body carrying `subs`, cut from the frame encoder's output:
+// the tracked format is written only as a frame body.
+std::vector<std::byte> tracked_body(std::span<const Submessage> subs, const PayloadArena& arena) {
+  const std::vector<std::byte> frame = encode_frame(FrameHeader{}, subs, arena);
+  return {frame.begin() + static_cast<std::ptrdiff_t>(kFrameOverheadBytes), frame.end()};
+}
+
 TEST(Wire, EmptyMessageRoundTrip) {
   PayloadArena arena;
   std::vector<Submessage> m;
@@ -118,7 +125,7 @@ TEST(Wire, ClaimedCountReadsTheHeader) {
   PayloadArena arena;
   const std::vector<Submessage> subs(5, Submessage{0, 1, 0, 0});
   EXPECT_EQ(claimed_count(serialize(subs, arena)), 5u);
-  EXPECT_EQ(claimed_count(serialize_tracked(subs, arena)), 5u);
+  EXPECT_EQ(claimed_count(tracked_body(subs, arena)), 5u);
   EXPECT_EQ(claimed_count(bytes_of({1, 0, 0})), 0u);  // shorter than the count
 }
 
@@ -157,7 +164,7 @@ TEST(Wire, TrackedRoundTripPreservesIds) {
   const auto p2 = bytes_of({});
   m.push_back(Submessage{2, 9, arena.add(p1), 4, 11});
   m.push_back(Submessage{3, 5, arena.add(p2), 0, 0xffffffffu});
-  const auto wire = serialize_tracked(m, arena);
+  const auto wire = tracked_body(m, arena);
   // The tracked layout costs exactly 4 extra bytes per submessage.
   EXPECT_EQ(wire.size(), wire_size_bytes(2, 4) + 2 * 4);
   PayloadArena arena2;
@@ -176,7 +183,7 @@ TEST(Wire, TrackedRejectsTruncation) {
   std::vector<Submessage> m;
   const auto p = bytes_of({1, 2, 3, 4, 5, 6, 7, 8});
   m.push_back(Submessage{0, 1, arena.add(p), 8, 3});
-  auto wire = serialize_tracked(m, arena);
+  auto wire = tracked_body(m, arena);
   wire.erase(wire.end() - 3, wire.end());
   PayloadArena arena2;
   EXPECT_THROW(parse(wire, arena2, true), Error);
@@ -309,6 +316,30 @@ TEST(Frame, MemberEpochRoundTripsAndIsChecksummed) {
   const std::span<const std::byte> ca(wire.data() + 24, 8);
   const std::span<const std::byte> cb(wire2.data() + 24, 8);
   EXPECT_FALSE(std::equal(ca.begin(), ca.end(), cb.begin(), cb.end()));
+}
+
+TEST(Frame, TrackedFrameIsTheFrameOfItsBody) {
+  // The tracked encoder writes header and body in one buffer. Its bytes are
+  // those of framing the tracked body on its own: u32 count, then per
+  // submessage i32 source, i32 dest, u32 id, u32 len and the payload.
+  PayloadArena arena;
+  const auto p = bytes_of({7, 8, 9});
+  const std::vector<Submessage> subs = {Submessage{5, 6, arena.add(p), 3, 0x01020304u}};
+  FrameHeader h;
+  h.kind = FrameKind::kDirect;
+  h.member_epoch = 4;
+  h.seq = 99;
+  h.sender = 5;
+  const auto wire = encode_frame(h, subs, arena);
+  const auto body = bytes_of({1, 0, 0, 0, 5, 0, 0, 0, 6, 0, 0, 0, 4, 3, 2, 1, 3, 0, 0, 0, 7, 8, 9});
+  EXPECT_EQ(wire, encode_frame(h, body));
+  const auto dec = decode_frame(wire);
+  ASSERT_TRUE(dec.has_value());
+  EXPECT_EQ(dec->header.seq, 99u);
+  PayloadArena arena2;
+  const auto back = parse(dec->body, arena2, true);
+  ASSERT_EQ(back.size(), 1u);
+  EXPECT_EQ(back[0].id, 0x01020304u);
 }
 
 TEST(Frame, DigestIsStable) {

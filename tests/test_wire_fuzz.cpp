@@ -155,7 +155,10 @@ std::vector<std::byte> random_stage_wire(std::mt19937_64& rng, bool tracked) {
     s.id = static_cast<std::uint32_t>(i);
     m.push_back(s);
   }
-  return tracked ? serialize_tracked(m, arena) : serialize(m, arena);
+  if (!tracked) return serialize(m, arena);
+  // The tracked format is written only as a frame body.
+  const std::vector<std::byte> frame = encode_frame(FrameHeader{}, m, arena);
+  return {frame.begin() + static_cast<std::ptrdiff_t>(kFrameOverheadBytes), frame.end()};
 }
 
 /// The plain format has no checksum: a mutation may legitimately decode (it
