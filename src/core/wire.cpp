@@ -148,7 +148,7 @@ std::optional<DecodedFrame> decode_frame(std::span<const std::byte> wire) noexce
   DecodedFrame f;
   const auto kind = get<std::uint16_t>(wire, pos);
   if (kind < static_cast<std::uint16_t>(FrameKind::kData) ||
-      kind > static_cast<std::uint16_t>(FrameKind::kRelay))
+      kind > static_cast<std::uint16_t>(FrameKind::kRelay) || kind == 3 /* retired */)
     return std::nullopt;
   f.header.kind = static_cast<FrameKind>(kind);
   f.header.stage = get<std::uint16_t>(wire, pos);

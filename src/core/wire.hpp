@@ -104,20 +104,20 @@ inline constexpr std::uint32_t kFrameMagic = 0x53544652u;  // "STFR"
 inline constexpr std::uint64_t kFrameOverheadBytes = 32;
 
 enum class FrameKind : std::uint16_t {
-  kData = 1,    // a serialized stage message routed between stage neighbors
-  kAck = 2,     // acknowledges (sender, seq); empty body
-  kDirect = 3,  // degradation fallback: submessages sent straight to dest
-  kNack = 4,    // refuses (sender, seq): receiver moved past that stage or
-                // has a newer membership epoch; the sender should re-route
-                // instead of retrying
-  kRelay = 5,   // degraded-mode re-homing: tracked submessages detoured
-                // around a dead rank; receivers deliver their own and
-                // forward the rest along surviving dimension-order hops
+  kData = 1,   // a serialized stage message routed between stage neighbors
+  kAck = 2,    // acknowledges (sender, seq); empty body
+  // 3 was the retired kDirect; decode_frame rejects it.
+  kNack = 4,   // refuses (sender, seq): receiver moved past that stage or
+               // has a newer membership epoch; the sender should re-route
+               // instead of retrying
+  kRelay = 5,  // tracked submessages off the stages (detours around a dead
+               // rank, fallbacks to the destination); receivers deliver
+               // their own and forward the rest along surviving hops
 };
 
 struct FrameHeader {
   FrameKind kind = FrameKind::kData;
-  std::uint16_t stage = 0;  // sending stage; unused for kAck/kDirect
+  std::uint16_t stage = 0;  // sending stage, echoed by kAck/kNack; 0 for kRelay
   std::uint32_t member_epoch = 0;  // sender's membership version
   std::uint32_t seq = 0;    // per-sender frame counter (acked seq for kAck)
   std::int32_t sender = -1; // authoritative origin of the frame

@@ -41,7 +41,7 @@ Message Comm::recv(int source, int tag, Deadline deadline) {
   return cluster_->blocking_recv(rank_, source, tag, deadline);
 }
 
-std::vector<Message> Comm::drain(int tag) { return cluster_->drain(rank_, tag); }
+void Comm::drain(int tag, std::vector<Message>& out) { cluster_->drain(rank_, tag, out); }
 
 void Comm::arrive(std::span<const int> group, int tag) { cluster_->arrive(rank_, group, tag); }
 
@@ -596,27 +596,24 @@ std::optional<core::TimeoutError> Cluster::stranded(int me, std::span<const int>
                                 " did not arrive before the deadline");
 }
 
-std::vector<Message> Cluster::drain(int me, int tag) {
+void Cluster::drain(int me, int tag, std::vector<Message>& out) {
   Mailbox& mb = *mailboxes_[static_cast<std::size_t>(me)];
-  std::vector<Message> out;
-  {
-    MutexLock lock(mb.mu);
-    STFW_VERIFY_WRITE(&mb.queue, "Cluster::drain sweep");
-    out.reserve(static_cast<std::size_t>(std::ranges::count(mb.queue, tag, &Message::tag)));
-    auto it = mb.queue.begin();
-    while (it != mb.queue.end()) {
-      if (it->tag == tag) {
-        STFW_VERIFY_HOOK(mailbox_recv(me, it->source, it->tag, it->verify_id));
-        // Sorted by source, then arrival, by insertion: drains are short, and
-        // a stable sort would allocate a buffer on every one.
-        out.insert(std::ranges::upper_bound(out, it->source, {}, &Message::source), std::move(*it));
-        it = mb.queue.erase(it);
-      } else {
-        ++it;
-      }
+  const auto first = static_cast<std::ptrdiff_t>(out.size());
+  MutexLock lock(mb.mu);
+  STFW_VERIFY_WRITE(&mb.queue, "Cluster::drain sweep");
+  for (auto it = mb.queue.begin(); it != mb.queue.end();) {
+    if (it->tag != tag) {
+      ++it;
+      continue;
     }
+    STFW_VERIFY_HOOK(mailbox_recv(me, it->source, it->tag, it->verify_id));
+    // Sorted by source, then arrival, by insertion into the appended part:
+    // drains are short, and a stable sort would allocate a buffer.
+    out.insert(
+        std::ranges::upper_bound(out.begin() + first, out.end(), it->source, {}, &Message::source),
+        std::move(*it));
+    it = mb.queue.erase(it);
   }
-  return out;
 }
 
 bool Cluster::probe(int me, int source, int tag) {

@@ -118,10 +118,11 @@ public:
   Message recv(int source, int tag);
   Message recv(int source, int tag, Deadline deadline);
 
-  /// All messages with `tag` currently in the mailbox, sorted by source
-  /// (then arrival order). Non-blocking; complete after a barrier or an
+  /// Appends all messages with `tag` currently in the mailbox to `out`,
+  /// sorted by source (then arrival order) among themselves, after what
+  /// `out` held. Non-blocking; complete after a barrier or an
   /// await_arrival() that orders it after the sends of interest.
-  std::vector<Message> drain(int tag);
+  void drain(int tag, std::vector<Message>& out);
 
   /// Stage arrival, a non-blocking barrier over `group` (NBX's ibarrier).
   /// Every member passes the same ascending group, itself included, and the
@@ -318,7 +319,7 @@ private:
   /// waiter has arrived, so the round is open or closed.
   std::optional<core::TimeoutError> stranded(int me, std::span<const int> group, int tag,
                                              bool expired, long long waited_ms);
-  std::vector<Message> drain(int me, int tag);
+  void drain(int me, int tag, std::vector<Message>& out);
   bool probe(int me, int source, int tag);
   bool wait_message(int me, Deadline deadline, std::uint32_t seen_epoch);
   void barrier_wait(int me, Deadline deadline);

@@ -8,7 +8,6 @@
 #include <chrono>
 #include <cstring>
 #include <limits>
-#include <map>
 #include <optional>
 #include <set>
 #include <utility>
@@ -36,11 +35,10 @@ namespace {
 // frames wait in the mailbox under their own tag.
 constexpr int kResilientTagBase = 1 << 28;
 
-// Settlement control traffic of exchange_resilient, on the reliable negative
-// tags: reports and wave replies flow to the root on kSettleReportTag, wave
-// queries and the verdict flow from it on kSettleDoneTag.
-constexpr int kSettleReportTag = -1002;
-constexpr int kSettleDoneTag = -1003;
+// Settlement control traffic of exchange_resilient, on one reliable
+// negative tag: reports and wave replies flow to the root, wave queries and
+// the verdict flow from it, and each message's decoded kind routes it.
+constexpr int kSettleTag = -1002;
 
 struct SettleMsg {
   enum class Kind : std::uint8_t { kReport = 1, kReply = 2, kQuery = 3, kDone = 4 };
@@ -130,7 +128,7 @@ ResilientExchangeResult StfwCommunicator::exchange_resilient(
   const int n = vpt_.dim();
   const int world = comm_->size();
   // Routing tables from the communicator's scratch, the arena our own.
-  // `delivered` gathers the side lanes' deliveries; the stage's join at the end.
+  // `delivered` gathers the side lane's deliveries; the stage's join at the end.
   MissScratch& scratch = *miss_;
   scratch.reset();
   StfwRankState& state = scratch.state;
@@ -191,15 +189,17 @@ ResilientExchangeResult StfwCommunicator::exchange_resilient(
 
   // --- sender side: every frame we emitted and still track -----------------
   // A frame's seq is its index here: acks find it without a lookup table.
+  std::vector<Submessage>& tracked = scratch.tracked;  // all frames' submessages
   struct OutFrame {
-    int stage = -1;  // -1 for kDirect and kRelay
+    int stage = -1;  // -1 for kRelay
     core::Rank dest = -1;
-    // No retained wire image: every transmission re-encodes the frame from
-    // its header and submessages (payloads stay in `arena`), so tracking it
-    // costs O(subs), and encode_frame is deterministic, so a retransmit is
-    // byte-identical to the original.
+    // No retained wire image: each transmission re-encodes the frame from
+    // its header and its range of `tracked` (payloads stay in `arena`), and
+    // encode_frame is deterministic, so a retransmit is byte-identical.
     core::FrameHeader header;
-    std::vector<Submessage> subs;  // double as the fallback / loss-reporting list
+    std::uint32_t first = 0;  // tracked[first, first + count): its submessages,
+    std::uint32_t count = 0;  // also the fallback / loss-reporting list
+    bool last_resort = false;  // a fallback: budget-exempt, and its loss final
     int attempts = 0;
     clock::time_point next_retry{};
     std::chrono::milliseconds backoff{0};
@@ -207,41 +207,46 @@ ResilientExchangeResult StfwCommunicator::exchange_resilient(
     bool failed = false;
   };
   std::vector<OutFrame> frames;
+  const auto subs_of = [&](const OutFrame& f) {
+    return std::span<const Submessage>(tracked).subspan(f.first, f.count);
+  };
 
-  auto make_frame = [&](core::FrameKind kind, int stage, core::Rank dest,
-                        std::vector<Submessage> subs) {
-    OutFrame f;
-    f.stage = stage;
-    f.dest = dest;
-    f.header.kind = kind;
-    f.header.stage = static_cast<std::uint16_t>(stage < 0 ? 0 : stage);
-    f.header.member_epoch = mem.epoch;  // the view this frame's routing was decided under
-    f.header.seq = static_cast<std::uint32_t>(frames.size());
-    f.header.sender = me;
-    f.subs = std::move(subs);
-    f.backoff = opt.retransmit_timeout;
-    frames.push_back(std::move(f));
+  // Tracks tracked[first, end) as a kData frame of `stage`, or kRelay for -1.
+  auto make_frame = [&](int stage, core::Rank dest, std::size_t first, bool last_resort) {
+    frames.push_back(OutFrame{
+        .stage = stage,
+        .dest = dest,
+        .header = {.kind = stage < 0 ? core::FrameKind::kRelay : core::FrameKind::kData,
+                   .stage = static_cast<std::uint16_t>(stage < 0 ? 0 : stage),
+                   .member_epoch = mem.epoch,  // the view its routing was decided under
+                   .seq = static_cast<std::uint32_t>(frames.size()),
+                   .sender = me},
+        .first = static_cast<std::uint32_t>(first),
+        .count = static_cast<std::uint32_t>(tracked.size() - first),
+        .last_resort = last_resort,
+        .backoff = opt.retransmit_timeout});
   };
 
   auto transmit = [&](OutFrame& f, clock::time_point now) {
     if (f.attempts > 0) ++stats_.retransmits;
     ++f.attempts;
-    auto wire = core::encode_frame(f.header, f.subs, arena);
+    auto wire = core::encode_frame(f.header, subs_of(f), arena);
     stats_.wire_bytes_sent += wire.size();
     comm_->send(static_cast<int>(f.dest), tag, std::move(wire));
     f.next_retry = now + f.backoff;
     f.backoff = next_backoff(f.backoff, opt.retransmit_timeout, opt.stage_deadline);
   };
 
-  // Re-sends `subs` as `kind` frames, one per next hop `hop_of(dest)`, and
+  // Re-sends `subs` as kRelay frames, one per next hop `hop_of(dest)`, and
   // returns how many it re-sent. Our own are delivered, and those for dead
   // destinations reported lost at `stage`: a frame to a dead rank is never
-  // acked, and a direct one, being budget-exempt, would pin the settlement
-  // loop to its valve. May push new frames, so callers must not hold
-  // references into `frames` across the call.
-  auto regroup = [&](std::span<const Submessage> subs, core::FrameKind kind, int stage,
+  // acked, and a last-resort one would pin the settlement loop to its valve.
+  // `subs` may lie in `tracked`, so it is read in full before the first
+  // append. Pushes frames: callers hold no references into `frames` across.
+  auto regroup = [&](std::span<const Submessage> subs, int stage, bool last_resort,
                      auto&& hop_of) {
-    std::map<core::Rank, std::vector<Submessage>> groups;
+    std::vector<MissScratch::Hop>& hops = scratch.hops;
+    hops.clear();
     for (const Submessage& s : subs) {
       if (s.dest == me) {
         delivered.push_back(s);
@@ -249,34 +254,33 @@ ResilientExchangeResult StfwCommunicator::exchange_resilient(
         ++stats_.dead_dest_submessages_dropped;
         result.failure.lost.push_back({s.source, s.dest, s.size_bytes, stage});
       } else {
-        groups[hop_of(s.dest)].push_back(s);
+        hops.push_back({hop_of(s.dest), static_cast<std::uint32_t>(hops.size()), s});
       }
     }
-    std::int64_t resent = 0;
-    for (auto& [hop, gsubs] : groups) {
-      resent += static_cast<std::int64_t>(gsubs.size());
-      make_frame(kind, -1, hop, std::move(gsubs));
+    std::ranges::sort(hops, {}, [](const MissScratch::Hop& h) { return std::pair(h.hop, h.pos); });
+    for (std::size_t i = 0; i < hops.size();) {
+      const std::size_t first = tracked.size();
+      const core::Rank hop = hops[i].hop;
+      for (; i < hops.size() && hops[i].hop == hop; ++i) tracked.push_back(hops[i].sub);
+      make_frame(-1, hop, first, last_resort);
     }
-    return resent;
+    return static_cast<std::int64_t>(hops.size());
   };
 
-  // Give up on frame `i`: a dead kData frame degrades into kDirect frames
-  // grouped by final destination (bypassing the remaining store-and-forward
-  // stages); a dead kDirect frame is a definite loss. Pushes frames, like
-  // regroup.
+  // Give up on frame `i`. A stage or relay frame degrades into last-resort
+  // kRelay frames, one per final destination and addressed to it, bypassing
+  // the remaining store-and-forward stages. A relay hop that stops
+  // answering (slow, nacking, or newly dead) degrades like a stage frame:
+  // without this a survivable crash could turn into reported loss between
+  // live ranks purely because the detour's first hop was congested. A
+  // last-resort frame's loss is final. Pushes frames, like regroup.
   auto fail_frame = [&](std::size_t i) {
     frames[i].failed = true;
-    const core::FrameKind kind = frames[i].header.kind;
     const int fstage = frames[i].stage;
-    std::vector<Submessage> subs = std::move(frames[i].subs);
-    // kRelay carries final-destination submessages just like kData, so a
-    // relay hop that stops answering (slow, nacking, or newly dead) degrades
-    // the same way: straight to per-destination kDirect frames. Without this
-    // a survivable crash could turn into reported loss between live ranks
-    // purely because the detour's first hop was congested.
-    if ((kind == core::FrameKind::kData || kind == core::FrameKind::kRelay) && !subs.empty()) {
+    const std::span<const Submessage> subs = subs_of(frames[i]);
+    if (!frames[i].last_resort) {
       stats_.direct_fallback_submessages +=
-          regroup(subs, core::FrameKind::kDirect, fstage, [](core::Rank dest) { return dest; });
+          regroup(subs, fstage, true, [](core::Rank dest) { return dest; });
     } else {
       for (const Submessage& s : subs)
         result.failure.lost.push_back({s.source, s.dest, s.size_bytes, fstage});
@@ -306,7 +310,7 @@ ResilientExchangeResult StfwCommunicator::exchange_resilient(
   // stale membership views).
   auto route_relayed = [&](std::span<const Submessage> subs, bool count_as_relay) {
     (count_as_relay ? stats_.relay_submessages : stats_.reinjected_submessages) +=
-        regroup(subs, core::FrameKind::kRelay, -1,
+        regroup(subs, -1, false,
                 [&](core::Rank dest) { return core::greedy_next_hop(vpt_, mem.alive, me, dest); });
   };
 
@@ -320,28 +324,17 @@ ResilientExchangeResult StfwCommunicator::exchange_resilient(
     mem = ns;
     degraded = mem.alive_count < world;
     ++stats_.epoch_transitions;
-    const std::size_t tracked = frames.size();  // route_relayed appends; don't revisit
-    for (std::size_t i = 0; i < tracked; ++i) {
+    const std::size_t known = frames.size();  // route_relayed appends; don't revisit
+    for (std::size_t i = 0; i < known; ++i) {
       if (frames[i].failed || mem.is_alive(frames[i].dest)) continue;
-      const bool was_acked = frames[i].acked;
-      const core::FrameKind kind = frames[i].header.kind;
       frames[i].failed = true;  // its receiver no longer exists; stop the pump
-      const std::vector<Submessage> subs = std::move(frames[i].subs);
-      if (kind == core::FrameKind::kDirect) {
-        // An acked direct frame was delivered before the death — the copy
-        // died with its owner, nothing to re-home. An unacked one is lost.
-        if (!was_acked) {
-          for (const Submessage& s : subs) {
-            ++stats_.dead_dest_submessages_dropped;
-            result.failure.lost.push_back({s.source, s.dest, s.size_bytes, -1});
-          }
-        }
-        continue;
-      }
-      // kData / kRelay: the dead rank's forward obligations die with it even
-      // when it acked. Reinject everything bound elsewhere; end-to-end
-      // (source, id) dedup absorbs whatever it managed to forward first.
-      route_relayed(subs, /*count_as_relay=*/false);
+      // A frame's forward obligations die with its receiver even when it
+      // acked: reinject everything bound elsewhere; end-to-end (source, id)
+      // dedup absorbs whatever it forwarded first. An unacked fallback
+      // carries only the dead rank's own submessages, which regroup reports
+      // lost; an acked one was delivered, and its copy died with its owner.
+      if (!(frames[i].last_resort && frames[i].acked))
+        route_relayed(subs_of(frames[i]), /*count_as_relay=*/false);
     }
     // Frames are re-encoded from their tracked header on every transmit, so
     // advancing the membership claim is a header-field write: the next
@@ -352,9 +345,7 @@ ResilientExchangeResult StfwCommunicator::exchange_resilient(
 
   // Retransmit / give-up pass. Returns the earliest pending retry time (or
   // time_point::max() when nothing is outstanding). A frame that exhausts
-  // its budget degrades: kData submessages are regrouped by final
-  // destination and re-sent as kDirect frames (bypassing the remaining
-  // store-and-forward stages); a dead kDirect frame is a definite loss.
+  // its budget degrades (fail_frame).
   auto pump_sends = [&](clock::time_point now) {
     clock::time_point next = clock::time_point::max();
     for (std::size_t i = 0; i < frames.size(); ++i) {
@@ -362,11 +353,10 @@ ResilientExchangeResult StfwCommunicator::exchange_resilient(
       if (frames[i].attempts == 0) {
         transmit(frames[i], now);
       } else if (now >= frames[i].next_retry) {
-        // kDirect frames are exempt from the attempt budget: they are the
-        // last resort, exhausting one is a permanent loss, and the
-        // settlement valve already bounds how long they may keep trying.
-        if (frames[i].header.kind != core::FrameKind::kDirect &&
-            frames[i].attempts >= opt.max_attempts) {
+        // Fallbacks are exempt from the attempt budget: they are the last
+        // resort, exhausting one is a permanent loss, and the settlement
+        // valve already bounds how long they may keep trying.
+        if (!frames[i].last_resort && frames[i].attempts >= opt.max_attempts) {
           ++stats_.timeouts;
           fail_frame(i);
           continue;
@@ -387,9 +377,9 @@ ResilientExchangeResult StfwCommunicator::exchange_resilient(
 
   // --- receiver side -------------------------------------------------------
   // A neighbor sends one kData frame per stage (retransmits reuse its seq;
-  // fallbacks are kDirect or kRelay frames), so its slot in scratch.heard
-  // serves dedup and stage completion. kDirect and kRelay frames, of which
-  // a sender may post several, dedupe by (sender, seq).
+  // fallbacks are kRelay frames), so its slot in scratch.heard serves dedup
+  // and stage completion. kRelay frames, of which a sender may post
+  // several, dedupe by (sender, seq).
   int cur_stage = 0;
   std::set<std::pair<std::int32_t, std::uint32_t>> seen;
   using Heard = MissScratch::Heard;
@@ -415,7 +405,9 @@ ResilientExchangeResult StfwCommunicator::exchange_resilient(
   };
 
   auto process_incoming = [&] {
-    for (runtime::Message& m : comm_->drain(tag)) {
+    inbox_.clear();
+    comm_->drain(tag, inbox_);
+    for (runtime::Message& m : inbox_) {
       const auto dec = core::decode_frame(m.data);
       if (!dec) {
         ++stats_.corrupt_frames_discarded;  // truncated / bit-rotted
@@ -446,7 +438,7 @@ ResilientExchangeResult StfwCommunicator::exchange_resilient(
         ++stats_.corrupt_frames_discarded;
         continue;
       }
-      if (h.kind != core::FrameKind::kData) {  // kDirect or kRelay, at any stage
+      if (h.kind == core::FrameKind::kRelay) {  // at any stage
         // Re-ack duplicates too: our earlier ack may have died.
         send_control(core::FrameKind::kAck, sender, h);
         if (!seen.insert({h.sender, h.seq}).second) {
@@ -457,16 +449,10 @@ ResilientExchangeResult StfwCommunicator::exchange_resilient(
         const std::span<const Submessage> subs =
             core::deserialize_tracked(dec->body, arena, parsed);
         ++stats_.messages_received;
-        if (h.kind == core::FrameKind::kRelay) {
-          // Deliver our own submessages; forward the rest one greedy-alive
-          // hop closer to their destinations under our *current* view.
-          route_relayed(subs, /*count_as_relay=*/true);
-          continue;
-        }
-        if (validator) validator->on_direct_recv(sender, subs);
-        for (const Submessage& s : subs)
-          core::require(s.dest == me, "exchange_resilient: direct frame not addressed to me");
-        delivered.insert(delivered.end(), subs.begin(), subs.end());
+        if (validator) validator->on_side_recv(sender, subs);
+        // Deliver our own submessages (all of a fallback's) and forward the
+        // rest one greedy-alive hop closer under our *current* view.
+        route_relayed(subs, /*count_as_relay=*/true);
         continue;
       }
       // kData
@@ -488,7 +474,7 @@ ResilientExchangeResult StfwCommunicator::exchange_resilient(
       if (stale) {
         // The sender's forwarding decisions are suspect. Nack so it
         // re-decides now rather than after its retry budget. The nacked
-        // sender demotes the frame's submessages to kDirect and never
+        // sender demotes the frame's submessages to fallbacks and never
         // resends a stage frame, so its slot counts as heard from; waiting
         // for it would stall until the stage deadline.
         ++stats_.stale_epoch_frames_refused;
@@ -499,7 +485,7 @@ ResilientExchangeResult StfwCommunicator::exchange_resilient(
       if (fstage < cur_stage) {
         // We gave up on this stage and moved on; accepting now would strand
         // submessages whose forwarding stages already ran. Nack so the
-        // sender switches to its direct-routing fallback immediately.
+        // sender switches to its fallback immediately.
         ++stats_.late_frames_refused;
         send_control(core::FrameKind::kNack, sender, h);
         continue;
@@ -523,22 +509,15 @@ ResilientExchangeResult StfwCommunicator::exchange_resilient(
   StageOutbox& outbox = scratch.outbox;
   std::uint64_t transit_peak = 0;
 
-  // Settlement traffic (reliable control tags) can arrive before this rank
+  // Settlement traffic (the reliable control tag) can arrive before this rank
   // is ready to act on it: a peer that finished all its stages reports
   // settled while we are still mid-stage, and after a root re-election a
   // report can reach a rank that has not yet observed it became root. Both
   // wait loops below block on "any message arrived", so a message nobody
   // drains would make wait_message return immediately forever — a busy spin
-  // against the stage deadline. Absorb the control tags into buffers on
-  // every iteration instead; the settlement phase consumes the buffers.
-  std::vector<runtime::Message> settle_reports;
-  std::vector<runtime::Message> settle_dones;
-  auto absorb_settle_traffic = [&] {
-    for (runtime::Message& m : comm_->drain(kSettleReportTag))
-      settle_reports.push_back(std::move(m));
-    for (runtime::Message& m : comm_->drain(kSettleDoneTag))
-      settle_dones.push_back(std::move(m));
-  };
+  // against the stage deadline. Absorb the control tag into a buffer on
+  // every iteration instead; the settlement phase consumes the buffer.
+  std::vector<runtime::Message> settle;
   for (cur_stage = 0; cur_stage < n; ++cur_stage) {
     STFW_VERIFY_HOOK(stage(static_cast<int>(me), cur_stage));
     if (injector != nullptr) injector->at_stage(static_cast<int>(me), cur_stage);
@@ -569,7 +548,9 @@ ResilientExchangeResult StfwCommunicator::exchange_resilient(
       if (validator) validator->on_stage_send(cur_stage, nbr, subs);
       ++stats_.messages_sent;
       stats_.payload_bytes_sent += payload_bytes;
-      make_frame(core::FrameKind::kData, cur_stage, nbr, {subs.begin(), subs.end()});
+      const std::size_t first = tracked.size();
+      tracked.insert(tracked.end(), subs.begin(), subs.end());
+      make_frame(cur_stage, nbr, first, false);
     }
     // An unmatched frame would drop its submessages without a trace.
     core::require(next_frame == outbox.frames.size(),
@@ -590,7 +571,7 @@ ResilientExchangeResult StfwCommunicator::exchange_resilient(
     for (;;) {
       if (comm_->membership().epoch() != mem.epoch) on_membership_change();
       process_incoming();
-      absorb_settle_traffic();
+      comm_->drain(kSettleTag, settle);
       const auto now = verify::verify_now();
       const auto next_event = pump_sends(now);
       if (std::ranges::none_of(nbrs, unheard)) break;
@@ -618,7 +599,7 @@ ResilientExchangeResult StfwCommunicator::exchange_resilient(
   // forever if rank 0 died. Here every rank keeps pumping until the
   // *surviving* cluster is settled: "settled" reports flow to the lowest
   // alive rank (the root, re-elected on every epoch change) over the
-  // reliable control tags (negative tags; the injector leaves them alone by
+  // reliable control tag (a negative tag; the injector leaves those alone by
   // default — the "reliable side channel" of the fault model), and the root
   // broadcasts a verdict-carrying completion — whether anything was lost
   // anywhere, and the final membership — so all survivors agree on
@@ -639,25 +620,25 @@ ResilientExchangeResult StfwCommunicator::exchange_resilient(
   // query went out if the sender's report covered T, and the sender
   // answered dirty if it did not. Healthy exchanges skip the wave: without
   // a death no rank creates a frame after reporting. Safety valves bound
-  // both phases: past the
-  // first, outstanding frames are declared lost; past the second, a rank
-  // stops waiting for the verdict and reports conservatively
-  // (fully_recovered = false) rather than hang.
+  // both phases: past the first, outstanding frames are declared lost; past
+  // the second, a rank stops waiting for the verdict and reports
+  // conservatively (fully_recovered = false) rather than hang.
   {
     // Peers still mid-exchange may legitimately lag by up to one stage
     // deadline per remaining stage before they can start answering.
     const auto settle_valve = verify::verify_now() + opt.stage_deadline * n +
                               opt.retransmit_timeout * opt.max_settle_rounds;
     const auto verdict_valve = settle_valve + opt.stage_deadline;
-    // Root only: the membership epoch of each rank's latest report, and the
-    // confirmation wave in progress.
-    std::map<int, std::uint32_t> report_epoch;
+    // Root only, per rank: the membership epoch of its latest report (-1
+    // for none) and the last wave it answered clean; and the confirmation
+    // wave in progress. Waves count from 1.
+    std::vector<std::int64_t>& last_report = scratch.last_report;
+    std::vector<std::uint32_t>& clean_wave = scratch.clean_wave;
     bool peer_lost = false;
     std::uint32_t wave = 0;
     bool wave_open = false;
     std::uint32_t wave_epoch = 0;
     std::size_t wave_frames = 0;  // the root's own tracked frames at the query
-    std::set<int> wave_clean;
     // Every rank: what its latest settled report claimed.
     int reported_to = -1;
     std::uint32_t reported_epoch = 0;
@@ -678,47 +659,50 @@ ResilientExchangeResult StfwCommunicator::exchange_resilient(
       if (comm_->membership().epoch() != mem.epoch) on_membership_change();
       process_incoming();
       if (verify::verify_now() >= settle_valve) {
-        // Whatever is still unacked is now a definite loss. No direct
-        // fallback this late: new frames could never be acknowledged.
+        // Whatever is still unacked is now a definite loss. No fallback
+        // this late: new frames could never be acknowledged.
         for (OutFrame& f : frames) {
           if (f.acked || f.failed) continue;
           f.failed = true;
           ++stats_.timeouts;
-          for (const Submessage& s : f.subs)
+          for (const Submessage& s : subs_of(f))
             result.failure.lost.push_back({s.source, s.dest, s.size_bytes, f.stage});
         }
       }
       const auto next_event = pump_sends(verify::verify_now());
-      absorb_settle_traffic();
+      comm_->drain(kSettleTag, settle);
       const int root = mem.lowest_alive;
       if (static_cast<int>(me) != root && all_settled_locally() && !clean_since_report()) {
         // (Re-)report whenever the root, the membership epoch or the set of
         // tracked frames changed since the last report: a newly elected root
         // starts with an empty roster, and a report from an older view
         // predates work the change may have created.
-        comm_->send(root, kSettleReportTag, encode_settle(settle_msg(SettleMsg::Kind::kReport)));
+        comm_->send(root, kSettleTag, encode_settle(settle_msg(SettleMsg::Kind::kReport)));
         reported_to = root;
         reported_epoch = mem.epoch;
         reported_frames = frames.size();
       }
       if (static_cast<int>(me) == root) {
-        for (const runtime::Message& m : settle_reports) {
+        // Queries and verdicts can only come from a dead former root, since
+        // a root never becomes a non-root: they are dropped with the rest.
+        for (const runtime::Message& m : settle) {
           const auto s = decode_settle(m.data);
           if (!s) continue;
+          const auto from = static_cast<std::size_t>(m.source);
           if (s->kind == SettleMsg::Kind::kReport) {
-            report_epoch[m.source] = s->member_epoch;
+            last_report[from] = s->member_epoch;
             peer_lost = peer_lost || s->lost;
           } else if (s->kind == SettleMsg::Kind::kReply && wave_open && s->wave == wave) {
             if (s->clean) {
-              wave_clean.insert(m.source);
+              clean_wave[from] = wave;
               peer_lost = peer_lost || s->lost;
             } else {
-              report_epoch.erase(m.source);
+              last_report[from] = -1;
               wave_open = false;
             }
           }
         }
-        settle_reports.clear();
+        settle.clear();
         // A wave holds only under one membership view and while the root's
         // own tracked frames stay as they were when it asked.
         if (wave_open && (wave_epoch != mem.epoch || wave_frames != frames.size()))
@@ -727,19 +711,17 @@ ResilientExchangeResult StfwCommunicator::exchange_resilient(
         bool confirmed = wave_open;
         for (int r = 0; all && r < world; ++r) {
           if (r == root || !mem.is_alive(r)) continue;
-          const auto it = report_epoch.find(r);
-          if (it == report_epoch.end() || it->second != mem.epoch) all = false;
-          if (wave_clean.count(r) == 0) confirmed = false;
+          if (last_report[static_cast<std::size_t>(r)] != mem.epoch) all = false;
+          if (clean_wave[static_cast<std::size_t>(r)] != wave) confirmed = false;
         }
         if (all && degraded && !wave_open) {
           wave_open = true;
           wave_epoch = mem.epoch;
           wave_frames = frames.size();
-          wave_clean.clear();
           SettleMsg q = settle_msg(SettleMsg::Kind::kQuery);
           q.wave = ++wave;
           for (int r = 0; r < world; ++r)
-            if (r != root && mem.is_alive(r)) comm_->send(r, kSettleDoneTag, encode_settle(q));
+            if (r != root && mem.is_alive(r)) comm_->send(r, kSettleTag, encode_settle(q));
         } else if (all && (!degraded || confirmed)) {
           // The verdict carries whether anything was lost anywhere and the
           // alive count, so every survivor sets fully_recovered and degraded
@@ -749,13 +731,13 @@ ResilientExchangeResult StfwCommunicator::exchange_resilient(
           v.lost = any_lost;
           v.alive_count = mem.alive_count;
           for (int r = 0; r < world; ++r)
-            if (r != root && mem.is_alive(r)) comm_->send(r, kSettleDoneTag, encode_settle(v));
+            if (r != root && mem.is_alive(r)) comm_->send(r, kSettleTag, encode_settle(v));
           result.fully_recovered = !any_lost;
           result.degraded = mem.alive_count < world;
           done = true;
         }
       } else {
-        for (const runtime::Message& m : settle_dones) {
+        for (const runtime::Message& m : settle) {
           const auto s = decode_settle(m.data);
           if (!s) continue;
           if (s->kind == SettleMsg::Kind::kQuery) {
@@ -764,14 +746,18 @@ ResilientExchangeResult StfwCommunicator::exchange_resilient(
             reply.clean =
                 m.source == root && s->member_epoch == mem.epoch && clean_since_report();
             if (!reply.clean) reported_to = -1;  // report afresh once settled
-            comm_->send(m.source, kSettleReportTag, encode_settle(reply));
+            comm_->send(m.source, kSettleTag, encode_settle(reply));
           } else if (s->kind == SettleMsg::Kind::kDone) {
             result.fully_recovered = !s->lost;
             result.degraded = s->alive_count < world;
             done = true;
           }
         }
-        settle_dones.clear();
+        // Reports and replies stay in case this rank is elected root.
+        std::erase_if(settle, [](const runtime::Message& m) {
+          const auto s = decode_settle(m.data);
+          return !s || s->kind == SettleMsg::Kind::kQuery || s->kind == SettleMsg::Kind::kDone;
+        });
       }
       if (!done && verify::verify_now() >= verdict_valve) {
         // The verdict never arrived (e.g. the root died after a partial
@@ -808,15 +794,15 @@ ResilientExchangeResult StfwCommunicator::exchange_resilient(
   comm_->barrier(epilogue_deadline());
   // Only this exchange's tag: a peer that left the barrier first may
   // already have sent its next exchange's first stage under the next tag.
-  (void)comm_->drain(tag);
-  (void)comm_->drain(kSettleReportTag);  // should already be empty
-  (void)comm_->drain(kSettleDoneTag);
+  comm_->drain(tag, inbox_);         // discarded below, with the last pass's frames
+  comm_->drain(kSettleTag, inbox_);  // should already be empty
+  inbox_.clear();
 
-  // `delivered` holds the side lanes' deliveries, duplicates included.
-  std::uint64_t direct_bytes = 0;
-  for (const Submessage& s : delivered) direct_bytes += s.size_bytes;
+  // `delivered` holds the side lane's deliveries, duplicates included.
+  std::uint64_t side_bytes = 0;
+  for (const Submessage& s : delivered) side_bytes += s.size_bytes;
   stats_.peak_buffer_bytes =
-      seed_bytes + state.delivered_payload_bytes() + direct_bytes + transit_peak;
+      seed_bytes + state.delivered_payload_bytes() + side_bytes + transit_peak;
   stats_.membership_epoch = mem.epoch;  // final view this rank finished under
 
   // One sort puts the deliveries in send order within each source, the

@@ -157,9 +157,10 @@ public:
   /// arrival, awaits the group and drains the stage tag. Frames of later
   /// stages and exchanges wait in the mailbox under their own tags. Returns
   /// exactly the stage's real frames addressed to this rank, in
-  /// ascending-source order.
+  /// ascending-source order, in the communicator's inbox, which the next
+  /// step refills.
   template <class Frames>
-  std::vector<runtime::Message> step(int stage, Frames&& frames) {
+  std::vector<runtime::Message>& step(int stage, Frames&& frames) {
     STFW_VERIFY_HOOK(stage(static_cast<int>(me_), stage));
     if (injector_ != nullptr) injector_->at_stage(static_cast<int>(me_), stage);
     const int tag = tag_base_ + stage;
@@ -175,9 +176,10 @@ public:
     c_.comm_->arrive(group, tag);
     if (stage == 0 && overlap_ != nullptr && *overlap_) (*overlap_)();
     c_.comm_->await_arrival(group, tag, deadline());
-    std::vector<runtime::Message> msgs = c_.comm_->drain(tag);
-    stats_.messages_received += static_cast<std::int64_t>(msgs.size());
-    return msgs;
+    c_.inbox_.clear();
+    c_.comm_->drain(tag, c_.inbox_);
+    stats_.messages_received += static_cast<std::int64_t>(c_.inbox_.size());
+    return c_.inbox_;
   }
 
   /// The validator's collective conservation and buffer-bound verdict over
@@ -236,7 +238,7 @@ public:
   /// Runs stages [first, n), then finishes the exchange.
   void run(int first) {
     for (int stage = first; stage < drv_.vpt().dim(); ++stage) {
-      std::vector<runtime::Message> msgs = drv_.step(stage, [&](auto&& post) {
+      std::vector<runtime::Message>& msgs = drv_.step(stage, [&](auto&& post) {
         const StageOutbox& out = s_.outbox;
         s_.state.make_stage_outbox(stage, s_.outbox);
         if (recorder_) recorder_->reserve_sends(out.frames.size(), out.subs.size());
@@ -247,6 +249,7 @@ public:
         }
       });
       accept(stage, msgs);
+      msgs.clear();  // the arena holds the payloads: free the buffers now
     }
     finish();
   }
@@ -326,8 +329,11 @@ private:
         seed_bytes_ + s_.state.delivered_payload_bytes() + transit_peak_;
     s_.delivered.assign(s_.state.delivered().begin(), s_.state.delivered().end());
     drv_.finish(s_.delivered, arena_);
-    std::stable_sort(s_.delivered.begin(), s_.delivered.end(),
-                     [](const Submessage& a, const Submessage& b) { return a.source < b.source; });
+    // Stable by source, by insertion: std::stable_sort allocates a buffer.
+    std::vector<Submessage>& d = s_.delivered;
+    for (auto it = d.begin(); it != d.end(); ++it)
+      std::rotate(std::ranges::upper_bound(d.begin(), it, it->source, {}, &Submessage::source), it,
+                  it + 1);
   }
 
   StageDriver& drv_;
@@ -344,6 +350,9 @@ void StfwCommunicator::MissScratch::reset() {
   heard.resize(vpt.dim_sizes().size());
   for (std::size_t d = 0; d < heard.size(); ++d)
     heard[d].assign(static_cast<std::size_t>(vpt.dim_sizes()[d]), Heard::kNothing);
+  tracked.clear();
+  last_report.assign(static_cast<std::size_t>(vpt.size()), -1);
+  clean_wave.assign(static_cast<std::size_t>(vpt.size()), 0);
 }
 
 bool StfwCommunicator::validation_available() noexcept {
@@ -420,7 +429,7 @@ std::vector<InboundMessage> StfwCommunicator::replay(StageDriver& drv, CachedPla
   const int n = vpt_.dim();
   for (int stage = 0; stage < n; ++stage) {
     const auto si = static_cast<std::size_t>(stage);
-    std::vector<runtime::Message> msgs = drv.step(stage, [&](auto&& post) {
+    std::vector<runtime::Message>& msgs = drv.step(stage, [&](auto&& post) {
       for (const core::PlanOutFrame& f : layout.out_stage(stage))
         post(f.to, layout.subs_of(f), gather_planned_frame(layout, f, sends, plan.in_raw),
              f.payload_bytes);

@@ -126,7 +126,7 @@ struct ExchangeFailure {
     core::Rank source = -1;
     core::Rank dest = -1;
     std::uint32_t bytes = 0;
-    int stage = -1;  // stage whose frame exhausted its budget; -1 = direct
+    int stage = -1;  // stage whose frame exhausted its budget; -1 = side lane
   };
   struct MissingNeighbor {
     int stage = -1;
@@ -270,11 +270,17 @@ private:
   /// kept across exchanges so either allocates only where it outgrows the
   /// exchanges before it: the rank state, its stage outbox, the parse table
   /// of inbound frames, the delivery list and the resilient exchange's
-  /// per-stage neighbor table. Boxed with a Vpt of its own, which the state
-  /// points at, so moving the communicator leaves that pointer valid.
+  /// neighbor, frame and settlement tables. Boxed with a Vpt of its own,
+  /// which the state points at, so moving the communicator leaves that
+  /// pointer valid.
   struct MissScratch {
     /// A resilient receiver's decision on a neighbor's stage frame.
     enum class Heard : std::uint8_t { kNothing, kAccepted, kRefused /* stale-epoch nack */ };
+    struct Hop {  // a submessage a resilient sender re-sends, by next hop
+      core::Rank hop;
+      std::uint32_t pos;  // among the re-sent ones
+      core::Submessage sub;
+    };
     MissScratch(const core::Vpt& v, core::Rank me) : vpt(v), state(vpt, me) {}
     void reset();  // starts an exchange, keeping capacity
 
@@ -284,6 +290,10 @@ private:
     std::vector<core::Submessage> parsed;
     std::vector<core::Submessage> delivered;
     std::vector<std::vector<Heard>> heard;  // [stage d][the neighbor's digit d]
+    std::vector<core::Submessage> tracked;  // every tracked frame's submessages
+    std::vector<Hop> hops;
+    std::vector<std::int64_t> last_report;  // per rank: its epoch, -1 for none
+    std::vector<std::uint32_t> clean_wave;  // per rank: the last wave it answered clean
   };
 
   class StageDriver;
@@ -311,6 +321,7 @@ private:
   std::vector<CachedPlan> plan_cache_;
   std::uint64_t plan_cache_tick_ = 0;
   std::unique_ptr<MissScratch> miss_;
+  std::vector<runtime::Message> inbox_;  // the latest drain, kept for its capacity
 };
 
 }  // namespace stfw

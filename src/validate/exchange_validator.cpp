@@ -198,15 +198,11 @@ void ExchangeValidator::on_stage_recv(int stage, Rank source,
   }
 }
 
-void ExchangeValidator::on_direct_recv(core::Rank source, std::span<const Submessage> subs) {
-  check_rank("direct-recv", -1, source, "direct-frame sender");
+void ExchangeValidator::on_side_recv(core::Rank source, std::span<const Submessage> subs) {
+  check_rank("side-recv", -1, source, "side-lane frame sender");
   for (const Submessage& s : subs) {
     check_rank("header-rank", -1, s.source, "submessage source");
     check_rank("header-rank", -1, s.dest, "submessage destination");
-    if (s.dest != me_)
-      violation("direct-recv", -1,
-                "direct frame carries a submessage for rank " + std::to_string(s.dest) +
-                    ", but direct routing must target the final destination");
   }
 }
 

@@ -69,14 +69,13 @@ public:
   /// dimension-order routing up to and including `stage`.
   void on_stage_recv(int stage, core::Rank source, std::span<const core::Submessage> subs);
 
-  /// Hook: submessages received in a resilient-mode kDirect frame — the
-  /// degradation path that bypasses store-and-forward routing after a frame
-  /// exhausted its retry budget (docs/fault_model.md). Such frames may come
-  /// from any rank (not just VPT neighbors) but every submessage must be
-  /// finally addressed to this rank. Retransmitted frames never reach the
-  /// validator: the protocol deduplicates by (sender, seq) first, so the
-  /// per-stage message-count bounds keep holding in resilient mode.
-  void on_direct_recv(core::Rank source, std::span<const core::Submessage> subs);
+  /// Hook: submessages received in a resilient-mode side-lane (kRelay)
+  /// frame: a detour around a dead rank or a fallback (docs/fault_model.md).
+  /// Such frames may come from any rank and carry submessages to forward,
+  /// so only the ranks they name are checked. Retransmitted frames never
+  /// reach the validator: the protocol deduplicates by (sender, seq) first,
+  /// so the per-stage message-count bounds keep holding in resilient mode.
+  void on_side_recv(core::Rank source, std::span<const core::Submessage> subs);
 
   /// Hook: end of `stage` on this rank, after all receives were scattered.
   /// Samples forward-buffer residency for the buffer-bound check.

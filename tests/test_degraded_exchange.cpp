@@ -190,7 +190,7 @@ TEST(DegradedExchange, StaleEpochStageFrameIsNackedAndCountsItsSlot) {
   // 2 enter only after the death is marked. Rank 0 therefore receives a
   // stage frame whose member_epoch predates its own view. It must nack the
   // frame and count rank 1's slot as heard from: the nacked sender demotes
-  // the frame's submessages to kDirect and never resends it to the stage,
+  // the frame's submessages to fallbacks and never resends it to the stage,
   // so waiting for it would only run out the stage deadline.
   const Vpt vpt({2, 2});
   const Rank K = vpt.size();

@@ -544,10 +544,11 @@ std::vector<OutboundMessage> repeated_pair_sends(Rank K, Rank me) {
 TEST(ResilientExchange, RepeatedExchangesUnderFaultsStayIsolated) {
   // Delayed/duplicated stragglers of one exchange must never contaminate the
   // next one (epoch tagging + the flush/drain epilogue). A single attempt
-  // per stage frame sends every dropped or slow one down the kDirect
-  // fallback, and the deliveries must still come in the plain exchange's
-  // order, unsorted: by source, then in send order, since all messages of
-  // one (source, dest) pair travel one route in the order they were sent.
+  // per stage frame sends every dropped or slow one down the fallback, a
+  // relay frame to the destination, and the deliveries must still come in
+  // the plain exchange's order, unsorted: by source, then in send order,
+  // since all messages of one (source, dest) pair travel one route in the
+  // order they were sent.
   const auto vpt = core::Vpt({2, 2});
   const Rank K = vpt.size();
   std::vector<std::vector<InboundMessage>> baseline(static_cast<std::size_t>(K));
@@ -587,7 +588,7 @@ TEST(ResilientExchange, RepeatedExchangesUnderFaultsStayIsolated) {
     }
   });
   cluster.set_fault_injector(nullptr);
-  EXPECT_GT(fallbacks.load(), 0) << "no stage frame fell back to kDirect";
+  EXPECT_GT(fallbacks.load(), 0) << "no stage frame fell back";
 }
 
 TEST(ResilientExchange, InjectorOnAndOffAcrossRunsOfOneClusterDeliverEverything) {
@@ -639,22 +640,40 @@ TEST(ResilientExchange, DirectFallbackDuplicateOfAcceptedFrameIsDiscarded) {
     cfg.stall_duration = 400ms;
     return cfg;
   }());
+  constexpr int kMaxAttempts = 4;
   std::vector<ResilientExchangeResult> results(2);
   std::vector<LocalExchangeStats> stats(2);
+  // Rank 0's side-lane transmissions, by seq; only rank 0's thread writes.
+  std::map<std::uint32_t, int> fallback_sends;
+  int misaddressed = 0;
   Cluster cluster(2);
   cluster.set_fault_injector(injector);
+  cluster.set_wire_tap([&](int source, int dest, int, std::span<const std::byte> bytes) {
+    if (source != 0) return;
+    const auto dec = core::decode_frame(bytes);  // settlement messages are no frames
+    if (!dec || dec->header.kind != core::FrameKind::kRelay) return;
+    if (dest != 1) ++misaddressed;
+    ++fallback_sends[dec->header.seq];
+  });
   cluster.run([&](Comm& comm) {
     StfwCommunicator stfw(comm, vpt);
     const auto me = static_cast<std::size_t>(comm.rank());
     ResilienceOptions opt;
-    opt.retransmit_timeout = 4ms;  // full retry budget spans ~250ms,
-    opt.max_attempts = 10;         // comfortably inside the 400ms stall
+    opt.retransmit_timeout = 4ms;       // full retry budget spans ~60ms,
+    opt.max_attempts = kMaxAttempts;    // comfortably inside the 400ms stall
     results[me] = stfw.exchange_resilient(all_to_all_sends(2, comm.rank()), opt);
     stats[me] = stfw.last_stats();
   });
   cluster.set_fault_injector(nullptr);
+  cluster.set_wire_tap(nullptr);
 
   ASSERT_EQ(injector->counters().stalls, 1);
+  // The fallback is a kRelay frame addressed to the submessages' final
+  // destination, and as the last resort it outlasts the attempt budget.
+  EXPECT_FALSE(fallback_sends.empty()) << "rank 0 sent no fallback frame";
+  EXPECT_EQ(misaddressed, 0) << "a fallback frame of rank 0 was not addressed to rank 1";
+  for (const auto& [seq, sends] : fallback_sends)
+    EXPECT_GT(sends, kMaxAttempts) << "fallback frame seq " << seq;
   for (Rank r = 0; r < 2; ++r) {
     auto& res = results[static_cast<std::size_t>(r)];
     EXPECT_TRUE(res.fully_recovered) << "rank " << r;

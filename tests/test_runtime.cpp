@@ -97,10 +97,15 @@ TEST(Runtime, DrainAfterBarrierSeesAllStageSends) {
     }
     comm.send((comm.rank() + 1) % kRanks, 99, payload(-1));
     comm.barrier();
-    const auto msgs = comm.drain(1);
-    ASSERT_EQ(msgs.size(), static_cast<std::size_t>(kRanks - 1));
+    // The drain appends: what the vector held stays in front, and only the
+    // appended messages are sorted by source among themselves.
+    std::vector<Message> msgs(1);
+    msgs[0].source = kRanks;
+    comm.drain(1, msgs);
+    ASSERT_EQ(msgs.size(), static_cast<std::size_t>(kRanks));
+    EXPECT_TRUE(msgs[0].source == kRanks) << "the drain moved what the vector held";
     // Sorted by source, and the other tag is untouched.
-    for (std::size_t i = 1; i < msgs.size(); ++i) EXPECT_GT(msgs[i].source, msgs[i - 1].source);
+    for (std::size_t i = 2; i < msgs.size(); ++i) EXPECT_GT(msgs[i].source, msgs[i - 1].source);
     EXPECT_TRUE(comm.probe(kAnySource, 99));
     comm.recv(kAnySource, 99);  // leave mailboxes clean
   });
@@ -212,7 +217,8 @@ TEST(Runtime, ExchangeStressRepeatedEpochs) {
       const int dest = (comm.rank() + epoch) % kRanks;
       if (dest != comm.rank()) comm.send(dest, 100 + epoch, payload(epoch));
       comm.barrier();
-      const auto msgs = comm.drain(100 + epoch);
+      std::vector<Message> msgs;
+      comm.drain(100 + epoch, msgs);
       const bool expecting = (comm.rank() - epoch % kRanks + kRanks) % kRanks != comm.rank();
       ASSERT_EQ(msgs.size(), expecting ? 1u : 0u) << "epoch " << epoch;
       if (expecting) {
@@ -296,7 +302,8 @@ TEST(Runtime, DrainUnderConcurrentMultiSenderLoadKeepsPerSourceOrder) {
       }
     }
     comm.barrier();
-    const auto msgs = comm.drain(11);
+    std::vector<Message> msgs;
+    comm.drain(11, msgs);
     ASSERT_EQ(msgs.size(), static_cast<std::size_t>((kRanks - 1) * kBurst));
     std::vector<int> next_seq(kRanks, 0);
     int last_source = -1;
@@ -308,7 +315,8 @@ TEST(Runtime, DrainUnderConcurrentMultiSenderLoadKeepsPerSourceOrder) {
       ++next_seq[src];
     }
     // Tag 12 was untouched by the drain; clean it up.
-    const auto rest = comm.drain(12);
+    std::vector<Message> rest;
+    comm.drain(12, rest);
     EXPECT_EQ(rest.size(), static_cast<std::size_t>((kRanks - 1) * ((kBurst + 6) / 7)));
   });
 }
@@ -360,7 +368,8 @@ TEST(Runtime, WakeupArrivalReleasesEachWaitingMemberOnce) {
       if (d != me) comm.send(d, 5, payload(me * 10 + d));
     comm.arrive(group, 5);
     comm.await_arrival(group, 5, Deadline::in(10s));
-    const auto msgs = comm.drain(5);
+    std::vector<Message> msgs;
+    comm.drain(5, msgs);
     ASSERT_EQ(msgs.size(), 3u);
     for (const Message& m : msgs) EXPECT_EQ(value_of(m), m.source * 10 + me);
   });
@@ -377,7 +386,8 @@ TEST(Runtime, WakeupArrivalIgnoresStageFramesAndOtherGroups) {
         const std::vector<int> group{0, 1, 2};
         comm.arrive(group, 5);
         comm.await_arrival(group, 5, Deadline::in(10s));
-        const auto msgs = comm.drain(5);
+        std::vector<Message> msgs;
+        comm.drain(5, msgs);
         ASSERT_EQ(msgs.size(), 3u);
         EXPECT_EQ(value_of(msgs[0]), 1);
         EXPECT_EQ(value_of(msgs[1]), 2);
@@ -439,7 +449,8 @@ TEST(Runtime, WakeupArrivalSurvivesInjectedReorderToFront) {
     if (me == 3) comm.send(0, 6, payload(7));
     comm.arrive(group, 5);
     comm.await_arrival(group, 5, Deadline::in(10s));
-    const auto msgs = comm.drain(5);
+    std::vector<Message> msgs;
+    comm.drain(5, msgs);
     ASSERT_EQ(msgs.size(), 3u);
     int want = 0;
     for (const Message& m : msgs) {
@@ -625,7 +636,8 @@ TEST_P(RuntimeSizes, DrainAfterBarrierReturnsEverySendSortedBySource) {
     for (int d = 0; d < size; ++d)
       if (d != me) comm.send(d, 3, payload(cell(me, d, size)));
     comm.barrier();
-    const auto msgs = comm.drain(3);
+    std::vector<Message> msgs;
+    comm.drain(3, msgs);
     ASSERT_EQ(msgs.size(), static_cast<std::size_t>(size - 1));
     int want_source = 0;
     for (const Message& m : msgs) {
@@ -634,7 +646,9 @@ TEST_P(RuntimeSizes, DrainAfterBarrierReturnsEverySendSortedBySource) {
       EXPECT_EQ(value_of(m), cell(want_source, me, size));
       ++want_source;
     }
-    EXPECT_TRUE(comm.drain(3).empty());
+    std::vector<Message> again;
+    comm.drain(3, again);
+    EXPECT_TRUE(again.empty());
   });
 }
 
@@ -659,7 +673,8 @@ TEST_P(RuntimeSizes, ArrivalDrainsEveryFramePostedBeforeArrivingAndNothingLater)
       comm.arrive(group, tag);
       if (tag < 7) post(tag + 1);
       comm.await_arrival(group, tag, Deadline::in(30s));
-      const auto msgs = comm.drain(tag);
+      std::vector<Message> msgs;
+      comm.drain(tag, msgs);
       ASSERT_EQ(msgs.size(), group.size() - 1);
       std::size_t i = 0;
       for (const int src : group) {

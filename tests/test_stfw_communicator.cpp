@@ -362,19 +362,23 @@ TEST(Communicator, ResilientExchangesPostOnTagsOfTheirOwn) {
   const std::vector<bool> resilient = {true, true, false, true, false, true};
   const std::size_t X = resilient.size();
   // tags[rank][x]: the non-negative tags rank posted on in exchange x, and
-  // tags[rank][X] those of the reference exchange. The tap runs on the
-  // posting rank's thread, which also sets current[rank].
+  // tags[rank][X] those of the reference exchange; control[rank][x] the
+  // negative ones. The tap runs on the posting rank's thread, which also
+  // sets current[rank].
   std::vector<std::vector<std::set<int>>> tags(static_cast<std::size_t>(K),
                                                std::vector<std::set<int>>(X + 1));
+  std::vector<std::vector<std::set<int>>> control = tags;
   std::vector<std::size_t> current(static_cast<std::size_t>(K), X);
   runtime::Cluster cluster(K);
   cluster.set_wire_tap([&](int source, int, int tag, std::span<const std::byte>) {
     const auto r = static_cast<std::size_t>(source);
-    if (tag >= 0) tags[r][current[r]].insert(tag);
+    (tag >= 0 ? tags : control)[r][current[r]].insert(tag);
   });
   cluster.run([&](runtime::Comm& comm) {
     const auto me = static_cast<std::size_t>(comm.rank());
     StfwCommunicator communicator(comm, vpt);
+    // The validator's collectives post on negative tags of their own.
+    communicator.set_validation(false);
     const std::vector<InboundMessage> reference = communicator.exchange(sets[me]);
     for (std::size_t x = 0; x < X; ++x) {
       current[me] = x;
@@ -393,12 +397,18 @@ TEST(Communicator, ResilientExchangesPostOnTagsOfTheirOwn) {
   std::set<int> used;  // resilient tags of the exchanges checked so far
   for (std::size_t x = 0; x < X; ++x) {
     std::set<int> all;
+    std::set<int> settlement;
     for (const auto& per_rank : tags) all.insert(per_rank[x].begin(), per_rank[x].end());
+    for (const auto& per_rank : control)
+      settlement.insert(per_rank[x].begin(), per_rank[x].end());
     ASSERT_FALSE(all.empty()) << "exchange " << x << " posted nothing";
     if (!resilient[x]) {
       EXPECT_LT(*all.rbegin(), kTagRange) << "plain exchange " << x;
+      EXPECT_TRUE(settlement.empty()) << "plain exchange " << x;
       continue;
     }
+    // Settlement: one negative tag.
+    EXPECT_EQ(settlement.size(), 1u) << "resilient exchange " << x;
     // Data frames and acks: one tag, the same on every rank.
     EXPECT_EQ(all.size(), 1u) << "resilient exchange " << x;
     EXPECT_GE(*all.begin(), kTagRange) << "resilient exchange " << x;

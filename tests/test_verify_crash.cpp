@@ -210,7 +210,7 @@ TEST(VerifyCrash, DeadNeighbourNeverStandsInForALiveOne) {
   // Rank 1's stage 0 must still wait for rank 2: counting the heard, dead
   // rank 0 in its place would close the stage early without recording a
   // gap, and rank 2's retransmit, restamped with the new epoch, would be
-  // nacked as late and degrade to kDirect. Seed 26 of this sweep did that
+  // nacked as late and degrade to a fallback. Seed 26 of this sweep did that
   // when completion counted heard senders against live neighbours.
   CrashHarness h(Vpt({3, 2}), /*crash_rank=*/0, /*crash_stage=*/1);
   h.drop_prob = 0.2;

@@ -237,7 +237,7 @@ TEST(Frame, DetectsTruncationAnywhere) {
 
 TEST(Frame, DetectsSingleBitCorruptionAnywhere) {
   FrameHeader h;
-  h.kind = FrameKind::kDirect;
+  h.kind = FrameKind::kRelay;
   h.member_epoch = 3;
   h.seq = 7;
   h.sender = 5;
@@ -268,9 +268,9 @@ TEST(Frame, RejectsWrongMagicAndBadKind) {
   bad_magic[0] = std::byte{0};
   EXPECT_FALSE(decode_frame(bad_magic).has_value());
   // Kind lives at offset 4; an out-of-range value must be rejected even if
-  // someone recomputed the checksum over it. 6 was the retired failure
-  // notice's kind.
-  for (const int kind : {0, 6, 99}) {
+  // someone recomputed the checksum over it. 3 was the retired direct
+  // fallback's kind and 6 the retired failure notice's.
+  for (const int kind : {0, 3, 6, 99}) {
     FrameHeader weird = h;
     weird.kind = static_cast<FrameKind>(kind);
     EXPECT_FALSE(decode_frame(encode_frame(weird, {})).has_value()) << "kind " << kind;
@@ -326,7 +326,7 @@ TEST(Frame, TrackedFrameIsTheFrameOfItsBody) {
   const auto p = bytes_of({7, 8, 9});
   const std::vector<Submessage> subs = {Submessage{5, 6, arena.add(p), 3, 0x01020304u}};
   FrameHeader h;
-  h.kind = FrameKind::kDirect;
+  h.kind = FrameKind::kRelay;
   h.member_epoch = 4;
   h.seq = 99;
   h.sender = 5;

@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cstdint>
 #include <optional>
 #include <random>
@@ -29,10 +30,12 @@ std::vector<std::byte> random_body(std::mt19937_64& rng, std::size_t max_len) {
 }
 
 FrameHeader random_header(std::mt19937_64& rng) {
-  std::uniform_int_distribution<int> kind_dist(1, 5);  // kData..kRelay
+  constexpr std::array kLiveKinds = {FrameKind::kData, FrameKind::kAck, FrameKind::kNack,
+                                     FrameKind::kRelay};
+  std::uniform_int_distribution<std::size_t> kind_dist(0, kLiveKinds.size() - 1);
   std::uniform_int_distribution<std::uint32_t> u32_dist;
   FrameHeader h;
-  h.kind = static_cast<FrameKind>(kind_dist(rng));
+  h.kind = kLiveKinds[kind_dist(rng)];
   h.stage = static_cast<std::uint16_t>(u32_dist(rng) & 0xffff);
   h.member_epoch = u32_dist(rng);
   h.seq = u32_dist(rng);
