@@ -2,7 +2,7 @@
 //
 // After a survivable rank crash, exchange_resilient() routes every seed from
 // the shrunken membership view: detours around the dead rank go over the
-// relay lane and traffic to it is dropped. This harness prices those
+// side lane, straight to their destinations. This harness prices those
 // degraded exchanges against the all-alive baseline on one skewed pattern
 // per K:
 //
@@ -12,13 +12,16 @@
 //              resilient exchange; that single exchange is timed, from a
 //              barrier of all K ranks to a barrier of the K-1 survivors
 //   degraded   after the crash exchange, the timed iterations run among the
-//              K-1 survivors
+//              K-1 survivors, on the pattern minus its sends to the dead rank
 //
 // The crash exchange pays one-off detection costs (retransmit timeouts
 // toward the dead rank, the epoch bump); a stall in failure handling shows
 // there and nowhere else. The steady state an iterative solver lives in
-// afterwards is what the degraded rows measure. Rows land in
-// BENCH_degraded_exchange.json for tools/compare_bench.py. Knobs:
+// afterwards is what the degraded rows measure. Every timed exchange must
+// come back fully_recovered on every rank that runs it; one that does not
+// (a survivor that waited out the settlement valve, say) makes the harness
+// exit non-zero. Rows land in BENCH_degraded_exchange.json for
+// tools/compare_bench.py. Knobs:
 // STFW_BENCH_DEGRADED_KMAX (default 128), STFW_BENCH_DEGRADED_ITERS (timed
 // iterations, default 16), STFW_BENCH_DEGRADED_BYTES (base payload, 64).
 
@@ -52,9 +55,9 @@ std::uint64_t mix(std::uint64_t x) {
 
 /// Skewed fixed pattern: every rank sends to ~12 pseudo-random peers with
 /// sizes in [base, 4*base); rank 0 additionally sends to everyone. The
-/// pattern is held constant across modes and iterations so the degraded
-/// rows send what the healthy rows do — traffic whose destination died is
-/// dropped at seed time.
+/// pattern is held constant across modes and iterations; the degraded rows
+/// leave out only the sends to the dead rank, which could never be
+/// delivered and would make every degraded exchange report a loss.
 std::vector<std::vector<stfw::OutboundMessage>> build_pattern(Rank num_ranks,
                                                               std::uint32_t base_bytes,
                                                               std::uint64_t seed) {
@@ -107,6 +110,7 @@ struct ModeResult {
   int iters = 0;
   double ns_per_exchange = 0.0;
   std::int64_t relay_submessages = 0;  // over the timed iterations and survivors
+  std::int64_t unrecovered = 0;  // timed exchanges a rank ended not fully_recovered
   std::int64_t live_ranks = 0;
   std::uint32_t epoch = 0;  // membership epoch rank 0 ended the timed part at
 };
@@ -145,12 +149,13 @@ std::vector<ModeResult> run_cluster(const stfw::core::Vpt& vpt,
   double wall_ns = 0.0;
   std::atomic<std::int64_t> crash_relays{0};
   std::atomic<std::int64_t> relays{0};
+  std::atomic<std::int64_t> unrecovered{0};
   std::uint32_t crash_epoch = 0;
   std::atomic<std::uint32_t> epoch{0};
   const stfw::ResilienceOptions opt = bench_options();
   cluster.run([&](stfw::runtime::Comm& comm) {
     stfw::StfwCommunicator communicator(comm, vpt);
-    const auto& sends = pattern[static_cast<std::size_t>(comm.rank())];
+    std::vector<stfw::OutboundMessage> sends = pattern[static_cast<std::size_t>(comm.rank())];
     std::chrono::steady_clock::time_point c0;
     if (crash) {
       // The crash exchange: rank kCrashRank dies at stage 0, survivors
@@ -161,6 +166,8 @@ std::vector<ModeResult> run_cluster(const stfw::core::Vpt& vpt,
       crash_relays.fetch_add(communicator.last_stats().relay_submessages,
                              std::memory_order_relaxed);
     }
+    if (crash)
+      std::erase_if(sends, [](const stfw::OutboundMessage& m) { return m.dest == kCrashRank; });
     comm.barrier();  // alive-aware: released once every survivor arrives
     const auto t0 = std::chrono::steady_clock::now();
     if (crash && comm.rank() == 0) {
@@ -170,15 +177,18 @@ std::vector<ModeResult> run_cluster(const stfw::core::Vpt& vpt,
     }
     std::uint64_t received = 0;
     std::int64_t my_relays = 0;
+    std::int64_t my_unrecovered = 0;
     for (int it = 0; it < iters; ++it) {
       const stfw::ResilientExchangeResult result = communicator.exchange_resilient(sends, opt);
       for (const stfw::InboundMessage& m : result.delivered) received += m.bytes.size();
       my_relays += communicator.last_stats().relay_submessages;
+      if (!result.fully_recovered) ++my_unrecovered;
     }
     comm.barrier();
     const auto t1 = std::chrono::steady_clock::now();
     g_sink.fetch_add(received, std::memory_order_relaxed);
     relays.fetch_add(my_relays, std::memory_order_relaxed);
+    unrecovered.fetch_add(my_unrecovered, std::memory_order_relaxed);
     if (comm.rank() == 0) {
       epoch.store(communicator.last_stats().membership_epoch, std::memory_order_relaxed);
       wall_ns = static_cast<double>(
@@ -190,13 +200,14 @@ std::vector<ModeResult> run_cluster(const stfw::core::Vpt& vpt,
   const std::int64_t live = num_ranks - static_cast<Rank>(cluster.membership().failed().size());
   std::vector<ModeResult> out;
   if (crash) {
-    out.push_back({Mode::kCrash, 1, crash_ns, crash_relays.load(), live, crash_epoch});
+    out.push_back({Mode::kCrash, 1, crash_ns, crash_relays.load(), 0, live, crash_epoch});
     if (injector->counters().crashes != 1)
       std::fprintf(stderr, "warning: K=%d expected 1 injected crash, saw %lld\n", num_ranks,
                    static_cast<long long>(injector->counters().crashes));
   }
   out.push_back({crash ? Mode::kDegraded : Mode::kHealthy, iters,
-                 wall_ns / static_cast<double>(iters), relays.load(), live, epoch.load()});
+                 wall_ns / static_cast<double>(iters), relays.load(), unrecovered.load(), live,
+                 epoch.load()});
   return out;
 }
 
@@ -228,6 +239,7 @@ int main() {
               "overhead");
   stfw::bench::print_rule(60);
 
+  std::int64_t unrecovered = 0;
   for (const Rank num_ranks : {16, 32, 64, 128, 256}) {
     if (num_ranks > kmax) break;
     const stfw::core::Vpt vpt = stfw::core::Vpt::balanced(num_ranks, 2);
@@ -239,6 +251,10 @@ int main() {
     const double healthy_ns = rows.front().ns_per_exchange;
     for (const ModeResult& r : run_cluster(vpt, pattern, iters, true, seed)) rows.push_back(r);
     for (const ModeResult& r : rows) {
+      if (r.unrecovered > 0)
+        std::fprintf(stderr, "error: K=%d %s: %lld timed exchange(s) not fully_recovered\n",
+                     num_ranks, mode_name(r.mode), static_cast<long long>(r.unrecovered));
+      unrecovered += r.unrecovered;
       const double overhead = healthy_ns > 0.0 ? r.ns_per_exchange / healthy_ns : 0.0;
       std::printf("%6d %10s %6lld %14.0f %9lld %10s\n", num_ranks, mode_name(r.mode),
                   static_cast<long long>(r.live_ranks), r.ns_per_exchange,
@@ -265,5 +281,5 @@ int main() {
   const std::string path = stfw::bench::write_bench_json("degraded_exchange", root);
   std::printf("\nwrote %s (sink %llu)\n", path.c_str(),
               static_cast<unsigned long long>(g_sink.load()));
-  return 0;
+  return unrecovered == 0 ? 0 : 1;
 }

@@ -183,23 +183,6 @@ std::vector<Rank> route_hops(const Vpt& vpt, Rank src, Rank dst) {
   return hops;
 }
 
-Rank greedy_next_hop(const Vpt& vpt, std::span<const std::uint8_t> alive, Rank cur, Rank dst) {
-  const auto is_alive = [&](Rank r) {
-    return r >= 0 && r < static_cast<Rank>(alive.size()) &&
-           alive[static_cast<std::size_t>(r)] != 0;
-  };
-  require(cur != dst, "greedy_next_hop: already at destination");
-  require(is_alive(dst), "greedy_next_hop: destination is dead");
-  for (int d = 0; d < vpt.dim(); ++d) {
-    if (vpt.coord(cur, d) == vpt.coord(dst, d)) continue;
-    const Rank cand = vpt.with_coord(cur, d, vpt.coord(dst, d));
-    if (is_alive(cand)) return cand;
-  }
-  // No surviving intermediate in any dimension: hop straight to the
-  // destination (the relay lane's equivalent of the direct fallback).
-  return dst;
-}
-
 namespace {
 
 void enumerate(Rank remaining, int min_factor, std::vector<int>& cur,

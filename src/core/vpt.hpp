@@ -114,14 +114,6 @@ private:
 /// `src`, including `dst`. Empty when src == dst.
 std::vector<Rank> route_hops(const Vpt& vpt, Rank src, Rank dst);
 
-/// Greedy-alive next hop from `cur` toward `dst`: the aligned neighbor in
-/// the smallest differing dimension that is still alive (`alive` is indexed
-/// by rank, 1 = alive), falling back to `dst` itself (direct) when no
-/// intermediate survives. Every hop fixes one coordinate, so relay chains
-/// strictly reduce Hamming distance and cannot cycle, whatever (possibly
-/// stale) alive views the hops hold. Requires `dst` alive and cur != dst.
-Rank greedy_next_hop(const Vpt& vpt, std::span<const std::uint8_t> alive, Rank cur, Rank dst);
-
 /// All multisets {k1,...,kn} with product K and every k >= 2, enumerated as
 /// non-decreasing sequences. Used by tests and the dimension-size ablation.
 std::vector<std::vector<int>> all_factorizations(Rank K);

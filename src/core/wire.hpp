@@ -111,8 +111,8 @@ enum class FrameKind : std::uint16_t {
                // has a newer membership epoch; the sender should re-route
                // instead of retrying
   kRelay = 5,  // tracked submessages off the stages (detours around a dead
-               // rank, fallbacks to the destination); receivers deliver
-               // their own and forward the rest along surviving hops
+               // rank, fallbacks), sent straight to their destination,
+               // which delivers them all
 };
 
 struct FrameHeader {

@@ -71,7 +71,8 @@ struct FaultConfig {
   /// >= 0: crash on the Nth at_stage() visit of crash_rank (counted across
   /// exchanges) instead of matching crash_stage. With an n-dimensional VPT,
   /// visit n + d is stage d of the *second* exchange — how the CI crash
-  /// matrix injects a failure during plan replay rather than plan recording.
+  /// matrix, whose first exchange is a plain one, crashes a rank in the
+  /// first or the second resilient exchange that follows it.
   int crash_visit = -1;
   /// false: a crash throws FaultInjectedError, which escapes the rank
   /// function and aborts the whole cluster (a fail-stop process group).

@@ -9,7 +9,7 @@
 #include <cstring>
 #include <limits>
 #include <optional>
-#include <set>
+#include <tuple>
 #include <utility>
 
 #include "core/error.hpp"
@@ -35,45 +35,40 @@ namespace {
 // frames wait in the mailbox under their own tag.
 constexpr int kResilientTagBase = 1 << 28;
 
-// Settlement control traffic of exchange_resilient, on one reliable
-// negative tag: reports and wave replies flow to the root, wave queries and
-// the verdict flow from it, and each message's decoded kind routes it.
-constexpr int kSettleTag = -1002;
-
+// Settlement control traffic of exchange_resilient: reports flow to the
+// root and its verdict flows back, under the exchange's tag negated. That
+// tag is reliable (the injector never faults a negative tag), lies in
+// (-2^29, -2^28], clear of the runtime's collective tags, and is the
+// exchange's own, so a peer's next-exchange report waits in the mailbox
+// instead of meeting this exchange's drains.
 struct SettleMsg {
-  enum class Kind : std::uint8_t { kReport = 1, kReply = 2, kQuery = 3, kDone = 4 };
+  enum class Kind : std::uint8_t { kReport = 1, kDone = 2 };
   Kind kind = Kind::kReport;
-  bool lost = false;   // report/reply: this rank lost traffic; done: anyone did
-  bool clean = false;  // reply: settled, unchanged since the last report
+  bool lost = false;  // report: this rank lost traffic; done: anyone did
   std::uint32_t member_epoch = 0;
-  std::uint32_t wave = 0;        // reply/query
   std::int32_t alive_count = 0;  // done
 };
 
-constexpr std::size_t kSettleMsgBytes = 15;
+constexpr std::size_t kSettleMsgBytes = 10;
 
 std::vector<std::byte> encode_settle(const SettleMsg& m) {
   std::vector<std::byte> out(kSettleMsgBytes);
   out[0] = static_cast<std::byte>(m.kind);
   out[1] = static_cast<std::byte>(m.lost ? 1 : 0);
-  out[2] = static_cast<std::byte>(m.clean ? 1 : 0);
-  std::memcpy(out.data() + 3, &m.member_epoch, 4);
-  std::memcpy(out.data() + 7, &m.wave, 4);
-  std::memcpy(out.data() + 11, &m.alive_count, 4);
+  std::memcpy(out.data() + 2, &m.member_epoch, 4);
+  std::memcpy(out.data() + 6, &m.alive_count, 4);
   return out;
 }
 
 std::optional<SettleMsg> decode_settle(std::span<const std::byte> raw) {
   if (raw.size() != kSettleMsgBytes) return std::nullopt;
   const auto kind = static_cast<std::uint8_t>(raw[0]);
-  if (kind < 1 || kind > 4) return std::nullopt;
+  if (kind < 1 || kind > 2) return std::nullopt;
   SettleMsg m;
   m.kind = static_cast<SettleMsg::Kind>(kind);
   m.lost = raw[1] != std::byte{0};
-  m.clean = raw[2] != std::byte{0};
-  std::memcpy(&m.member_epoch, raw.data() + 3, 4);
-  std::memcpy(&m.wave, raw.data() + 7, 4);
-  std::memcpy(&m.alive_count, raw.data() + 11, 4);
+  std::memcpy(&m.member_epoch, raw.data() + 2, 4);
+  std::memcpy(&m.alive_count, raw.data() + 6, 4);
   return m;
 }
 
@@ -104,7 +99,7 @@ std::string ExchangeFailure::to_string() const {
   for (const LostSubmessage& l : lost) {
     out += "\n  lost: " + std::to_string(l.bytes) + " bytes " + std::to_string(l.source) +
            " -> " + std::to_string(l.dest);
-    out += l.stage < 0 ? std::string(" (direct)") : " (stage " + std::to_string(l.stage) + ")";
+    out += l.stage < 0 ? std::string(" (side lane)") : " (stage " + std::to_string(l.stage) + ")";
   }
   for (const MissingNeighbor& m : missing)
     out += "\n  missing: stage " + std::to_string(m.stage) + " frame from rank " +
@@ -142,7 +137,8 @@ ResilientExchangeResult StfwCommunicator::exchange_resilient(
   // event-loop iteration (one atomic load), and a death ends the loop's
   // wait_message; a change re-snapshots the bitmap and re-homes in-flight
   // traffic (on_membership_change below).
-  runtime::MembershipSnapshot mem = comm_->membership().snapshot();
+  runtime::MembershipSnapshot& mem = scratch.mem;
+  comm_->membership().snapshot(mem);
   bool degraded = mem.alive_count < world;
   stats_.membership_epoch = mem.epoch;
 
@@ -152,8 +148,9 @@ ResilientExchangeResult StfwCommunicator::exchange_resilient(
     core::require(s.dest >= 0 && s.dest < world, "exchange_resilient: destination out of range");
 
   // Claim the tag up front so a thrown exchange cannot leave stale frames
-  // that a retry would mistake for its own.
+  // that a retry would mistake for its own. Settlement runs on its negation.
   const int tag = kResilientTagBase + comm_->reserve_tags(1);
+  const int settle_tag = -tag;
   fault::FaultInjector* injector = comm_->fault_injector();
 
   std::optional<validate::ExchangeValidator> validator;
@@ -162,7 +159,7 @@ ResilientExchangeResult StfwCommunicator::exchange_resilient(
   // Seed routing is a pure function of (me, dest, VPT) and the membership
   // view: a self-send is delivered locally, a send to a dead destination is
   // dropped and reported, and a send whose canonical first hop died leaves
-  // the stage machinery for the relay lane (injected once its machinery
+  // the stage machinery for the side lane (injected once its machinery
   // exists below). Everything else is seeded as in Algorithm 1.
   std::vector<Submessage> relay_seeds;
   std::uint64_t seed_bytes = 0;
@@ -188,31 +185,22 @@ ResilientExchangeResult StfwCommunicator::exchange_resilient(
   }
 
   // --- sender side: every frame we emitted and still track -----------------
-  // A frame's seq is its index here: acks find it without a lookup table.
+  // A frame's seq is its index in `frames`: acks find it without a lookup table.
+  using OutFrame = MissScratch::OutFrame;
   std::vector<Submessage>& tracked = scratch.tracked;  // all frames' submessages
-  struct OutFrame {
-    int stage = -1;  // -1 for kRelay
-    core::Rank dest = -1;
-    // No retained wire image: each transmission re-encodes the frame from
-    // its header and its range of `tracked` (payloads stay in `arena`), and
-    // encode_frame is deterministic, so a retransmit is byte-identical.
-    core::FrameHeader header;
-    std::uint32_t first = 0;  // tracked[first, first + count): its submessages,
-    std::uint32_t count = 0;  // also the fallback / loss-reporting list
-    bool last_resort = false;  // a fallback: budget-exempt, and its loss final
-    int attempts = 0;
-    clock::time_point next_retry{};
-    std::chrono::milliseconds backoff{0};
-    bool acked = false;
-    bool failed = false;
-  };
-  std::vector<OutFrame> frames;
+  std::vector<OutFrame>& frames = scratch.frames;
   const auto subs_of = [&](const OutFrame& f) {
     return std::span<const Submessage>(tracked).subspan(f.first, f.count);
   };
+  // The membership epoch of this rank's latest settled report, -1 for none.
+  // Settlement relies on no frame being created after it within that epoch.
+  std::int64_t reported_epoch = -1;
 
   // Tracks tracked[first, end) as a kData frame of `stage`, or kRelay for -1.
-  auto make_frame = [&](int stage, core::Rank dest, std::size_t first, bool last_resort) {
+  auto make_frame = [&](int stage, core::Rank dest, std::size_t first) {
+    core::require(reported_epoch != mem.epoch,
+                  "exchange_resilient: a frame created after this rank reported settled at "
+                  "its membership epoch");
     frames.push_back(OutFrame{
         .stage = stage,
         .dest = dest,
@@ -223,7 +211,6 @@ ResilientExchangeResult StfwCommunicator::exchange_resilient(
                    .sender = me},
         .first = static_cast<std::uint32_t>(first),
         .count = static_cast<std::uint32_t>(tracked.size() - first),
-        .last_resort = last_resort,
         .backoff = opt.retransmit_timeout});
   };
 
@@ -237,16 +224,19 @@ ResilientExchangeResult StfwCommunicator::exchange_resilient(
     f.backoff = next_backoff(f.backoff, opt.retransmit_timeout, opt.stage_deadline);
   };
 
-  // Re-sends `subs` as kRelay frames, one per next hop `hop_of(dest)`, and
-  // returns how many it re-sent. Our own are delivered, and those for dead
-  // destinations reported lost at `stage`: a frame to a dead rank is never
-  // acked, and a last-resort one would pin the settlement loop to its valve.
-  // `subs` may lie in `tracked`, so it is read in full before the first
-  // append. Pushes frames: callers hold no references into `frames` across.
-  auto regroup = [&](std::span<const Submessage> subs, int stage, bool last_resort,
-                     auto&& hop_of) {
-    std::vector<MissScratch::Hop>& hops = scratch.hops;
-    hops.clear();
+  // --- the side lane -------------------------------------------------------
+  // Traffic that leaves the stages cannot re-enter them: store-and-forward
+  // fixes dimensions in ascending order, and a detour around a dead rank
+  // breaks that order. So it goes straight to its destination instead, one
+  // kRelay frame per destination, accepted at any stage. Sends `subs` that
+  // way and returns how many it sent. Our own are delivered, and those for
+  // dead destinations reported lost at `stage`: a frame to a dead rank is
+  // never acked and would pin the settlement loop to its valve. `subs` may
+  // lie in `tracked`, so it is copied out before the first append. Pushes
+  // frames: callers hold no references into `frames` across it.
+  auto to_side_lane = [&](std::span<const Submessage> subs, int stage) {
+    std::vector<Submessage>& side = scratch.side;
+    side.clear();
     for (const Submessage& s : subs) {
       if (s.dest == me) {
         delivered.push_back(s);
@@ -254,33 +244,29 @@ ResilientExchangeResult StfwCommunicator::exchange_resilient(
         ++stats_.dead_dest_submessages_dropped;
         result.failure.lost.push_back({s.source, s.dest, s.size_bytes, stage});
       } else {
-        hops.push_back({hop_of(s.dest), static_cast<std::uint32_t>(hops.size()), s});
+        side.push_back(s);
       }
     }
-    std::ranges::sort(hops, {}, [](const MissScratch::Hop& h) { return std::pair(h.hop, h.pos); });
-    for (std::size_t i = 0; i < hops.size();) {
+    std::ranges::sort(side, {}, [](const Submessage& s) { return std::tuple(s.dest, s.source, s.id); });
+    for (std::size_t i = 0; i < side.size();) {
       const std::size_t first = tracked.size();
-      const core::Rank hop = hops[i].hop;
-      for (; i < hops.size() && hops[i].hop == hop; ++i) tracked.push_back(hops[i].sub);
-      make_frame(-1, hop, first, last_resort);
+      const core::Rank dest = side[i].dest;
+      for (; i < side.size() && side[i].dest == dest; ++i) tracked.push_back(side[i]);
+      make_frame(-1, dest, first);
     }
-    return static_cast<std::int64_t>(hops.size());
+    return static_cast<std::int64_t>(side.size());
   };
 
-  // Give up on frame `i`. A stage or relay frame degrades into last-resort
-  // kRelay frames, one per final destination and addressed to it, bypassing
-  // the remaining store-and-forward stages. A relay hop that stops
-  // answering (slow, nacking, or newly dead) degrades like a stage frame:
-  // without this a survivable crash could turn into reported loss between
-  // live ranks purely because the detour's first hop was congested. A
-  // last-resort frame's loss is final. Pushes frames, like regroup.
+  // Give up on frame `i`. A stage frame's submessages take the side lane,
+  // bypassing the remaining store-and-forward stages. A side frame already
+  // went straight to its destination, so its loss is final. Pushes frames,
+  // like to_side_lane.
   auto fail_frame = [&](std::size_t i) {
     frames[i].failed = true;
     const int fstage = frames[i].stage;
     const std::span<const Submessage> subs = subs_of(frames[i]);
-    if (!frames[i].last_resort) {
-      stats_.direct_fallback_submessages +=
-          regroup(subs, fstage, true, [](core::Rank dest) { return dest; });
+    if (fstage >= 0) {
+      stats_.direct_fallback_submessages += to_side_lane(subs, fstage);
     } else {
       for (const Submessage& s : subs)
         result.failure.lost.push_back({s.source, s.dest, s.size_bytes, fstage});
@@ -300,41 +286,25 @@ ResilientExchangeResult StfwCommunicator::exchange_resilient(
     comm_->send(static_cast<int>(to), tag, std::move(w));
   };
 
-  // --- the relay lane ------------------------------------------------------
-  // Detoured traffic cannot re-enter the stage machinery: store-and-forward
-  // fixes dimensions in ascending order and a detour around a dead rank
-  // breaks that order, so the stages downstream would never fix the skipped
-  // dimensions. Relay frames are instead event-driven — each receiver
-  // delivers its own submessages and forwards the rest one greedy-alive hop
-  // closer (strictly decreasing Hamming distance, so no cycles even under
-  // stale membership views).
-  auto route_relayed = [&](std::span<const Submessage> subs, bool count_as_relay) {
-    (count_as_relay ? stats_.relay_submessages : stats_.reinjected_submessages) +=
-        regroup(subs, -1, false,
-                [&](core::Rank dest) { return core::greedy_next_hop(vpt_, mem.alive, me, dest); });
-  };
-
   // Membership transition: re-snapshot, pull every tracked frame off dead
-  // destinations (re-homing its payload over the relay lane), and restamp
+  // destinations (re-homing its payload over the side lane), and restamp
   // the surviving in-flight frames with the new epoch so receivers don't
   // refuse them as stale. Comm's membership is the only source of deaths.
   auto on_membership_change = [&] {
-    const runtime::MembershipSnapshot ns = comm_->membership().snapshot();
-    if (ns.epoch == mem.epoch) return;
-    mem = ns;
+    comm_->membership().snapshot(mem);
     degraded = mem.alive_count < world;
     ++stats_.epoch_transitions;
-    const std::size_t known = frames.size();  // route_relayed appends; don't revisit
+    const std::size_t known = frames.size();  // to_side_lane appends; don't revisit
     for (std::size_t i = 0; i < known; ++i) {
       if (frames[i].failed || mem.is_alive(frames[i].dest)) continue;
       frames[i].failed = true;  // its receiver no longer exists; stop the pump
-      // A frame's forward obligations die with its receiver even when it
-      // acked: reinject everything bound elsewhere; end-to-end (source, id)
-      // dedup absorbs whatever it forwarded first. An unacked fallback
-      // carries only the dead rank's own submessages, which regroup reports
+      // A stage frame's forward obligations die with its receiver even when
+      // it acked: reinject everything bound elsewhere; end-to-end (source,
+      // id) dedup absorbs whatever it forwarded first. A side frame carries
+      // only the dead rank's own submessages, which to_side_lane reports
       // lost; an acked one was delivered, and its copy died with its owner.
-      if (!(frames[i].last_resort && frames[i].acked))
-        route_relayed(subs_of(frames[i]), /*count_as_relay=*/false);
+      if (frames[i].stage >= 0 || !frames[i].acked)
+        stats_.reinjected_submessages += to_side_lane(subs_of(frames[i]), -1);
     }
     // Frames are re-encoded from their tracked header on every transmit, so
     // advancing the membership claim is a header-field write: the next
@@ -344,8 +314,8 @@ ResilientExchangeResult StfwCommunicator::exchange_resilient(
   };
 
   // Retransmit / give-up pass. Returns the earliest pending retry time (or
-  // time_point::max() when nothing is outstanding). A frame that exhausts
-  // its budget degrades (fail_frame).
+  // time_point::max() when nothing is outstanding). A stage frame that
+  // exhausts its budget degrades (fail_frame).
   auto pump_sends = [&](clock::time_point now) {
     clock::time_point next = clock::time_point::max();
     for (std::size_t i = 0; i < frames.size(); ++i) {
@@ -353,10 +323,10 @@ ResilientExchangeResult StfwCommunicator::exchange_resilient(
       if (frames[i].attempts == 0) {
         transmit(frames[i], now);
       } else if (now >= frames[i].next_retry) {
-        // Fallbacks are exempt from the attempt budget: they are the last
-        // resort, exhausting one is a permanent loss, and the settlement
-        // valve already bounds how long they may keep trying.
-        if (!frames[i].last_resort && frames[i].attempts >= opt.max_attempts) {
+        // Side frames are exempt from the attempt budget: exhausting one is
+        // a permanent loss, and the settlement valve already bounds how
+        // long they may keep trying.
+        if (frames[i].stage >= 0 && frames[i].attempts >= opt.max_attempts) {
           ++stats_.timeouts;
           fail_frame(i);
           continue;
@@ -378,21 +348,16 @@ ResilientExchangeResult StfwCommunicator::exchange_resilient(
   // --- receiver side -------------------------------------------------------
   // A neighbor sends one kData frame per stage (retransmits reuse its seq;
   // fallbacks are kRelay frames), so its slot in scratch.heard serves dedup
-  // and stage completion. kRelay frames, of which a sender may post
-  // several, dedupe by (sender, seq).
+  // and stage completion. A repeated kRelay frame needs no filter: the
+  // final (source, id) dedup drops its submessages.
   int cur_stage = 0;
-  std::set<std::pair<std::int32_t, std::uint32_t>> seen;
   using Heard = MissScratch::Heard;
   const auto heard = [&](int stage, core::Rank sender) -> Heard& {
     return scratch.heard[static_cast<std::size_t>(stage)]
                         [static_cast<std::size_t>(vpt_.coord(sender, stage))];
   };
-  struct EarlyFrame {
-    int stage;
-    core::Rank sender;
-    std::vector<std::byte> frame;  // the buffer it arrived in
-  };
-  std::vector<EarlyFrame> early;  // frames from neighbors already past us
+  using EarlyFrame = MissScratch::EarlyFrame;
+  std::vector<EarlyFrame>& early = scratch.early;  // frames from neighbors already past us
 
   // Files the stage frame `frame`, already decoded.
   auto accept_stage_subs = [&](int stage, core::Rank sender, std::span<const std::byte> frame) {
@@ -439,20 +404,14 @@ ResilientExchangeResult StfwCommunicator::exchange_resilient(
         continue;
       }
       if (h.kind == core::FrameKind::kRelay) {  // at any stage
-        // Re-ack duplicates too: our earlier ack may have died.
+        // Ack every copy: our earlier ack may have died.
         send_control(core::FrameKind::kAck, sender, h);
-        if (!seen.insert({h.sender, h.seq}).second) {
-          ++stats_.duplicate_frames_discarded;
-          continue;
-        }
         parsed.clear();
         const std::span<const Submessage> subs =
             core::deserialize_tracked(dec->body, arena, parsed);
         ++stats_.messages_received;
         if (validator) validator->on_side_recv(sender, subs);
-        // Deliver our own submessages (all of a fallback's) and forward the
-        // rest one greedy-alive hop closer under our *current* view.
-        route_relayed(subs, /*count_as_relay=*/true);
+        delivered.insert(delivered.end(), subs.begin(), subs.end());  // all ours
         continue;
       }
       // kData
@@ -502,9 +461,9 @@ ResilientExchangeResult StfwCommunicator::exchange_resilient(
   };
 
   // --- the staged exchange -------------------------------------------------
-  // Seeds whose canonical first hop died enter the relay lane now; the first
+  // Seeds whose canonical first hop died enter the side lane now; the first
   // pump_sends transmits them alongside the stage frames.
-  if (!relay_seeds.empty()) route_relayed(relay_seeds, /*count_as_relay=*/true);
+  if (!relay_seeds.empty()) stats_.relay_submessages += to_side_lane(relay_seeds, -1);
   std::vector<core::Rank> nbrs;
   StageOutbox& outbox = scratch.outbox;
   std::uint64_t transit_peak = 0;
@@ -517,7 +476,7 @@ ResilientExchangeResult StfwCommunicator::exchange_resilient(
   // drains would make wait_message return immediately forever — a busy spin
   // against the stage deadline. Absorb the control tag into a buffer on
   // every iteration instead; the settlement phase consumes the buffer.
-  std::vector<runtime::Message> settle;
+  std::vector<runtime::Message>& settle = scratch.settle;
   for (cur_stage = 0; cur_stage < n; ++cur_stage) {
     STFW_VERIFY_HOOK(stage(static_cast<int>(me), cur_stage));
     if (injector != nullptr) injector->at_stage(static_cast<int>(me), cur_stage);
@@ -540,9 +499,9 @@ ResilientExchangeResult StfwCommunicator::exchange_resilient(
       if (!mem.is_alive(nbr)) {
         // Dead neighbor: this rank is the pivot for whatever the stage would
         // have funneled through it, so it re-homes that traffic over the
-        // relay lane. No empty frame either; receivers only count alive
+        // side lane. No empty frame either; receivers only count alive
         // senders.
-        route_relayed(subs, /*count_as_relay=*/false);
+        stats_.reinjected_submessages += to_side_lane(subs, -1);
         continue;
       }
       if (validator) validator->on_stage_send(cur_stage, nbr, subs);
@@ -550,7 +509,7 @@ ResilientExchangeResult StfwCommunicator::exchange_resilient(
       stats_.payload_bytes_sent += payload_bytes;
       const std::size_t first = tracked.size();
       tracked.insert(tracked.end(), subs.begin(), subs.end());
-      make_frame(cur_stage, nbr, first, false);
+      make_frame(cur_stage, nbr, first);
     }
     // An unmatched frame would drop its submessages without a trace.
     core::require(next_frame == outbox.frames.size(),
@@ -571,7 +530,7 @@ ResilientExchangeResult StfwCommunicator::exchange_resilient(
     for (;;) {
       if (comm_->membership().epoch() != mem.epoch) on_membership_change();
       process_incoming();
-      comm_->drain(kSettleTag, settle);
+      comm_->drain(settle_tag, settle);
       const auto now = verify::verify_now();
       const auto next_event = pump_sends(now);
       if (std::ranges::none_of(nbrs, unheard)) break;
@@ -599,30 +558,28 @@ ResilientExchangeResult StfwCommunicator::exchange_resilient(
   // forever if rank 0 died. Here every rank keeps pumping until the
   // *surviving* cluster is settled: "settled" reports flow to the lowest
   // alive rank (the root, re-elected on every epoch change) over the
-  // reliable control tag (a negative tag; the injector leaves those alone by
-  // default — the "reliable side channel" of the fault model), and the root
+  // reliable settlement tag (a negative tag; the injector leaves those
+  // alone — the "reliable side channel" of the fault model), and the root
   // broadcasts a verdict-carrying completion — whether anything was lost
   // anywhere, and the final membership — so all survivors agree on
   // fully_recovered and degraded without a collective.
   //
-  // Degraded exchanges add one confirmation wave before the verdict. After a
-  // death, a rank that already reported can acquire new frames: it reinjects
-  // the forward obligations of a dead neighbor it had sent to, or it
-  // forwards a relay frame that reached it. A roster of reports taken at
-  // different times would then let the root finish while that traffic is
-  // still in flight. So once every survivor has reported under the root's
-  // membership epoch, the root queries them all, and each answers clean only
-  // if it is settled and has tracked no new frame since its report. A dirty
-  // answer drops that rank from the roster until it reports again. An
-  // all-clean wave leaves nothing in flight: a later frame would need a
-  // relay frame T reaching its creator after that rank answered, but T's
-  // sender answered clean, so T was acked, and so processed, before the
-  // query went out if the sender's report covered T, and the sender
-  // answered dirty if it did not. Healthy exchanges skip the wave: without
-  // a death no rank creates a frame after reporting. Safety valves bound
-  // both phases: past the first, outstanding frames are declared lost; past
-  // the second, a rank stops waiting for the verdict and reports
-  // conservatively (fully_recovered = false) rather than hang.
+  // A rank reports once all its frames are acked or failed, and the root
+  // gives the verdict once every other rank alive in its view has reported
+  // at its membership epoch e — NBX's rule: a rank is done once its sends
+  // are matched, and it sends nothing after that. No frame can then be in
+  // flight. Ranks die only at the injector's at_stage sites, and a rank
+  // reports only after its last stage, so once every rank alive at e has
+  // reported at e, membership is frozen. A death before that bumps the
+  // epoch, and the root counts only reports made at its own epoch, so
+  // every survivor reports again; a rank reinjects what the death
+  // stranded in on_membership_change, before that re-report. Nothing else
+  // creates a frame after a report: side frames go straight to their
+  // destination, whose receive branch only delivers, and make_frame throws
+  // if that ever changes. Safety valves bound both phases: past the first,
+  // outstanding frames are declared lost; past the second, a rank stops
+  // waiting for the verdict and reports conservatively
+  // (fully_recovered = false) rather than hang.
   {
     // Peers still mid-exchange may legitimately lag by up to one stage
     // deadline per remaining stage before they can start answering.
@@ -630,29 +587,15 @@ ResilientExchangeResult StfwCommunicator::exchange_resilient(
                               opt.retransmit_timeout * opt.max_settle_rounds;
     const auto verdict_valve = settle_valve + opt.stage_deadline;
     // Root only, per rank: the membership epoch of its latest report (-1
-    // for none) and the last wave it answered clean; and the confirmation
-    // wave in progress. Waves count from 1.
+    // for none).
     std::vector<std::int64_t>& last_report = scratch.last_report;
-    std::vector<std::uint32_t>& clean_wave = scratch.clean_wave;
     bool peer_lost = false;
-    std::uint32_t wave = 0;
-    bool wave_open = false;
-    std::uint32_t wave_epoch = 0;
-    std::size_t wave_frames = 0;  // the root's own tracked frames at the query
-    // Every rank: what its latest settled report claimed.
-    int reported_to = -1;
-    std::uint32_t reported_epoch = 0;
-    std::size_t reported_frames = 0;
     const auto settle_msg = [&](SettleMsg::Kind kind) {
       SettleMsg s;
       s.kind = kind;
       s.lost = !result.failure.lost.empty();
       s.member_epoch = mem.epoch;
       return s;
-    };
-    const auto clean_since_report = [&] {
-      return all_settled_locally() && reported_to == mem.lowest_alive &&
-             reported_epoch == mem.epoch && reported_frames == frames.size();
     };
     bool done = false;
     while (!done) {
@@ -670,59 +613,30 @@ ResilientExchangeResult StfwCommunicator::exchange_resilient(
         }
       }
       const auto next_event = pump_sends(verify::verify_now());
-      comm_->drain(kSettleTag, settle);
+      comm_->drain(settle_tag, settle);
       const int root = mem.lowest_alive;
-      if (static_cast<int>(me) != root && all_settled_locally() && !clean_since_report()) {
-        // (Re-)report whenever the root, the membership epoch or the set of
-        // tracked frames changed since the last report: a newly elected root
-        // starts with an empty roster, and a report from an older view
-        // predates work the change may have created.
-        comm_->send(root, kSettleTag, encode_settle(settle_msg(SettleMsg::Kind::kReport)));
-        reported_to = root;
+      if (static_cast<int>(me) != root && reported_epoch != mem.epoch && all_settled_locally()) {
+        // (Re-)report at every new membership epoch: the root may have
+        // changed, and a report from an older view predates work the change
+        // may have created.
+        comm_->send(root, settle_tag, encode_settle(settle_msg(SettleMsg::Kind::kReport)));
         reported_epoch = mem.epoch;
-        reported_frames = frames.size();
       }
       if (static_cast<int>(me) == root) {
-        // Queries and verdicts can only come from a dead former root, since
-        // a root never becomes a non-root: they are dropped with the rest.
+        // A verdict can only come from a dead former root, since a root
+        // never becomes a non-root: it is dropped with the rest.
         for (const runtime::Message& m : settle) {
           const auto s = decode_settle(m.data);
-          if (!s) continue;
-          const auto from = static_cast<std::size_t>(m.source);
-          if (s->kind == SettleMsg::Kind::kReport) {
-            last_report[from] = s->member_epoch;
-            peer_lost = peer_lost || s->lost;
-          } else if (s->kind == SettleMsg::Kind::kReply && wave_open && s->wave == wave) {
-            if (s->clean) {
-              clean_wave[from] = wave;
-              peer_lost = peer_lost || s->lost;
-            } else {
-              last_report[from] = -1;
-              wave_open = false;
-            }
-          }
+          if (!s || s->kind != SettleMsg::Kind::kReport) continue;
+          last_report[static_cast<std::size_t>(m.source)] = s->member_epoch;
+          peer_lost = peer_lost || s->lost;
         }
         settle.clear();
-        // A wave holds only under one membership view and while the root's
-        // own tracked frames stay as they were when it asked.
-        if (wave_open && (wave_epoch != mem.epoch || wave_frames != frames.size()))
-          wave_open = false;
         bool all = all_settled_locally();
-        bool confirmed = wave_open;
-        for (int r = 0; all && r < world; ++r) {
-          if (r == root || !mem.is_alive(r)) continue;
-          if (last_report[static_cast<std::size_t>(r)] != mem.epoch) all = false;
-          if (clean_wave[static_cast<std::size_t>(r)] != wave) confirmed = false;
-        }
-        if (all && degraded && !wave_open) {
-          wave_open = true;
-          wave_epoch = mem.epoch;
-          wave_frames = frames.size();
-          SettleMsg q = settle_msg(SettleMsg::Kind::kQuery);
-          q.wave = ++wave;
-          for (int r = 0; r < world; ++r)
-            if (r != root && mem.is_alive(r)) comm_->send(r, kSettleTag, encode_settle(q));
-        } else if (all && (!degraded || confirmed)) {
+        for (int r = 0; all && r < world; ++r)
+          if (r != root && mem.is_alive(r) && last_report[static_cast<std::size_t>(r)] != mem.epoch)
+            all = false;
+        if (all) {
           // The verdict carries whether anything was lost anywhere and the
           // alive count, so every survivor sets fully_recovered and degraded
           // to the same values the root saw.
@@ -731,7 +645,7 @@ ResilientExchangeResult StfwCommunicator::exchange_resilient(
           v.lost = any_lost;
           v.alive_count = mem.alive_count;
           for (int r = 0; r < world; ++r)
-            if (r != root && mem.is_alive(r)) comm_->send(r, kSettleTag, encode_settle(v));
+            if (r != root && mem.is_alive(r)) comm_->send(r, settle_tag, encode_settle(v));
           result.fully_recovered = !any_lost;
           result.degraded = mem.alive_count < world;
           done = true;
@@ -739,30 +653,22 @@ ResilientExchangeResult StfwCommunicator::exchange_resilient(
       } else {
         for (const runtime::Message& m : settle) {
           const auto s = decode_settle(m.data);
-          if (!s) continue;
-          if (s->kind == SettleMsg::Kind::kQuery) {
-            SettleMsg reply = settle_msg(SettleMsg::Kind::kReply);
-            reply.wave = s->wave;
-            reply.clean =
-                m.source == root && s->member_epoch == mem.epoch && clean_since_report();
-            if (!reply.clean) reported_to = -1;  // report afresh once settled
-            comm_->send(m.source, kSettleTag, encode_settle(reply));
-          } else if (s->kind == SettleMsg::Kind::kDone) {
+          if (s && s->kind == SettleMsg::Kind::kDone) {
             result.fully_recovered = !s->lost;
             result.degraded = s->alive_count < world;
             done = true;
           }
         }
-        // Reports and replies stay in case this rank is elected root.
+        // Reports stay in case this rank is elected root.
         std::erase_if(settle, [](const runtime::Message& m) {
           const auto s = decode_settle(m.data);
-          return !s || s->kind == SettleMsg::Kind::kQuery || s->kind == SettleMsg::Kind::kDone;
+          return !s || s->kind == SettleMsg::Kind::kDone;
         });
       }
       if (!done && verify::verify_now() >= verdict_valve) {
-        // The verdict never arrived (e.g. the root died after a partial
-        // broadcast and the re-election raced our exit). Terminate with a
-        // conservative local verdict instead of hanging.
+        // The verdict never arrived: some survivor could not settle within
+        // every budget. Terminate with a conservative local verdict instead
+        // of hanging.
         result.fully_recovered = false;
         result.degraded = degraded;
         done = true;
@@ -795,7 +701,7 @@ ResilientExchangeResult StfwCommunicator::exchange_resilient(
   // Only this exchange's tag: a peer that left the barrier first may
   // already have sent its next exchange's first stage under the next tag.
   comm_->drain(tag, inbox_);         // discarded below, with the last pass's frames
-  comm_->drain(kSettleTag, inbox_);  // should already be empty
+  comm_->drain(settle_tag, inbox_);  // should already be empty
   inbox_.clear();
 
   // `delivered` holds the side lane's deliveries, duplicates included.

@@ -24,17 +24,17 @@ int Membership::alive_count() const {
   return n;
 }
 
-MembershipSnapshot Membership::snapshot() const {
+void Membership::snapshot(MembershipSnapshot& out) const {
   core::MutexLock lock(mu_);
-  MembershipSnapshot s;
-  s.epoch = epoch_.load(std::memory_order_acquire);
-  s.alive = alive_;
+  out.epoch = epoch_.load(std::memory_order_acquire);
+  out.alive = alive_;
+  out.alive_count = 0;
+  out.lowest_alive = -1;
   for (std::size_t r = 0; r < alive_.size(); ++r) {
     if (alive_[r] == 0) continue;
-    ++s.alive_count;
-    if (s.lowest_alive < 0) s.lowest_alive = static_cast<int>(r);
+    ++out.alive_count;
+    if (out.lowest_alive < 0) out.lowest_alive = static_cast<int>(r);
   }
-  return s;
 }
 
 std::vector<std::int32_t> Membership::failed() const {

@@ -63,7 +63,9 @@ public:
 
   [[nodiscard]] bool alive(int rank) const;
   [[nodiscard]] int alive_count() const;
-  [[nodiscard]] MembershipSnapshot snapshot() const;
+  /// Overwrites `out` with the current view. `out` keeps its capacity, so
+  /// a caller that re-snapshots on every epoch change allocates only once.
+  void snapshot(MembershipSnapshot& out) const;
 
   /// Ranks marked failed since the last reset, ascending.
   [[nodiscard]] std::vector<std::int32_t> failed() const;

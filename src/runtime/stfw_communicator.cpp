@@ -351,8 +351,10 @@ void StfwCommunicator::MissScratch::reset() {
   for (std::size_t d = 0; d < heard.size(); ++d)
     heard[d].assign(static_cast<std::size_t>(vpt.dim_sizes()[d]), Heard::kNothing);
   tracked.clear();
+  frames.clear();
+  early.clear();
+  settle.clear();
   last_report.assign(static_cast<std::size_t>(vpt.size()), -1);
-  clean_wave.assign(static_cast<std::size_t>(vpt.size()), 0);
 }
 
 bool StfwCommunicator::validation_available() noexcept {

@@ -12,7 +12,9 @@
 #include "core/metrics.hpp"
 #include "core/rank_state.hpp"
 #include "core/vpt.hpp"
+#include "core/wire.hpp"
 #include "runtime/comm.hpp"
+#include "runtime/membership.hpp"
 
 /// \file stfw_communicator.hpp
 /// The paper's black-box operation (Section 2.2): every process passes the
@@ -77,8 +79,8 @@ struct LocalExchangeStats {
   // Resilient mode only (all zero for plain exchange()).
   std::int64_t retransmits = 0;            // transmissions beyond each frame's first
   std::int64_t timeouts = 0;               // retransmit-timer + stage-deadline expiries
-  std::int64_t duplicate_frames_discarded = 0;  // recovered duplicates/re-sends
-  std::int64_t duplicate_submessages_discarded = 0;  // direct copy of a delivered sub
+  std::int64_t duplicate_frames_discarded = 0;  // repeated stage frames
+  std::int64_t duplicate_submessages_discarded = 0;  // side-lane copy of a delivered sub
   std::int64_t corrupt_frames_discarded = 0;    // checksum/truncation rejects
   std::int64_t late_frames_refused = 0;    // stage traffic nacked after its deadline
   std::int64_t acks_sent = 0;
@@ -91,7 +93,7 @@ struct LocalExchangeStats {
   std::uint32_t membership_epoch = 0;
   std::int64_t epoch_transitions = 0;    // membership changes observed mid-exchange
   std::int64_t stale_epoch_frames_refused = 0;  // nacked: sender's view predates a death
-  std::int64_t relay_submessages = 0;      // subs carried over the relay lane
+  std::int64_t relay_submessages = 0;      // seeds sent over the side lane
   std::int64_t reinjected_submessages = 0;  // subs re-homed off frames to dead ranks
   std::int64_t dead_dest_submessages_dropped = 0;  // traffic whose destination died
 };
@@ -106,8 +108,8 @@ struct ResilienceOptions {
   /// often enough to fit inside the settlement budget.
   std::chrono::milliseconds retransmit_timeout{10};
   /// Transmissions per frame (including the first) before giving up and
-  /// degrading. >= 1. Direct-fallback frames are exempt: as the last
-  /// resort they keep retrying until the settlement safety valve.
+  /// degrading. >= 1. Side-lane frames are exempt: their loss is final,
+  /// so they keep retrying until the settlement safety valve.
   int max_attempts = 6;
   /// Budget for one stage to complete its receives; expiry records the
   /// missing neighbors and moves on rather than hanging.
@@ -213,11 +215,11 @@ public:
   /// Unlike plain exchange(), this mode survives rank failure: when a rank
   /// dies (fault::RankCrashedError) the membership epoch advances and ends
   /// every survivor's wait, survivors re-home traffic stranded at the dead
-  /// rank over the relay lane (kRelay frames, greedy-alive next hops), and
-  /// complete the exchange among themselves with exactly-once delivery —
-  /// frames are stamped with their sender's membership epoch and
-  /// stale-epoch stage traffic is nacked. See docs/fault_model.md,
-  /// "Membership epochs and degraded mode".
+  /// rank over the side lane (kRelay frames, each sent straight to its
+  /// submessages' destination), and complete the exchange among themselves
+  /// with exactly-once delivery — frames are stamped with their sender's
+  /// membership epoch and stale-epoch stage traffic is nacked. See
+  /// docs/fault_model.md, "Membership epochs and degraded mode".
   [[nodiscard]] ResilientExchangeResult exchange_resilient(
       std::span<const OutboundMessage> sends, const ResilienceOptions& options = {});
 
@@ -276,10 +278,27 @@ private:
   struct MissScratch {
     /// A resilient receiver's decision on a neighbor's stage frame.
     enum class Heard : std::uint8_t { kNothing, kAccepted, kRefused /* stale-epoch nack */ };
-    struct Hop {  // a submessage a resilient sender re-sends, by next hop
-      core::Rank hop;
-      std::uint32_t pos;  // among the re-sent ones
-      core::Submessage sub;
+    /// A frame a resilient sender tracks until it is acked or failed.
+    struct OutFrame {
+      int stage = -1;  // -1 for a side-lane (kRelay) frame
+      core::Rank dest = -1;
+      // No retained wire image: each transmission re-encodes the frame from
+      // its header and its range of `tracked` (payloads stay in the arena),
+      // and encode_frame is deterministic, so a retransmit is byte-identical.
+      core::FrameHeader header;
+      std::uint32_t first = 0;  // tracked[first, first + count): its submessages
+      std::uint32_t count = 0;
+      int attempts = 0;
+      std::chrono::steady_clock::time_point next_retry{};
+      std::chrono::milliseconds backoff{0};
+      bool acked = false;
+      bool failed = false;
+    };
+    /// A stage frame from a neighbor already past the receiver's stage.
+    struct EarlyFrame {
+      int stage;
+      core::Rank sender;
+      std::vector<std::byte> frame;  // the buffer it arrived in
     };
     MissScratch(const core::Vpt& v, core::Rank me) : vpt(v), state(vpt, me) {}
     void reset();  // starts an exchange, keeping capacity
@@ -291,9 +310,12 @@ private:
     std::vector<core::Submessage> delivered;
     std::vector<std::vector<Heard>> heard;  // [stage d][the neighbor's digit d]
     std::vector<core::Submessage> tracked;  // every tracked frame's submessages
-    std::vector<Hop> hops;
+    std::vector<core::Submessage> side;     // submessages grouped onto side frames
+    std::vector<OutFrame> frames;           // indexed by seq
+    std::vector<EarlyFrame> early;
+    std::vector<runtime::Message> settle;   // settlement messages not yet acted on
+    runtime::MembershipSnapshot mem;        // the view the exchange acts on
     std::vector<std::int64_t> last_report;  // per rank: its epoch, -1 for none
-    std::vector<std::uint32_t> clean_wave;  // per rank: the last wave it answered clean
   };
 
   class StageDriver;

@@ -203,6 +203,10 @@ void ExchangeValidator::on_side_recv(core::Rank source, std::span<const Submessa
   for (const Submessage& s : subs) {
     check_rank("header-rank", -1, s.source, "submessage source");
     check_rank("header-rank", -1, s.dest, "submessage destination");
+    if (s.dest != me_)
+      violation("side-recv", -1,
+                "side-lane frame carries a submessage for rank " + std::to_string(s.dest) +
+                    ", but a side frame goes straight to its submessages' destination");
   }
 }
 

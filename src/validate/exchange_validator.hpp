@@ -71,10 +71,11 @@ public:
 
   /// Hook: submessages received in a resilient-mode side-lane (kRelay)
   /// frame: a detour around a dead rank or a fallback (docs/fault_model.md).
-  /// Such frames may come from any rank and carry submessages to forward,
-  /// so only the ranks they name are checked. Retransmitted frames never
-  /// reach the validator: the protocol deduplicates by (sender, seq) first,
-  /// so the per-stage message-count bounds keep holding in resilient mode.
+  /// Such frames may come from any rank, but go straight to their
+  /// submessages' destination, so every submessage must be addressed to
+  /// this rank. A repeated side frame reaches this hook again; the final
+  /// (source, id) dedup drops its copies, and side frames are outside the
+  /// per-stage message-count bounds.
   void on_side_recv(core::Rank source, std::span<const core::Submessage> subs);
 
   /// Hook: end of `stage` on this rank, after all receives were scattered.

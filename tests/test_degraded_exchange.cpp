@@ -5,9 +5,12 @@
 #include <chrono>
 #include <cmath>
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <memory>
 #include <random>
+#include <set>
+#include <span>
 #include <string>
 #include <thread>
 #include <utility>
@@ -16,6 +19,7 @@
 #include "core/env.hpp"
 #include "core/error.hpp"
 #include "core/vpt.hpp"
+#include "core/wire.hpp"
 #include "fault/fault_injector.hpp"
 #include "partition/partitioner.hpp"
 #include "runtime/comm.hpp"
@@ -339,6 +343,47 @@ TEST(DegradedExchange, BackToBackDegradedExchangesDeliverAlivePairs) {
   }
 }
 
+TEST(DegradedExchange, BackToBackExchangesNeverWaitOutTheValve) {
+  // Each exchange settles on a tag of its own. On one shared tag, a rank
+  // that does not neighbor the root could finish the next exchange's
+  // stages and report before the root's epilogue drained that tag; the
+  // report was lost, the root waited out both valves, and every survivor
+  // returned fully_recovered == false with nothing lost. Nothing here is
+  // sent to the dead rank, so every exchange must recover fully.
+  const Vpt vpt({4, 4});
+  const Rank K = vpt.size();
+  constexpr Rank kDead = 1;
+  constexpr int kExchanges = 2000;
+  ResilienceOptions opt = sweep_options();
+  opt.stage_deadline = 500ms;  // a lost report costs about 1.6 s of valves
+  opt.max_settle_rounds = 20;
+  std::vector<int> unrecovered(static_cast<std::size_t>(K), 0);
+  std::vector<int> short_deliveries(static_cast<std::size_t>(K), 0);
+  Cluster cluster(K);
+  cluster.run([&](Comm& comm) {
+    const Rank me = comm.rank();
+    if (me == kDead) throw fault::RankCrashedError("rank 1 died before the exchanges");
+    comm.barrier();
+    StfwCommunicator stfw(comm, vpt);
+    std::vector<OutboundMessage> sends;
+    for (OutboundMessage& s : all_to_all_sends(K, me))
+      if (s.dest != kDead) sends.push_back(std::move(s));
+    const auto i = static_cast<std::size_t>(me);
+    for (int x = 0; x < kExchanges; ++x) {
+      const ResilientExchangeResult res = stfw.exchange_resilient(sends, opt);
+      if (!res.fully_recovered) ++unrecovered[i];
+      if (res.delivered.size() != static_cast<std::size_t>(K - 2)) ++short_deliveries[i];
+    }
+  });
+  ASSERT_EQ(cluster.membership().failed(), std::vector<std::int32_t>{kDead});
+  for (Rank r = 0; r < K; ++r) {
+    if (r == kDead) continue;
+    const auto i = static_cast<std::size_t>(r);
+    EXPECT_EQ(unrecovered[i], 0) << "survivor " << r << " of " << kExchanges << " exchanges";
+    EXPECT_EQ(short_deliveries[i], 0) << "survivor " << r;
+  }
+}
+
 TEST(DegradedExchange, EnvCrashMatrixEntry) {
   // The CI crash-matrix job drives this test through STFW_FAULT_CRASH_*:
   // a warm plain exchange runs first (visits 0..n-1 of every rank), then
@@ -431,16 +476,20 @@ struct EntryRun {
   std::vector<LocalExchangeStats> stats;
 };
 
+using WireTap = std::function<void(int source, int dest, int tag, std::span<const std::byte>)>;
+
 /// One resilient exchange whose membership is degraded before any rank
 /// enters it: every rank in `dead` dies survivably first, and the barrier
 /// only releases once each death is marked, so every survivor seeds from the
-/// same shrunken view.
+/// same shrunken view. `tap`, if set, sees every post of the run.
 template <typename SendsOf>
-EntryRun run_dead_at_entry(const Vpt& vpt, const std::vector<Rank>& dead, SendsOf sends_of) {
+EntryRun run_dead_at_entry(const Vpt& vpt, const std::vector<Rank>& dead, SendsOf sends_of,
+                           WireTap tap = nullptr) {
   const Rank K = vpt.size();
   EntryRun run{std::vector<ResilientExchangeResult>(static_cast<std::size_t>(K)),
                std::vector<LocalExchangeStats>(static_cast<std::size_t>(K))};
   Cluster cluster(K);
+  cluster.set_wire_tap(std::move(tap));
   cluster.run([&](Comm& comm) {
     const Rank me = comm.rank();
     if (std::find(dead.begin(), dead.end(), me) != dead.end())
@@ -522,8 +571,9 @@ TEST(SeedRouting, EveryDoubleDeadSetOnT222DeliversEveryAlivePairOnce) {
 }
 
 TEST(SeedRouting, SeededDoubleDeadSetsOnT442DeliverEveryAlivePairOnce) {
-  // Three dimensions of up to four digits: relay chains around two dead
-  // ranks can take several greedy hops before they reach the destination.
+  // Three dimensions of up to four digits: two dead ranks strand seeds and
+  // stage traffic at several pivots, each of which sends what it holds
+  // straight to the destinations over the side lane.
   const Vpt vpt({4, 4, 2});
   const Rank K = vpt.size();
   std::mt19937 rng(2026);
@@ -541,8 +591,8 @@ TEST(SeedRouting, SeededDoubleDeadSetsOnT442DeliverEveryAlivePairOnce) {
 }
 
 TEST(SeedRouting, SourceRelaysExactlyTheSendsWhoseFirstHopIsDead) {
-  // One source sends to everyone, so no other rank forwards relay traffic
-  // through it and its relay counter holds only its own seed decisions.
+  // Only the source sends, so the side lane carries exactly its seeds whose
+  // first hop is dead, and none of its stage frames meets the dead rank.
   for (const Vpt& vpt : {Vpt({2, 2, 2}), Vpt({4, 2})}) {
     const Rank K = vpt.size();
     for (Rank dead = 0; dead < K; ++dead)
@@ -574,6 +624,70 @@ TEST(SeedRouting, SourceRelaysExactlyTheSendsWhoseFirstHopIsDead) {
   }
 }
 
+TEST(SeedRouting, EverySideFrameCarriesOnlyItsReceiversSubmessages) {
+  // A side-lane (kRelay) frame goes straight to its submessages'
+  // destination, never through an intermediate: the tap decodes every one
+  // a single-dead-rank sweep posts and checks each submessage against the
+  // rank the frame is addressed to.
+  for (const Vpt& vpt : {Vpt({4, 4}), Vpt({4, 4, 2})}) {
+    std::atomic<std::int64_t> side_frames{0};
+    std::atomic<std::int64_t> misaddressed{0};
+    const WireTap tap = [&](int, int dest, int, std::span<const std::byte> bytes) {
+      const auto dec = core::decode_frame(bytes);  // settlement messages are no frames
+      if (!dec || dec->header.kind != core::FrameKind::kRelay) return;
+      core::PayloadArena arena;
+      std::vector<core::Submessage> parsed;
+      for (const core::Submessage& s : core::deserialize_tracked(dec->body, arena, parsed))
+        if (s.dest != dest) ++misaddressed;
+      ++side_frames;
+    };
+    for (Rank dead = 0; dead < vpt.size(); ++dead) {
+      SCOPED_TRACE(vpt.to_string() + " dead rank " + std::to_string(dead));
+      const EntryRun run = run_dead_at_entry(
+          vpt, {dead}, [&](Rank me) { return mixed_sends(vpt.size(), me); }, tap);
+      check_dead_at_entry(vpt, {dead}, run);
+    }
+    EXPECT_GT(side_frames.load(), 0) << vpt.to_string() << ": the sweep sent no side frame";
+    EXPECT_EQ(misaddressed.load(), 0) << vpt.to_string();
+  }
+}
+
+TEST(SeedRouting, SettlementIsOneReportPerSurvivorAndOneVerdictEach) {
+  // Dead at entry, so membership holds still through the exchange: each
+  // non-root survivor reports settled to the root once, and the root sends
+  // each of them one verdict. Nothing else travels on a negative tag: the
+  // validator's collectives, the only other users, skip degraded
+  // exchanges. Rank 0 is the dead one, so the root is rank 1.
+  const Vpt vpt({4, 4});
+  const Rank K = vpt.size();
+  constexpr Rank kDead = 0;
+  constexpr Rank kRoot = 1;
+  // posts[source]: its settlement posts as (dest, tag); only source's thread
+  // appends to its entry.
+  std::vector<std::vector<std::pair<int, int>>> posts(static_cast<std::size_t>(K));
+  const WireTap tap = [&](int source, int dest, int tag, std::span<const std::byte>) {
+    if (tag < 0) posts[static_cast<std::size_t>(source)].emplace_back(dest, tag);
+  };
+  const EntryRun run =
+      run_dead_at_entry(vpt, {kDead}, [&](Rank me) { return mixed_sends(K, me); }, tap);
+  check_dead_at_entry(vpt, {kDead}, run);
+  std::set<int> tags;
+  std::set<int> verdicts_to;
+  for (const auto& [dest, tag] : posts[kRoot]) {
+    tags.insert(tag);
+    EXPECT_NE(dest, kDead);
+    EXPECT_TRUE(verdicts_to.insert(dest).second) << "the root sent rank " << dest << " twice";
+  }
+  EXPECT_EQ(verdicts_to.size(), static_cast<std::size_t>(K - 2));
+  for (Rank r = kRoot + 1; r < K; ++r) {
+    const auto& mine = posts[static_cast<std::size_t>(r)];
+    ASSERT_EQ(mine.size(), 1u) << "rank " << r << " posted more than its report";
+    EXPECT_EQ(mine[0].first, kRoot) << "rank " << r;
+    tags.insert(mine[0].second);
+  }
+  EXPECT_EQ(tags.size(), 1u) << "settlement used more than one tag";
+}
+
 TEST(SeedRouting, RoutingAroundADeadRankIsFullyRecovered) {
   // No survivor addresses the dead rank, so nothing is lost: a degraded
   // exchange that only detours around it must report full recovery.
@@ -596,7 +710,7 @@ TEST(SeedRouting, RoutingAroundADeadRankIsFullyRecovered) {
     EXPECT_TRUE(res.failure.lost.empty()) << "survivor " << r;
     relayed += run.stats[static_cast<std::size_t>(r)].relay_submessages;
   }
-  EXPECT_GT(relayed, 0) << "no seed took the relay lane around the dead rank";
+  EXPECT_GT(relayed, 0) << "no seed took the side lane around the dead rank";
 }
 
 // ---------------------------------------------------------------------------

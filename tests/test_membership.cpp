@@ -55,15 +55,20 @@ TEST(Membership, OutOfRangeMarkFailedReturnsFalseWithoutBumpingTheEpoch) {
 TEST(Membership, LowestAliveIsReElectedAsLowRanksDie) {
   Membership m;
   m.reset(3);
-  EXPECT_EQ(m.snapshot().lowest_alive, 0);
+  MembershipSnapshot s;  // one snapshot, refilled: each fill starts afresh
+  m.snapshot(s);
+  EXPECT_EQ(s.lowest_alive, 0);
   ASSERT_TRUE(m.mark_failed(0));
-  EXPECT_EQ(m.snapshot().lowest_alive, 1);
+  m.snapshot(s);
+  EXPECT_EQ(s.lowest_alive, 1);
   ASSERT_TRUE(m.mark_failed(2));  // a higher rank's death changes nothing
-  EXPECT_EQ(m.snapshot().lowest_alive, 1);
+  m.snapshot(s);
+  EXPECT_EQ(s.lowest_alive, 1);
+  EXPECT_EQ(s.alive_count, 1);
   ASSERT_TRUE(m.mark_failed(1));
-  const MembershipSnapshot none = m.snapshot();
-  EXPECT_EQ(none.lowest_alive, -1);
-  EXPECT_EQ(none.alive_count, 0);
+  m.snapshot(s);
+  EXPECT_EQ(s.lowest_alive, -1);
+  EXPECT_EQ(s.alive_count, 0);
 }
 
 TEST(Membership, FailedListsDeadRanksAscending) {
@@ -90,7 +95,8 @@ TEST(Membership, SnapshotAgreesWithTheAccessors) {
   m.reset(5);
   ASSERT_TRUE(m.mark_failed(1));
   ASSERT_TRUE(m.mark_failed(3));
-  const MembershipSnapshot s = m.snapshot();
+  MembershipSnapshot s;
+  m.snapshot(s);
   EXPECT_EQ(s.epoch, m.epoch());
   EXPECT_EQ(s.alive_count, m.alive_count());
   EXPECT_EQ(s.alive_count, 3);

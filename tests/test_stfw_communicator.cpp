@@ -353,7 +353,8 @@ TEST(Communicator, ExchangeTagsWrapCleanly) {
 // Every resilient exchange posts its frames, acks and nacks under one tag
 // of its own in [1 << 28, 1 << 29), shared by all ranks, and plain
 // exchanges in between stay below 1 << 28. Negative tags are the reliable
-// control channel (settlement, the validator's collectives) and are fixed.
+// control channel: each resilient exchange settles on one of its own, and
+// the validator's collectives, off here, use fixed ones.
 TEST(Communicator, ResilientExchangesPostOnTagsOfTheirOwn) {
   const Vpt vpt({2, 2});
   const Rank K = vpt.size();
@@ -394,7 +395,7 @@ TEST(Communicator, ResilientExchangesPostOnTagsOfTheirOwn) {
   });
   cluster.set_wire_tap(nullptr);
 
-  std::set<int> used;  // resilient tags of the exchanges checked so far
+  std::set<int> used;  // resilient and settlement tags of the exchanges checked so far
   for (std::size_t x = 0; x < X; ++x) {
     std::set<int> all;
     std::set<int> settlement;
@@ -407,8 +408,11 @@ TEST(Communicator, ResilientExchangesPostOnTagsOfTheirOwn) {
       EXPECT_TRUE(settlement.empty()) << "plain exchange " << x;
       continue;
     }
-    // Settlement: one negative tag.
+    // Settlement: one negative tag, never one an earlier exchange used.
     EXPECT_EQ(settlement.size(), 1u) << "resilient exchange " << x;
+    for (const int tag : settlement)
+      EXPECT_TRUE(used.insert(tag).second)
+          << "resilient exchange " << x << " reused settlement tag " << tag;
     // Data frames and acks: one tag, the same on every rank.
     EXPECT_EQ(all.size(), 1u) << "resilient exchange " << x;
     EXPECT_GE(*all.begin(), kTagRange) << "resilient exchange " << x;

@@ -208,6 +208,17 @@ std::vector<std::vector<std::byte>> blobs_of(std::span<ExchangeValidator> vs) {
   return out;
 }
 
+TEST(ExchangeValidator, SideFrameCarriesOnlyTheReceiversSubmessages) {
+  const Vpt vpt({2, 2});
+  ExchangeValidator v(vpt, 0);
+  // A side-lane frame may come from any rank, rank 3 is no neighbor of
+  // rank 0, but it goes straight to its submessages' destination.
+  const Submessage mine{3, 0, 0, 0};
+  EXPECT_NO_THROW(v.on_side_recv(3, {&mine, 1}));
+  const Submessage other{3, 1, 0, 0};  // rank 1's, carried to rank 0
+  expect_violation("side-recv", [&] { v.on_side_recv(3, {&other, 1}); });
+}
+
 TEST(ExchangeValidator, RejectsStatsMismatch) {
   const Vpt vpt({2, 2});
   std::vector<ExchangeValidator> vs;

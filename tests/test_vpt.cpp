@@ -4,7 +4,6 @@
 
 #include <algorithm>
 #include <numeric>
-#include <random>
 #include <set>
 #include <vector>
 
@@ -279,10 +278,6 @@ TEST(Vpt, EqualityComparesDimensionSizes) {
   EXPECT_FALSE(Vpt({4, 4}) == Vpt({2, 8}));
 }
 
-std::vector<std::uint8_t> all_alive(Rank K) {
-  return std::vector<std::uint8_t>(static_cast<std::size_t>(K), 1);
-}
-
 // ---------------------------------------------------------------------------
 // route_hops
 
@@ -315,60 +310,6 @@ TEST(RouteHops, FollowsAscendingDimensionOrder) {
           EXPECT_EQ(hops.back(), dst);
         }
       }
-  }
-}
-
-// ---------------------------------------------------------------------------
-// greedy_next_hop
-
-TEST(GreedyNextHop, FullyAliveMatchesCanonicalRoute) {
-  const Vpt vpt({4, 2, 2});
-  const auto alive = all_alive(vpt.size());
-  for (Rank src = 0; src < vpt.size(); ++src)
-    for (Rank dst = 0; dst < vpt.size(); ++dst) {
-      if (src == dst) continue;
-      const auto hops = route_hops(vpt, src, dst);
-      EXPECT_EQ(greedy_next_hop(vpt, alive, src, dst), hops.front());
-    }
-}
-
-TEST(GreedyNextHop, FallsBackToDirectWhenEveryIntermediateIsDead) {
-  const Vpt vpt({2, 2, 2});
-  // Only src and dst survive: no aligned intermediate can be alive, so the
-  // relay must jump straight to the destination.
-  const Rank src = 0, dst = 7;
-  std::vector<std::uint8_t> alive(static_cast<std::size_t>(vpt.size()), 0);
-  alive[static_cast<std::size_t>(src)] = 1;
-  alive[static_cast<std::size_t>(dst)] = 1;
-  EXPECT_EQ(greedy_next_hop(vpt, alive, src, dst), dst);
-}
-
-TEST(GreedyNextHop, ChainsTerminateAndOnlyVisitSurvivors) {
-  // Random dead sets (destination kept alive): following greedy hops from
-  // any survivor must reach the destination within dim() steps and never
-  // step onto a dead rank — each hop fixes one more coordinate, so chains
-  // cannot cycle even though every hop re-evaluates liveness.
-  const Vpt vpt({4, 2, 2});
-  const Rank K = vpt.size();
-  std::mt19937_64 rng(2026);
-  for (int trial = 0; trial < 200; ++trial) {
-    std::vector<std::uint8_t> alive = all_alive(K);
-    const int deaths = static_cast<int>(rng() % static_cast<std::uint64_t>(K / 2));
-    for (int i = 0; i < deaths; ++i) alive[rng() % static_cast<std::uint64_t>(K)] = 0;
-    for (Rank src = 0; src < K; ++src) {
-      if (!alive[static_cast<std::size_t>(src)]) continue;
-      for (Rank dst = 0; dst < K; ++dst) {
-        if (dst == src || !alive[static_cast<std::size_t>(dst)]) continue;
-        Rank cur = src;
-        int steps = 0;
-        while (cur != dst) {
-          cur = greedy_next_hop(vpt, alive, cur, dst);
-          ASSERT_TRUE(alive[static_cast<std::size_t>(cur)])
-              << "greedy hop landed on dead rank " << cur;
-          ASSERT_LE(++steps, vpt.dim()) << src << "->" << dst << " did not converge";
-        }
-      }
-    }
   }
 }
 
